@@ -2,20 +2,24 @@
 
 On a finite system the orbit map n -> (T_1^n, ..., T_d^n) is periodic with
 the axis periods of period_box, so the Folner limit is literally the
-average over one full period box, for any base point.
+average over one full period box, for any base point.  Every orbit consumer
+contracts the integer counts of orbit_counts, and reducing each lattice point
+modulo the period box there is exact because every axis period is a multiple
+of each generator order on that axis, modulo which exponents act.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, ValidationError
 from .observables import ExactNorm, Observable, ZERO, ONE, l2_square, linf_norm
-from .system import FiniteSystem, PeriodBox, period_box
+from .system import FiniteSystem, period_box
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,46 @@ def _check_args(sys: FiniteSystem, fs, actions):
     return acts
 
 
+def orbit_counts(
+    sys: FiniteSystem,
+    acts: Sequence[int],
+    points: Iterable[Sequence[int]],
+) -> Dict[Tuple[int, ...], int]:
+    """How often each orbit tuple (x, T_{a_1}^n x, ..., T_{a_k}^n x) occurs
+    as n runs over the lattice points and x over all states.
+
+    The only place lattice points become orbit tuples.  Each point is
+    reduced modulo period_box(sys, acts), so a long box costs no more than
+    one period.
+    """
+    periods = period_box(sys, acts).periods
+    reduced: Counter = Counter()
+    for nvec in points:
+        if len(nvec) != sys.r:
+            raise DimensionMismatch("lattice point has wrong dimension")
+        reduced[tuple(e % P for e, P in zip(nvec, periods))] += 1
+    counts: Dict[Tuple[int, ...], int] = {}
+    for nvec, mult in reduced.items():
+        perms = [sys.action_perm(i, nvec) for i in acts]
+        for x in range(sys.n):
+            key = (x,) + tuple(p[x] for p in perms)
+            counts[key] = counts.get(key, 0) + mult
+    return counts
+
+
+def basis_counts(sys: FiniteSystem) -> Dict[Tuple[int, ...], Dict[int, List]]:
+    """Full-period-box counts of all d actions as {(y_2..y_d): {x: [(y_1,
+    count)]}}, for x in the support.  Contracting a list with f_1 gives |P|
+    times the exact limit of (f_1, e_{y_2}, ..., e_{y_d}) at x."""
+    acts = tuple(range(1, sys.d + 1))
+    counts = orbit_counts(sys, acts, period_box(sys, acts).points())
+    grouped: Dict[Tuple[int, ...], Dict[int, List]] = {}
+    for (x, y1, *rest), c in counts.items():
+        if sys.weights[x]:
+            grouped.setdefault(tuple(rest), {}).setdefault(x, []).append((y1, c))
+    return grouped
+
+
 def truncated_average(
     sys: FiniteSystem,
     fs: Sequence[Observable],
@@ -86,20 +130,15 @@ def truncated_average(
         if not pts:
             raise ValidationError("empty lattice point list")
     total = [ZERO] * sys.n
-    for nvec in pts:
-        if len(nvec) != sys.r:
-            raise DimensionMismatch("lattice point has wrong dimension")
-        perms = [sys.action_perm(i, nvec) for i in acts]
-        for x in range(sys.n):
-            prod = ONE
-            for f, p in zip(fs, perms):
-                v = f.values[p[x]]
-                if v == 0:
-                    prod = ZERO
-                    break
-                prod *= v
-            if prod:
-                total[x] += prod
+    for (x, *ys), c in orbit_counts(sys, acts, pts).items():
+        prod = c
+        for f, y in zip(fs, ys):
+            v = f.values[y]
+            if v == 0:
+                break
+            prod *= v
+        else:
+            total[x] += prod
     count = Fraction(len(pts))
     return Observable(tuple(t / count for t in total))
 

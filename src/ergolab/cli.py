@@ -1,7 +1,7 @@
 """Batch front end: load a scenario, run one computation, write a report.
 
-Reports are deterministic: identical inputs (including seeds and thread
-counts) produce byte-identical files.  Exit codes: 1 validation failure,
+Reports are deterministic: identical inputs (including seeds) produce
+byte-identical files.  Exit codes: 1 validation failure,
 2 budget exceeded, 3 internal invariant violation (always a bug).
 """
 
@@ -115,7 +115,6 @@ format_opt = click.option(
 )
 seed_opt = click.option("--seed", type=int, default=None,
                         help="Override the scenario's trial seed.")
-threads_opt = click.option("--threads", type=int, default=1, show_default=True)
 
 
 @click.group()
@@ -303,15 +302,14 @@ def _pleasant_json(sys_, rep) -> dict:
 @out_opt
 @click.option("--max-m", "max_m", type=int, default=None)
 @click.option("--budget", type=int, default=None)
-@threads_opt
 @_exit_codes
-def extend(scenario_path, out, max_m, budget, threads):
+def extend(scenario_path, out, max_m, budget):
     """Iterate the one-step extension until pleasant or out of budget."""
     scn = load_scenario(scenario_path)
     _require_engine(scn, "finite")
     max_m = max_m if max_m is not None else scn.options.get("max_m", 2)
     budget = budget if budget is not None else scn.options.get("budget", 10 ** 6)
-    run = iterate_extensions(scn.system, max_m=max_m, budget=budget, threads=threads)
+    run = iterate_extensions(scn.system, max_m=max_m, budget=budget)
     report = _header(scn, "extend")
     report["max_m"] = max_m
     report["budget"] = budget
@@ -329,14 +327,13 @@ def extend(scenario_path, out, max_m, budget, threads):
 @scenario_opt
 @out_opt
 @click.option("--budget", type=int, default=None)
-@threads_opt
 @_exit_codes
-def pleasant(scenario_path, out, budget, threads):
+def pleasant(scenario_path, out, budget):
     """Pleasantness defect report for the scenario system itself."""
     scn = load_scenario(scenario_path)
     _require_engine(scn, "finite")
     budget = budget if budget is not None else scn.options.get("budget", 10 ** 6)
-    rep = is_pleasant(scn.system, budget=budget, threads=threads)
+    rep = is_pleasant(scn.system, budget=budget)
     report = _header(scn, "pleasant")
     report.update(_pleasant_json(scn.system, rep))
     _write_report(out, scn.name, "pleasant", "json", report)

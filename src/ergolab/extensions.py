@@ -7,12 +7,10 @@ stabilization verdict.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .averages import exact_limit
+from .averages import basis_counts, exact_limit
 from .errors import (
     BudgetExceeded,
     InternalInvariantViolation,
@@ -27,10 +25,9 @@ from .factors import (
     is_measurable,
     join,
 )
-from .joinings import furstenberg_joining
-from .observables import ExactNorm, Observable, ZERO, l2_square
-from .parallel import parallel_map
-from .system import FiniteSystem
+from .joinings import JoinedAction, furstenberg_joining, lift_to_support
+from .observables import ExactNorm, Observable, ZERO
+from .system import FiniteSystem, period_box
 
 
 @dataclass(frozen=True)
@@ -61,39 +58,36 @@ def pleasant_factor(sys: FiniteSystem) -> Partition:
     return join(parts)
 
 
-def is_pleasant(
-    sys: FiniteSystem,
-    budget: int = 10 ** 6,
-    threads: int = 1,
-) -> PleasantnessReport:
+def is_pleasant(sys: FiniteSystem, budget: int = 10 ** 6) -> PleasantnessReport:
     """Exact pleasantness test over the indicator basis.
 
     Multilinearity of the limit plus completeness of indicators makes the
     basis check equivalent to the all-of-L^inf quantifier: the defect is
     the max over basis tuples of ||limit(e_{x1} - E[e_{x1}|Xi], e_{x2}, ...)||_2.
+    All those limits are contractions of one set of orbit counts; the
+    witness is the first maximal tuple in lexicographic order.
     """
     if sys.n ** sys.d > budget:
         raise BudgetExceeded(sys.n ** sys.d, budget)
     xi = pleasant_factor(sys)
-
-    def per_first_state(x1: int):
+    grouped = basis_counts(sys)
+    rests = sorted(grouped)
+    best_sq, witness = ZERO, None
+    for x1 in sys.support:
         e1 = Observable.indicator(sys.n, x1)
         h = e1 - cond_expect(sys, e1, xi)
-        best_sq, best_witness = ZERO, None
         if h.is_zero:
-            return best_sq, best_witness
-        for rest in itertools.product(sys.support, repeat=sys.d - 1):
-            fs = [h] + [Observable.indicator(sys.n, x) for x in rest]
-            lim = exact_limit(sys, fs)
-            sq = l2_square(lim, sys.weights)
+            continue
+        hv = h.values
+        for rest in rests:
+            sq = ZERO
+            for x, pairs in grouped[rest].items():
+                s = sum(c * hv[y] for y, c in pairs if hv[y])
+                if s:
+                    sq += sys.weights[x] * s * s
             if sq > best_sq:
-                best_sq, best_witness = sq, (x1,) + rest
-        return best_sq, best_witness
-
-    defect_sq, witness = ZERO, None
-    for sq, wit in parallel_map(per_first_state, list(sys.support), threads):
-        if sq > defect_sq:
-            defect_sq, witness = sq, wit
+                best_sq, witness = sq, (x1,) + rest
+    defect_sq = best_sq / period_box(sys).size ** 2
     return PleasantnessReport(
         pleasant=defect_sq == 0,
         defect=ExactNorm(defect_sq),
@@ -108,22 +102,13 @@ def one_step_extension(sys: FiniteSystem) -> ExtensionStage:
     full diagonal.  The factor map is the first-coordinate projection."""
     jm = furstenberg_joining(sys)
     supp = jm.support
-    index = {t: k for k, t in enumerate(supp)}
     weights = tuple(jm.mass[t] for t in supp)
-
-    def lifted_perm(coord_actions, axis):
-        perms = [sys.generator(a, axis) for a in coord_actions]
-        return tuple(
-            index[tuple(p[x] for p, x in zip(perms, t))] for t in supp
-        )
-
-    diag_coords = tuple(range(1, sys.d + 1))
     generators = []
     for i in range(1, sys.d + 1):
-        coords = diag_coords if i == 1 else (i,) * sys.d
-        generators.append(
-            tuple(lifted_perm(coords, j) for j in range(1, sys.r + 1))
-        )
+        coords = tuple(range(1, sys.d + 1)) if i == 1 else (i,) * sys.d
+        act = JoinedAction(f"T{i}", coords)
+        axes = [act.axis_perms(sys, j) for j in range(1, sys.r + 1)]
+        generators.append(tuple(lift_to_support(supp, axes)))
     labels = tuple(
         "(" + ",".join(sys.label(x) for x in t) + ")" for t in supp
     )
@@ -153,7 +138,6 @@ def iterate_extensions(
     sys: FiniteSystem,
     max_m: int = 3,
     budget: int = 10 ** 6,
-    threads: int = 1,
 ) -> ExtensionRun:
     """Apply one_step_extension until pleasant, the stage budget is hit, or
     max_m stages have been built.  Budget overrun is reported, not raised."""
@@ -161,7 +145,7 @@ def iterate_extensions(
         raise ValueError("max_m must be at least 1")
     stages: List[ExtensionStage] = []
     current = sys
-    report = is_pleasant(current, budget=budget, threads=threads)
+    report = is_pleasant(current, budget=budget)
     m = 0
     status = "pleasant" if report.pleasant else "max-m-reached"
     while not report.pleasant and m < max_m:
@@ -181,7 +165,7 @@ def iterate_extensions(
         )
         stages.append(stage)
         current = stage.system
-        report = is_pleasant(current, budget=budget, threads=threads)
+        report = is_pleasant(current, budget=budget)
         m += 1
         status = "pleasant" if report.pleasant else "max-m-reached"
     return ExtensionRun(

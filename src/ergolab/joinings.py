@@ -9,22 +9,21 @@ coordinate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .averages import exact_limit
+from .averages import basis_counts, orbit_counts
 from .errors import (
     DimensionMismatch,
     InternalInvariantViolation,
     ValidationError,
     ZeroWeightCell,
 )
-from .factors import Partition, action_isotropy, orbit_partition
+from .factors import Partition, orbit_partition
 from .observables import Observable, ZERO, ONE
-from .system import FiniteSystem, compose, identity_perm, invert, period_box
+from .system import FiniteSystem, Perm, compose, identity_perm, invert, period_box
 
 StateTuple = Tuple[int, ...]
 
@@ -43,12 +42,17 @@ class JoinedAction:
             base.generator(a, axis) if a else ident for a in self.coord_actions
         )
 
-    def apply(self, base: FiniteSystem, nvec: Sequence[int], t: StateTuple) -> StateTuple:
-        perms = [
-            base.action_perm(a, nvec) if a else identity_perm(base.n)
-            for a in self.coord_actions
-        ]
-        return tuple(p[x] for p, x in zip(perms, t))
+
+def lift_to_support(
+    supp: Sequence[StateTuple], coord_perms: Sequence[Sequence[Perm]]
+) -> List[Perm]:
+    """Each entry of coord_perms (one base permutation per coordinate),
+    lifted to a permutation of the indices of the sorted support supp."""
+    index = {t: k for k, t in enumerate(supp)}
+    return [
+        tuple(index[tuple(p[x] for p, x in zip(perms, t))] for t in supp)
+        for perms in coord_perms
+    ]
 
 
 class JoinedMeasure:
@@ -94,20 +98,15 @@ class JoinedMeasure:
             self.marginal(c) == self.base.weights for c in range(self.power)
         )
 
-    def pushforward(self, name: str, nvec: Sequence[int]) -> Dict[StateTuple, Fraction]:
-        act = self.actions[name]
-        out: Dict[StateTuple, Fraction] = {}
-        for t, m in self.mass.items():
-            out[act.apply(self.base, nvec, t)] = m
-        return out
-
     def is_invariant(self, name: str) -> bool:
         """Invariance under the generators of the named action (hence under
-        the whole group)."""
-        for j in range(self.base.r):
-            unit = tuple(1 if k == j else 0 for k in range(self.base.r))
-            if self.pushforward(name, unit) != self.mass:
-                return False
+        the whole group): every tuple's image carries the tuple's mass."""
+        act = self.actions[name]
+        for j in range(1, self.base.r + 1):
+            perms = act.axis_perms(self.base, j)
+            for t, m in self.mass.items():
+                if self.mass.get(tuple(p[x] for p, x in zip(perms, t))) != m:
+                    return False
         return True
 
 
@@ -118,14 +117,14 @@ def furstenberg_joining(
     diagonal measure under S_{d+1}^n = (T_1^n, ..., T_d^n).  Independent of
     the box base point."""
     d = sys.d
-    pbox = period_box(sys)
+    acts = tuple(range(1, d + 1))
+    pbox = period_box(sys, acts)
     mass: Dict[StateTuple, Fraction] = {}
-    scale = Fraction(1, pbox.size)
-    for nvec in pbox.points(base_point):
-        perms = [sys.action_perm(i, nvec) for i in range(1, d + 1)]
-        for x in sys.support:
-            t = tuple(p[x] for p in perms)
-            mass[t] = mass.get(t, ZERO) + sys.weights[x] * scale
+    for (x, *t), c in orbit_counts(sys, acts, pbox.points(base_point)).items():
+        if sys.weights[x]:
+            t = tuple(t)
+            mass[t] = mass.get(t, ZERO) + sys.weights[x] * c
+    mass = {t: m / pbox.size for t, m in mass.items()}
     actions = {
         f"S{i}": JoinedAction(f"S{i}", (i,) * d) for i in range(1, d + 1)
     }
@@ -177,16 +176,10 @@ def orbit_cells(jm: JoinedMeasure, name: str) -> List[Tuple[StateTuple, ...]]:
     """Orbits of the support under the named action; their indicators span
     the invariant functions on the support."""
     supp = jm.support
-    index = {t: k for k, t in enumerate(supp)}
     act = jm.actions[name]
-    perms = []
-    for j in range(jm.base.r):
-        coord_perms = act.axis_perms(jm.base, j + 1)
-        fwd = tuple(
-            index[tuple(p[x] for p, x in zip(coord_perms, t))] for t in supp
-        )
-        perms.append(fwd)
-        perms.append(invert(fwd))
+    perms = lift_to_support(
+        supp, [act.axis_perms(jm.base, j) for j in range(1, jm.base.r + 1)]
+    )
     part = orbit_partition(len(supp), perms)
     return [tuple(supp[k] for k in cell) for cell in part.cells]
 
@@ -226,14 +219,19 @@ def vdc_condition_check(sys: FiniteSystem, f1: Observable):
         if val != 0:
             return False, VdcWitness(rest, cells[k][0], val)
     # verified conclusion: the lemma promises the limits vanish
-    for rest in itertools.product(sys.support, repeat=sys.d - 1):
-        fs = [f1] + [Observable.indicator(sys.n, x) for x in rest]
-        lim = exact_limit(sys, fs)
-        if not lim.is_zero:
-            raise InternalInvariantViolation(
-                "joining condition held but a basis limit is nonzero"
-            )
+    _check_basis_limits_vanish(
+        sys, f1, "joining condition held but a basis limit is nonzero"
+    )
     return True, None
+
+
+def _check_basis_limits_vanish(sys: FiniteSystem, f1: Observable, message: str):
+    """Raise unless every indicator-basis exact limit with this f_1 vanishes
+    on the support."""
+    for by_x in basis_counts(sys).values():
+        for pairs in by_x.values():
+            if sum(c * f1.values[y] for y, c in pairs):
+                raise InternalInvariantViolation(message)
 
 
 def rel_indep_joining(sys: FiniteSystem, part: Partition) -> JoinedMeasure:
@@ -241,34 +239,25 @@ def rel_indep_joining(sys: FiniteSystem, part: Partition) -> JoinedMeasure:
     conditionally independent given it."""
     if part.n != sys.n:
         raise ValidationError("partition is over a different state set")
-    cw = part.cell_weights(sys.weights)
-    mass: Dict[StateTuple, Fraction] = {}
-    for k, cell in enumerate(part.cells):
-        w = cw[k]
-        members = [x for x in cell if sys.weights[x] > 0]
-        if not members:
-            continue
-        if w == 0:
-            raise ZeroWeightCell(f"cell {cell} has zero weight")
-        for x in members:
-            for y in members:
-                mass[(x, y)] = sys.weights[x] * sys.weights[y] / w
+    cells = [[(x,) for x in cell if sys.weights[x] > 0] for cell in part.cells]
+    masses = {(x,): sys.weights[x] for x in sys.support}
+    mass = _rel_indep_pairs(masses, [cell for cell in cells if cell])
     return JoinedMeasure(sys, 2, mass, actions={})
 
 
 def _rel_indep_pairs(
     masses: Dict[StateTuple, Fraction],
-    cells: Sequence[Sequence[int]],
-    supp: Sequence[StateTuple],
+    cells: Sequence[Sequence[StateTuple]],
 ) -> Dict[StateTuple, Fraction]:
+    """The relatively independent self-product of a sparse measure over a
+    partition of its support into cells of state tuples."""
     out: Dict[StateTuple, Fraction] = {}
     for cell in cells:
-        w = sum((masses[supp[k]] for k in cell), ZERO)
+        w = sum((masses[u] for u in cell), ZERO)
         if w == 0:
             raise ZeroWeightCell("relatively independent step hit a null cell")
-        for a in cell:
-            for b in cell:
-                u, v = supp[a], supp[b]
+        for u in cell:
+            for v in cell:
                 out[u + v] = masses[u] * masses[v] / w
     return out
 
@@ -292,34 +281,23 @@ def host_kra_tower(sys: FiniteSystem) -> List[JoinedMeasure]:
     stages: List[JoinedMeasure] = []
     for k in range(1, d + 1):
         supp = sorted(masses)
-        index = {t: s for s, t in enumerate(supp)}
-        if k == 1:
-            # orbits of T_1 acting coordinatewise on the stage support
-            gen_pairs = [(acts["T1"], None)]
-        else:
-            gen_pairs = [(acts["T1"], acts[f"T{k}"])]
-        perms = []
-        for a1, a2 in gen_pairs:
-            for j in range(1, sys.r + 1):
-                p1 = [
-                    sys.generator(a, j) if a else identity_perm(sys.n)
-                    for a in a1
+        # stage 1 takes orbits of T_1, stage k of T_1 (T_k)^{-1}, acting
+        # coordinatewise on the stage support
+        t1 = JoinedAction("T1", acts["T1"])
+        tk = JoinedAction(f"T{k}", acts[f"T{k}"])
+        coord_perms = []
+        for j in range(1, sys.r + 1):
+            perms = t1.axis_perms(sys, j)
+            if k > 1:
+                perms = [
+                    compose(p, invert(q))
+                    for p, q in zip(perms, tk.axis_perms(sys, j))
                 ]
-                if a2 is None:
-                    coord = p1
-                else:
-                    p2inv = [
-                        invert(sys.generator(a, j)) if a else identity_perm(sys.n)
-                        for a in a2
-                    ]
-                    coord = [compose(q1, q2) for q1, q2 in zip(p1, p2inv)]
-                fwd = tuple(
-                    index[tuple(p[x] for p, x in zip(coord, t))] for t in supp
-                )
-                perms.append(fwd)
-                perms.append(invert(fwd))
-        part = orbit_partition(len(supp), perms)
-        masses = _rel_indep_pairs(masses, part.cells, supp)
+            coord_perms.append(perms)
+        part = orbit_partition(len(supp), lift_to_support(supp, coord_perms))
+        masses = _rel_indep_pairs(
+            masses, [[supp[s] for s in cell] for cell in part.cells]
+        )
         new_labels = labels + tuple(a | {k} for a in labels)
         new_acts: Dict[str, Tuple[int, ...]] = {}
         for i in range(1, d + 1):
@@ -393,10 +371,7 @@ def hk_condition_check(sys: FiniteSystem, f1: Observable) -> bool:
         acc[rest] = acc.get(rest, ZERO) + m * v
     if any(val != 0 for val in acc.values()):
         return False
-    for rest in itertools.product(sys.support, repeat=sys.d - 1):
-        fs = [f1] + [Observable.indicator(sys.n, x) for x in rest]
-        if not exact_limit(sys, fs).is_zero:
-            raise InternalInvariantViolation(
-                "Host-Kra condition held but a basis limit is nonzero"
-            )
+    _check_basis_limits_vanish(
+        sys, f1, "Host-Kra condition held but a basis limit is nonzero"
+    )
     return True

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence, Tuple
 
 from .errors import DimensionMismatch
@@ -121,12 +120,10 @@ class Observable:
         return ExactNorm(l2_square(self, weights))
 
 
-@lru_cache(maxsize=None)
 def linf_norm(f: Observable) -> Fraction:
     return max((abs(v) for v in f.values), default=ZERO)
 
 
-@lru_cache(maxsize=None)
 def l2_square(f: Observable, weights: Tuple[Fraction, ...]) -> Fraction:
     if len(weights) != len(f.values):
         raise DimensionMismatch("weights and observable lengths differ")
@@ -138,6 +135,3 @@ def integral(f: Observable, weights: Tuple[Fraction, ...]) -> Fraction:
         raise DimensionMismatch("weights and observable lengths differ")
     return sum((v * w for v, w in zip(f.values, weights)), ZERO)
 
-
-def inner(f: Observable, g: Observable, weights: Tuple[Fraction, ...]) -> Fraction:
-    return integral(f * g, weights)

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .averages import FolnerBox
 from .errors import ValidationError
@@ -47,15 +47,11 @@ def _parse_entry(raw) -> RotationEntry:
 
 
 def _parse_torus_system(raw: dict) -> TorusSystem:
-    try:
-        m = int(raw["m"])
-        r = int(raw["r"])
-        d = int(raw["d"])
-        rotations_raw = raw["rotations"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed torus system: {exc}") from exc
+    m = int(raw["m"])
+    r = int(raw["r"])
+    d = int(raw["d"])
     table: dict = {}
-    for entry in rotations_raw:
+    for entry in raw["rotations"]:
         i = int(entry["action"])
         j = int(entry["axis"])
         vec = tuple(_parse_entry(e) for e in entry["vector"])
@@ -101,68 +97,75 @@ def load_scenario(path: Union[str, Path]) -> ScenarioConfig:
 
 
 def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
+    """Build a ScenarioConfig from the parsed JSON; every malformed input
+    surfaces as a ValidationError."""
     try:
         name = str(raw["name"])
         engine = str(raw["engine"])
         system_raw = raw["system"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed scenario: {exc}") from exc
-    if engine == "finite":
-        system = validate_system(system_raw)
-        observables = {
-            str(k): Observable.from_values([Fraction(str(v)) for v in vals])
-            for k, vals in raw.get("observables", {}).items()
-        }
-        for k, f in observables.items():
-            if len(f) != system.n:
+        if engine == "finite":
+            system = validate_system(system_raw)
+            observables = {
+                str(k): Observable.from_values([Fraction(str(v)) for v in vals])
+                for k, vals in raw.get("observables", {}).items()
+            }
+            for k, f in observables.items():
+                if len(f) != system.n:
+                    raise ValidationError(
+                        f"observable {k} has length {len(f)}, expected {system.n}"
+                    )
+            box_dim = system.r
+        elif engine == "torus":
+            system = _parse_torus_system(system_raw)
+            observables = {
+                str(k): _parse_trig(v) for k, v in raw.get("observables", {}).items()
+            }
+            box_dim = system.r
+        else:
+            raise ValidationError(f"unknown engine {engine!r}")
+        tuples = tuple(
+            tuple(str(n) for n in t) for t in raw.get("average_tuples", [])
+        )
+        for t in tuples:
+            if len(t) != system.d:
                 raise ValidationError(
-                    f"observable {k} has length {len(f)}, expected {system.n}"
+                    f"average tuple {t} has {len(t)} entries, expected {system.d}"
                 )
-        box_dim = system.r
-    elif engine == "torus":
-        system = _parse_torus_system(system_raw)
-        observables = {
-            str(k): _parse_trig(v) for k, v in raw.get("observables", {}).items()
-        }
-        box_dim = system.r
-    else:
-        raise ValidationError(f"unknown engine {engine!r}")
-    tuples = tuple(
-        tuple(str(n) for n in t) for t in raw.get("average_tuples", [])
-    )
-    for t in tuples:
-        if len(t) != system.d:
-            raise ValidationError(
-                f"average tuple {t} has {len(t)} entries, expected {system.d}"
-            )
-        for n in t:
-            if n not in observables:
-                raise ValidationError(f"unknown observable {n!r} in tuple")
-    boxes = []
-    for b in raw.get("boxes", []):
-        lengths = tuple(int(v) for v in b["lengths"])
-        base = tuple(int(v) for v in b.get("base", (0,) * box_dim))
-        if len(lengths) != box_dim:
-            raise ValidationError("box dimension differs from rank")
-        boxes.append(FolnerBox(lengths, base))
-    trials = raw.get("base_point_trials", {})
-    samples = tuple(
-        tuple(float(v) for v in s) for s in raw.get("samples", [])
-    )
-    options = {str(k): int(v) for k, v in raw.get("options", {}).items()}
-    return ScenarioConfig(
-        name=name,
-        engine=engine,
-        system=system,
-        observables=observables,
-        average_tuples=tuples,
-        boxes=tuple(boxes),
-        trial_count=int(trials.get("count", 20)),
-        trial_seed=int(trials.get("seed", 7)),
-        samples=samples,
-        options=options,
-        sha256=sha256,
-    )
+            for n in t:
+                if n not in observables:
+                    raise ValidationError(f"unknown observable {n!r} in tuple")
+        boxes = []
+        for b in raw.get("boxes", []):
+            lengths = tuple(int(v) for v in b["lengths"])
+            base = tuple(int(v) for v in b.get("base", (0,) * box_dim))
+            if len(lengths) != box_dim:
+                raise ValidationError("box dimension differs from rank")
+            boxes.append(FolnerBox(lengths, base))
+        trials = raw.get("base_point_trials", {})
+        trial_count = int(trials.get("count", 20))
+        if trial_count < 0:
+            raise ValidationError("base_point_trials.count must be nonnegative")
+        samples = tuple(
+            tuple(float(v) for v in s) for s in raw.get("samples", [])
+        )
+        options = {str(k): int(v) for k, v in raw.get("options", {}).items()}
+        return ScenarioConfig(
+            name=name,
+            engine=engine,
+            system=system,
+            observables=observables,
+            average_tuples=tuples,
+            boxes=tuple(boxes),
+            trial_count=trial_count,
+            trial_seed=int(trials.get("seed", 7)),
+            samples=samples,
+            options=options,
+            sha256=sha256,
+        )
+    except (
+        AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError
+    ) as exc:
+        raise ValidationError(f"malformed scenario: {exc!r}") from exc
 
 
 def bundled_scenario_dir() -> Path:

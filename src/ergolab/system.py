@@ -305,27 +305,3 @@ def validate_system(candidate: dict) -> FiniteSystem:
         n=n, r=r, d=d, weights=weights, generators=generators, labels=labels
     )
 
-
-def normalize_support(sys: FiniteSystem):
-    """Drop zero-weight states.  Returns (restricted system, kept state list)."""
-    kept = list(sys.support)
-    if len(kept) == sys.n:
-        return sys, kept
-    index = {x: k for k, x in enumerate(kept)}
-    weights = tuple(sys.weights[x] for x in kept)
-    generators = tuple(
-        tuple(tuple(index[p[x]] for x in kept) for p in row)
-        for row in sys.generators
-    )
-    labels = tuple(sys.label(x) for x in kept)
-    return (
-        FiniteSystem(
-            n=len(kept),
-            r=sys.r,
-            d=sys.d,
-            weights=weights,
-            generators=generators,
-            labels=labels,
-        ),
-        kept,
-    )

@@ -147,9 +147,10 @@ def torus_truncated_average(
         raise ValidationError(f"need {sys.d} observables, got {len(fs)}")
     if len(box.lengths) != sys.r:
         raise ValidationError("box dimension differs from rank")
-    # floats are exact binary rationals, so n * alpha mod 1 is computed
-    # exactly and only the final float conversion rounds; this keeps the
-    # error flat in the base point instead of growing with |n|
+    # floats are exact binary rationals, so t + n * alpha mod 1 is computed
+    # exactly, as integers over one power-of-two denominator, and only the
+    # final division rounds; this keeps the error flat in the base point
+    # instead of growing with |n|
     numeric = [
         [
             tuple(Fraction(v) for v in sys.numeric_rotation(i, j + 1))
@@ -157,23 +158,36 @@ def torus_truncated_average(
         ]
         for i in range(1, sys.d + 1)
     ]
+    starts = [tuple(Fraction(float(x)) for x in t) for t in samples]
+    if any(len(t) != sys.m for t in starts):
+        raise ValidationError("sample point has wrong dimension")
+    fracs = [q for rows in numeric for vec in rows for q in vec]
+    fracs += [q for t in starts for q in t]
+    denom = math.lcm(1, *(q.denominator for q in fracs))
+
+    def scaled(q: Fraction) -> int:
+        return q.numerator * (denom // q.denominator)
+
     pts = list(box.points())
+    # offsets[k][i][a]: coordinate a of n_k . alpha_i, scaled by denom
+    offsets = [
+        [
+            tuple(
+                sum(nj * scaled(rows[j][a]) for j, nj in enumerate(nvec))
+                for a in range(sys.m)
+            )
+            for rows in numeric
+        ]
+        for nvec in pts
+    ]
     out: List[complex] = []
-    for t in samples:
-        t_frac = tuple(Fraction(float(x)) for x in t)
-        if len(t_frac) != sys.m:
-            raise ValidationError("sample point has wrong dimension")
+    for t in starts:
+        t_num = [scaled(q) for q in t]
         total, comp = 0j, 0j
-        for nvec in pts:
+        for off in offsets:
             prod = 1 + 0j
-            for i, f in enumerate(fs):
-                shifted = list(t_frac)
-                for j, nj in enumerate(nvec):
-                    if nj:
-                        vec = numeric[i][j]
-                        for a in range(sys.m):
-                            shifted[a] += nj * vec[a]
-                prod *= f([float(s % 1) for s in shifted])
+            for f, o in zip(fs, off):
+                prod *= f([(s + x) % denom / denom for s, x in zip(t_num, o)])
             total, comp = _kahan_add(total, comp, prod)
         out.append(total / len(pts))
     return out

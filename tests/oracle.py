@@ -1,0 +1,116 @@
+"""Reference implementations kept as differential oracles.
+
+These are the per-point and per-tuple loops the library used before every
+orbit consumer became a contraction of orbit_counts: each lattice point is
+turned into permutations on its own, with no reduction modulo the period
+box, and each basis tuple of the pleasantness test gets its own limit.
+They are slow on purpose; tests compare the library against them exactly.
+"""
+
+import itertools
+from fractions import Fraction
+
+from ergolab.factors import cond_expect
+from ergolab.extensions import pleasant_factor
+from ergolab.observables import Observable, l2_square
+from ergolab.system import period_box
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def truncated_average(sys_, fs, pts, actions=None):
+    """Pointwise average of prod_i f_i o T_{a_i}^n over the points, one
+    point at a time."""
+    acts = tuple(actions) if actions is not None else tuple(range(1, sys_.d + 1))
+    total = [ZERO] * sys_.n
+    for nvec in pts:
+        perms = [sys_.action_perm(i, nvec) for i in acts]
+        for x in range(sys_.n):
+            prod = ONE
+            for f, p in zip(fs, perms):
+                prod *= f.values[p[x]]
+            total[x] += prod
+    return Observable(tuple(t / len(pts) for t in total))
+
+
+def exact_limit(sys_, fs):
+    return truncated_average(sys_, fs, list(period_box(sys_).points()))
+
+
+def is_pleasant(sys_):
+    """(defect square, witness) from one exact limit per basis tuple; the
+    witness is the first tuple reaching the maximum."""
+    xi = pleasant_factor(sys_)
+    best_sq, witness = ZERO, None
+    for x1 in sys_.support:
+        e1 = Observable.indicator(sys_.n, x1)
+        h = e1 - cond_expect(sys_, e1, xi)
+        if h.is_zero:
+            continue
+        for rest in itertools.product(sys_.support, repeat=sys_.d - 1):
+            fs = [h] + [Observable.indicator(sys_.n, x) for x in rest]
+            sq = l2_square(exact_limit(sys_, fs), sys_.weights)
+            if sq > best_sq:
+                best_sq, witness = sq, (x1,) + rest
+    return best_sq, witness
+
+
+def furstenberg_mass(sys_, base_point=None):
+    """mu^{*d} summed point by point over the period box at base_point."""
+    pbox = period_box(sys_)
+    scale = Fraction(1, pbox.size)
+    mass = {}
+    for nvec in pbox.points(base_point):
+        perms = [sys_.action_perm(i, nvec) for i in range(1, sys_.d + 1)]
+        for x in sys_.support:
+            t = tuple(p[x] for p in perms)
+            mass[t] = mass.get(t, ZERO) + sys_.weights[x] * scale
+    return mass
+
+
+def pushforward(jm, name, nvec):
+    """The joined mass moved by the named action at lattice point nvec."""
+    base = jm.base
+    perms = [
+        base.action_perm(a, nvec) if a else tuple(range(base.n))
+        for a in jm.actions[name].coord_actions
+    ]
+    return {tuple(p[x] for p, x in zip(perms, t)): m for t, m in jm.mass.items()}
+
+
+def is_invariant(jm, name):
+    r = jm.base.r
+    units = [tuple(int(k == j) for k in range(r)) for j in range(r)]
+    return all(pushforward(jm, name, unit) == jm.mass for unit in units)
+
+
+def torus_truncated_average(sys_, fs, box, samples):
+    """The torus lattice sum with every shifted coordinate kept as a
+    Fraction, one point and one observable at a time."""
+    numeric = [
+        [
+            tuple(Fraction(v) for v in sys_.numeric_rotation(i, j + 1))
+            for j in range(sys_.r)
+        ]
+        for i in range(1, sys_.d + 1)
+    ]
+    pts = list(box.points())
+    out = []
+    for t in samples:
+        t_frac = tuple(Fraction(float(x)) for x in t)
+        total, comp = 0j, 0j
+        for nvec in pts:
+            prod = 1 + 0j
+            for i, f in enumerate(fs):
+                shifted = list(t_frac)
+                for j, nj in enumerate(nvec):
+                    for a in range(sys_.m):
+                        shifted[a] += nj * numeric[i][j][a]
+                prod *= f([float(s % 1) for s in shifted])
+            y = prod - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+        out.append(total / len(pts))
+    return out

@@ -8,7 +8,10 @@ on failure (via the _verdict helper), so a full run always shows ten lines.
 import filecmp
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -248,45 +251,69 @@ def test_acceptance_09_host_kra_tower(finite_corpus):
     _verdict(9, "Host-Kra tower structure and marginals", passed)
 
 
+def _corpus_commands(corpus):
+    """Every command line of the determinism run, without --out."""
+    from ergolab.scenario import bundled_scenario_dir
+
+    out = []
+    for scn in corpus:
+        path = str(bundled_scenario_dir() / f"{scn.name}.json")
+        if scn.engine == "finite":
+            commands = [
+                ["validate"], ["avg"], ["limit"], ["joining"], ["hk"],
+                ["extend"], ["pleasant"],
+            ]
+        else:
+            commands = [
+                ["validate"], ["torus-demo"], ["torus-demo", "--format", "csv"],
+            ]
+        out += [cmd + ["--scenario", path] for cmd in commands]
+    return out
+
+
+# argv: output directory, JSON list of command lines; runs them all in-process
+_CHILD_RUN = """
+import json, sys
+from ergolab.cli import main
+for argv in json.loads(sys.argv[2]):
+    main(argv + ["--out", sys.argv[1]], standalone_mode=False)
+"""
+
+
 def test_acceptance_10_determinism(corpus, tmp_path):
-    """Byte-identical reports across two runs and across 1 vs 8 worker
-    threads, over the full bundled corpus."""
+    """Byte-identical reports across two in-process runs and two child
+    interpreters with different string-hash seeds, over the full bundled
+    corpus."""
+    import ergolab
+
+    commands = _corpus_commands(corpus)
     runner = CliRunner()
-    passed = True
-
-    def run_all(outdir, threads):
-        outdir.mkdir(parents=True, exist_ok=True)
-        for scn in corpus:
-            from ergolab.scenario import bundled_scenario_dir
-
-            path = str(bundled_scenario_dir() / f"{scn.name}.json")
-            if scn.engine == "finite":
-                commands = [
-                    ["validate"], ["avg"], ["limit"], ["joining"], ["hk"],
-                    ["extend", "--threads", str(threads)],
-                    ["pleasant", "--threads", str(threads)],
-                ]
-            else:
-                commands = [
-                    ["validate"], ["torus-demo"], ["torus-demo", "--format", "csv"],
-                ]
-            for cmd in commands:
-                result = runner.invoke(
-                    main,
-                    cmd + ["--scenario", path, "--out", str(outdir)],
-                    catch_exceptions=False,
-                )
-                assert result.exit_code == 0, result.output
-
-    run_all(tmp_path / "a", 1)
-    run_all(tmp_path / "b", 1)
-    run_all(tmp_path / "c", 8)
+    for run in ("a", "b"):
+        for argv in commands:
+            result = runner.invoke(
+                main, argv + ["--out", str(tmp_path / run)], catch_exceptions=False
+            )
+            assert result.exit_code == 0, result.output
+    src = str(Path(ergolab.__file__).resolve().parents[1])
+    others = ["b"]
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        outdir = tmp_path / f"hashseed{seed}"
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD_RUN, str(outdir), json.dumps(commands)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        others.append(outdir.name)
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
-    passed = passed and names == sorted(p.name for p in (tmp_path / "b").iterdir())
-    passed = passed and names == sorted(p.name for p in (tmp_path / "c").iterdir())
-    for name in names:
-        for other in ("b", "c"):
+    passed = len(names) == len(commands)
+    for other in others:
+        passed = passed and names == sorted(p.name for p in (tmp_path / other).iterdir())
+        for name in names:
             passed = passed and filecmp.cmp(
                 tmp_path / "a" / name, tmp_path / other / name, shallow=False
             )
-    _verdict(10, "byte-identical reports across runs and thread counts", passed)
+    _verdict(10, "byte-identical reports across runs and hash seeds", passed)

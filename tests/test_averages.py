@@ -93,6 +93,10 @@ def test_explicit_point_list_escape_hatch(rng):
     assert avg.values == oracle_average(sys_, fs, pts)
     with pytest.raises(ValidationError):
         truncated_average(sys_, fs, points=[])
+    # dimensions are checked before points are reduced modulo the period
+    for bad in ([(1, 2)], [(0,), ()]):
+        with pytest.raises(DimensionMismatch):
+            truncated_average(sys_, fs, points=bad)
     with pytest.raises(ValidationError):
         truncated_average(sys_, fs)
 

@@ -197,3 +197,57 @@ def test_reports_do_not_collide(runner, tmp_path):
     )
     assert (tmp_path / "cyclic-4__validate.json").exists()
     assert (tmp_path / "cyclic-9__validate.json").exists()
+
+
+def _box_without_lengths(raw):
+    raw["boxes"] = [{"base": [0]}]
+
+
+def _non_numeric_observable_entry(raw):
+    raw["observables"]["f1"][0] = "abc"
+
+
+def _non_list_observable(raw):
+    raw["observables"]["f1"] = 5
+
+
+def _non_list_average_tuples(raw):
+    raw["average_tuples"] = 5
+
+
+def _negative_trial_count(raw):
+    raw["base_point_trials"] = {"count": -3, "seed": 1}
+
+
+def _rotation_without_vector(raw):
+    del raw["system"]["rotations"][0]["vector"]
+
+
+def _one_component_coefficient(raw):
+    raw["observables"]["f1"][0]["coeff"] = [1.0]
+
+
+@pytest.mark.parametrize(
+    "scenario, command, corrupt",
+    [
+        ("cyclic-5", "avg", _box_without_lengths),
+        ("cyclic-5", "limit", _non_numeric_observable_entry),
+        ("cyclic-5", "limit", _non_list_observable),
+        ("cyclic-5", "limit", _non_list_average_tuples),
+        ("cyclic-5", "avg", _negative_trial_count),
+        ("torus-counterexample", "torus-demo", _rotation_without_vector),
+        ("torus-counterexample", "torus-demo", _one_component_coefficient),
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_malformed_scenario_one_line_error(runner, tmp_path, scenario, command, corrupt):
+    raw = json.loads(Path(scn_path(scenario)).read_text())
+    corrupt(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    result = runner.invoke(main, [command, "--scenario", str(bad), "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert "Traceback" not in result.output

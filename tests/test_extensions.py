@@ -139,15 +139,6 @@ def test_iterate_cyclic4_runs_to_verdict():
     assert again.final_report.defect.square == run.final_report.defect.square
 
 
-def test_threads_agree(ext25):
-    sys_ = cyclic_system(5, [1, 2])
-    assert is_pleasant(sys_, threads=4).defect.square == is_pleasant(sys_).defect.square
-    assert (
-        is_pleasant(ext25.system, threads=4).defect.square
-        == is_pleasant(ext25.system).defect.square
-    )
-
-
 def test_pull_back(ext25):
     f = Observable.indicator(5, 0)
     lifted = pull_back(ext25, f)

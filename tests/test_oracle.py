@@ -1,0 +1,225 @@
+"""Differential tests: the orbit-count contractions and the integer torus
+sum against the per-point and per-tuple reference loops of tests/oracle.py,
+with exact equality."""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+import oracle
+from ergolab.averages import FolnerBox, exact_limit, truncated_average
+from ergolab.extensions import is_pleasant
+from ergolab.joinings import (
+    JoinedAction,
+    JoinedMeasure,
+    furstenberg_joining,
+    host_kra_tower,
+)
+from ergolab.system import FiniteSystem, period_box
+from ergolab.torus import (
+    RotationEntry,
+    TorusSystem,
+    TrigObservable,
+    torus_truncated_average,
+)
+
+from conftest import cyclic_system, random_observable
+
+
+def _translations(shape, steps):
+    """Translation generators of Z/shape[0] x ... x Z/shape[-1] (states in
+    row-major order): steps[i][j] is the translation vector of action i+1,
+    axis j+1."""
+    states = list(itertools.product(*(range(m) for m in shape)))
+    index = {s: k for k, s in enumerate(states)}
+
+    def perm(vec):
+        return tuple(
+            index[tuple((a + v) % m for a, v, m in zip(s, vec, shape))]
+            for s in states
+        )
+
+    return tuple(tuple(perm(vec) for vec in row) for row in steps)
+
+
+def rank2_product():
+    """Z/2 x Z/4 with two commuting rank-2 actions."""
+    gens = _translations((2, 4), [[(1, 0), (0, 1)], [(1, 1), (0, 3)]])
+    return FiniteSystem(n=8, r=2, d=2, weights=(Fraction(1, 8),) * 8,
+                        generators=gens)
+
+
+def two_cycles(a=3, b=4, weight_a=Fraction(1, 3)):
+    """Two rotated cycles of lengths a and b; the weight is constant on each
+    cycle, weight_a in total on the first."""
+    def rotate(sa, sb):
+        return tuple(
+            [(x + sa) % a for x in range(a)] + [a + (x + sb) % b for x in range(b)]
+        )
+
+    weights = (weight_a / a,) * a + ((1 - weight_a) / b,) * b
+    gens = ((rotate(1, 1),), (rotate(2, 3),))
+    return FiniteSystem(n=a + b, r=1, d=2, weights=weights, generators=gens)
+
+
+def cyclic_family():
+    """Cyclic systems with d = 2, n <= 9 and d = 3, n <= 5.  Step pairs
+    s <= t with s < 4 cover a zero, a unit and a non-unit first step
+    without the cost of every pair."""
+    systems = [
+        cyclic_system(n, [s, t])
+        for n in range(2, 10)
+        for s in range(min(n, 4))
+        for t in range(s, n)
+    ]
+    systems += [
+        cyclic_system(n, [1, s, t])
+        for n in range(2, 6)
+        for s in range(n)
+        for t in range(s, n)
+    ]
+    return systems
+
+
+@pytest.fixture(scope="module")
+def systems(finite_corpus):
+    return (
+        [scn.system for scn in finite_corpus]
+        + cyclic_family()
+        + [rank2_product(), two_cycles(), two_cycles(5, 2, Fraction(3, 4))]
+    )
+
+
+def test_truncated_average_matches_per_point_loop(systems):
+    rng = random.Random(41)
+    for sys_ in systems:
+        periods = period_box(sys_).periods
+        fs = [random_observable(rng, sys_.n) for _ in range(sys_.d)]
+        # one period plus one (never a multiple of a period above 1), then
+        # random lengths, both at negative base points
+        for lengths in (
+            tuple(p + 1 for p in periods),
+            tuple(rng.randint(1, 2 * p + 1) for p in periods),
+        ):
+            box = FolnerBox(lengths, tuple(rng.randint(-60, -1) for _ in periods))
+            assert truncated_average(sys_, fs, box=box) == oracle.truncated_average(
+                sys_, fs, list(box.points())
+            )
+        pts = [tuple(rng.randint(-40, 40) for _ in range(sys_.r)) for _ in range(5)]
+        pts += rng.sample(pts, 3) + pts[:1]
+        assert truncated_average(sys_, fs, points=pts) == oracle.truncated_average(
+            sys_, fs, pts
+        )
+        assert exact_limit(sys_, fs) == oracle.exact_limit(sys_, fs)
+        acts = [sys_.d]
+        lengths = tuple(rng.randint(1, 3 * p) for p in periods)
+        box = FolnerBox(lengths, tuple(rng.randint(-9, 9) for _ in range(sys_.r)))
+        assert truncated_average(
+            sys_, fs[:1], box=box, actions=acts
+        ) == oracle.truncated_average(sys_, fs[:1], list(box.points()), acts)
+
+
+def test_is_pleasant_matches_per_tuple_loop(systems):
+    unpleasant = 0
+    for sys_ in systems:
+        rep = is_pleasant(sys_)
+        defect_sq, witness = oracle.is_pleasant(sys_)
+        assert rep.defect.square == defect_sq
+        assert rep.witness == witness
+        unpleasant += not rep.pleasant
+    assert unpleasant > 0
+
+
+def test_furstenberg_mass_matches_per_point_loop(systems):
+    rng = random.Random(43)
+    for sys_ in systems:
+        for _ in range(3):
+            base = tuple(rng.randint(-50, 50) for _ in range(sys_.r))
+            assert furstenberg_joining(sys_, base).mass == oracle.furstenberg_mass(
+                sys_, base
+            )
+
+
+def _is_invariant_cases(sys_, rng):
+    jm = furstenberg_joining(sys_)
+    names = list(jm.actions)
+    for k in range(3):
+        coords = tuple(rng.randint(0, sys_.d) for _ in range(jm.power))
+        jm.actions[f"X{k}"] = JoinedAction(f"X{k}", coords)
+        names.append(f"X{k}")
+    yield jm, names
+    # a measure that is not invariant under anything moving its atom
+    t = jm.support[0]
+    point = JoinedMeasure(sys_, jm.power, {t: Fraction(1)}, jm.actions)
+    yield point, names
+    # full support, so every image is an atom: only unequal masses can
+    # break invariance
+    raw = [rng.randint(1, 3) for _ in range(sys_.n)]
+    total = sum(raw) ** jm.power
+    skewed = {
+        t: Fraction(math.prod(raw[x] for x in t), total)
+        for t in itertools.product(range(sys_.n), repeat=jm.power)
+    }
+    yield JoinedMeasure(sys_, jm.power, skewed, jm.actions), names
+    for stage in host_kra_tower(sys_):
+        yield stage, list(stage.actions)
+
+
+def test_is_invariant_matches_pushforward(systems):
+    rng = random.Random(44)
+    seen = set()
+    for sys_ in systems[:60] + systems[-3:]:
+        for jm, names in _is_invariant_cases(sys_, rng):
+            for name in names:
+                verdict = jm.is_invariant(name)
+                assert verdict == oracle.is_invariant(jm, name)
+                seen.add(verdict)
+    assert seen == {True, False}
+
+
+def _torus_rank2():
+    """A rank-2 rotation system on the 2-torus mixing exact rationals,
+    symbolic irrationals and a float entry."""
+    alpha = {"alpha": Fraction(1)}
+    entries = [
+        [
+            (RotationEntry.exact(Fraction(1, 3), alpha), RotationEntry.exact(Fraction(1, 6))),
+            (RotationEntry.from_float(0.123456789), RotationEntry.exact(0, alpha)),
+        ],
+        [
+            (RotationEntry.exact(Fraction(1, 2)), RotationEntry.exact(Fraction(2, 5), alpha)),
+            (RotationEntry.exact(0, {"alpha": Fraction(3)}), RotationEntry.exact(Fraction(5, 7))),
+        ],
+    ]
+    sys_ = TorusSystem(
+        m=2, r=2, d=2,
+        rotations=tuple(tuple(row) for row in entries),
+        symbol_values=(("alpha", 0.6180339887498949),),
+    )
+    fs = [
+        TrigObservable((((1, 0), 1 + 0j), ((0, -2), 0.5 - 0.25j))),
+        TrigObservable((((-1, 1), 2 + 1j),)),
+    ]
+    return sys_, fs
+
+
+def test_torus_sum_matches_fraction_loop(torus_scenario):
+    rng = random.Random(45)
+    sys_ = torus_scenario.system
+    fs = [torus_scenario.observables[n] for n in torus_scenario.average_tuples[0]]
+    samples = list(torus_scenario.samples) + [(rng.random(),) for _ in range(3)]
+    for N, base in [(1, 0), (7, -5), (40, 123456), (33, -987654)]:
+        box = FolnerBox((N,), (base,))
+        assert torus_truncated_average(sys_, fs, box, samples) == (
+            oracle.torus_truncated_average(sys_, fs, box, samples)
+        )
+    sys_, fs = _torus_rank2()
+    samples = [(rng.random(), rng.random()) for _ in range(3)]
+    for lengths, base in [((3, 5), (0, 0)), ((6, 4), (-77, 1000))]:
+        box = FolnerBox(lengths, base)
+        assert torus_truncated_average(sys_, fs, box, samples) == (
+            oracle.torus_truncated_average(sys_, fs, box, samples)
+        )
