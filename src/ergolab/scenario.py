@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -33,12 +34,21 @@ class ScenarioConfig:
     sha256: str
 
 
+def _finite_float(raw, what: str) -> float:
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValidationError(f"{what} is not finite: {raw!r}")
+    return v
+
+
 def _parse_entry(raw) -> RotationEntry:
     if isinstance(raw, str):
         return RotationEntry.exact(Fraction(raw))
     if isinstance(raw, dict):
         if "float" in raw:
-            return RotationEntry.from_float(float(raw["float"]))
+            return RotationEntry.from_float(
+                _finite_float(raw["float"], "float rotation")
+            )
         symbols = {
             str(k): Fraction(str(v)) for k, v in raw.get("symbols", {}).items()
         }
@@ -69,20 +79,25 @@ def _parse_torus_system(raw: dict) -> TorusSystem:
     rotations = tuple(
         tuple(table[(i, j)] for j in range(1, r + 1)) for i in range(1, d + 1)
     )
-    symbol_values = tuple(
-        sorted((str(k), float(v)) for k, v in raw.get("symbol_values", {}).items())
-    )
+    symbol_values = tuple(sorted(
+        (str(k), _finite_float(v, f"symbol value {k}"))
+        for k, v in raw.get("symbol_values", {}).items()
+    ))
     return TorusSystem(
         m=m, r=r, d=d, rotations=rotations, symbol_values=symbol_values
     )
 
 
-def _parse_trig(raw) -> TrigObservable:
+def _parse_trig(raw, m: int) -> TrigObservable:
     terms = []
     for term in raw:
         freq = tuple(int(v) for v in term["freq"])
-        re, im = term["coeff"]
-        terms.append((freq, complex(float(re), float(im))))
+        if len(freq) != m:
+            raise ValidationError(
+                f"frequency {freq} has length {len(freq)}, expected {m}"
+            )
+        re, im = (_finite_float(v, "coefficient") for v in term["coeff"])
+        terms.append((freq, complex(re, im)))
     return TrigObservable(tuple(terms))
 
 
@@ -118,7 +133,8 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
         elif engine == "torus":
             system = _parse_torus_system(system_raw)
             observables = {
-                str(k): _parse_trig(v) for k, v in raw.get("observables", {}).items()
+                str(k): _parse_trig(v, system.m)
+                for k, v in raw.get("observables", {}).items()
             }
             box_dim = system.r
         else:
@@ -146,8 +162,11 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
         if trial_count < 0:
             raise ValidationError("base_point_trials.count must be nonnegative")
         samples = tuple(
-            tuple(float(v) for v in s) for s in raw.get("samples", [])
+            tuple(_finite_float(v, "sample coordinate") for v in s)
+            for s in raw.get("samples", [])
         )
+        if engine == "torus" and any(len(s) != system.m for s in samples):
+            raise ValidationError(f"a sample point does not have {system.m} coordinates")
         options = {str(k): int(v) for k, v in raw.get("options", {}).items()}
         return ScenarioConfig(
             name=name,

@@ -3,8 +3,10 @@
 Rotation amounts are kept in an exact symbolic form (rational part plus a
 rational combination of named irrational symbols, assumed rationally
 independent) so resonance of integer character combinations is decided
-exactly; only the lattice sums themselves are floating point, in a fixed
-row-major order with compensated summation.
+exactly.  Box averages are evaluated in closed form: every combination of
+one character term per observable contributes a product of per-axis
+Dirichlet kernels, and all phases are reduced exactly, from the binary
+values of the numeric rotations, before anything is rounded to float.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -129,11 +131,56 @@ class TrigObservable:
         return sum(abs(c) for _, c in self.terms)
 
 
-def _kahan_add(total: complex, comp: complex, term: complex):
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+def _centred(q: Fraction) -> Fraction:
+    """The representative of q mod 1 in (-1/2, 1/2]."""
+    return q - math.ceil(q - Fraction(1, 2))
+
+
+def _e(q: Fraction) -> complex:
+    """exp(2 pi i q), with q reduced exactly mod 1 first."""
+    return cmath.exp(1j * TWO_PI * float(_centred(q)))
+
+
+def _sin_pi(q: Fraction) -> float:
+    """sin(pi q), with q reduced exactly mod 2 first."""
+    h = _centred(q)
+    s = math.sin(math.pi * float(h))
+    return -s if (q - h) % 2 else s
+
+
+def _dirichlet(theta: Fraction, n: int, base: int) -> complex:
+    """(1/n) * sum_{k=base}^{base+n-1} e(k theta) for a centred theta."""
+    if theta == 0:
+        return 1 + 0j
+    return _e(base * theta + (n - 1) * theta / 2) * (
+        _sin_pi(n * theta) / (n * math.sin(math.pi * float(theta)))
+    )
+
+
+def _combos(fs: Sequence[TrigObservable]):
+    """Each choice of one term per observable, as (frequencies, summed
+    frequency, coefficient product)."""
+    for combo in itertools.product(*(f.terms for f in fs)):
+        ks = [k for k, _ in combo]
+        coeff = math.prod((c for _, c in combo), start=1 + 0j)
+        yield ks, tuple(map(sum, zip(*ks))), coeff
+
+
+def _thetas(sys: TorusSystem, fs: Sequence[TrigObservable]):
+    """_combos plus the centred total rotation theta_j = sum_i k_i . alpha_{i,j}
+    along each axis j, exact in the binary values of the numeric rotations."""
+    alphas = [
+        [tuple(map(Fraction, sys.numeric_rotation(i, j))) for j in range(1, sys.r + 1)]
+        for i in range(1, sys.d + 1)
+    ]
+    for ks, freq, coeff in _combos(fs):
+        thetas = [
+            _centred(sum(
+                ka * a for k, rows in zip(ks, alphas) for ka, a in zip(k, rows[j])
+            ))
+            for j in range(sys.r)
+        ]
+        yield ks, freq, coeff, thetas
 
 
 def torus_truncated_average(
@@ -142,70 +189,55 @@ def torus_truncated_average(
     box: FolnerBox,
     samples: Sequence[Sequence[float]],
 ) -> List[complex]:
-    """Direct lattice sum, row-major order, compensated summation."""
+    """Average of prod_i f_i(t + sum_j n_j alpha_{i,j}) over n in the box,
+    at each sample t, in closed form.
+
+    A combination of terms c_i e(k_i . t) contributes prod_i c_i * e(K . t)
+    * prod_j D_j, where K = sum_i k_i and D_j is the Dirichlet kernel
+    (1/N_j) sum_{n=b_j}^{b_j+N_j-1} e(n theta_j)
+    = e(b_j theta_j + (N_j - 1) theta_j / 2) sin(pi N_j theta_j)
+    / (N_j sin(pi theta_j)).  Every phase and sine argument is reduced
+    exactly before it is rounded, so the error stays flat in the base point
+    and in N; the cost is O(#combos * (r + #samples)), whatever the box size.
+    """
     if len(fs) != sys.d:
         raise ValidationError(f"need {sys.d} observables, got {len(fs)}")
     if len(box.lengths) != sys.r:
         raise ValidationError("box dimension differs from rank")
-    # floats are exact binary rationals, so t + n * alpha mod 1 is computed
-    # exactly, as integers over one power-of-two denominator, and only the
-    # final division rounds; this keeps the error flat in the base point
-    # instead of growing with |n|
-    numeric = [
-        [
-            tuple(Fraction(v) for v in sys.numeric_rotation(i, j + 1))
-            for j in range(sys.r)
-        ]
-        for i in range(1, sys.d + 1)
-    ]
     starts = [tuple(Fraction(float(x)) for x in t) for t in samples]
     if any(len(t) != sys.m for t in starts):
         raise ValidationError("sample point has wrong dimension")
-    fracs = [q for rows in numeric for vec in rows for q in vec]
-    fracs += [q for t in starts for q in t]
-    denom = math.lcm(1, *(q.denominator for q in fracs))
-
-    def scaled(q: Fraction) -> int:
-        return q.numerator * (denom // q.denominator)
-
-    pts = list(box.points())
-    # offsets[k][i][a]: coordinate a of n_k . alpha_i, scaled by denom
-    offsets = [
-        [
-            tuple(
-                sum(nj * scaled(rows[j][a]) for j, nj in enumerate(nvec))
-                for a in range(sys.m)
-            )
-            for rows in numeric
-        ]
-        for nvec in pts
-    ]
-    out: List[complex] = []
-    for t in starts:
-        t_num = [scaled(q) for q in t]
-        total, comp = 0j, 0j
-        for off in offsets:
-            prod = 1 + 0j
-            for f, o in zip(fs, off):
-                prod *= f([(s + x) % denom / denom for s, x in zip(t_num, o)])
-            total, comp = _kahan_add(total, comp, prod)
-        out.append(total / len(pts))
+    base = box.base or (0,) * sys.r
+    out = [0j] * len(starts)
+    for _, freq, coeff, thetas in _thetas(sys, fs):
+        for theta, n, b in zip(thetas, box.lengths, base):
+            coeff *= _dirichlet(theta, n, b)
+        for s, t in enumerate(starts):
+            out[s] += coeff * _e(sum(k * x for k, x in zip(freq, t)))
     return out
 
 
-def _dot_entry(k: Sequence[int], vec: Sequence[RotationEntry]):
-    """k . vec as (rational, symbol dict); None marks an inexact entry."""
-    rational = Fraction(0)
-    symbols: Dict[str, Fraction] = {}
-    for ki, e in zip(k, vec):
-        if ki == 0:
-            continue
-        if not e.is_exact:
-            return None
-        rational += ki * e.rational
-        for name, coeff in e.symbols:
-            symbols[name] = symbols.get(name, Fraction(0)) + ki * coeff
-    return rational, {n: c for n, c in symbols.items() if c}
+def _resonant(sys: TorusSystem, ks: Sequence[Sequence[int]]) -> bool:
+    """Whether sum_i k_i . alpha_{i,j} is an integer along every axis j:
+    no symbolic part and an integral rational part, decided exactly."""
+    for j in range(1, sys.r + 1):
+        rational = Fraction(0)
+        symbols: Dict[str, Fraction] = {}
+        for i, k in enumerate(ks, start=1):
+            for ka, e in zip(k, sys.rotation(i, j)):
+                if ka == 0:
+                    continue
+                if not e.is_exact:
+                    raise UndecidableResonance(
+                        f"rotation of action {i}, axis {j} is inexact; cannot "
+                        f"decide resonance for frequency {k}"
+                    )
+                rational += ka * e.rational
+                for name, coeff in e.symbols:
+                    symbols[name] = symbols.get(name, Fraction(0)) + ka * coeff
+        if any(symbols.values()) or rational.denominator != 1:
+            return False
+    return True
 
 
 def character_limit(
@@ -214,46 +246,48 @@ def character_limit(
 ) -> TrigObservable:
     """Closed-form limit of the truncated averages.
 
-    A product of character terms survives iff, along every axis, the total
-    rotation frequency is an integer (no symbolic part, integral rational
-    part); the surviving combination contributes its coefficient product at
-    the summed frequency.
+    A product of character terms survives iff it is resonant; the surviving
+    combination contributes its coefficient product at the summed frequency.
     """
     if len(fs) != sys.d:
         raise ValidationError(f"need {sys.d} observables, got {len(fs)}")
     acc: Dict[Tuple[int, ...], complex] = {}
-    for combo in itertools.product(*(f.terms for f in fs)):
-        resonant = True
-        for j in range(1, sys.r + 1):
-            rational = Fraction(0)
-            symbols: Dict[str, Fraction] = {}
-            for i, (k, _) in enumerate(combo, start=1):
-                dot = _dot_entry(k, sys.rotation(i, j))
-                if dot is None:
-                    raise UndecidableResonance(
-                        f"rotation of action {i}, axis {j} is inexact; cannot "
-                        f"decide resonance for frequency {k}"
-                    )
-                rational += dot[0]
-                for name, coeff in dot[1].items():
-                    symbols[name] = symbols.get(name, Fraction(0)) + coeff
-            symbols = {n: c for n, c in symbols.items() if c}
-            if symbols or rational.denominator != 1:
-                resonant = False
-                break
-        if not resonant:
-            continue
-        freq = tuple(
-            sum(k[a] for k, _ in combo) for a in range(sys.m)
-        )
-        coeff = 1 + 0j
-        for _, c in combo:
-            coeff *= c
-        acc[freq] = acc.get(freq, 0j) + coeff
+    for ks, freq, coeff in _combos(fs):
+        if _resonant(sys, ks):
+            acc[freq] = acc.get(freq, 0j) + coeff
     terms = tuple(
         (k, c) for k, c in sorted(acc.items()) if c != 0
     )
     return TrigObservable(terms)
+
+
+def torus_deviation_bound(
+    sys: TorusSystem,
+    fs: Sequence[TrigObservable],
+    lengths: Sequence[int],
+) -> float:
+    """Certified bound on |torus_truncated_average - character_limit| at
+    every sample, for a box with these edge lengths and any base point.
+
+    A resonant combination reproduces its limit term; any other one deviates
+    by at most |c| prod_j |D_j| <= |c| prod_j min(1, 1/(N_j |sin(pi theta_j)|)).
+    Not counted: a resonant combination whose numeric theta misses an integer
+    by float rounding of the rotations drifts by up to 2 pi |theta| max |n|.
+    """
+    if len(fs) != sys.d:
+        raise ValidationError(f"need {sys.d} observables, got {len(fs)}")
+    if len(lengths) != sys.r:
+        raise ValidationError("box dimension differs from rank")
+    total = 0.0
+    for ks, _, coeff, thetas in _thetas(sys, fs):
+        if _resonant(sys, ks):
+            continue
+        term = abs(coeff)
+        for theta, n in zip(thetas, lengths):
+            if theta:
+                term *= min(1.0, 1.0 / (n * abs(math.sin(math.pi * float(theta)))))
+        total += term
+    return total
 
 
 def rational_rotation_to_finite(sys: TorusSystem):

@@ -182,10 +182,69 @@ def test_torus_demo_formats(runner, tmp_path):
         ],
     )
     lines = (tmp_path / "torus-counterexample__torus-demo.csv").read_text().splitlines()
-    assert lines[0] == "tuple,N,base,sample,abs_error"
-    # the resonant identity holds termwise: every error is at roundoff scale
+    assert lines[0] == "tuple,N,base,sample,abs_error,bound"
+    # the resonant identity holds termwise: every error is at roundoff scale,
+    # and with no non-resonant combination the bound is exactly 0
     for line in lines[1:]:
-        assert float(line.rsplit(",", 1)[1]) <= 1e-12
+        abs_error, bound = line.split(",")[-2:]
+        assert float(abs_error) <= 1e-12
+        assert float(bound) == 0.0
+
+
+def _mixed_torus_scenario(r):
+    """Rotations rational + multiples of two independent irrationals on the
+    2-torus, so some term combinations resonate and others do not; boxes up
+    to 10**9 points per axis."""
+    rotations = [
+        {
+            "action": i,
+            "axis": j,
+            "vector": [
+                {"rational": f"{(i + j) % 6}/6", "symbols": {"alpha": str(i * j)}},
+                {"rational": f"{i * j % 6}/6", "symbols": {"beta": str(i + j)}},
+            ],
+        }
+        for i in (1, 2)
+        for j in range(1, r + 1)
+    ]
+    terms = [([0, 0], [0.5, 0.0]), ([2, 1], [0.3, -0.4]), ([-1, 0], [0.0, 0.7])]
+    conj = [([-a, -b], [re, -im]) for (a, b), (re, im) in terms]
+    return {
+        "name": f"mixed-r{r}",
+        "engine": "torus",
+        "system": {
+            "m": 2, "r": r, "d": 2,
+            "rotations": rotations,
+            "symbol_values": {"alpha": 0.6180339887498949, "beta": 0.41421356237309503},
+        },
+        "observables": {
+            name: [{"freq": f, "coeff": c} for f, c in ts]
+            for name, ts in (("f1", terms), ("f2", conj))
+        },
+        "average_tuples": [["f1", "f2"], ["f2", "f1"]],
+        "boxes": [
+            {"lengths": [N] * r, "base": [-(10 ** 6)] * r}
+            for N in (1, 64, 10 ** 9)
+        ],
+        "base_point_trials": {"count": 3, "seed": 5},
+        "samples": [[0.0, 0.0], [0.25, 0.8], [0.6, 0.1]],
+    }
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_torus_demo_errors_within_bound(runner, tmp_path, r):
+    path = tmp_path / f"mixed-r{r}.json"
+    path.write_text(json.dumps(_mixed_torus_scenario(r)))
+    run_ok(runner, ["torus-demo", "--scenario", str(path), "--out", str(tmp_path)])
+    rows = json.loads((tmp_path / f"mixed-r{r}__torus-demo.json").read_text())["rows"]
+    assert len(rows) == 2 * 3 * 4 * 3
+    for row in rows:
+        assert float(row["abs_error"]) <= float(row["bound"]) + 1e-12, row
+    # the bound is informative: it shrinks with N, and it is positive because
+    # the scenario has non-resonant combinations
+    by_n = {row["N"]: float(row["bound"]) for row in rows}
+    big = " ".join(["1000000000"] * r)
+    assert 0 < by_n[big] < 1e-6 < by_n[" ".join(["64"] * r)]
 
 
 def test_reports_do_not_collide(runner, tmp_path):
@@ -227,6 +286,41 @@ def _one_component_coefficient(raw):
     raw["observables"]["f1"][0]["coeff"] = [1.0]
 
 
+def _nan_sample(raw):
+    raw["samples"][1] = [float("nan")]
+
+
+def _infinite_symbol_value(raw):
+    raw["system"]["symbol_values"]["alpha"] = float("inf")
+
+
+def _nan_coefficient(raw):
+    raw["observables"]["f2"][0]["coeff"] = [float("nan"), 0.0]
+
+
+def _infinite_float_rotation(raw):
+    raw["system"]["rotations"][1]["vector"] = [{"float": "-inf"}]
+
+
+def _two_coordinate_sample(raw):
+    raw["samples"].append([0.5, 0.5])
+
+
+def _long_frequency(raw):
+    raw["observables"]["f1"][0]["freq"] = [-2, 5]
+
+
+def _empty_frequency(raw):
+    raw["observables"]["f2"][0]["freq"] = []
+
+
+TORUS_CORRUPTIONS = [
+    _nan_sample, _infinite_symbol_value, _nan_coefficient,
+    _infinite_float_rotation, _two_coordinate_sample, _long_frequency,
+    _empty_frequency,
+]
+
+
 @pytest.mark.parametrize(
     "scenario, command, corrupt",
     [
@@ -237,6 +331,10 @@ def _one_component_coefficient(raw):
         ("cyclic-5", "avg", _negative_trial_count),
         ("torus-counterexample", "torus-demo", _rotation_without_vector),
         ("torus-counterexample", "torus-demo", _one_component_coefficient),
+    ] + [
+        ("torus-counterexample", command, corrupt)
+        for corrupt in TORUS_CORRUPTIONS
+        for command in ("validate", "torus-demo")
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )

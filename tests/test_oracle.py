@@ -1,6 +1,7 @@
-"""Differential tests: the orbit-count contractions and the integer torus
-sum against the per-point and per-tuple reference loops of tests/oracle.py,
-with exact equality."""
+"""Differential tests: the orbit-count contractions against the per-point
+and per-tuple reference loops of tests/oracle.py, with exact equality, and
+the closed-form torus box sum against the Fraction lattice loop, within a
+tolerance fixed in advance."""
 
 import itertools
 import math
@@ -206,20 +207,38 @@ def _torus_rank2():
     return sys_, fs
 
 
+def _near_integer_pair():
+    """Rotations 1/2 and 1/3 with frequencies (2, 3): 3 * float(1/3) is
+    exactly 1 - 2**-54, so theta is that close to an integer without being one."""
+    half = RotationEntry.exact(Fraction(1, 2))
+    third = RotationEntry.exact(Fraction(1, 3))
+    sys_ = TorusSystem(m=1, r=1, d=2, rotations=(((half,),), ((third,),)))
+    return sys_, [TrigObservable.character((2,)), TrigObservable.character((3,))]
+
+
+def _assert_close(sys_, fs, box, samples):
+    tol = 1e-12 * math.prod(f.linf_bound for f in fs)
+    closed = torus_truncated_average(sys_, fs, box, samples)
+    expected = oracle.torus_truncated_average(sys_, fs, box, samples)
+    assert len(closed) == len(expected)
+    for a, b in zip(closed, expected):
+        assert abs(a - b) <= tol, (box, a, b)
+
+
 def test_torus_sum_matches_fraction_loop(torus_scenario):
     rng = random.Random(45)
     sys_ = torus_scenario.system
     fs = [torus_scenario.observables[n] for n in torus_scenario.average_tuples[0]]
     samples = list(torus_scenario.samples) + [(rng.random(),) for _ in range(3)]
-    for N, base in [(1, 0), (7, -5), (40, 123456), (33, -987654)]:
-        box = FolnerBox((N,), (base,))
-        assert torus_truncated_average(sys_, fs, box, samples) == (
-            oracle.torus_truncated_average(sys_, fs, box, samples)
-        )
+    for N, base in [(1, 0), (7, -5), (40, 123456), (33, -987654),
+                    (2000, 10 ** 6), (1999, -10 ** 6)]:
+        _assert_close(sys_, fs, FolnerBox((N,), (base,)), samples)
+    sys_, fs = _near_integer_pair()
+    samples = [(k / 6,) for k in range(6)] + [(rng.random(),)]
+    for N, base in [(1, 0), (6, 0), (7, 3), (2000, 10 ** 6), (1001, -10 ** 6)]:
+        _assert_close(sys_, fs, FolnerBox((N,), (base,)), samples)
     sys_, fs = _torus_rank2()
     samples = [(rng.random(), rng.random()) for _ in range(3)]
-    for lengths, base in [((3, 5), (0, 0)), ((6, 4), (-77, 1000))]:
-        box = FolnerBox(lengths, base)
-        assert torus_truncated_average(sys_, fs, box, samples) == (
-            oracle.torus_truncated_average(sys_, fs, box, samples)
-        )
+    for lengths, base in [((3, 5), (0, 0)), ((6, 4), (-77, 1000)),
+                          ((1, 2), (10 ** 6, -10 ** 6)), ((40, 40), (10 ** 6, -10 ** 6))]:
+        _assert_close(sys_, fs, FolnerBox(lengths, base), samples)

@@ -13,6 +13,7 @@ from ergolab.torus import (
     TrigObservable,
     character_limit,
     rational_rotation_to_finite,
+    torus_deviation_bound,
     torus_truncated_average,
 )
 
@@ -93,9 +94,18 @@ def test_independent_irrationals_limit_zero():
     f = TrigObservable.character((1,))
     lim = character_limit(sys_, [f, f])
     assert lim.terms == ()
-    # numeric cross-check at a large box
-    (val,) = torus_truncated_average(sys_, [f, f], FolnerBox((10 ** 4,)), [(0.25,)])
-    assert abs(val) <= 1e-2
+    # numeric cross-check at large boxes, against the certified bound
+    # 1 / (N |sin(pi (alpha + beta))|) of the single non-resonant combination
+    theta = GOLDEN + math.sqrt(2) - 1
+    for N, base in [(10 ** 4, 0), (10 ** 9, -(10 ** 6))]:
+        bound = torus_deviation_bound(sys_, [f, f], (N,))
+        assert bound == pytest.approx(1 / (N * abs(math.sin(math.pi * theta))))
+        (val,) = torus_truncated_average(sys_, [f, f], FolnerBox((N,), (base,)), [(0.25,)])
+        assert abs(val) <= bound + 1e-12
+    with pytest.raises(ValidationError):
+        torus_deviation_bound(sys_, [f, f], (10, 10))
+    with pytest.raises(ValidationError):
+        torus_deviation_bound(sys_, [f], (10,))
 
 
 def test_rational_resonance_detected():
