@@ -10,7 +10,6 @@ of each generator order on that axis, modulo which exponents act.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -19,30 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, ValidationError
 from .observables import ExactNorm, Observable, ZERO, ONE, l2_square, linf_norm
-from .system import FiniteSystem, period_box
-
-
-@dataclass(frozen=True)
-class FolnerBox:
-    """The box prod_j [0, N_j) shifted by an integer base point."""
-
-    lengths: Tuple[int, ...]
-    base: Tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if any(N < 1 for N in self.lengths):
-            raise ValidationError("box edge lengths must be positive")
-        if self.base and len(self.base) != len(self.lengths):
-            raise ValidationError("base point dimension mismatch")
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.lengths)
-
-    def points(self) -> Iterable[Tuple[int, ...]]:
-        base = self.base or (0,) * len(self.lengths)
-        for offs in itertools.product(*(range(N) for N in self.lengths)):
-            yield tuple(b + o for b, o in zip(base, offs))
+from .system import FiniteSystem, FolnerBox, period_box
 
 
 @dataclass(frozen=True)
@@ -80,7 +56,7 @@ def orbit_counts(
     reduced modulo period_box(sys, acts), so a long box costs no more than
     one period.
     """
-    periods = period_box(sys, acts).periods
+    periods = period_box(sys, acts).lengths
     reduced: Counter = Counter()
     for nvec in points:
         if len(nvec) != sys.r:
@@ -150,10 +126,7 @@ def exact_limit(
 ) -> Observable:
     """The L^2 limit of the truncated averages: one full period box."""
     acts = _check_args(sys, fs, actions)
-    pbox = period_box(sys, acts)
-    return truncated_average(
-        sys, fs, box=FolnerBox(pbox.periods), actions=acts
-    )
+    return truncated_average(sys, fs, box=period_box(sys, acts), actions=acts)
 
 
 def l2_deviation(sys: FiniteSystem, f: Observable, g: Observable) -> ExactNorm:
@@ -174,7 +147,7 @@ def deviation_bound(
     acts = _check_args(sys, fs, actions)
     pbox = period_box(sys, acts)
     rho = ONE
-    for N, P in zip(box.lengths, pbox.periods):
+    for N, P in zip(box.lengths, pbox.lengths):
         rho *= Fraction((N // P) * P, N)
     coeff = Fraction(2) * math.prod(
         (linf_norm(f) for f in fs[1:]), start=ONE
@@ -197,11 +170,6 @@ def contractive_check(
     return lhs, rhs, lhs <= rhs
 
 
-def _shifted(sys: FiniteSystem, f: Observable, i: int, m: Sequence[int]) -> Observable:
-    """f o T_i^m."""
-    return f.compose_perm(sys.action_perm(i, m))
-
-
 def vdc_correlation(
     sys: FiniteSystem,
     fs: Sequence[Observable],
@@ -212,8 +180,8 @@ def vdc_correlation(
     shifted-product observables f_i * (f_i o T_i^m)."""
     acts = _check_args(sys, fs, None)
     pbox = period_box(sys, acts)
-    mred = tuple(e % P for e, P in zip(m, pbox.periods))
-    hs = [f * _shifted(sys, f, i, mred) for i, f in zip(acts, fs)]
+    mred = tuple(e % P for e, P in zip(m, pbox.lengths))
+    hs = [f * f.compose_perm(sys.action_perm(i, mred)) for i, f in zip(acts, fs)]
     lim = exact_limit(sys, hs)
     return sum((v * w for v, w in zip(lim.values, sys.weights)), ZERO)
 

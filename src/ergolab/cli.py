@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .averages import FolnerBox, average_report, exact_limit
+from .averages import FolnerBox, average_report, exact_limit, truncated_average
 from .errors import (
     BudgetExceeded,
     ErgolabError,
@@ -171,8 +171,8 @@ def avg(scenario_path, out, fmt, seed):
         limit = exact_limit(sys_, fs)
         for _ in range(scn.trial_count):
             base = _random_base(rng, sys_.r)
-            shifted = average_report(sys_, fs, FolnerBox(pbox.periods, base))
-            trials_equal.append(shifted.truncated.values == limit.values)
+            shifted = truncated_average(sys_, fs, box=FolnerBox(pbox.lengths, base))
+            trials_equal.append(shifted.values == limit.values)
         entries.append({
             "tuple": list(names),
             "base_point_trials": scn.trial_count,
@@ -212,7 +212,7 @@ def limit(scenario_path, out):
         lim = exact_limit(scn.system, fs)
         entries.append({"tuple": list(names), "limit": obs_json(lim)})
     report = _header(scn, "limit")
-    report["period_box"] = list(period_box(scn.system).periods)
+    report["period_box"] = list(period_box(scn.system).lengths)
     report["results"] = entries
     _write_report(out, scn.name, "limit", "json", report)
 

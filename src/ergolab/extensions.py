@@ -20,7 +20,6 @@ from .errors import (
 from .factors import (
     Partition,
     action_isotropy,
-    cond_expect,
     difference_isotropy,
     is_measurable,
     join,
@@ -74,8 +73,12 @@ def is_pleasant(sys: FiniteSystem, budget: int = 10 ** 6) -> PleasantnessReport:
     rests = sorted(grouped)
     best_sq, witness = ZERO, None
     for x1 in sys.support:
+        # E[e_{x1} | Xi] is mu(x1) / mu(C) on the Xi-cell C of x1 and 0 off
+        # it: only that cell, of positive weight, is conditioned on
+        cell = xi.cells[xi.cell_of[x1]]
+        share = sys.weights[x1] / sum((sys.weights[x] for x in cell), ZERO)
         e1 = Observable.indicator(sys.n, x1)
-        h = e1 - cond_expect(sys, e1, xi)
+        h = e1 - Observable.indicator(sys.n, cell) * share
         if h.is_zero:
             continue
         hv = h.values

@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 
 from .errors import ValidationError, ZeroWeightCell
 from .observables import Observable, ZERO
-from .system import FiniteSystem, GroupElement, invert
+from .system import FiniteSystem, Perm, compose, invert
 
 
 @dataclass(frozen=True)
@@ -80,31 +80,21 @@ def orbit_partition(n: int, perms: Sequence) -> Partition:
     return Partition.from_cell_ids([find(x) for x in range(n)])
 
 
-def isotropy_partition(sys: FiniteSystem, generators: Sequence) -> Partition:
-    """Orbit partition of the permutation image of the subgroup spanned by
-    the given group elements.  Empty list means the trivial subgroup."""
-    perms = []
-    for g in generators:
-        p = sys.full_perm(g)
-        perms.append(p)
-        perms.append(invert(p))
+def isotropy_partition(sys: FiniteSystem, perms: Sequence[Perm]) -> Partition:
+    """Orbit partition of the group generated by the given permutations of
+    the states.  Empty list means the trivial group."""
     return orbit_partition(sys.n, perms)
 
 
-def action_subgroup(sys: FiniteSystem, i: int) -> list:
-    """Generators of the subgroup acting as T_i (one per axis)."""
+def _check_action(sys: FiniteSystem, i: int):
     if not 1 <= i <= sys.d:
         raise ValidationError(f"action index {i} out of range 1..{sys.d}")
-    return [
-        GroupElement.for_action(i, tuple(1 if k == j else 0 for k in range(sys.r)),
-                                sys.r, sys.d)
-        for j in range(sys.r)
-    ]
 
 
 def action_isotropy(sys: FiniteSystem, i: int) -> Partition:
     """The T_i-isotropy partition (orbits of the action-i generators)."""
-    return isotropy_partition(sys, action_subgroup(sys, i))
+    _check_action(sys, i)
+    return isotropy_partition(sys, sys.generators[i - 1])
 
 
 def difference_isotropy(sys: FiniteSystem, i: int, j: int) -> Partition:
@@ -112,14 +102,12 @@ def difference_isotropy(sys: FiniteSystem, i: int, j: int) -> Partition:
     permutations g_{i,k} o g_{j,k}^{-1}."""
     if i == j:
         raise ValidationError("difference isotropy needs two distinct actions")
-    gens = []
-    for k in range(sys.r):
-        unit = tuple(1 if t == k else 0 for t in range(sys.r))
-        gens.append(
-            GroupElement.for_action(i, unit, sys.r, sys.d)
-            + (-GroupElement.for_action(j, unit, sys.r, sys.d))
-        )
-    return isotropy_partition(sys, gens)
+    _check_action(sys, i)
+    _check_action(sys, j)
+    return isotropy_partition(sys, [
+        compose(p, invert(q))
+        for p, q in zip(sys.generators[i - 1], sys.generators[j - 1])
+    ])
 
 
 def join(parts: Sequence[Partition]) -> Partition:

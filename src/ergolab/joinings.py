@@ -23,7 +23,15 @@ from .errors import (
 )
 from .factors import Partition, orbit_partition
 from .observables import Observable, ZERO, ONE
-from .system import FiniteSystem, Perm, compose, identity_perm, invert, period_box
+from .system import (
+    FiniteSystem,
+    FolnerBox,
+    Perm,
+    compose,
+    identity_perm,
+    invert,
+    period_box,
+)
 
 StateTuple = Tuple[int, ...]
 
@@ -119,8 +127,9 @@ def furstenberg_joining(
     d = sys.d
     acts = tuple(range(1, d + 1))
     pbox = period_box(sys, acts)
+    box = FolnerBox(pbox.lengths, tuple(base_point or ()))
     mass: Dict[StateTuple, Fraction] = {}
-    for (x, *t), c in orbit_counts(sys, acts, pbox.points(base_point)).items():
+    for (x, *t), c in orbit_counts(sys, acts, box.points()).items():
         if sys.weights[x]:
             t = tuple(t)
             mass[t] = mass.get(t, ZERO) + sys.weights[x] * c

@@ -32,10 +32,6 @@ class ExactNorm:
         if self.square < 0:
             raise ValueError("norm square must be nonnegative")
 
-    @staticmethod
-    def of_rational(q: Fraction) -> "ExactNorm":
-        return ExactNorm(q * q)
-
     def scale(self, c: Fraction) -> "ExactNorm":
         """The norm value multiplied by a nonnegative rational c."""
         if c < 0:
@@ -111,10 +107,6 @@ class Observable:
     def compose_perm(self, perm) -> "Observable":
         """f o sigma, i.e. x -> f(sigma(x))."""
         return Observable(tuple(self.values[perm[x]] for x in range(len(perm))))
-
-    @property
-    def linf(self) -> Fraction:
-        return linf_norm(self)
 
     def l2(self, weights: Tuple[Fraction, ...]) -> ExactNorm:
         return ExactNorm(l2_square(self, weights))

@@ -12,10 +12,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
-from .averages import FolnerBox
 from .errors import ValidationError
 from .observables import Observable
-from .system import FiniteSystem, validate_system
+from .system import FiniteSystem, FolnerBox, validate_system
 from .torus import RotationEntry, TorusSystem, TrigObservable
 
 

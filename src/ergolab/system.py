@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     MeasureNotPreserved,
@@ -78,51 +78,25 @@ def perm_power(p: Perm, e: int) -> Perm:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """An element of Z^{rd}, as a flat coordinate vector.
+class FolnerBox:
+    """The box prod_j [0, N_j) shifted by an integer base point."""
 
-    Coordinate index (i-1)*r + (j-1) carries the exponent of the generator
-    for action i, axis j.  Negative exponents are fine (generators are
-    invertible).
-    """
+    lengths: Tuple[int, ...]
+    base: Tuple[int, ...] = ()
 
-    coords: Tuple[int, ...]
-
-    @staticmethod
-    def zero(r: int, d: int) -> "GroupElement":
-        return GroupElement((0,) * (r * d))
-
-    @staticmethod
-    def for_action(i: int, nvec: Sequence[int], r: int, d: int) -> "GroupElement":
-        """The element acting as T_i^nvec."""
-        if not 1 <= i <= d:
-            raise ValidationError(f"action index {i} out of range 1..{d}")
-        if len(nvec) != r:
-            raise ValidationError(f"exponent vector must have length {r}")
-        coords = [0] * (r * d)
-        coords[(i - 1) * r : i * r] = list(nvec)
-        return GroupElement(tuple(coords))
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(tuple(-a for a in self.coords))
-
-
-@dataclass(frozen=True)
-class PeriodBox:
-    """Axis periods (P_1..P_r) after which the relevant orbit map repeats."""
-
-    periods: Tuple[int, ...]
+    def __post_init__(self):
+        if any(N < 1 for N in self.lengths):
+            raise ValidationError("box edge lengths must be positive")
+        if self.base and len(self.base) != len(self.lengths):
+            raise ValidationError("base point dimension mismatch")
 
     @property
     def size(self) -> int:
-        return math.prod(self.periods)
+        return math.prod(self.lengths)
 
-    def points(self, base: Optional[Sequence[int]] = None):
-        base = tuple(base) if base is not None else (0,) * len(self.periods)
-        for offs in itertools.product(*(range(p) for p in self.periods)):
+    def points(self) -> Iterable[Tuple[int, ...]]:
+        base = self.base or (0,) * len(self.lengths)
+        for offs in itertools.product(*(range(N) for N in self.lengths)):
             yield tuple(b + o for b, o in zip(base, offs))
 
 
@@ -175,10 +149,6 @@ class FiniteSystem:
         return self.generators[i - 1][j - 1]
 
     @cached_property
-    def inverse_generators(self) -> Tuple[Tuple[Perm, ...], ...]:
-        return tuple(tuple(invert(p) for p in row) for row in self.generators)
-
-    @cached_property
     def orders(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(tuple(perm_order(p) for p in row) for row in self.generators)
 
@@ -206,13 +176,13 @@ class FiniteSystem:
                 p = compose(self.generator_power(i, j, e), p)
         return p
 
-    def full_perm(self, g) -> Perm:
-        """Permutation realising T^g for g in Z^{rd}."""
-        coords = g.coords if isinstance(g, GroupElement) else tuple(g)
-        if len(coords) != self.r * self.d:
+    def full_perm(self, g: Sequence[int]) -> Perm:
+        """Permutation realising T^g for g in Z^{rd}, a flat exponent vector
+        whose coordinate (i-1)*r + (j-1) belongs to action i, axis j."""
+        if len(g) != self.r * self.d:
             raise ValidationError("group element has wrong length")
         p = identity_perm(self.n)
-        for idx, e in enumerate(coords):
+        for idx, e in enumerate(g):
             if e:
                 i, j = divmod(idx, self.r)
                 p = compose(self.generator_power(i + 1, j + 1, e), p)
@@ -222,29 +192,21 @@ class FiniteSystem:
         return self.labels[x] if self.labels is not None else str(x)
 
 
-def act(sys: FiniteSystem, g, x: int) -> int:
-    """Image of state x under T^g.  Order of generator application is
-    irrelevant by commutativity."""
-    coords = g.coords if isinstance(g, GroupElement) else tuple(g)
-    if len(coords) != sys.r * sys.d:
-        raise ValidationError("group element has wrong length")
-    y = x
-    for idx, e in enumerate(coords):
-        if e:
-            i, j = divmod(idx, sys.r)
-            y = sys.generator_power(i + 1, j + 1, e)[y]
-    return y
+def act(sys: FiniteSystem, g: Sequence[int], x: int) -> int:
+    """Image of state x under T^g."""
+    return sys.full_perm(g)[x]
 
 
-def period_box(sys: FiniteSystem, actions: Optional[Sequence[int]] = None) -> PeriodBox:
-    """Axis-wise lcm of generator orders over the given action subset."""
+def period_box(sys: FiniteSystem, actions: Optional[Sequence[int]] = None) -> FolnerBox:
+    """The box at base 0 whose edges are the axis-wise lcm of the generator
+    orders over the given action subset: the orbit map repeats after it."""
     acts = tuple(actions) if actions is not None else tuple(range(1, sys.d + 1))
     if not acts:
         raise ValidationError("action subset must be nonempty")
     periods = tuple(
         math.lcm(*(sys.orders[i - 1][j] for i in acts)) for j in range(sys.r)
     )
-    return PeriodBox(periods)
+    return FolnerBox(periods)
 
 
 def pushforward(sys: FiniteSystem, g, m: Sequence[Fraction]) -> Tuple[Fraction, ...]:

@@ -5,8 +5,9 @@ rational combination of named irrational symbols, assumed rationally
 independent) so resonance of integer character combinations is decided
 exactly.  Box averages are evaluated in closed form: every combination of
 one character term per observable contributes a product of per-axis
-Dirichlet kernels, and all phases are reduced exactly, from the binary
-values of the numeric rotations, before anything is rounded to float.
+Dirichlet kernels, and all phases are reduced exactly, from the numeric
+rotations taken as exact rationals (a float symbol value or rotation entry
+at its binary value), before anything is rounded to float.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .averages import FolnerBox
 from .errors import UndecidableResonance, ValidationError
-from .system import FiniteSystem
+from .system import FiniteSystem, FolnerBox
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,16 +49,18 @@ class RotationEntry:
     def is_exact(self) -> bool:
         return self.inexact is None
 
-    def value(self, symbol_values: Dict[str, float]) -> float:
+    def value(self, symbol_values: Dict[str, float]) -> Fraction:
+        """The entry mod 1, exact in the binary values of the floats it
+        involves: an inexact entry or the symbol values."""
         if self.inexact is not None:
-            return self.inexact
-        v = float(self.rational)
+            return Fraction(self.inexact)
+        v = self.rational
         for name, coeff in self.symbols:
             try:
-                v += float(coeff) * symbol_values[name]
+                v += coeff * Fraction(symbol_values[name])
             except KeyError as exc:
                 raise ValidationError(f"no numeric value for symbol {name}") from exc
-        return v % 1.0
+        return v % 1
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ class TorusSystem:
     def rotation(self, i: int, j: int) -> Tuple[RotationEntry, ...]:
         return self.rotations[i - 1][j - 1]
 
-    def numeric_rotation(self, i: int, j: int) -> Tuple[float, ...]:
+    def numeric_rotation(self, i: int, j: int) -> Tuple[Fraction, ...]:
         sv = self.symbol_map
         return tuple(e.value(sv) for e in self.rotation(i, j))
 
@@ -168,9 +170,10 @@ def _combos(fs: Sequence[TrigObservable]):
 
 def _thetas(sys: TorusSystem, fs: Sequence[TrigObservable]):
     """_combos plus the centred total rotation theta_j = sum_i k_i . alpha_{i,j}
-    along each axis j, exact in the binary values of the numeric rotations."""
+    along each axis j, exact in the numeric rotations: a resonant
+    combination has theta exactly 0."""
     alphas = [
-        [tuple(map(Fraction, sys.numeric_rotation(i, j))) for j in range(1, sys.r + 1)]
+        [sys.numeric_rotation(i, j) for j in range(1, sys.r + 1)]
         for i in range(1, sys.d + 1)
     ]
     for ks, freq, coeff in _combos(fs):
@@ -271,8 +274,6 @@ def torus_deviation_bound(
 
     A resonant combination reproduces its limit term; any other one deviates
     by at most |c| prod_j |D_j| <= |c| prod_j min(1, 1/(N_j |sin(pi theta_j)|)).
-    Not counted: a resonant combination whose numeric theta misses an integer
-    by float rounding of the rotations drifts by up to 2 pi |theta| max |n|.
     """
     if len(fs) != sys.d:
         raise ValidationError(f"need {sys.d} observables, got {len(fs)}")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from ergolab.factors import cond_expect
 from ergolab.extensions import pleasant_factor
 from ergolab.observables import Observable, l2_square
-from ergolab.system import period_box
+from ergolab.system import FolnerBox, period_box
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -61,7 +61,7 @@ def furstenberg_mass(sys_, base_point=None):
     pbox = period_box(sys_)
     scale = Fraction(1, pbox.size)
     mass = {}
-    for nvec in pbox.points(base_point):
+    for nvec in FolnerBox(pbox.lengths, tuple(base_point or ())).points():
         perms = [sys_.action_perm(i, nvec) for i in range(1, sys_.d + 1)]
         for x in sys_.support:
             t = tuple(p[x] for p in perms)

@@ -112,7 +112,7 @@ def test_acceptance_04_deviation_bounds(finite_corpus):
     passed = True
     for scn in finite_corpus:
         sys_ = scn.system
-        P = period_box(sys_).periods
+        P = period_box(sys_).lengths
         for names in scn.average_tuples:
             fs = [scn.observables[n] for n in names]
             lim = exact_limit(sys_, fs)
@@ -135,7 +135,7 @@ def test_acceptance_05_contractive_inequality(finite_corpus):
     passed = True
     for scn in finite_corpus:
         sys_ = scn.system
-        P = period_box(sys_).periods
+        P = period_box(sys_).lengths
         for _ in range(500):
             fs = [random_observable(rng, sys_.n) for _ in range(sys_.d)]
             base = tuple(rng.randint(-20, 20) for _ in range(sys_.r))

@@ -114,7 +114,7 @@ def test_limit_base_point_free(rng):
     sys_ = cyclic_system(6, [2, 3])
     fs = [random_observable(rng, 6) for _ in range(2)]
     lim = exact_limit(sys_, fs)
-    P = period_box(sys_).periods
+    P = period_box(sys_).lengths
     for _ in range(10):
         base = (rng.randint(-20, 20),)
         shifted = truncated_average(sys_, fs, box=FolnerBox(P, base))

@@ -119,6 +119,63 @@ def test_extend_cyclic5_reaches_pleasant(runner, tmp_path):
     assert report["stages"] == [{"stage": 1, "states": 25}]
 
 
+def _finite_scenario(name, weights, perms):
+    return {
+        "name": name,
+        "engine": "finite",
+        "system": {
+            "n": len(weights), "r": 1, "d": len(perms),
+            "weights": weights,
+            "generators": [
+                {"action": i, "axis": 1, "perm": p}
+                for i, p in enumerate(perms, start=1)
+            ],
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "weights, perms",
+    [
+        # a swap of two states and the identity, beside one null state
+        (["1/2", "1/2"], [[1, 0], [0, 1]]),
+        # the cyclic-5 counterexample (+1, +2), beside one null state
+        (["1/5"] * 5, [[1, 2, 3, 4, 0], [2, 3, 4, 0, 1]]),
+    ],
+    ids=["swap-identity", "cyclic5"],
+)
+def test_zero_weight_state_pleasant_and_extend(runner, tmp_path, weights, perms):
+    """A null state, fixed by every generator, is a valid system; pleasant
+    and extend report what they report on the system restricted to its
+    support."""
+    n = len(weights)
+    padded = _finite_scenario("padded", weights + ["0"], [p + [n] for p in perms])
+    restricted = _finite_scenario("restricted", weights, perms)
+    reports = {}
+    for raw in (padded, restricted):
+        path = tmp_path / f"{raw['name']}.json"
+        path.write_text(json.dumps(raw))
+        run_ok(runner, ["validate", "--scenario", str(path), "--out", str(tmp_path)])
+        for command in ("pleasant", "extend"):
+            run_ok(runner, [command, "--scenario", str(path), "--out", str(tmp_path)])
+            reports[raw["name"], command] = json.loads(
+                (tmp_path / f"{raw['name']}__{command}.json").read_text()
+            )
+
+    def verdict(rep):
+        # the null state is a factor cell of its own; all else must agree
+        cells = [c for c in rep["factor_cells"] if c != [str(n)]]
+        return (rep["pleasant"], rep["defect"], rep["witness"], cells)
+
+    assert verdict(reports["padded", "pleasant"]) == verdict(
+        reports["restricted", "pleasant"]
+    )
+    ext, ext_restricted = reports["padded", "extend"], reports["restricted", "extend"]
+    assert ext["status"] == ext_restricted["status"]
+    assert ext["stages"] == ext_restricted["stages"]
+    assert verdict(ext["final"]) == verdict(ext_restricted["final"])
+
+
 def test_limit_report_values(runner, tmp_path):
     run_ok(
         runner, ["limit", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)]
@@ -245,6 +302,40 @@ def test_torus_demo_errors_within_bound(runner, tmp_path, r):
     by_n = {row["N"]: float(row["bound"]) for row in rows}
     big = " ".join(["1000000000"] * r)
     assert 0 < by_n[big] < 1e-6 < by_n[" ".join(["64"] * r)]
+
+
+def test_torus_demo_resonance_exact_at_huge_boxes(runner, tmp_path):
+    """Rotations 1/2 and 1/3 with frequencies 2 and 3 resonate exactly
+    (2/2 + 3/3 = 2), so the average equals the limit at any box size: the
+    bound is 0, and a float theta of 2 * 0.5 + 3 * float(1/3) - 2 = -2**-54
+    would drift to about 1.7e-7 at N = 10**9."""
+    raw = {
+        "name": "resonant",
+        "engine": "torus",
+        "system": {
+            "m": 1, "r": 1, "d": 2,
+            "rotations": [
+                {"action": 1, "axis": 1, "vector": ["1/2"]},
+                {"action": 2, "axis": 1, "vector": ["1/3"]},
+            ],
+        },
+        "observables": {
+            "f1": [{"freq": [2], "coeff": [1.0, 0.0]}],
+            "f2": [{"freq": [3], "coeff": [1.0, 0.0]}],
+        },
+        "average_tuples": [["f1", "f2"]],
+        "boxes": [{"lengths": [N], "base": [0]} for N in (10 ** 6, 10 ** 9)],
+        "base_point_trials": {"count": 2, "seed": 3},
+        "samples": [[0.0], [0.3]],
+    }
+    path = tmp_path / "resonant.json"
+    path.write_text(json.dumps(raw))
+    run_ok(runner, ["torus-demo", "--scenario", str(path), "--out", str(tmp_path)])
+    rows = json.loads((tmp_path / "resonant__torus-demo.json").read_text())["rows"]
+    assert len(rows) == 2 * 3 * 2
+    for row in rows:
+        assert float(row["bound"]) == 0.0
+        assert float(row["abs_error"]) <= float(row["bound"]) + 1e-12, row
 
 
 def test_reports_do_not_collide(runner, tmp_path):

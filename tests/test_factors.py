@@ -14,7 +14,6 @@ from ergolab.factors import (
     join,
 )
 from ergolab.observables import Observable, integral
-from ergolab.system import GroupElement
 
 from conftest import cyclic_system, random_observable
 
@@ -26,8 +25,7 @@ def test_trivial_subgroup_gives_singletons():
 
 def test_cyclic6_plus2_subgroup_orbits():
     sys_ = cyclic_system(6, [2, 3])
-    g = GroupElement.for_action(1, (1,), 1, 2)  # acts as +2
-    part = isotropy_partition(sys_, [g])
+    part = isotropy_partition(sys_, [sys_.generator(1, 1)])  # +2
     assert part.cells == ((0, 2, 4), (1, 3, 5))
 
 

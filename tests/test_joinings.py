@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ergolab.averages import exact_limit
+from ergolab.errors import ValidationError
 from ergolab.factors import Partition, cond_expect
 from ergolab.joinings import (
     diagonal_action_name,
@@ -52,6 +53,12 @@ def test_furstenberg_properties(finite_corpus, rng):
         for _ in range(5):
             shift = tuple(rng.randint(-30, 30) for _ in range(sys_.r))
             assert furstenberg_joining(sys_, shift).mass == jm.mass
+
+
+def test_furstenberg_joining_rejects_wrong_length_base_point():
+    sys_ = cyclic_system(5, [1, 2])  # rank 1
+    with pytest.raises(ValidationError):
+        furstenberg_joining(sys_, (3, 4))
 
 
 def test_joining_integral_constants():

@@ -97,7 +97,7 @@ def systems(finite_corpus):
 def test_truncated_average_matches_per_point_loop(systems):
     rng = random.Random(41)
     for sys_ in systems:
-        periods = period_box(sys_).periods
+        periods = period_box(sys_).lengths
         fs = [random_observable(rng, sys_.n) for _ in range(sys_.d)]
         # one period plus one (never a multiple of a period above 1), then
         # random lengths, both at negative base points
