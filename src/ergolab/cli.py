@@ -1,5 +1,12 @@
 """Batch front end: load a scenario, run one computation, write a report.
 
+Every command runs the same pipeline, registered by ``command``: load and
+check the scenario (the engine a command needs included), turn ``--seed``
+into a random generator, fill ``--budget``/``--max-m`` from the scenario's
+options, compute the report body, add the header and write
+``<out>/<scenario>__<command>.<format>``.  A command is only the function
+that computes its body (plus, for ``--format csv``, the CSV lines).
+
 Reports are deterministic: identical inputs (including seeds) produce
 byte-identical files.  Exit codes: 1 validation failure,
 2 budget exceeded, 3 internal invariant violation (always a bug).
@@ -31,7 +38,7 @@ from .joinings import (
     host_kra_structural_check,
     host_kra_tower,
 )
-from .scenario import ScenarioConfig, load_scenario
+from .scenario import load_scenario
 from .system import period_box
 from .torus import character_limit, torus_deviation_bound, torus_truncated_average
 
@@ -53,21 +60,12 @@ def box_json(box: FolnerBox) -> dict:
     return {"lengths": list(box.lengths), "base": list(box.base or (0,) * len(box.lengths))}
 
 
-def _header(scn: ScenarioConfig, command: str) -> dict:
-    return {
-        "command": command,
-        "engine": scn.engine,
-        "engine_version": __version__,
-        "scenario": scn.name,
-        "scenario_sha256": scn.sha256,
-    }
+def measure_json(jm) -> list:
+    return [{"state": list(t), "mass": frac_str(jm.mass[t])} for t in jm.support]
 
 
-def _require_engine(scn: ScenarioConfig, engine: str):
-    if scn.engine != engine:
-        raise ValidationError(
-            f"subcommand needs a {engine!r} scenario, got {scn.engine!r}"
-        )
+def invariance_json(jm) -> dict:
+    return {name: jm.is_invariant(name) for name in sorted(jm.actions)}
 
 
 def _random_base(rng: random.Random, r: int, span: int = 50):
@@ -87,36 +85,6 @@ def _write_report(out: str, scn_name: str, command: str, fmt: str, payload) -> P
     return path
 
 
-def _exit_codes(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except BudgetExceeded as exc:
-            click.echo(f"budget exceeded: {exc}", err=True)
-            sys.exit(2)
-        except InternalInvariantViolation as exc:
-            click.echo(f"internal invariant violation (bug): {exc}", err=True)
-            sys.exit(3)
-        except (ValidationError, ErgolabError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-
-    return wrapper
-
-
-scenario_opt = click.option(
-    "--scenario", "scenario_path", required=True, type=click.Path(exists=True)
-)
-out_opt = click.option("--out", default=".", show_default=True)
-format_opt = click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
-    show_default=True,
-)
-seed_opt = click.option("--seed", type=int, default=None,
-                        help="Override the scenario's trial seed.")
-
-
 @click.group()
 @click.version_option(version=__version__)
 def main():
@@ -124,34 +92,108 @@ def main():
     systems, with a floating-point torus backend."""
 
 
-@main.command()
-@scenario_opt
-@out_opt
-@_exit_codes
-def validate(scenario_path, out):
+def command(name, engine=None, csv=None, seed=False, options=None):
+    """Register ``ergolab <name>`` on the report pipeline.
+
+    The decorated function takes the loaded scenario, plus ``rng`` when
+    seed is set and one keyword per entry of options (an integer flag,
+    filled from the scenario's options and then from the entry's default),
+    and returns the report body.  engine restricts the scenario's engine;
+    csv, when given, adds ``--format json|csv`` and turns a body into its
+    CSV lines.
+    """
+    options = options or {}
+    params = [
+        click.Option(["--scenario", "scenario_path"], required=True,
+                     type=click.Path(exists=True)),
+        click.Option(["--out"], default=".", show_default=True),
+    ]
+    if csv is not None:
+        params.append(click.Option(
+            ["--format", "fmt"], type=click.Choice(["json", "csv"]),
+            default="json", show_default=True,
+        ))
+    if seed:
+        params.append(click.Option(["--seed"], type=int, default=None,
+                                   help="Override the scenario's trial seed."))
+    params += [
+        click.Option(["--" + key.replace("_", "-"), key], type=int, default=None)
+        for key in options
+    ]
+
+    def register(body):
+        @functools.wraps(body)
+        def run(scenario_path, out, fmt="json", **given):
+            try:
+                scn = load_scenario(scenario_path)
+                if engine is not None and scn.engine != engine:
+                    raise ValidationError(
+                        f"subcommand needs a {engine!r} scenario, got {scn.engine!r}"
+                    )
+                kwargs = {
+                    key: scn.options.get(key, default)
+                    if given[key] is None else given[key]
+                    for key, default in options.items()
+                }
+                if seed:
+                    trial_seed = given["seed"]
+                    kwargs["rng"] = random.Random(
+                        scn.trial_seed if trial_seed is None else trial_seed
+                    )
+                report = body(scn, **kwargs)
+                if fmt == "csv":
+                    text = "\n".join(csv(report)) + "\n"
+                    _write_report(out, scn.name, name, "csv", text)
+                else:
+                    report.update(command=name, engine=scn.engine,
+                                  engine_version=__version__, scenario=scn.name,
+                                  scenario_sha256=scn.sha256)
+                    _write_report(out, scn.name, name, "json", report)
+            except BudgetExceeded as exc:
+                click.echo(f"budget exceeded: {exc}", err=True)
+                sys.exit(2)
+            except InternalInvariantViolation as exc:
+                click.echo(f"internal invariant violation (bug): {exc}", err=True)
+                sys.exit(3)
+            except (ErgolabError, OSError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(1)
+
+        return main.command(name, params=params)(run)
+
+    return register
+
+
+@command("validate")
+def validate(scn):
     """Validate a scenario file (system invariants, references)."""
-    scn = load_scenario(scenario_path)
-    report = _header(scn, "validate")
-    report["valid"] = True
     if scn.engine == "finite":
-        report["system"] = {"n": scn.system.n, "r": scn.system.r, "d": scn.system.d}
+        system = {"n": scn.system.n, "r": scn.system.r, "d": scn.system.d}
     else:
-        report["system"] = {"m": scn.system.m, "r": scn.system.r, "d": scn.system.d}
-    _write_report(out, scn.name, "validate", "json", report)
+        system = {"m": scn.system.m, "r": scn.system.r, "d": scn.system.d}
+    return {"valid": True, "system": system}
 
 
-@main.command()
-@scenario_opt
-@out_opt
-@format_opt
-@seed_opt
-@_exit_codes
-def avg(scenario_path, out, fmt, seed):
+def _avg_csv(report):
+    lines = ["tuple,box_lengths,box_base,deviation,bound,within_bound"]
+    for e in report["results"]:
+        if "box" not in e:
+            continue
+        lines.append(
+            "|".join(e["tuple"]) + ","
+            + " ".join(map(str, e["box"]["lengths"])) + ","
+            + " ".join(map(str, e["box"]["base"])) + ","
+            + f"{float(Fraction(e['deviation']['square'])) ** 0.5:.12e},"
+            + f"{float(Fraction(e['bound']['square'])) ** 0.5:.12e},"
+            + str(e["within_bound"]).lower()
+        )
+    return lines
+
+
+@command("avg", engine="finite", csv=_avg_csv, seed=True)
+def avg(scn, rng):
     """Truncated averages with exact limits and deviation bounds."""
-    scn = load_scenario(scenario_path)
-    _require_engine(scn, "finite")
     sys_ = scn.system
-    rng = random.Random(scn.trial_seed if seed is None else seed)
     pbox = period_box(sys_)
     entries = []
     for names in scn.average_tuples:
@@ -178,85 +220,47 @@ def avg(scenario_path, out, fmt, seed):
             "base_point_trials": scn.trial_count,
             "full_period_box_equals_limit": all(trials_equal),
         })
-    report = _header(scn, "avg")
-    report["results"] = entries
-    if fmt == "csv":
-        lines = ["tuple,box_lengths,box_base,deviation,bound,within_bound"]
-        for e in entries:
-            if "box" not in e:
-                continue
-            lines.append(
-                "|".join(e["tuple"]) + ","
-                + " ".join(map(str, e["box"]["lengths"])) + ","
-                + " ".join(map(str, e["box"]["base"])) + ","
-                + f"{float(Fraction(e['deviation']['square'])) ** 0.5:.12e},"
-                + f"{float(Fraction(e['bound']['square'])) ** 0.5:.12e},"
-                + str(e["within_bound"]).lower()
-            )
-        _write_report(out, scn.name, "avg", "csv", "\n".join(lines) + "\n")
-    else:
-        _write_report(out, scn.name, "avg", "json", report)
+    return {"results": entries}
 
 
-@main.command()
-@scenario_opt
-@out_opt
-@_exit_codes
-def limit(scenario_path, out):
+@command("limit", engine="finite")
+def limit(scn):
     """Exact limits of the scenario's average tuples."""
-    scn = load_scenario(scenario_path)
-    _require_engine(scn, "finite")
     entries = []
     for names in scn.average_tuples:
         fs = [scn.observables[n] for n in names]
         lim = exact_limit(scn.system, fs)
         entries.append({"tuple": list(names), "limit": obs_json(lim)})
-    report = _header(scn, "limit")
-    report["period_box"] = list(period_box(scn.system).lengths)
-    report["results"] = entries
-    _write_report(out, scn.name, "limit", "json", report)
+    return {
+        "period_box": list(period_box(scn.system).lengths),
+        "results": entries,
+    }
 
 
-@main.command()
-@scenario_opt
-@out_opt
-@seed_opt
-@_exit_codes
-def joining(scenario_path, out, seed):
+@command("joining", engine="finite", seed=True)
+def joining(scn, rng):
     """The exact self-joining measure with its property checks."""
-    scn = load_scenario(scenario_path)
-    _require_engine(scn, "finite")
     sys_ = scn.system
     jm = furstenberg_joining(sys_)
-    rng = random.Random(scn.trial_seed if seed is None else seed)
     shifts_equal = all(
         furstenberg_joining(sys_, _random_base(rng, sys_.r, span=30)).mass == jm.mass
         for _ in range(scn.trial_count)
     )
-    report = _header(scn, "joining")
-    report["power"] = jm.power
-    report["support_size"] = len(jm.support)
-    report["marginals_equal_mu"] = jm.marginals_equal_base()
-    report["invariant_under"] = {
-        name: jm.is_invariant(name) for name in sorted(jm.actions)
+    return {
+        "power": jm.power,
+        "support_size": len(jm.support),
+        "marginals_equal_mu": jm.marginals_equal_base(),
+        "invariant_under": invariance_json(jm),
+        "diagonal_action": diagonal_action_name(jm),
+        "base_shift_trials": scn.trial_count,
+        "base_shift_independent": shifts_equal,
+        "measure": measure_json(jm),
     }
-    report["diagonal_action"] = diagonal_action_name(jm)
-    report["base_shift_trials"] = scn.trial_count
-    report["base_shift_independent"] = shifts_equal
-    report["measure"] = [
-        {"state": list(t), "mass": frac_str(jm.mass[t])} for t in jm.support
-    ]
-    _write_report(out, scn.name, "joining", "json", report)
 
 
-@main.command()
-@scenario_opt
-@out_opt
-@_exit_codes
-def hk(scenario_path, out):
+@command("hk", engine="finite")
+def hk(scn):
     """The tower of relatively independent self-joinings."""
-    scn = load_scenario(scenario_path)
-    _require_engine(scn, "finite")
     tower = host_kra_tower(scn.system)
     stages = []
     for k, jm in enumerate(tower, start=1):
@@ -265,21 +269,16 @@ def hk(scenario_path, out):
             "power": jm.power,
             "support_size": len(jm.support),
             "marginals_equal_mu": jm.marginals_equal_base(),
-            "invariant_under": {
-                name: jm.is_invariant(name) for name in sorted(jm.actions)
-            },
+            "invariant_under": invariance_json(jm),
         }
         if len(jm.support) <= 4096:
-            info["measure"] = [
-                {"state": list(t), "mass": frac_str(jm.mass[t])}
-                for t in jm.support
-            ]
+            info["measure"] = measure_json(jm)
         stages.append(info)
-    report = _header(scn, "hk")
-    report["stages"] = stages
-    report["closed_form_ok"] = host_kra_structural_check(tower[-1])
-    report["coordinate_labels"] = [sorted(a) for a in tower[-1].labels]
-    _write_report(out, scn.name, "hk", "json", report)
+    return {
+        "stages": stages,
+        "closed_form_ok": host_kra_structural_check(tower[-1]),
+        "coordinate_labels": [sorted(a) for a in tower[-1].labels],
+    }
 
 
 def _pleasant_json(sys_, rep) -> dict:
@@ -297,61 +296,40 @@ def _pleasant_json(sys_, rep) -> dict:
     }
 
 
-@main.command()
-@scenario_opt
-@out_opt
-@click.option("--max-m", "max_m", type=int, default=None)
-@click.option("--budget", type=int, default=None)
-@_exit_codes
-def extend(scenario_path, out, max_m, budget):
+@command("extend", engine="finite", options={"max_m": 2, "budget": 10 ** 6})
+def extend(scn, max_m, budget):
     """Iterate the one-step extension until pleasant or out of budget."""
-    scn = load_scenario(scenario_path)
-    _require_engine(scn, "finite")
-    max_m = max_m if max_m is not None else scn.options.get("max_m", 2)
-    budget = budget if budget is not None else scn.options.get("budget", 10 ** 6)
     run = iterate_extensions(scn.system, max_m=max_m, budget=budget)
-    report = _header(scn, "extend")
-    report["max_m"] = max_m
-    report["budget"] = budget
-    report["stages"] = [
-        {"stage": st.stage, "states": st.system.n} for st in run.stages
-    ]
-    report["status"] = run.status
-    report["stabilized"] = run.stabilized
     final_sys = run.stages[-1].system if run.stages else scn.system
-    report["final"] = _pleasant_json(final_sys, run.final_report)
-    _write_report(out, scn.name, "extend", "json", report)
+    return {
+        "max_m": max_m,
+        "budget": budget,
+        "stages": [
+            {"stage": st.stage, "states": st.system.n} for st in run.stages
+        ],
+        "status": run.status,
+        "stabilized": run.stabilized,
+        "final": _pleasant_json(final_sys, run.final_report),
+    }
 
 
-@main.command()
-@scenario_opt
-@out_opt
-@click.option("--budget", type=int, default=None)
-@_exit_codes
-def pleasant(scenario_path, out, budget):
+@command("pleasant", engine="finite", options={"budget": 10 ** 6})
+def pleasant(scn, budget):
     """Pleasantness defect report for the scenario system itself."""
-    scn = load_scenario(scenario_path)
-    _require_engine(scn, "finite")
-    budget = budget if budget is not None else scn.options.get("budget", 10 ** 6)
-    rep = is_pleasant(scn.system, budget=budget)
-    report = _header(scn, "pleasant")
-    report.update(_pleasant_json(scn.system, rep))
-    _write_report(out, scn.name, "pleasant", "json", report)
+    return _pleasant_json(scn.system, is_pleasant(scn.system, budget=budget))
 
 
-@main.command("torus-demo")
-@scenario_opt
-@out_opt
-@format_opt
-@seed_opt
-@_exit_codes
-def torus_demo(scenario_path, out, fmt, seed):
+def _torus_csv(report):
+    return ["tuple,N,base,sample,abs_error,bound"] + [
+        ",".join(row.values()) for row in report["rows"]
+    ]
+
+
+@command("torus-demo", engine="torus", csv=_torus_csv, seed=True)
+def torus_demo(scn, rng):
     """Convergence table |average - limit|, with its certified bound, for a
     torus scenario."""
-    scn = load_scenario(scenario_path)
-    _require_engine(scn, "torus")
     sys_ = scn.system
-    rng = random.Random(scn.trial_seed if seed is None else seed)
     rows = []
     for names in scn.average_tuples:
         fs = [scn.observables[n] for n in names]
@@ -375,14 +353,7 @@ def torus_demo(scenario_path, out, fmt, seed):
                         "abs_error": f"{abs(a - lim(t)):.12e}",
                         "bound": f"{bound:.12e}",
                     })
-    if fmt == "json":
-        report = _header(scn, "torus-demo")
-        report["rows"] = rows
-        _write_report(out, scn.name, "torus-demo", "json", report)
-    else:
-        lines = ["tuple,N,base,sample,abs_error,bound"]
-        lines += [",".join(row.values()) for row in rows]
-        _write_report(out, scn.name, "torus-demo", "csv", "\n".join(lines) + "\n")
+    return {"rows": rows}
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from .errors import (
     InternalInvariantViolation,
     InvarianceViolated,
     NotMeasurable,
+    ValidationError,
 )
 from .factors import (
     Partition,
@@ -24,7 +25,7 @@ from .factors import (
     is_measurable,
     join,
 )
-from .joinings import JoinedAction, furstenberg_joining, lift_to_support
+from .joinings import axis_perms, furstenberg_joining, lift_to_support
 from .observables import ExactNorm, Observable, ZERO
 from .system import FiniteSystem, period_box
 
@@ -109,8 +110,7 @@ def one_step_extension(sys: FiniteSystem) -> ExtensionStage:
     generators = []
     for i in range(1, sys.d + 1):
         coords = tuple(range(1, sys.d + 1)) if i == 1 else (i,) * sys.d
-        act = JoinedAction(f"T{i}", coords)
-        axes = [act.axis_perms(sys, j) for j in range(1, sys.r + 1)]
+        axes = [axis_perms(sys, coords, j) for j in range(1, sys.r + 1)]
         generators.append(tuple(lift_to_support(supp, axes)))
     labels = tuple(
         "(" + ",".join(sys.label(x) for x in t) + ")" for t in supp
@@ -145,7 +145,7 @@ def iterate_extensions(
     """Apply one_step_extension until pleasant, the stage budget is hit, or
     max_m stages have been built.  Budget overrun is reported, not raised."""
     if max_m < 1:
-        raise ValueError("max_m must be at least 1")
+        raise ValidationError("max_m must be at least 1")
     stages: List[ExtensionStage] = []
     current = sys
     report = is_pleasant(current, budget=budget)

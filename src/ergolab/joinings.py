@@ -3,8 +3,8 @@ and the Host-Kra tower.
 
 A joined measure lives on X^k with states encoded as index tuples, stored
 sparsely.  Its Z^r-actions act coordinatewise, each coordinate moved by one
-of the base actions (or fixed), so an action is just a symbol per
-coordinate.
+of the base actions (or fixed), so an action is just a tuple of base
+action indices, one per coordinate, with 0 for a fixed coordinate.
 """
 
 from __future__ import annotations
@@ -36,19 +36,12 @@ from .system import (
 StateTuple = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class JoinedAction:
-    """A Z^r-action on X^k moving coordinate c by base action coord_actions[c]
-    (0 means the coordinate is fixed)."""
-
-    name: str
-    coord_actions: Tuple[int, ...]
-
-    def axis_perms(self, base: FiniteSystem, axis: int) -> Tuple:
-        ident = identity_perm(base.n)
-        return tuple(
-            base.generator(a, axis) if a else ident for a in self.coord_actions
-        )
+def axis_perms(base: FiniteSystem, coords: Sequence[int], axis: int) -> Tuple:
+    """The per-coordinate base permutations of the given axis generator of
+    the joined action coords, which moves coordinate c by base action
+    coords[c] (0 means the coordinate is fixed)."""
+    ident = identity_perm(base.n)
+    return tuple(base.generator(a, axis) if a else ident for a in coords)
 
 
 def lift_to_support(
@@ -71,7 +64,7 @@ class JoinedMeasure:
         base: FiniteSystem,
         power: int,
         mass: Dict[StateTuple, Fraction],
-        actions: Dict[str, JoinedAction],
+        actions: Dict[str, Tuple[int, ...]],
         labels: Optional[Tuple[frozenset, ...]] = None,
     ):
         self.base = base
@@ -85,9 +78,9 @@ class JoinedMeasure:
             raise ValidationError("joined masses must sum to exactly 1")
         if any(len(t) != power for t in self.mass):
             raise ValidationError("state tuple length differs from power")
-        for act in self.actions.values():
-            if len(act.coord_actions) != power:
-                raise ValidationError(f"action {act.name} has wrong arity")
+        for name, coords in self.actions.items():
+            if len(coords) != power:
+                raise ValidationError(f"action {name} has wrong arity")
         if labels is not None and len(labels) != power:
             raise ValidationError("labels length differs from power")
 
@@ -109,9 +102,9 @@ class JoinedMeasure:
     def is_invariant(self, name: str) -> bool:
         """Invariance under the generators of the named action (hence under
         the whole group): every tuple's image carries the tuple's mass."""
-        act = self.actions[name]
+        coords = self.actions[name]
         for j in range(1, self.base.r + 1):
-            perms = act.axis_perms(self.base, j)
+            perms = axis_perms(self.base, coords, j)
             for t, m in self.mass.items():
                 if self.mass.get(tuple(p[x] for p, x in zip(perms, t))) != m:
                     return False
@@ -134,11 +127,8 @@ def furstenberg_joining(
             t = tuple(t)
             mass[t] = mass.get(t, ZERO) + sys.weights[x] * c
     mass = {t: m / pbox.size for t, m in mass.items()}
-    actions = {
-        f"S{i}": JoinedAction(f"S{i}", (i,) * d) for i in range(1, d + 1)
-    }
-    diag = JoinedAction(f"S{d + 1}", tuple(range(1, d + 1)))
-    actions[diag.name] = diag
+    actions = {f"S{i}": (i,) * d for i in range(1, d + 1)}
+    actions[f"S{d + 1}"] = tuple(range(1, d + 1))
     return JoinedMeasure(sys, d, mass, actions)
 
 
@@ -185,9 +175,9 @@ def orbit_cells(jm: JoinedMeasure, name: str) -> List[Tuple[StateTuple, ...]]:
     """Orbits of the support under the named action; their indicators span
     the invariant functions on the support."""
     supp = jm.support
-    act = jm.actions[name]
+    coords = jm.actions[name]
     perms = lift_to_support(
-        supp, [act.axis_perms(jm.base, j) for j in range(1, jm.base.r + 1)]
+        supp, [axis_perms(jm.base, coords, j) for j in range(1, jm.base.r + 1)]
     )
     part = orbit_partition(len(supp), perms)
     return [tuple(supp[k] for k in cell) for cell in part.cells]
@@ -292,44 +282,27 @@ def host_kra_tower(sys: FiniteSystem) -> List[JoinedMeasure]:
         supp = sorted(masses)
         # stage 1 takes orbits of T_1, stage k of T_1 (T_k)^{-1}, acting
         # coordinatewise on the stage support
-        t1 = JoinedAction("T1", acts["T1"])
-        tk = JoinedAction(f"T{k}", acts[f"T{k}"])
         coord_perms = []
         for j in range(1, sys.r + 1):
-            perms = t1.axis_perms(sys, j)
+            perms = axis_perms(sys, acts["T1"], j)
             if k > 1:
                 perms = [
                     compose(p, invert(q))
-                    for p, q in zip(perms, tk.axis_perms(sys, j))
+                    for p, q in zip(perms, axis_perms(sys, acts[f"T{k}"], j))
                 ]
             coord_perms.append(perms)
         part = orbit_partition(len(supp), lift_to_support(supp, coord_perms))
         masses = _rel_indep_pairs(
             masses, [[supp[s] for s in cell] for cell in part.cells]
         )
-        new_labels = labels + tuple(a | {k} for a in labels)
-        new_acts: Dict[str, Tuple[int, ...]] = {}
-        for i in range(1, d + 1):
-            if i == 1 and k == 1:
-                # first stage lifts T_1 to T_1 x id
-                new_acts["T1"] = acts["T1"] + (0,) * len(acts["T1"])
-            elif i == 1:
-                new_acts["T1"] = acts["T1"] + acts[f"T{k}"]
-            else:
-                new_acts[f"T{i}"] = acts[f"T{i}"] + acts[f"T{i}"]
-        labels, acts = new_labels, new_acts
-        stages.append(
-            JoinedMeasure(
-                sys,
-                2 ** k,
-                masses,
-                {
-                    name: JoinedAction(name, coords)
-                    for name, coords in acts.items()
-                },
-                labels=labels,
-            )
-        )
+        labels = labels + tuple(a | {k} for a in labels)
+        # the first stage lifts T_1 to T_1 x id
+        t1_lift = (0,) * len(acts["T1"]) if k == 1 else acts[f"T{k}"]
+        acts = {
+            "T1": acts["T1"] + t1_lift,
+            **{f"T{i}": acts[f"T{i}"] * 2 for i in range(2, d + 1)},
+        }
+        stages.append(JoinedMeasure(sys, 2 ** k, masses, acts, labels=labels))
     return stages
 
 
@@ -353,11 +326,11 @@ def host_kra_structural_check(jm: JoinedMeasure) -> bool:
     coordinate, and T_i^{[d]} must be the full diagonal for i >= 2."""
     if jm.labels is None:
         raise ValidationError("joined measure carries no coordinate labels")
-    if jm.actions["T1"].coord_actions != host_kra_expected_t1(jm.labels):
+    if jm.actions["T1"] != host_kra_expected_t1(jm.labels):
         return False
     d = jm.base.d
     for i in range(2, d + 1):
-        if jm.actions[f"T{i}"].coord_actions != (i,) * jm.power:
+        if jm.actions[f"T{i}"] != (i,) * jm.power:
             return False
     return True
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple, Union
 
 from .errors import ValidationError
 from .observables import Observable
-from .system import FiniteSystem, FolnerBox, validate_system
+from .system import FiniteSystem, FolnerBox
 from .torus import RotationEntry, TorusSystem, TrigObservable
 
 
@@ -55,18 +55,17 @@ def _parse_entry(raw) -> RotationEntry:
     raise ValidationError(f"unparseable rotation entry: {raw!r}")
 
 
-def _parse_torus_system(raw: dict) -> TorusSystem:
-    m = int(raw["m"])
-    r = int(raw["r"])
-    d = int(raw["d"])
+def _table(entries, d: int, r: int, key: str, parse, what: str):
+    """The d-by-r table, indexed [action - 1][axis - 1], of parse(entry[key])
+    over the (action, axis) entries: each index in range and given once."""
     table: dict = {}
-    for entry in raw["rotations"]:
-        i = int(entry["action"])
-        j = int(entry["axis"])
-        vec = tuple(_parse_entry(e) for e in entry["vector"])
+    for entry in entries:
+        i, j = int(entry["action"]), int(entry["axis"])
+        if not (1 <= i <= d and 1 <= j <= r):
+            raise ValidationError(f"{what} index ({i},{j}) out of range")
         if (i, j) in table:
-            raise ValidationError(f"duplicate rotation for ({i},{j})")
-        table[(i, j)] = vec
+            raise ValidationError(f"duplicate {what} for ({i},{j})")
+        table[i, j] = parse(entry[key])
     missing = [
         (i, j)
         for i in range(1, d + 1)
@@ -74,9 +73,34 @@ def _parse_torus_system(raw: dict) -> TorusSystem:
         if (i, j) not in table
     ]
     if missing:
-        raise ValidationError(f"missing rotations for {missing}")
-    rotations = tuple(
-        tuple(table[(i, j)] for j in range(1, r + 1)) for i in range(1, d + 1)
+        raise ValidationError(f"missing {what}s for {missing}")
+    return tuple(
+        tuple(table[i, j] for j in range(1, r + 1)) for i in range(1, d + 1)
+    )
+
+
+def _parse_finite_system(raw: dict) -> FiniteSystem:
+    r, d = int(raw["r"]), int(raw["d"])
+    generators = _table(
+        raw["generators"], d, r, "perm", lambda p: tuple(int(v) for v in p),
+        "generator",
+    )
+    labels = raw.get("labels")
+    return FiniteSystem(
+        n=int(raw["n"]),
+        r=r,
+        d=d,
+        weights=tuple(Fraction(str(w)) for w in raw["weights"]),
+        generators=generators,
+        labels=None if labels is None else tuple(str(s) for s in labels),
+    )
+
+
+def _parse_torus_system(raw: dict) -> TorusSystem:
+    m, r, d = int(raw["m"]), int(raw["r"]), int(raw["d"])
+    rotations = _table(
+        raw["rotations"], d, r, "vector",
+        lambda vec: tuple(_parse_entry(e) for e in vec), "rotation",
     )
     symbol_values = tuple(sorted(
         (str(k), _finite_float(v, f"symbol value {k}"))
@@ -118,7 +142,7 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
         engine = str(raw["engine"])
         system_raw = raw["system"]
         if engine == "finite":
-            system = validate_system(system_raw)
+            system = _parse_finite_system(system_raw)
             observables = {
                 str(k): Observable.from_values([Fraction(str(v)) for v in vals])
                 for k, vals in raw.get("observables", {}).items()

@@ -218,52 +218,3 @@ def pushforward(sys: FiniteSystem, g, m: Sequence[Fraction]) -> Tuple[Fraction, 
     for x in range(sys.n):
         out[p[x]] = m[x]
     return tuple(out)
-
-
-def validate_system(candidate: dict) -> FiniteSystem:
-    """Build a FiniteSystem from the file-schema dict, checking everything."""
-    try:
-        r = int(candidate["r"])
-        d = int(candidate["d"])
-        n = int(candidate["n"])
-        raw_weights = candidate["weights"]
-        raw_gens = candidate["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed system description: {exc}") from exc
-    if len(raw_weights) != n:
-        raise ValidationError("weights length must equal n")
-    try:
-        weights = tuple(Fraction(str(w)) for w in raw_weights)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise NonProbabilityWeights(f"unparseable weight: {exc}") from exc
-    table: dict = {}
-    for entry in raw_gens:
-        try:
-            i = int(entry["action"])
-            j = int(entry["axis"])
-            p = tuple(int(v) for v in entry["perm"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed generator entry: {exc}") from exc
-        if not (1 <= i <= d and 1 <= j <= r):
-            raise ValidationError(f"generator index ({i},{j}) out of range")
-        if (i, j) in table:
-            raise ValidationError(f"duplicate generator for ({i},{j})")
-        table[(i, j)] = p
-    missing = [
-        (i, j)
-        for i in range(1, d + 1)
-        for j in range(1, r + 1)
-        if (i, j) not in table
-    ]
-    if missing:
-        raise ValidationError(f"missing generators for {missing}")
-    generators = tuple(
-        tuple(table[(i, j)] for j in range(1, r + 1)) for i in range(1, d + 1)
-    )
-    labels = candidate.get("labels")
-    if labels is not None:
-        labels = tuple(str(s) for s in labels)
-    return FiniteSystem(
-        n=n, r=r, d=d, weights=weights, generators=generators, labels=labels
-    )
-

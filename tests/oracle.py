@@ -10,7 +10,6 @@ They are slow on purpose; tests compare the library against them exactly.
 import itertools
 from fractions import Fraction
 
-from ergolab.factors import cond_expect
 from ergolab.extensions import pleasant_factor
 from ergolab.observables import Observable, l2_square
 from ergolab.system import FolnerBox, period_box
@@ -38,6 +37,20 @@ def exact_limit(sys_, fs):
     return truncated_average(sys_, fs, list(period_box(sys_).points()))
 
 
+def cond_expect_on_support(sys_, f, part):
+    """E[f | part] on the cells of positive weight, 0 on null cells.  The
+    value on a null state is never read: orbits of support states stay in
+    the support."""
+    out = [ZERO] * sys_.n
+    for cell in part.cells:
+        w = sum((sys_.weights[x] for x in cell), ZERO)
+        if w:
+            v = sum((f.values[x] * sys_.weights[x] for x in cell), ZERO) / w
+            for x in cell:
+                out[x] = v
+    return Observable(tuple(out))
+
+
 def is_pleasant(sys_):
     """(defect square, witness) from one exact limit per basis tuple; the
     witness is the first tuple reaching the maximum."""
@@ -45,7 +58,7 @@ def is_pleasant(sys_):
     best_sq, witness = ZERO, None
     for x1 in sys_.support:
         e1 = Observable.indicator(sys_.n, x1)
-        h = e1 - cond_expect(sys_, e1, xi)
+        h = e1 - cond_expect_on_support(sys_, e1, xi)
         if h.is_zero:
             continue
         for rest in itertools.product(sys_.support, repeat=sys_.d - 1):
@@ -74,7 +87,7 @@ def pushforward(jm, name, nvec):
     base = jm.base
     perms = [
         base.action_perm(a, nvec) if a else tuple(range(base.n))
-        for a in jm.actions[name].coord_actions
+        for a in jm.actions[name]
     ]
     return {tuple(p[x] for p, x in zip(perms, t)): m for t, m in jm.mass.items()}
 

@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
+from ergolab import __version__
 from ergolab.cli import main
 from ergolab.errors import ValidationError
 from ergolab.scenario import bundled_scenario_dir, bundled_scenarios, load_scenario
@@ -405,10 +407,18 @@ def _empty_frequency(raw):
     raw["observables"]["f2"][0]["freq"] = []
 
 
+def _out_of_range_rotation(raw):
+    raw["system"]["rotations"].append({"action": 3, "axis": 1, "vector": ["1/2"]})
+
+
+def _zero_max_m(raw):
+    raw["options"] = {"max_m": 0}
+
+
 TORUS_CORRUPTIONS = [
     _nan_sample, _infinite_symbol_value, _nan_coefficient,
     _infinite_float_rotation, _two_coordinate_sample, _long_frequency,
-    _empty_frequency,
+    _empty_frequency, _out_of_range_rotation,
 ]
 
 
@@ -420,6 +430,7 @@ TORUS_CORRUPTIONS = [
         ("cyclic-5", "limit", _non_list_observable),
         ("cyclic-5", "limit", _non_list_average_tuples),
         ("cyclic-5", "avg", _negative_trial_count),
+        ("cyclic-5", "extend", _zero_max_m),
         ("torus-counterexample", "torus-demo", _rotation_without_vector),
         ("torus-counterexample", "torus-demo", _one_component_coefficient),
     ] + [
@@ -440,3 +451,57 @@ def test_malformed_scenario_one_line_error(runner, tmp_path, scenario, command, 
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert "Traceback" not in result.output
+
+
+def test_extend_max_m_zero_flag_one_line_error(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["extend", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path),
+         "--max-m", "0"],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.stderr == "error: max_m must be at least 1\n"
+
+
+# flag -> (default, --format choices, or None for an integer flag); every
+# command also takes a required --scenario and --out (default ".")
+_FORMAT = ("json", ("json", "csv"))
+_INT = (None, None)
+CLI_SURFACE = {
+    "validate": {},
+    "avg": {"--format": _FORMAT, "--seed": _INT},
+    "limit": {},
+    "joining": {"--seed": _INT},
+    "hk": {},
+    "extend": {"--max-m": _INT, "--budget": _INT},
+    "pleasant": {"--budget": _INT},
+    "torus-demo": {"--format": _FORMAT, "--seed": _INT},
+}
+
+
+def test_cli_surface():
+    """The commands of the README synopsis, each with exactly its flags,
+    defaults and format choices."""
+    assert set(main.commands) == set(CLI_SURFACE)
+    for name, flags in CLI_SURFACE.items():
+        params = {
+            p.opts[0]: p for p in main.commands[name].params
+            if isinstance(p, click.Option) and p.opts[0] != "--help"
+        }
+        assert list(params) == ["--scenario", "--out", *flags], name
+        scenario, out = params.pop("--scenario"), params.pop("--out")
+        assert scenario.required and isinstance(scenario.type, click.Path)
+        assert not out.required and out.default == "."
+        for flag, (default, choices) in flags.items():
+            p = params[flag]
+            assert not p.required and p.default == default, (name, flag)
+            if choices is None:
+                assert p.type is click.INT, (name, flag)
+            else:
+                assert tuple(p.type.choices) == choices, (name, flag)
+
+
+def test_cli_version(runner):
+    result = run_ok(runner, ["--version"])
+    assert __version__ in result.output

@@ -14,7 +14,6 @@ import oracle
 from ergolab.averages import FolnerBox, exact_limit, truncated_average
 from ergolab.extensions import is_pleasant
 from ergolab.joinings import (
-    JoinedAction,
     JoinedMeasure,
     furstenberg_joining,
     host_kra_tower,
@@ -91,6 +90,8 @@ def systems(finite_corpus):
         [scn.system for scn in finite_corpus]
         + cyclic_family()
         + [rank2_product(), two_cycles(), two_cycles(5, 2, Fraction(3, 4))]
+        # one cycle of null states, after and before the other
+        + [two_cycles(3, 4, Fraction(1)), two_cycles(4, 3, Fraction(0))]
     )
 
 
@@ -149,7 +150,7 @@ def _is_invariant_cases(sys_, rng):
     names = list(jm.actions)
     for k in range(3):
         coords = tuple(rng.randint(0, sys_.d) for _ in range(jm.power))
-        jm.actions[f"X{k}"] = JoinedAction(f"X{k}", coords)
+        jm.actions[f"X{k}"] = coords
         names.append(f"X{k}")
     yield jm, names
     # a measure that is not invariant under anything moving its atom
@@ -172,7 +173,7 @@ def _is_invariant_cases(sys_, rng):
 def test_is_invariant_matches_pushforward(systems):
     rng = random.Random(44)
     seen = set()
-    for sys_ in systems[:60] + systems[-3:]:
+    for sys_ in systems[:60] + systems[-5:]:
         for jm, names in _is_invariant_cases(sys_, rng):
             for name in names:
                 verdict = jm.is_invariant(name)

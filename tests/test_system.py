@@ -9,6 +9,7 @@ from ergolab.errors import (
     NonProbabilityWeights,
     ValidationError,
 )
+from ergolab.scenario import parse_scenario
 from ergolab.system import (
     FiniteSystem,
     act,
@@ -19,7 +20,6 @@ from ergolab.system import (
     perm_power,
     period_box,
     pushforward,
-    validate_system,
 )
 
 from conftest import cyclic_system
@@ -169,6 +169,11 @@ def test_pushforward_moves_point_mass():
         assert sum(out) == 1
 
 
+def validate_system(raw):
+    """The system of a finite scenario whose system description is raw."""
+    return parse_scenario({"name": "s", "engine": "finite", "system": raw}).system
+
+
 def test_validate_system_round_trip():
     raw = {
         "n": 5,
@@ -206,4 +211,19 @@ def test_validate_system_bad_perm():
         "generators": [{"action": 1, "axis": 1, "perm": [0, 0, 1]}],
     }
     with pytest.raises(ValidationError):
+        validate_system(raw)
+
+
+def test_validate_system_missing_key():
+    raw = {
+        "n": 2,
+        "r": 1,
+        "d": 1,
+        "weights": ["1/2", "1/2"],
+        "generators": [{"action": 1, "axis": 1}],
+    }
+    with pytest.raises(ValidationError, match="perm"):
+        validate_system(raw)
+    del raw["generators"]
+    with pytest.raises(ValidationError, match="generators"):
         validate_system(raw)
