@@ -4,11 +4,21 @@ backend for rotation examples."""
 
 __version__ = "0.1.0"
 
-# Load every computational module with the package, before the CLI loads
-# click: the other import order costs the CLI about 0.4 MB of peak memory.
-from . import averages, errors, extensions, factors, joinings, observables, system, torus
-from .averages import exact_limit
-from .observables import Observable
-from .system import FiniteSystem
+# public name -> the module that defines it, loaded on first access (PEP 562)
+# so that importing the package, or one command of the CLI, loads no engine
+# module it does not use
+_HOMES = {
+    "FiniteSystem": "system",
+    "Observable": "observables",
+    "exact_limit": "averages",
+}
 
 __all__ = ["FiniteSystem", "Observable", "__version__", "exact_limit"]
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)

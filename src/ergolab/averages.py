@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, ValidationError
 from .observables import ExactNorm, Observable, ZERO, ONE, l2_square, linf_norm
 from .system import FiniteSystem, FolnerBox, period_box
 
 
-@dataclass(frozen=True)
-class AverageReport:
+class AverageReport(NamedTuple):
     truncated: Observable
     limit: Observable
     deviation: ExactNorm

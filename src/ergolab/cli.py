@@ -1,46 +1,40 @@
 """Batch front end: load a scenario, run one computation, write a report.
 
-Every command runs the same pipeline, registered by ``command``: load and
-check the scenario (the engine a command needs included), turn ``--seed``
-into a random generator, fill ``--budget``/``--max-m`` from the scenario's
-options, compute the report body, add the header and write
-``<out>/<scenario>__<command>.<format>``.  A command is only the function
-that computes its body (plus, for ``--format csv``, the CSV lines).
+    ergolab <command> --scenario S.json [--out DIR] [flags]
+
+Every command runs the same pipeline, registered by ``command`` as an
+``argparse`` subcommand: load and check the scenario (the engine a command
+needs included), turn ``--seed`` into a random generator, fill
+``--budget``/``--max-m`` from the scenario's options, compute the report
+body, add the header and write ``<out>/<scenario>__<command>.<format>``.
+A command is only the function that computes its body (plus, for
+``--format csv``, the CSV lines).  Only the scenario parser is imported
+with this module; each command imports the engine modules it runs.
 
 Reports are deterministic: identical inputs (including seeds) produce
-byte-identical files.  Exit codes: 1 validation failure,
-2 budget exceeded, 3 internal invariant violation (always a bug).
+byte-identical files.  Exit codes: 1 validation failure (an unreadable
+scenario file included), 2 budget exceeded or a malformed command line,
+3 internal invariant violation (always a bug).
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-import click
-
 from . import __version__
-from .averages import FolnerBox, average_report, exact_limit, truncated_average
 from .errors import (
     BudgetExceeded,
     ErgolabError,
     InternalInvariantViolation,
     ValidationError,
 )
-from .extensions import is_pleasant, iterate_extensions
-from .joinings import (
-    diagonal_action_name,
-    furstenberg_joining,
-    host_kra_structural_check,
-    host_kra_tower,
-)
 from .scenario import load_scenario
-from .system import period_box
-from .torus import character_limit, torus_deviation_bound, torus_truncated_average
+from .system import FolnerBox, period_box
 
 
 def frac_str(q: Fraction) -> str:
@@ -81,15 +75,36 @@ def _write_report(out: str, scn_name: str, command: str, fmt: str, payload) -> P
     else:
         text = payload
     path.write_bytes(text.encode("utf-8"))
-    click.echo(str(path))
+    print(path)
     return path
 
 
-@click.group()
-@click.version_option(version=__version__)
-def main():
-    """Exact laboratory for nonconventional ergodic averages on finite
-    systems, with a floating-point torus backend."""
+# every parser is made with add_help=False, allow_abbrev=False and given
+# --help by _with_help: flags are spelled out in full, and help only as --help
+def _with_help(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    p.add_argument("--help", action="help", help="Show this message and exit.")
+    return p
+
+
+parser = _with_help(argparse.ArgumentParser(
+    prog="ergolab",
+    description="Exact laboratory for nonconventional ergodic averages on "
+    "finite systems, with a floating-point torus backend.",
+    add_help=False, allow_abbrev=False,
+))
+parser.add_argument("--version", action="version",
+                    version=f"%(prog)s, version {__version__}")
+_commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+
+def main(argv=None, standalone_mode=True):
+    """Run one command line (sys.argv[1:] by default).  A failure raises
+    SystemExit with its exit code; success returns, or raises SystemExit(0)
+    when standalone_mode is set, as a console script would exit."""
+    args = vars(parser.parse_args(argv))
+    args.pop("run")(**args)
+    if standalone_mode:
+        sys.exit(0)
 
 
 def command(name, engine=None, csv=None, seed=False, options=None):
@@ -103,26 +118,26 @@ def command(name, engine=None, csv=None, seed=False, options=None):
     CSV lines.
     """
     options = options or {}
-    params = [
-        click.Option(["--scenario", "scenario_path"], required=True,
-                     type=click.Path(exists=True)),
-        click.Option(["--out"], default=".", show_default=True),
-    ]
-    if csv is not None:
-        params.append(click.Option(
-            ["--format", "fmt"], type=click.Choice(["json", "csv"]),
-            default="json", show_default=True,
-        ))
-    if seed:
-        params.append(click.Option(["--seed"], type=int, default=None,
-                                   help="Override the scenario's trial seed."))
-    params += [
-        click.Option(["--" + key.replace("_", "-"), key], type=int, default=None)
-        for key in options
-    ]
 
     def register(body):
-        @functools.wraps(body)
+        doc = " ".join(body.__doc__.split())
+        sub = _with_help(_commands.add_parser(
+            name, help=doc, description=doc, add_help=False, allow_abbrev=False
+        ))
+        sub.add_argument("--scenario", dest="scenario_path", required=True,
+                         metavar="PATH", help="the scenario file")
+        sub.add_argument("--out", default=".", metavar="DIR",
+                         help="directory for the report (default: %(default)s)")
+        if csv is not None:
+            sub.add_argument("--format", dest="fmt", choices=["json", "csv"],
+                             default="json", help="default: %(default)s")
+        if seed:
+            sub.add_argument("--seed", type=int, default=None, metavar="N",
+                             help="Override the scenario's trial seed.")
+        for key in options:
+            sub.add_argument("--" + key.replace("_", "-"), dest=key, type=int,
+                             default=None, metavar="N")
+
         def run(scenario_path, out, fmt="json", **given):
             try:
                 scn = load_scenario(scenario_path)
@@ -150,16 +165,17 @@ def command(name, engine=None, csv=None, seed=False, options=None):
                                   scenario_sha256=scn.sha256)
                     _write_report(out, scn.name, name, "json", report)
             except BudgetExceeded as exc:
-                click.echo(f"budget exceeded: {exc}", err=True)
+                print(f"budget exceeded: {exc}", file=sys.stderr)
                 sys.exit(2)
             except InternalInvariantViolation as exc:
-                click.echo(f"internal invariant violation (bug): {exc}", err=True)
+                print(f"internal invariant violation (bug): {exc}", file=sys.stderr)
                 sys.exit(3)
             except (ErgolabError, OSError) as exc:
-                click.echo(f"error: {exc}", err=True)
+                print(f"error: {exc}", file=sys.stderr)
                 sys.exit(1)
 
-        return main.command(name, params=params)(run)
+        sub.set_defaults(run=run)
+        return body
 
     return register
 
@@ -193,6 +209,8 @@ def _avg_csv(report):
 @command("avg", engine="finite", csv=_avg_csv, seed=True)
 def avg(scn, rng):
     """Truncated averages with exact limits and deviation bounds."""
+    from .averages import average_report, exact_limit, truncated_average
+
     sys_ = scn.system
     pbox = period_box(sys_)
     entries = []
@@ -226,6 +244,8 @@ def avg(scn, rng):
 @command("limit", engine="finite")
 def limit(scn):
     """Exact limits of the scenario's average tuples."""
+    from .averages import exact_limit
+
     entries = []
     for names in scn.average_tuples:
         fs = [scn.observables[n] for n in names]
@@ -240,6 +260,8 @@ def limit(scn):
 @command("joining", engine="finite", seed=True)
 def joining(scn, rng):
     """The exact self-joining measure with its property checks."""
+    from .joinings import diagonal_action_name, furstenberg_joining
+
     sys_ = scn.system
     jm = furstenberg_joining(sys_)
     shifts_equal = all(
@@ -261,6 +283,8 @@ def joining(scn, rng):
 @command("hk", engine="finite")
 def hk(scn):
     """The tower of relatively independent self-joinings."""
+    from .joinings import host_kra_structural_check, host_kra_tower
+
     tower = host_kra_tower(scn.system)
     stages = []
     for k, jm in enumerate(tower, start=1):
@@ -299,6 +323,8 @@ def _pleasant_json(sys_, rep) -> dict:
 @command("extend", engine="finite", options={"max_m": 2, "budget": 10 ** 6})
 def extend(scn, max_m, budget):
     """Iterate the one-step extension until pleasant or out of budget."""
+    from .extensions import iterate_extensions
+
     run = iterate_extensions(scn.system, max_m=max_m, budget=budget)
     final_sys = run.stages[-1].system if run.stages else scn.system
     return {
@@ -316,6 +342,8 @@ def extend(scn, max_m, budget):
 @command("pleasant", engine="finite", options={"budget": 10 ** 6})
 def pleasant(scn, budget):
     """Pleasantness defect report for the scenario system itself."""
+    from .extensions import is_pleasant
+
     return _pleasant_json(scn.system, is_pleasant(scn.system, budget=budget))
 
 
@@ -329,6 +357,8 @@ def _torus_csv(report):
 def torus_demo(scn, rng):
     """Convergence table |average - limit|, with its certified bound, for a
     torus scenario."""
+    from .torus import character_limit, torus_deviation_bound, torus_truncated_average
+
     sys_ = scn.system
     rows = []
     for names in scn.average_tuples:

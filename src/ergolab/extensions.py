@@ -7,8 +7,8 @@ stabilization verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .averages import basis_counts, exact_limit
 from .errors import (
@@ -30,24 +30,26 @@ from .observables import ExactNorm, Observable, ZERO
 from .system import FiniteSystem, period_box
 
 
-@dataclass(frozen=True)
-class ExtensionStage:
+class ExtensionStage(NamedTuple):
     system: FiniteSystem
     factor_map: Tuple[int, ...]  # state upstairs -> state downstairs
     stage: int
     support_tuples: Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class PleasantnessReport:
-    pleasant: bool
-    defect: ExactNorm
-    factor: Partition
-    witness: Optional[Tuple[int, ...]]  # basis states (x_1, ..., x_d)
+class PleasantnessReport(
+    namedtuple("PleasantnessReport", "pleasant defect factor witness")
+):
+    """The verdict, the defect, the pleasant factor and the witness: the
+    basis states (x_1, ..., x_d) of a maximal defect, or None."""
 
-    def __post_init__(self):
-        if self.pleasant != self.defect.is_zero:
+    __slots__ = ()
+
+    def __new__(cls, pleasant: bool, defect: ExactNorm, factor: Partition,
+                witness: Optional[Tuple[int, ...]]):
+        if pleasant != defect.is_zero:
             raise InternalInvariantViolation("pleasant flag disagrees with defect")
+        return super().__new__(cls, pleasant, defect, factor, witness)
 
 
 def pleasant_factor(sys: FiniteSystem) -> Partition:
@@ -129,8 +131,7 @@ def one_step_extension(sys: FiniteSystem) -> ExtensionStage:
     )
 
 
-@dataclass(frozen=True)
-class ExtensionRun:
+class ExtensionRun(NamedTuple):
     stages: Tuple[ExtensionStage, ...]
     final_report: PleasantnessReport
     stabilized: bool

@@ -7,17 +7,15 @@ are canonical (cells sorted by least element) so equality is structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import ValidationError, ZeroWeightCell
 from .observables import Observable, ZERO
 from .system import FiniteSystem, Perm, compose, invert
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     cell_of: Tuple[int, ...]
     cells: Tuple[Tuple[int, ...], ...]
 

@@ -9,10 +9,9 @@ action indices, one per coordinate, with 0 for a fixed coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .averages import basis_counts, orbit_counts
 from .errors import (
@@ -183,8 +182,7 @@ def orbit_cells(jm: JoinedMeasure, name: str) -> List[Tuple[StateTuple, ...]]:
     return [tuple(supp[k] for k in cell) for cell in part.cells]
 
 
-@dataclass(frozen=True)
-class VdcWitness:
+class VdcWitness(NamedTuple):
     basis_states: StateTuple  # chosen basis states for f_2..f_d
     cell_representative: StateTuple
     integral: Fraction

@@ -8,9 +8,9 @@ happens on the squares.  Nothing here ever rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DimensionMismatch
 
@@ -22,15 +22,15 @@ def _frac(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-@dataclass(frozen=True, order=False)
-class ExactNorm:
+class ExactNorm(namedtuple("ExactNorm", "square")):
     """The nonnegative real sqrt(square), with square an exact rational."""
 
-    square: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.square < 0:
+    def __new__(cls, square: Fraction):
+        if square < 0:
             raise ValueError("norm square must be nonnegative")
+        return super().__new__(cls, square)
 
     def scale(self, c: Fraction) -> "ExactNorm":
         """The norm value multiplied by a nonnegative rational c."""
@@ -52,8 +52,7 @@ class ExactNorm:
         return math.sqrt(float(self.square))
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(NamedTuple):
     """Exact rational function on the states of a finite system."""
 
     values: Tuple[Fraction, ...]

@@ -6,20 +6,22 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple, Union
 
 from .errors import ValidationError
 from .observables import Observable
 from .system import FiniteSystem, FolnerBox
-from .torus import RotationEntry, TorusSystem, TrigObservable
+
+if TYPE_CHECKING:
+    # the torus parsers import these themselves, so that a finite scenario
+    # never loads the torus engine
+    from .torus import RotationEntry, TorusSystem, TrigObservable
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     name: str
     engine: str  # "finite" | "torus"
     system: Union[FiniteSystem, TorusSystem]
@@ -41,6 +43,8 @@ def _finite_float(raw, what: str) -> float:
 
 
 def _parse_entry(raw) -> RotationEntry:
+    from .torus import RotationEntry
+
     if isinstance(raw, str):
         return RotationEntry.exact(Fraction(raw))
     if isinstance(raw, dict):
@@ -97,6 +101,8 @@ def _parse_finite_system(raw: dict) -> FiniteSystem:
 
 
 def _parse_torus_system(raw: dict) -> TorusSystem:
+    from .torus import TorusSystem
+
     m, r, d = int(raw["m"]), int(raw["r"]), int(raw["d"])
     rotations = _table(
         raw["rotations"], d, r, "vector",
@@ -112,6 +118,8 @@ def _parse_torus_system(raw: dict) -> TorusSystem:
 
 
 def _parse_trig(raw, m: int) -> TrigObservable:
+    from .torus import TrigObservable
+
     terms = []
     for term in raw:
         freq = tuple(int(v) for v in term["freq"])

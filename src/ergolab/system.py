@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
@@ -77,18 +77,17 @@ def perm_power(p: Perm, e: int) -> Perm:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FolnerBox:
+class FolnerBox(namedtuple("FolnerBox", "lengths base")):
     """The box prod_j [0, N_j) shifted by an integer base point."""
 
-    lengths: Tuple[int, ...]
-    base: Tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(N < 1 for N in self.lengths):
+    def __new__(cls, lengths: Tuple[int, ...], base: Tuple[int, ...] = ()):
+        if any(N < 1 for N in lengths):
             raise ValidationError("box edge lengths must be positive")
-        if self.base and len(self.base) != len(self.lengths):
+        if base and len(base) != len(lengths):
             raise ValidationError("base point dimension mismatch")
+        return super().__new__(cls, lengths, base)
 
     @property
     def size(self) -> int:
@@ -100,16 +99,24 @@ class FolnerBox:
             yield tuple(b + o for b, o in zip(base, offs))
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteSystem:
-    n: int
-    r: int
-    d: int
-    weights: Tuple[Fraction, ...]
-    generators: Tuple[Tuple[Perm, ...], ...]  # [i-1][j-1] -> perm
-    labels: Optional[Tuple[str, ...]] = None
+    """n weighted states with the d-by-r table of commuting,
+    weight-preserving permutations generators[i-1][j-1] (action i, axis j);
+    every invariant is checked on construction.  Immutable, so the derived
+    structure cached below stays valid; equal only to itself."""
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        n: int,
+        r: int,
+        d: int,
+        weights: Tuple[Fraction, ...],
+        generators: Tuple[Tuple[Perm, ...], ...],
+        labels: Optional[Tuple[str, ...]] = None,
+    ):
+        self.__dict__.update(
+            n=n, r=r, d=d, weights=weights, generators=generators, labels=labels
+        )
         if self.n < 1 or self.r < 1 or self.d < 1:
             raise ValidationError("n, r and d must all be positive")
         if len(self.weights) != self.n:
@@ -142,6 +149,9 @@ class FiniteSystem:
             if ab != ba:
                 witness = next(x for x in range(self.n) if ab[x] != ba[x])
                 raise NonCommuting(ka, kb, witness)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a FiniteSystem is immutable")
 
     # -- derived structure ------------------------------------------------
 

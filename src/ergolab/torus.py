@@ -15,9 +15,9 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import UndecidableResonance, ValidationError
 from .system import FiniteSystem, FolnerBox
@@ -25,8 +25,7 @@ from .system import FiniteSystem, FolnerBox
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class RotationEntry:
+class RotationEntry(NamedTuple):
     """One coordinate of a rotation vector: rational + sum of coeff*symbol,
     or an inexact float (which forecloses exact resonance decisions)."""
 
@@ -63,26 +62,29 @@ class RotationEntry:
         return v % 1
 
 
-@dataclass(frozen=True)
-class TorusSystem:
-    m: int
-    r: int
-    d: int
-    # rotations[i-1][j-1] is an m-vector of entries: T_i along axis j
-    rotations: Tuple[Tuple[Tuple[RotationEntry, ...], ...], ...]
-    symbol_values: Tuple[Tuple[str, float], ...] = ()
+class TorusSystem(namedtuple("TorusSystem", "m r d rotations symbol_values")):
+    """d commuting Z^r-actions by rotations of the m-torus:
+    rotations[i-1][j-1] is the m-vector of entries of T_i along axis j."""
 
-    def __post_init__(self):
-        if self.m < 1 or self.r < 1 or self.d < 1:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        m: int,
+        r: int,
+        d: int,
+        rotations: Tuple[Tuple[Tuple[RotationEntry, ...], ...], ...],
+        symbol_values: Tuple[Tuple[str, float], ...] = (),
+    ):
+        if m < 1 or r < 1 or d < 1:
             raise ValidationError("m, r and d must all be positive")
-        if len(self.rotations) != self.d or any(
-            len(row) != self.r for row in self.rotations
-        ):
+        if len(rotations) != d or any(len(row) != r for row in rotations):
             raise ValidationError("expected a d-by-r table of rotation vectors")
-        for row in self.rotations:
+        for row in rotations:
             for vec in row:
-                if len(vec) != self.m:
+                if len(vec) != m:
                     raise ValidationError("rotation vector has wrong dimension")
+        return super().__new__(cls, m, r, d, rotations, symbol_values)
 
     @property
     def symbol_map(self) -> Dict[str, float]:
@@ -96,16 +98,17 @@ class TorusSystem:
         return tuple(e.value(sv) for e in self.rotation(i, j))
 
 
-@dataclass(frozen=True)
-class TrigObservable:
-    """Finite trig polynomial sum_k c_k exp(2 pi i k.t) on the m-torus."""
+class TrigObservable(namedtuple("TrigObservable", "terms")):
+    """Finite trig polynomial sum_k c_k exp(2 pi i k.t) on the m-torus, its
+    terms the (frequency, coefficient) pairs."""
 
-    terms: Tuple[Tuple[Tuple[int, ...], complex], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        freqs = [k for k, _ in self.terms]
+    def __new__(cls, terms: Tuple[Tuple[Tuple[int, ...], complex], ...]):
+        freqs = [k for k, _ in terms]
         if len(set(freqs)) != len(freqs):
             raise ValidationError("duplicate frequencies in trig polynomial")
+        return super().__new__(cls, terms)
 
     @staticmethod
     def character(freq: Sequence[int], coeff: complex = 1.0) -> "TrigObservable":

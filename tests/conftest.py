@@ -1,11 +1,35 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from ergolab.observables import Observable
 from ergolab.scenario import bundled_scenarios, load_scenario
 from ergolab.system import FiniteSystem
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(args):
+    """``ergolab <args>`` in this process: its exit code and what it wrote to
+    stdout and stderr.  Any exception other than SystemExit propagates."""
+    from ergolab.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args), standalone_mode=False)
+            code = 0
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return CliResult(code, out.getvalue(), err.getvalue())
 
 
 def cyclic_system(n, steps, weights=None):

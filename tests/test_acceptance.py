@@ -17,7 +17,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from ergolab.averages import (
     FolnerBox,
@@ -26,7 +25,6 @@ from ergolab.averages import (
     exact_limit,
     vdc_identity_check,
 )
-from ergolab.cli import main
 from ergolab.extensions import is_pleasant, one_step_extension, pleasant_factor
 from ergolab.factors import cond_expect
 from ergolab.joinings import (
@@ -40,7 +38,7 @@ from ergolab.observables import Observable
 from ergolab.system import period_box
 from ergolab.torus import character_limit, torus_truncated_average
 
-from conftest import cyclic_system, random_observable
+from conftest import cyclic_system, random_observable, run_cli
 
 
 def _verdict(number, label, passed):
@@ -287,13 +285,10 @@ def test_acceptance_10_determinism(corpus, tmp_path):
     import ergolab
 
     commands = _corpus_commands(corpus)
-    runner = CliRunner()
     for run in ("a", "b"):
         for argv in commands:
-            result = runner.invoke(
-                main, argv + ["--out", str(tmp_path / run)], catch_exceptions=False
-            )
-            assert result.exit_code == 0, result.output
+            result = run_cli(argv + ["--out", str(tmp_path / run)])
+            assert result.exit_code == 0, result.stderr
     src = str(Path(ergolab.__file__).resolve().parents[1])
     others = ["b"]
     for seed in ("0", "1"):

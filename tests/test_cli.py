@@ -1,28 +1,24 @@
+import argparse
 import json
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 
 from ergolab import __version__
-from ergolab.cli import main
+from ergolab.cli import main, parser
 from ergolab.errors import ValidationError
 from ergolab.scenario import bundled_scenario_dir, bundled_scenarios, load_scenario
 
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from conftest import run_cli
 
 
 def scn_path(name):
     return str(bundled_scenario_dir() / f"{name}.json")
 
 
-def run_ok(runner, args):
-    result = runner.invoke(main, args, catch_exceptions=False)
-    assert result.exit_code == 0, result.output
+def run_ok(args):
+    result = run_cli(args)
+    assert result.exit_code == 0, result.stderr
     return result
 
 
@@ -48,36 +44,30 @@ def test_scenario_sha_is_of_bytes(tmp_path):
     assert scn.sha256 == hashlib.sha256(src.read_bytes()).hexdigest()
 
 
-def test_validate_cyclic5_exit_zero(runner, tmp_path):
-    result = run_ok(
-        runner, ["validate", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)]
-    )
+def test_validate_cyclic5_exit_zero(tmp_path):
+    result = run_ok(["validate", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)])
     report = json.loads((tmp_path / "cyclic-5__validate.json").read_text())
     assert report["valid"] and report["system"]["n"] == 5
 
 
-def test_validate_broken_scenario_exit_one(runner, tmp_path):
+def test_validate_broken_scenario_exit_one(tmp_path):
     broken = tmp_path / "broken.json"
     raw = json.loads(Path(scn_path("cyclic-5")).read_text())
     raw["system"]["generators"][0]["perm"] = [0, 0, 1, 2, 3]
     broken.write_text(json.dumps(raw))
-    result = runner.invoke(
-        main, ["validate", "--scenario", str(broken), "--out", str(tmp_path)]
-    )
+    result = run_cli(["validate", "--scenario", str(broken), "--out", str(tmp_path)])
     assert result.exit_code == 1
 
 
-def test_engine_mismatch_exit_one(runner, tmp_path):
-    result = runner.invoke(
-        main,
+def test_engine_mismatch_exit_one(tmp_path):
+    result = run_cli(
         ["avg", "--scenario", scn_path("torus-counterexample"), "--out", str(tmp_path)],
     )
     assert result.exit_code == 1
 
 
-def test_budget_exhaustion_exit_two(runner, tmp_path):
-    result = runner.invoke(
-        main,
+def test_budget_exhaustion_exit_two(tmp_path):
+    result = run_cli(
         [
             "pleasant",
             "--scenario",
@@ -91,19 +81,16 @@ def test_budget_exhaustion_exit_two(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_pleasant_cyclic5_report(runner, tmp_path):
-    run_ok(
-        runner, ["pleasant", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)]
-    )
+def test_pleasant_cyclic5_report(tmp_path):
+    run_ok(["pleasant", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)])
     report = json.loads((tmp_path / "cyclic-5__pleasant.json").read_text())
     assert report["pleasant"] is False
     assert report["defect"]["square"] != "0"
     assert report["witness"] is not None
 
 
-def test_extend_cyclic5_reaches_pleasant(runner, tmp_path):
+def test_extend_cyclic5_reaches_pleasant(tmp_path):
     run_ok(
-        runner,
         [
             "extend",
             "--scenario",
@@ -146,7 +133,7 @@ def _finite_scenario(name, weights, perms):
     ],
     ids=["swap-identity", "cyclic5"],
 )
-def test_zero_weight_state_pleasant_and_extend(runner, tmp_path, weights, perms):
+def test_zero_weight_state_pleasant_and_extend(tmp_path, weights, perms):
     """A null state, fixed by every generator, is a valid system; pleasant
     and extend report what they report on the system restricted to its
     support."""
@@ -157,9 +144,9 @@ def test_zero_weight_state_pleasant_and_extend(runner, tmp_path, weights, perms)
     for raw in (padded, restricted):
         path = tmp_path / f"{raw['name']}.json"
         path.write_text(json.dumps(raw))
-        run_ok(runner, ["validate", "--scenario", str(path), "--out", str(tmp_path)])
+        run_ok(["validate", "--scenario", str(path), "--out", str(tmp_path)])
         for command in ("pleasant", "extend"):
-            run_ok(runner, [command, "--scenario", str(path), "--out", str(tmp_path)])
+            run_ok([command, "--scenario", str(path), "--out", str(tmp_path)])
             reports[raw["name"], command] = json.loads(
                 (tmp_path / f"{raw['name']}__{command}.json").read_text()
             )
@@ -178,19 +165,16 @@ def test_zero_weight_state_pleasant_and_extend(runner, tmp_path, weights, perms)
     assert verdict(ext["final"]) == verdict(ext_restricted["final"])
 
 
-def test_limit_report_values(runner, tmp_path):
-    run_ok(
-        runner, ["limit", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)]
-    )
+def test_limit_report_values(tmp_path):
+    run_ok(["limit", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)])
     report = json.loads((tmp_path / "cyclic-5__limit.json").read_text())
     by_tuple = {tuple(e["tuple"]): e["limit"] for e in report["results"]}
     assert by_tuple[("f1", "f2")] == ["4/25", "-1/25", "-1/25", "-1/25", "-1/25"]
 
 
-def test_avg_json_and_csv(runner, tmp_path):
-    run_ok(runner, ["avg", "--scenario", scn_path("cyclic-6"), "--out", str(tmp_path)])
+def test_avg_json_and_csv(tmp_path):
+    run_ok(["avg", "--scenario", scn_path("cyclic-6"), "--out", str(tmp_path)])
     run_ok(
-        runner,
         [
             "avg",
             "--scenario",
@@ -211,25 +195,22 @@ def test_avg_json_and_csv(runner, tmp_path):
     assert csv_text.splitlines()[0] == "tuple,box_lengths,box_base,deviation,bound,within_bound"
 
 
-def test_joining_and_hk_reports(runner, tmp_path):
-    run_ok(
-        runner, ["joining", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)]
-    )
+def test_joining_and_hk_reports(tmp_path):
+    run_ok(["joining", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)])
     report = json.loads((tmp_path / "cyclic-5__joining.json").read_text())
     assert report["marginals_equal_mu"]
     assert all(report["invariant_under"].values())
     assert report["base_shift_independent"]
     assert report["support_size"] == 25
 
-    run_ok(runner, ["hk", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)])
+    run_ok(["hk", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)])
     hk = json.loads((tmp_path / "cyclic-5__hk.json").read_text())
     assert hk["closed_form_ok"]
     assert [s["marginals_equal_mu"] for s in hk["stages"]] == [True, True]
 
 
-def test_torus_demo_formats(runner, tmp_path):
+def test_torus_demo_formats(tmp_path):
     run_ok(
-        runner,
         [
             "torus-demo",
             "--scenario",
@@ -291,10 +272,10 @@ def _mixed_torus_scenario(r):
 
 
 @pytest.mark.parametrize("r", [1, 2])
-def test_torus_demo_errors_within_bound(runner, tmp_path, r):
+def test_torus_demo_errors_within_bound(tmp_path, r):
     path = tmp_path / f"mixed-r{r}.json"
     path.write_text(json.dumps(_mixed_torus_scenario(r)))
-    run_ok(runner, ["torus-demo", "--scenario", str(path), "--out", str(tmp_path)])
+    run_ok(["torus-demo", "--scenario", str(path), "--out", str(tmp_path)])
     rows = json.loads((tmp_path / f"mixed-r{r}__torus-demo.json").read_text())["rows"]
     assert len(rows) == 2 * 3 * 4 * 3
     for row in rows:
@@ -306,7 +287,7 @@ def test_torus_demo_errors_within_bound(runner, tmp_path, r):
     assert 0 < by_n[big] < 1e-6 < by_n[" ".join(["64"] * r)]
 
 
-def test_torus_demo_resonance_exact_at_huge_boxes(runner, tmp_path):
+def test_torus_demo_resonance_exact_at_huge_boxes(tmp_path):
     """Rotations 1/2 and 1/3 with frequencies 2 and 3 resonate exactly
     (2/2 + 3/3 = 2), so the average equals the limit at any box size: the
     bound is 0, and a float theta of 2 * 0.5 + 3 * float(1/3) - 2 = -2**-54
@@ -332,7 +313,7 @@ def test_torus_demo_resonance_exact_at_huge_boxes(runner, tmp_path):
     }
     path = tmp_path / "resonant.json"
     path.write_text(json.dumps(raw))
-    run_ok(runner, ["torus-demo", "--scenario", str(path), "--out", str(tmp_path)])
+    run_ok(["torus-demo", "--scenario", str(path), "--out", str(tmp_path)])
     rows = json.loads((tmp_path / "resonant__torus-demo.json").read_text())["rows"]
     assert len(rows) == 2 * 3 * 2
     for row in rows:
@@ -340,13 +321,9 @@ def test_torus_demo_resonance_exact_at_huge_boxes(runner, tmp_path):
         assert float(row["abs_error"]) <= float(row["bound"]) + 1e-12, row
 
 
-def test_reports_do_not_collide(runner, tmp_path):
-    run_ok(
-        runner, ["validate", "--scenario", scn_path("cyclic-4"), "--out", str(tmp_path)]
-    )
-    run_ok(
-        runner, ["validate", "--scenario", scn_path("cyclic-9"), "--out", str(tmp_path)]
-    )
+def test_reports_do_not_collide(tmp_path):
+    run_ok(["validate", "--scenario", scn_path("cyclic-4"), "--out", str(tmp_path)])
+    run_ok(["validate", "--scenario", scn_path("cyclic-9"), "--out", str(tmp_path)])
     assert (tmp_path / "cyclic-4__validate.json").exists()
     assert (tmp_path / "cyclic-9__validate.json").exists()
 
@@ -440,27 +417,67 @@ TORUS_CORRUPTIONS = [
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )
-def test_malformed_scenario_one_line_error(runner, tmp_path, scenario, command, corrupt):
+def test_malformed_scenario_one_line_error(tmp_path, scenario, command, corrupt):
     raw = json.loads(Path(scn_path(scenario)).read_text())
     corrupt(raw)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
-    result = runner.invoke(main, [command, "--scenario", str(bad), "--out", str(tmp_path)])
+    result = run_cli([command, "--scenario", str(bad), "--out", str(tmp_path)])
     assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit), result.exc_info
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
-    assert "Traceback" not in result.output
+    assert "Traceback" not in result.stdout + result.stderr
 
 
-def test_extend_max_m_zero_flag_one_line_error(runner, tmp_path):
-    result = runner.invoke(
-        main,
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unreadable_scenario_one_line_error(tmp_path, where):
+    """A scenario path that is not a readable file is a validation failure
+    (exit 1, one error line), not a command-line usage error."""
+    path = tmp_path / "absent.json" if where == "missing" else tmp_path
+    result = run_cli(["limit", "--scenario", str(path), "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert str(path) in lines[0]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--budget", "x"], ["--budget", "1.5"], ["--format", "csv"], []],
+    ids=["non-integer", "float", "unknown-flag", "no-scenario"],
+)
+def test_usage_errors_exit_two(tmp_path, flags):
+    args = ["pleasant", "--out", str(tmp_path)] + flags
+    if flags:
+        args += ["--scenario", scn_path("cyclic-5")]
+    result = run_cli(args)
+    assert result.exit_code == 2
+    assert result.stdout == "" and result.stderr.startswith("usage: ergolab")
+    assert not list(tmp_path.iterdir())
+
+
+def test_main_calling_contract(tmp_path):
+    """main(argv) raises SystemExit(0) on success, as a console script
+    exits; with standalone_mode=False it returns.  Failures raise
+    SystemExit with their exit code either way."""
+    ok = ["validate", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)]
+    bad = ["avg", "--scenario", scn_path("torus-counterexample"), "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(ok)
+    assert exc.value.code == 0
+    assert main(ok, standalone_mode=False) is None
+    for standalone in (True, False):
+        with pytest.raises(SystemExit) as exc:
+            main(bad, standalone_mode=standalone)
+        assert exc.value.code == 1
+
+
+def test_extend_max_m_zero_flag_one_line_error(tmp_path):
+    result = run_cli(
         ["extend", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path),
          "--max-m", "0"],
     )
     assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit), result.exc_info
     assert result.stderr == "error: max_m must be at least 1\n"
 
 
@@ -480,28 +497,37 @@ CLI_SURFACE = {
 }
 
 
+def _subcommands():
+    """name -> parser of every subcommand of the ergolab parser."""
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return subparsers.choices
+
+
 def test_cli_surface():
-    """The commands of the README synopsis, each with exactly its flags,
-    defaults and format choices."""
-    assert set(main.commands) == set(CLI_SURFACE)
+    """The commands of the README synopsis, each with exactly its flags (in
+    this order), defaults, required flags and format choices."""
+    commands = _subcommands()
+    assert list(commands) == list(CLI_SURFACE)
     for name, flags in CLI_SURFACE.items():
         params = {
-            p.opts[0]: p for p in main.commands[name].params
-            if isinstance(p, click.Option) and p.opts[0] != "--help"
+            a.option_strings[-1]: a for a in commands[name]._actions
+            if a.option_strings != ["--help"]
         }
         assert list(params) == ["--scenario", "--out", *flags], name
         scenario, out = params.pop("--scenario"), params.pop("--out")
-        assert scenario.required and isinstance(scenario.type, click.Path)
+        assert scenario.required and scenario.type is None
         assert not out.required and out.default == "."
         for flag, (default, choices) in flags.items():
             p = params[flag]
             assert not p.required and p.default == default, (name, flag)
             if choices is None:
-                assert p.type is click.INT, (name, flag)
+                assert p.type is int and p.choices is None, (name, flag)
             else:
-                assert tuple(p.type.choices) == choices, (name, flag)
+                assert tuple(p.choices) == choices, (name, flag)
 
 
-def test_cli_version(runner):
-    result = run_ok(runner, ["--version"])
-    assert __version__ in result.output
+def test_cli_version():
+    result = run_ok(["--version"])
+    assert result.stdout == f"ergolab, version {__version__}\n"

@@ -1,0 +1,65 @@
+"""What each command loads: ``import ergolab.cli`` loads only the scenario
+parser, and a command loads only the engine modules it runs.  Module sets
+only, no timing; each case runs in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ergolab
+from ergolab.scenario import bundled_scenario_dir
+
+ENGINES = {f"ergolab.{m}" for m in ("averages", "extensions", "factors", "joinings", "torus")}
+
+# argv: output directory, JSON list of command lines; prints the modules the
+# import and the commands added to sys.modules, as one JSON list
+_PROBE = """
+import json, sys
+before = set(sys.modules)
+import ergolab.cli
+for argv in json.loads(sys.argv[2]):
+    ergolab.cli.main(argv + ["--out", sys.argv[1]], standalone_mode=False)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def loaded_by(tmp_path, commands):
+    src = str(Path(ergolab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(tmp_path), json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def scn(name):
+    return str(bundled_scenario_dir() / f"{name}.json")
+
+
+def test_cli_import_loads_no_engine_no_click_no_dataclasses(tmp_path):
+    added = loaded_by(tmp_path, [])
+    assert not added & (ENGINES | {"click", "dataclasses"}), sorted(added)
+    # the benchmark's in-process runner reads this module from sys.modules
+    assert "ergolab.observables" in added
+
+
+@pytest.mark.parametrize(
+    "command, scenario, absent",
+    [
+        ("torus-demo", "torus-counterexample", ENGINES - {"ergolab.torus"}),
+        ("validate", "torus-counterexample", ENGINES - {"ergolab.torus"}),
+        ("validate", "cyclic-5", ENGINES),
+        ("pleasant", "cyclic-5", {"ergolab.torus"}),
+    ],
+)
+def test_command_loads_only_what_it_runs(tmp_path, command, scenario, absent):
+    added = loaded_by(tmp_path, [[command, "--scenario", scn(scenario)]])
+    assert not added & absent, sorted(added & absent)
+    assert not added & {"click", "dataclasses"}
