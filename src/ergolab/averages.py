@@ -5,7 +5,10 @@ the axis periods of period_box, so the Folner limit is literally the
 average over one full period box, for any base point.  Every orbit consumer
 contracts the integer counts of orbit_counts, and reducing each lattice point
 modulo the period box there is exact because every axis period is a multiple
-of each generator order on that axis, modulo which exponents act.
+of each generator order on that axis, modulo which exponents act.  A base
+point enters only through that reduction: a full period box at any base hits
+each residue once, so it has the counts, and hence the averages and joinings,
+of the box at 0.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ def _check_args(sys: FiniteSystem, fs, actions):
     for f in fs:
         if len(f) != sys.n:
             raise DimensionMismatch("observable length differs from state count")
-    if any(not 1 <= i <= sys.d for i in acts):
-        raise ValidationError("action index out of range")
     return acts
 
 
@@ -143,6 +144,8 @@ def deviation_bound(
     B = 2 * ||f_1||_2 * prod_{i>=2} ||f_i||_inf * (1 - prod_j floor(N_j/P_j)*P_j/N_j).
     """
     acts = _check_args(sys, fs, actions)
+    if len(box.lengths) != sys.r:
+        raise DimensionMismatch("box has wrong dimension")
     pbox = period_box(sys, acts)
     rho = ONE
     for N, P in zip(box.lengths, pbox.lengths):
@@ -177,6 +180,8 @@ def vdc_correlation(
     u_n = prod_i f_i o T_i^n.  Equals the integral of the exact limit of the
     shifted-product observables f_i * (f_i o T_i^m)."""
     acts = _check_args(sys, fs, None)
+    if len(m) != sys.r:
+        raise DimensionMismatch("lattice point has wrong dimension")
     pbox = period_box(sys, acts)
     mred = tuple(e % P for e, P in zip(m, pbox.lengths))
     hs = [f * f.compose_perm(sys.action_perm(i, mred)) for i, f in zip(acts, fs)]

@@ -51,7 +51,7 @@ def obs_json(obs) -> list:
 
 
 def box_json(box: FolnerBox) -> dict:
-    return {"lengths": list(box.lengths), "base": list(box.base or (0,) * len(box.lengths))}
+    return {"lengths": list(box.lengths), "base": list(box.base)}
 
 
 def measure_json(jm) -> list:
@@ -62,8 +62,20 @@ def invariance_json(jm) -> dict:
     return {name: jm.is_invariant(name) for name in sorted(jm.actions)}
 
 
-def _random_base(rng: random.Random, r: int, span: int = 50):
+def _random_base(rng: random.Random, r: int, span: int):
     return tuple(rng.randint(-span, span) for _ in range(r))
+
+
+def _base_shift_free(sys_, rng: random.Random, trials: int, span: int) -> bool:
+    """Whether trials full period boxes at random bases (all drawn first, so
+    the rng stream is fixed) give the orbit counts of the box at 0, the
+    input of every average, exact limit and Furstenberg joining."""
+    from .averages import orbit_counts
+
+    acts, P = range(1, sys_.d + 1), period_box(sys_).lengths
+    counts = orbit_counts(sys_, acts, FolnerBox(P).points())
+    boxes = [FolnerBox(P, _random_base(rng, sys_.r, span)) for _ in range(trials)]
+    return all(orbit_counts(sys_, acts, box.points()) == counts for box in boxes)
 
 
 def _write_report(out: str, scn_name: str, command: str, fmt: str, payload) -> Path:
@@ -209,10 +221,9 @@ def _avg_csv(report):
 @command("avg", engine="finite", csv=_avg_csv, seed=True)
 def avg(scn, rng):
     """Truncated averages with exact limits and deviation bounds."""
-    from .averages import average_report, exact_limit, truncated_average
+    from .averages import average_report
 
     sys_ = scn.system
-    pbox = period_box(sys_)
     entries = []
     for names in scn.average_tuples:
         fs = [scn.observables[n] for n in names]
@@ -227,16 +238,11 @@ def avg(scn, rng):
                 "bound": norm_json(rep.bound),
                 "within_bound": bool(rep.deviation <= rep.bound),
             })
-        trials_equal = []
-        limit = exact_limit(sys_, fs)
-        for _ in range(scn.trial_count):
-            base = _random_base(rng, sys_.r)
-            shifted = truncated_average(sys_, fs, box=FolnerBox(pbox.lengths, base))
-            trials_equal.append(shifted.values == limit.values)
         entries.append({
             "tuple": list(names),
             "base_point_trials": scn.trial_count,
-            "full_period_box_equals_limit": all(trials_equal),
+            "full_period_box_equals_limit":
+                _base_shift_free(sys_, rng, scn.trial_count, 50),
         })
     return {"results": entries}
 
@@ -262,12 +268,7 @@ def joining(scn, rng):
     """The exact self-joining measure with its property checks."""
     from .joinings import diagonal_action_name, furstenberg_joining
 
-    sys_ = scn.system
-    jm = furstenberg_joining(sys_)
-    shifts_equal = all(
-        furstenberg_joining(sys_, _random_base(rng, sys_.r, span=30)).mass == jm.mass
-        for _ in range(scn.trial_count)
-    )
+    jm = furstenberg_joining(scn.system)
     return {
         "power": jm.power,
         "support_size": len(jm.support),
@@ -275,7 +276,8 @@ def joining(scn, rng):
         "invariant_under": invariance_json(jm),
         "diagonal_action": diagonal_action_name(jm),
         "base_shift_trials": scn.trial_count,
-        "base_shift_independent": shifts_equal,
+        "base_shift_independent":
+            _base_shift_free(scn.system, rng, scn.trial_count, 30),
         "measure": measure_json(jm),
     }
 
@@ -366,13 +368,10 @@ def torus_demo(scn, rng):
         lim = character_limit(sys_, fs)
         for box in scn.boxes:
             bound = torus_deviation_bound(sys_, fs, box.lengths)
-            bases = [box.base or (0,) * sys_.r]
-            bases += [
-                tuple(rng.randint(-1000, 1000) for _ in range(sys_.r))
-                for _ in range(scn.trial_count)
-            ]
+            bases = [box.base]
+            bases += [_random_base(rng, sys_.r, 1000) for _ in range(scn.trial_count)]
             for base in bases:
-                shifted = FolnerBox(box.lengths, tuple(base))
+                shifted = FolnerBox(box.lengths, base)
                 avgs = torus_truncated_average(sys_, fs, shifted, scn.samples)
                 for t, a in zip(scn.samples, avgs):
                     rows.append({

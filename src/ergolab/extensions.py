@@ -161,13 +161,7 @@ def iterate_extensions(
         if stage.system.n > budget or stage.system.n ** stage.system.d > budget:
             status = "budget-exceeded"
             break
-        stage = ExtensionStage(
-            system=stage.system,
-            factor_map=stage.factor_map,
-            stage=m + 1,
-            support_tuples=stage.support_tuples,
-        )
-        stages.append(stage)
+        stages.append(stage._replace(stage=m + 1))
         current = stage.system
         report = is_pleasant(current, budget=budget)
         m += 1

@@ -119,7 +119,7 @@ def furstenberg_joining(
     d = sys.d
     acts = tuple(range(1, d + 1))
     pbox = period_box(sys, acts)
-    box = FolnerBox(pbox.lengths, tuple(base_point or ()))
+    box = FolnerBox(pbox.lengths, base_point)
     mass: Dict[StateTuple, Fraction] = {}
     for (x, *t), c in orbit_counts(sys, acts, box.points()).items():
         if sys.weights[x]:

@@ -78,14 +78,15 @@ def perm_power(p: Perm, e: int) -> Perm:
 
 
 class FolnerBox(namedtuple("FolnerBox", "lengths base")):
-    """The box prod_j [0, N_j) shifted by an integer base point."""
+    """The box prod_j [0, N_j) shifted by an integer base point (default 0)."""
 
     __slots__ = ()
 
-    def __new__(cls, lengths: Tuple[int, ...], base: Tuple[int, ...] = ()):
+    def __new__(cls, lengths: Tuple[int, ...], base: Optional[Sequence[int]] = None):
         if any(N < 1 for N in lengths):
             raise ValidationError("box edge lengths must be positive")
-        if base and len(base) != len(lengths):
+        base = tuple(base) if base else (0,) * len(lengths)
+        if len(base) != len(lengths):
             raise ValidationError("base point dimension mismatch")
         return super().__new__(cls, lengths, base)
 
@@ -94,9 +95,8 @@ class FolnerBox(namedtuple("FolnerBox", "lengths base")):
         return math.prod(self.lengths)
 
     def points(self) -> Iterable[Tuple[int, ...]]:
-        base = self.base or (0,) * len(self.lengths)
         for offs in itertools.product(*(range(N) for N in self.lengths)):
-            yield tuple(b + o for b, o in zip(base, offs))
+            yield tuple(b + o for b, o in zip(self.base, offs))
 
 
 class FiniteSystem:
@@ -209,10 +209,13 @@ def act(sys: FiniteSystem, g: Sequence[int], x: int) -> int:
 
 def period_box(sys: FiniteSystem, actions: Optional[Sequence[int]] = None) -> FolnerBox:
     """The box at base 0 whose edges are the axis-wise lcm of the generator
-    orders over the given action subset: the orbit map repeats after it."""
+    orders over the given action subset (all d by default): the orbit map
+    repeats after it.  The one place an action subset is checked."""
     acts = tuple(actions) if actions is not None else tuple(range(1, sys.d + 1))
     if not acts:
         raise ValidationError("action subset must be nonempty")
+    if any(not 1 <= i <= sys.d for i in acts):
+        raise ValidationError(f"action index out of range 1..{sys.d}")
     periods = tuple(
         math.lcm(*(sys.orders[i - 1][j] for i in acts)) for j in range(sys.r)
     )

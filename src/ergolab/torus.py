@@ -213,10 +213,9 @@ def torus_truncated_average(
     starts = [tuple(Fraction(float(x)) for x in t) for t in samples]
     if any(len(t) != sys.m for t in starts):
         raise ValidationError("sample point has wrong dimension")
-    base = box.base or (0,) * sys.r
     out = [0j] * len(starts)
     for _, freq, coeff, thetas in _thetas(sys, fs):
-        for theta, n, b in zip(thetas, box.lengths, base):
+        for theta, n, b in zip(thetas, box.lengths, box.base):
             coeff *= _dirichlet(theta, n, b)
         for s, t in enumerate(starts):
             out[s] += coeff * _e(sum(k * x for k, x in zip(freq, t)))

@@ -11,6 +11,7 @@ from ergolab.averages import (
     deviation_bound,
     exact_limit,
     l2_deviation,
+    orbit_counts,
     truncated_average,
     vdc_correlation,
     vdc_identity_check,
@@ -108,6 +109,32 @@ def test_argument_checking():
         exact_limit(sys_, [f])
     with pytest.raises(DimensionMismatch):
         exact_limit(sys_, [f, Observable.indicator(4, 0)])
+
+
+@pytest.mark.parametrize("bad", [0, -1, 3])
+def test_action_index_out_of_range(bad):
+    """An action index outside 1..d is rejected, not wrapped onto action d
+    by negative indexing or left to a bare IndexError."""
+    sys_ = cyclic_system(5, [1, 2])  # d = 2
+    f = Observable.indicator(5, 0)
+    with pytest.raises(ValidationError, match="action index out of range"):
+        period_box(sys_, [bad])
+    with pytest.raises(ValidationError, match="action index out of range"):
+        orbit_counts(sys_, [bad], [(0,), (1,)])
+    with pytest.raises(ValidationError, match="action index out of range"):
+        exact_limit(sys_, [f], actions=[bad])
+
+
+def test_wrong_dimension_lattice_vectors_rejected():
+    """A box or shift of the wrong rank is an error, not cut short or padded
+    by zip."""
+    sys_ = cyclic_system(5, [1, 2])  # r = 1
+    f = Observable.indicator(5, 0)
+    with pytest.raises(DimensionMismatch):
+        deviation_bound(sys_, [f, f], FolnerBox((7, 3)))
+    for m in [(1, 4), ()]:
+        with pytest.raises(DimensionMismatch):
+            vdc_correlation(sys_, [f, f], m)
 
 
 def test_limit_base_point_free(rng):

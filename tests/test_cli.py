@@ -8,6 +8,7 @@ from ergolab import __version__
 from ergolab.cli import main, parser
 from ergolab.errors import ValidationError
 from ergolab.scenario import bundled_scenario_dir, bundled_scenarios, load_scenario
+from ergolab.system import FolnerBox
 
 from conftest import run_cli
 
@@ -207,6 +208,50 @@ def test_joining_and_hk_reports(tmp_path):
     hk = json.loads((tmp_path / "cyclic-5__hk.json").read_text())
     assert hk["closed_form_ok"]
     assert [s["marginals_equal_mu"] for s in hk["stages"]] == [True, True]
+
+
+def _shift_flags(tmp_path, name, seed=None):
+    """avg's full_period_box_equals_limit verdicts and joining's
+    base_shift_independent on one bundled scenario."""
+    extra = [] if seed is None else ["--seed", str(seed)]
+    flags = []
+    for command in ("avg", "joining"):
+        run_ok([command, "--scenario", scn_path(name), "--out", str(tmp_path)] + extra)
+        report = json.loads((tmp_path / f"{name}__{command}.json").read_text())
+        if command == "avg":
+            flags += [e["full_period_box_equals_limit"] for e in report["results"]
+                      if "base_point_trials" in e]
+        else:
+            flags.append(report["base_shift_independent"])
+    return flags
+
+
+FINITE_BUNDLED = sorted(
+    s.name for s in map(load_scenario, bundled_scenarios()) if s.engine == "finite"
+)
+
+
+@pytest.mark.parametrize("name", FINITE_BUNDLED)
+def test_base_shift_trials_pass_on_bundled(tmp_path, name):
+    for seed in (1, 2):
+        flags = _shift_flags(tmp_path, name, seed)
+        assert flags and all(flags), (name, seed)
+
+
+@pytest.mark.parametrize("name", ["cyclic-5", "product-2x3"])
+def test_base_shift_trials_catch_base_dependent_counts(tmp_path, monkeypatch, name):
+    """Reducing lattice points modulo P + 1 instead of the period box P
+    makes a full period box's orbit counts depend on its base, and both
+    base-shift verdicts must then read false."""
+    import ergolab.averages as averages
+    from ergolab.system import period_box
+
+    def off_by_one(sys_, actions=None):
+        return FolnerBox(tuple(P + 1 for P in period_box(sys_, actions).lengths))
+
+    monkeypatch.setattr(averages, "period_box", off_by_one)
+    flags = _shift_flags(tmp_path, name)
+    assert flags and not any(flags)
 
 
 def test_torus_demo_formats(tmp_path):

@@ -12,6 +12,7 @@ from ergolab.errors import (
 from ergolab.scenario import parse_scenario
 from ergolab.system import (
     FiniteSystem,
+    FolnerBox,
     act,
     compose,
     identity_perm,
@@ -121,6 +122,14 @@ def test_period_box_cyclic6_mixed_steps():
     assert brute_order(sys_.generator(1, 1)) == 3
     assert brute_order(sys_.generator(2, 1)) == 2
     assert period_box(sys_).lengths == (6,)
+
+
+def test_folner_box_stores_its_base():
+    assert FolnerBox((3, 2)).base == (0, 0)
+    assert FolnerBox((3, 2), [-1, 4]).base == (-1, 4)
+    assert list(FolnerBox((2, 1)).points()) == [(0, 0), (1, 0)]
+    with pytest.raises(ValidationError):
+        FolnerBox((3, 2), (1,))
 
 
 def test_act_zero_element_fixes_everything():
