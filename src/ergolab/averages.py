@@ -52,8 +52,8 @@ def orbit_counts(
     as n runs over the lattice points and x over all states.
 
     The only place lattice points become orbit tuples.  Each point is
-    reduced modulo period_box(sys, acts), so a long box costs no more than
-    one period.
+    reduced modulo period_box(sys, acts): the orbit work is at most |P|*n,
+    but the reduction walks every point (see ROADMAP item 4).
     """
     periods = period_box(sys, acts).lengths
     reduced: Counter = Counter()

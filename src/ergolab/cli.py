@@ -66,7 +66,7 @@ def _random_base(rng: random.Random, r: int, span: int):
     return tuple(rng.randint(-span, span) for _ in range(r))
 
 
-def _base_shift_free(sys_, rng: random.Random, trials: int, span: int) -> bool:
+def _base_shift_free(sys_, rng: random.Random, trials: int) -> bool:
     """Whether trials full period boxes at random bases (all drawn first, so
     the rng stream is fixed) give the orbit counts of the box at 0, the
     input of every average, exact limit and Furstenberg joining."""
@@ -74,7 +74,7 @@ def _base_shift_free(sys_, rng: random.Random, trials: int, span: int) -> bool:
 
     acts, P = range(1, sys_.d + 1), period_box(sys_).lengths
     counts = orbit_counts(sys_, acts, FolnerBox(P).points())
-    boxes = [FolnerBox(P, _random_base(rng, sys_.r, span)) for _ in range(trials)]
+    boxes = [FolnerBox(P, _random_base(rng, sys_.r, 50)) for _ in range(trials)]
     return all(orbit_counts(sys_, acts, box.points()) == counts for box in boxes)
 
 
@@ -242,7 +242,7 @@ def avg(scn, rng):
             "tuple": list(names),
             "base_point_trials": scn.trial_count,
             "full_period_box_equals_limit":
-                _base_shift_free(sys_, rng, scn.trial_count, 50),
+                _base_shift_free(sys_, rng, scn.trial_count),
         })
     return {"results": entries}
 
@@ -277,7 +277,7 @@ def joining(scn, rng):
         "diagonal_action": diagonal_action_name(jm),
         "base_shift_trials": scn.trial_count,
         "base_shift_independent":
-            _base_shift_free(scn.system, rng, scn.trial_count, 30),
+            _base_shift_free(scn.system, rng, scn.trial_count),
         "measure": measure_json(jm),
     }
 

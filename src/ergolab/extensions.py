@@ -25,7 +25,7 @@ from .factors import (
     is_measurable,
     join,
 )
-from .joinings import axis_perms, furstenberg_joining, lift_to_support
+from .joinings import diagonal_action_name, furstenberg_joining, lift
 from .observables import ExactNorm, Observable, ZERO
 from .system import FiniteSystem, period_box
 
@@ -109,11 +109,8 @@ def one_step_extension(sys: FiniteSystem) -> ExtensionStage:
     jm = furstenberg_joining(sys)
     supp = jm.support
     weights = tuple(jm.mass[t] for t in supp)
-    generators = []
-    for i in range(1, sys.d + 1):
-        coords = tuple(range(1, sys.d + 1)) if i == 1 else (i,) * sys.d
-        axes = [axis_perms(sys, coords, j) for j in range(1, sys.r + 1)]
-        generators.append(tuple(lift_to_support(supp, axes)))
+    names = [diagonal_action_name(jm)] + [f"S{i}" for i in range(2, sys.d + 1)]
+    generators = tuple(lift(sys, supp, jm.actions[name]) for name in names)
     labels = tuple(
         "(" + ",".join(sys.label(x) for x in t) + ")" for t in supp
     )
@@ -122,7 +119,7 @@ def one_step_extension(sys: FiniteSystem) -> ExtensionStage:
         r=sys.r,
         d=sys.d,
         weights=weights,
-        generators=tuple(generators),
+        generators=generators,
         labels=labels,
     )
     factor_map = tuple(t[0] for t in supp)
@@ -158,7 +155,7 @@ def iterate_extensions(
         except MemoryError:  # pragma: no cover
             status = "budget-exceeded"
             break
-        if stage.system.n > budget or stage.system.n ** stage.system.d > budget:
+        if stage.system.n ** stage.system.d > budget:
             status = "budget-exceeded"
             break
         stages.append(stage._replace(stage=m + 1))

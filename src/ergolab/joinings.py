@@ -1,10 +1,10 @@
 """Self-joinings: the Furstenberg joining, relatively independent joinings,
 and the Host-Kra tower.
 
-A joined measure lives on X^k with states encoded as index tuples, stored
-sparsely.  Its Z^r-actions act coordinatewise, each coordinate moved by one
-of the base actions (or fixed), so an action is just a tuple of base
-action indices, one per coordinate, with 0 for a fixed coordinate.
+A joined measure lives on X^k with states as index tuples, stored sparsely.
+An action moves each coordinate by one base action or fixes it, so it is a
+tuple of base action indices, 0 for a fixed coordinate; lift turns it into
+permutations of a support, the one form every joined-action consumer uses.
 """
 
 from __future__ import annotations
@@ -35,24 +35,19 @@ from .system import (
 StateTuple = Tuple[int, ...]
 
 
-def axis_perms(base: FiniteSystem, coords: Sequence[int], axis: int) -> Tuple:
-    """The per-coordinate base permutations of the given axis generator of
-    the joined action coords, which moves coordinate c by base action
-    coords[c] (0 means the coordinate is fixed)."""
-    ident = identity_perm(base.n)
-    return tuple(base.generator(a, axis) if a else ident for a in coords)
-
-
-def lift_to_support(
-    supp: Sequence[StateTuple], coord_perms: Sequence[Sequence[Perm]]
-) -> List[Perm]:
-    """Each entry of coord_perms (one base permutation per coordinate),
-    lifted to a permutation of the indices of the sorted support supp."""
+def lift(
+    base: FiniteSystem, supp: Sequence[StateTuple], coords: Sequence[int]
+) -> Tuple[Perm, ...]:
+    """The r axis generators of the joined action coords (coordinate c moved
+    by base action coords[c], 0 = fixed) as permutations of the indices of
+    the sorted support supp.  KeyError if an image leaves the support."""
     index = {t: k for k, t in enumerate(supp)}
-    return [
+    fixed = (identity_perm(base.n),) * base.r
+    rows = [base.generators[a - 1] if a else fixed for a in coords]
+    return tuple(
         tuple(index[tuple(p[x] for p, x in zip(perms, t))] for t in supp)
-        for perms in coord_perms
-    ]
+        for perms in zip(*rows)
+    )
 
 
 class JoinedMeasure:
@@ -102,12 +97,12 @@ class JoinedMeasure:
         """Invariance under the generators of the named action (hence under
         the whole group): every tuple's image carries the tuple's mass."""
         coords = self.actions[name]
-        for j in range(1, self.base.r + 1):
-            perms = axis_perms(self.base, coords, j)
-            for t, m in self.mass.items():
-                if self.mass.get(tuple(p[x] for p, x in zip(perms, t))) != m:
-                    return False
-        return True
+        try:
+            perms = lift(self.base, self.support, coords)
+        except KeyError:
+            return False
+        masses = [self.mass[t] for t in self.support]
+        return all([masses[y] for y in p] == masses for p in perms)
 
 
 def furstenberg_joining(
@@ -174,11 +169,7 @@ def orbit_cells(jm: JoinedMeasure, name: str) -> List[Tuple[StateTuple, ...]]:
     """Orbits of the support under the named action; their indicators span
     the invariant functions on the support."""
     supp = jm.support
-    coords = jm.actions[name]
-    perms = lift_to_support(
-        supp, [axis_perms(jm.base, coords, j) for j in range(1, jm.base.r + 1)]
-    )
-    part = orbit_partition(len(supp), perms)
+    part = orbit_partition(len(supp), lift(jm.base, supp, jm.actions[name]))
     return [tuple(supp[k] for k in cell) for cell in part.cells]
 
 
@@ -200,21 +191,18 @@ def vdc_condition_check(sys: FiniteSystem, f1: Observable):
     if len(f1) != sys.n:
         raise DimensionMismatch("observable length differs from state count")
     jm = furstenberg_joining(sys)
-    cells = orbit_cells(jm, diagonal_action_name(jm))
-    cell_of = {}
-    for k, cell in enumerate(cells):
-        for t in cell:
-            cell_of[t] = k
+    supp, coords = jm.support, jm.actions[diagonal_action_name(jm)]
+    part = orbit_partition(len(supp), lift(sys, supp, coords))
     acc: Dict[Tuple, Fraction] = {}
-    for t, m in jm.mass.items():
+    for s, t in enumerate(supp):
         v = f1.values[t[0]]
         if v == 0:
             continue
-        key = (t[1:], cell_of[t])
-        acc[key] = acc.get(key, ZERO) + m * v
+        key = (t[1:], part.cell_of[s])
+        acc[key] = acc.get(key, ZERO) + jm.mass[t] * v
     for (rest, k), val in sorted(acc.items()):
         if val != 0:
-            return False, VdcWitness(rest, cells[k][0], val)
+            return False, VdcWitness(rest, supp[part.cells[k][0]], val)
     # verified conclusion: the lemma promises the limits vanish
     _check_basis_limits_vanish(
         sys, f1, "joining condition held but a basis limit is nonzero"
@@ -278,18 +266,14 @@ def host_kra_tower(sys: FiniteSystem) -> List[JoinedMeasure]:
     stages: List[JoinedMeasure] = []
     for k in range(1, d + 1):
         supp = sorted(masses)
-        # stage 1 takes orbits of T_1, stage k of T_1 (T_k)^{-1}, acting
-        # coordinatewise on the stage support
-        coord_perms = []
-        for j in range(1, sys.r + 1):
-            perms = axis_perms(sys, acts["T1"], j)
-            if k > 1:
-                perms = [
-                    compose(p, invert(q))
-                    for p, q in zip(perms, axis_perms(sys, acts[f"T{k}"], j))
-                ]
-            coord_perms.append(perms)
-        part = orbit_partition(len(supp), lift_to_support(supp, coord_perms))
+        # the stage measure is invariant under T_1 and T_k, so both lift
+        perms = lift(sys, supp, acts["T1"])
+        if k > 1:
+            perms = [
+                compose(p, invert(q))
+                for p, q in zip(perms, lift(sys, supp, acts[f"T{k}"]))
+            ]
+        part = orbit_partition(len(supp), perms)
         masses = _rel_indep_pairs(
             masses, [[supp[s] for s in cell] for cell in part.cells]
         )

@@ -35,6 +35,13 @@ class ScenarioConfig(NamedTuple):
     sha256: str
 
 
+def _int(raw, what: str) -> int:
+    """raw as an int; a bool or a fractional float is an error, not truncated."""
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+        raise ValidationError(f"{what} is not an integer: {raw!r}")
+    return int(raw)
+
+
 def _finite_float(raw, what: str) -> float:
     v = float(raw)
     if not math.isfinite(v):
@@ -64,7 +71,7 @@ def _table(entries, d: int, r: int, key: str, parse, what: str):
     over the (action, axis) entries: each index in range and given once."""
     table: dict = {}
     for entry in entries:
-        i, j = int(entry["action"]), int(entry["axis"])
+        i, j = (_int(entry[k], f"{what} {k}") for k in ("action", "axis"))
         if not (1 <= i <= d and 1 <= j <= r):
             raise ValidationError(f"{what} index ({i},{j}) out of range")
         if (i, j) in table:
@@ -84,14 +91,14 @@ def _table(entries, d: int, r: int, key: str, parse, what: str):
 
 
 def _parse_finite_system(raw: dict) -> FiniteSystem:
-    r, d = int(raw["r"]), int(raw["d"])
+    r, d = _int(raw["r"], "r"), _int(raw["d"], "d")
     generators = _table(
-        raw["generators"], d, r, "perm", lambda p: tuple(int(v) for v in p),
-        "generator",
+        raw["generators"], d, r, "perm",
+        lambda p: tuple(_int(v, "perm entry") for v in p), "generator",
     )
     labels = raw.get("labels")
     return FiniteSystem(
-        n=int(raw["n"]),
+        n=_int(raw["n"], "n"),
         r=r,
         d=d,
         weights=tuple(Fraction(str(w)) for w in raw["weights"]),
@@ -103,7 +110,7 @@ def _parse_finite_system(raw: dict) -> FiniteSystem:
 def _parse_torus_system(raw: dict) -> TorusSystem:
     from .torus import TorusSystem
 
-    m, r, d = int(raw["m"]), int(raw["r"]), int(raw["d"])
+    m, r, d = (_int(raw[k], k) for k in ("m", "r", "d"))
     rotations = _table(
         raw["rotations"], d, r, "vector",
         lambda vec: tuple(_parse_entry(e) for e in vec), "rotation",
@@ -122,7 +129,7 @@ def _parse_trig(raw, m: int) -> TrigObservable:
 
     terms = []
     for term in raw:
-        freq = tuple(int(v) for v in term["freq"])
+        freq = tuple(_int(v, "frequency") for v in term["freq"])
         if len(freq) != m:
             raise ValidationError(
                 f"frequency {freq} has length {len(freq)}, expected {m}"
@@ -160,14 +167,12 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
                     raise ValidationError(
                         f"observable {k} has length {len(f)}, expected {system.n}"
                     )
-            box_dim = system.r
         elif engine == "torus":
             system = _parse_torus_system(system_raw)
             observables = {
                 str(k): _parse_trig(v, system.m)
                 for k, v in raw.get("observables", {}).items()
             }
-            box_dim = system.r
         else:
             raise ValidationError(f"unknown engine {engine!r}")
         tuples = tuple(
@@ -183,13 +188,14 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
                     raise ValidationError(f"unknown observable {n!r} in tuple")
         boxes = []
         for b in raw.get("boxes", []):
-            lengths = tuple(int(v) for v in b["lengths"])
-            base = tuple(int(v) for v in b.get("base", (0,) * box_dim))
-            if len(lengths) != box_dim:
+            lengths = tuple(_int(v, "box length") for v in b["lengths"])
+            base = b.get("base")
+            base = None if base is None else tuple(_int(v, "box base") for v in base)
+            if len(lengths) != system.r:
                 raise ValidationError("box dimension differs from rank")
             boxes.append(FolnerBox(lengths, base))
         trials = raw.get("base_point_trials", {})
-        trial_count = int(trials.get("count", 20))
+        trial_count = _int(trials.get("count", 20), "trial count")
         if trial_count < 0:
             raise ValidationError("base_point_trials.count must be nonnegative")
         samples = tuple(
@@ -198,7 +204,7 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
         )
         if engine == "torus" and any(len(s) != system.m for s in samples):
             raise ValidationError(f"a sample point does not have {system.m} coordinates")
-        options = {str(k): int(v) for k, v in raw.get("options", {}).items()}
+        options = {str(k): _int(v, k) for k, v in raw.get("options", {}).items()}
         return ScenarioConfig(
             name=name,
             engine=engine,
@@ -207,7 +213,7 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
             average_tuples=tuples,
             boxes=tuple(boxes),
             trial_count=trial_count,
-            trial_seed=int(trials.get("seed", 7)),
+            trial_seed=_int(trials.get("seed", 7), "trial seed"),
             samples=samples,
             options=options,
             sha256=sha256,

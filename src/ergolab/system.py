@@ -85,7 +85,7 @@ class FolnerBox(namedtuple("FolnerBox", "lengths base")):
     def __new__(cls, lengths: Tuple[int, ...], base: Optional[Sequence[int]] = None):
         if any(N < 1 for N in lengths):
             raise ValidationError("box edge lengths must be positive")
-        base = tuple(base) if base else (0,) * len(lengths)
+        base = (0,) * len(lengths) if base is None else tuple(base)
         if len(base) != len(lengths):
             raise ValidationError("base point dimension mismatch")
         return super().__new__(cls, lengths, base)
@@ -192,10 +192,8 @@ class FiniteSystem:
         if len(g) != self.r * self.d:
             raise ValidationError("group element has wrong length")
         p = identity_perm(self.n)
-        for idx, e in enumerate(g):
-            if e:
-                i, j = divmod(idx, self.r)
-                p = compose(self.generator_power(i + 1, j + 1, e), p)
+        for i in range(1, self.d + 1):
+            p = compose(self.action_perm(i, g[(i - 1) * self.r : i * self.r]), p)
         return p
 
     def label(self, x: int) -> str:

@@ -4,7 +4,9 @@ These are the per-point and per-tuple loops the library used before every
 orbit consumer became a contraction of orbit_counts: each lattice point is
 turned into permutations on its own, with no reduction modulo the period
 box, and each basis tuple of the pleasantness test gets its own limit.
-They are slow on purpose; tests compare the library against them exactly.
+The Host-Kra tower's orbits are found by moving one tuple at a time along
+unit vectors, never by lifting permutations to a support.  They are slow
+on purpose; tests compare the library against them exactly.
 """
 
 import itertools
@@ -74,7 +76,7 @@ def furstenberg_mass(sys_, base_point=None):
     pbox = period_box(sys_)
     scale = Fraction(1, pbox.size)
     mass = {}
-    for nvec in FolnerBox(pbox.lengths, tuple(base_point or ())).points():
+    for nvec in FolnerBox(pbox.lengths, base_point).points():
         perms = [sys_.action_perm(i, nvec) for i in range(1, sys_.d + 1)]
         for x in sys_.support:
             t = tuple(p[x] for p in perms)
@@ -92,10 +94,80 @@ def pushforward(jm, name, nvec):
     return {tuple(p[x] for p, x in zip(perms, t)): m for t, m in jm.mass.items()}
 
 
+def _units(r):
+    """The unit vectors of Z^r."""
+    return [tuple(int(k == j) for k in range(r)) for j in range(r)]
+
+
 def is_invariant(jm, name):
-    r = jm.base.r
-    units = [tuple(int(k == j) for k in range(r)) for j in range(r)]
-    return all(pushforward(jm, name, unit) == jm.mass for unit in units)
+    return all(pushforward(jm, name, u) == jm.mass for u in _units(jm.base.r))
+
+
+def _mover(base, coords, nvec):
+    """The map moving coordinate c of a tuple by T_{coords[c]}^nvec, or
+    fixing it if coords[c] is 0."""
+    perms = [base.action_perm(a, nvec) if a else range(base.n) for a in coords]
+    return lambda t: tuple(p[x] for p, x in zip(perms, t))
+
+
+def tuple_orbits(supp, moves):
+    """Orbits of the tuples in supp under the maps in moves, found by
+    search from each unseen tuple, as sorted tuples ordered by least member."""
+    seen, out = set(), []
+    for t in sorted(supp):
+        if t in seen:
+            continue
+        orbit, todo = {t}, [t]
+        while todo:
+            u = todo.pop()
+            for move in moves:
+                v = move(u)
+                if v not in orbit:
+                    orbit.add(v)
+                    todo.append(v)
+        seen |= orbit
+        out.append(tuple(sorted(orbit)))
+    return out
+
+
+def action_orbits(base, supp, coords):
+    """Orbits of supp under the joined action coords, moving each tuple
+    along the unit vectors of Z^r."""
+    return tuple_orbits(supp, [_mover(base, coords, u) for u in _units(base.r)])
+
+
+def host_kra_masses(sys_):
+    """(mass, actions) of every Host-Kra stage.  Stage k couples two copies
+    of the last stage over the orbits of T_1 (k = 1) or of T_1 (T_k)^{-1},
+    each found by moving tuples one unit vector at a time: forward along T_1
+    and backward, with exponent -1, along T_k."""
+    d = sys_.d
+    mass = {(x,): sys_.weights[x] for x in sys_.support}
+    acts = {i: (i,) for i in range(1, d + 1)}
+    stages = []
+    for k in range(1, d + 1):
+        def move(u):
+            forward = _mover(sys_, acts[1], u)
+            if k == 1:
+                return forward
+            back = _mover(sys_, acts[k], tuple(-e for e in u))
+            return lambda t: forward(back(t))
+
+        orbits = tuple_orbits(mass, [move(u) for u in _units(sys_.r)])
+        new = {}
+        for orbit in orbits:
+            assert set(orbit) <= set(mass), "an orbit left the stage support"
+            w = sum(mass[t] for t in orbit)
+            for s in orbit:
+                for t in orbit:
+                    new[s + t] = mass[s] * mass[t] / w
+        mass = new
+        acts = {
+            1: acts[1] + ((0,) * len(acts[1]) if k == 1 else acts[k]),
+            **{i: acts[i] * 2 for i in range(2, d + 1)},
+        }
+        stages.append((mass, {f"T{i}": c for i, c in acts.items()}))
+    return stages
 
 
 def torus_truncated_average(sys_, fs, box, samples):

@@ -377,6 +377,10 @@ def _box_without_lengths(raw):
     raw["boxes"] = [{"base": [0]}]
 
 
+def _empty_base(raw):
+    raw["boxes"][1]["base"] = []
+
+
 def _non_numeric_observable_entry(raw):
     raw["observables"]["f1"][0] = "abc"
 
@@ -437,6 +441,44 @@ def _zero_max_m(raw):
     raw["options"] = {"max_m": 0}
 
 
+def _put(*path, value):
+    """A corruption that sets raw[path[0]]...[path[-1]] to value."""
+    def corrupt(raw):
+        *outer, last = path
+        for key in outer:
+            raw = raw[key]
+        raw[last] = value
+
+    corrupt.__name__ = "_".join(map(str, path)) + f"={value!r}"
+    return corrupt
+
+
+# integer fields given a bool or a fractional float: each must be rejected,
+# never truncated (true and false would pass as 1 and 0)
+NON_INTEGER_FINITE = [
+    _put("boxes", 0, "lengths", 0, value=5.7),
+    _put("boxes", 0, "lengths", 0, value=True),
+    _put("boxes", 1, "base", 0, value=3.5),
+    _put("boxes", 0, "base", 0, value=False),
+    _put("base_point_trials", "count", value=2.9),
+    _put("base_point_trials", "seed", value=7.5),
+    _put("system", "n", value=5.9),
+    _put("system", "r", value=True),
+    _put("system", "d", value=2.5),
+    _put("system", "generators", 0, "action", value=1.5),
+    _put("system", "generators", 0, "axis", value=True),
+    _put("system", "generators", 0, "perm", 0, value=True),
+    _put("system", "generators", 1, "perm", 4, value=1.25),
+    _put("options", "budget", value=1000000.5),
+    _put("options", "max_m", value=True),
+]
+NON_INTEGER_TORUS = [
+    _put("system", "m", value=True),
+    _put("system", "rotations", 0, "action", value=1.5),
+    _put("observables", "f1", 0, "freq", 0, value=1.5),
+    _put("observables", "f2", 0, "freq", 0, value=True),
+]
+
 TORUS_CORRUPTIONS = [
     _nan_sample, _infinite_symbol_value, _nan_coefficient,
     _infinite_float_rotation, _two_coordinate_sample, _long_frequency,
@@ -448,6 +490,7 @@ TORUS_CORRUPTIONS = [
     "scenario, command, corrupt",
     [
         ("cyclic-5", "avg", _box_without_lengths),
+        ("cyclic-5", "avg", _empty_base),
         ("cyclic-5", "limit", _non_numeric_observable_entry),
         ("cyclic-5", "limit", _non_list_observable),
         ("cyclic-5", "limit", _non_list_average_tuples),
@@ -459,6 +502,8 @@ TORUS_CORRUPTIONS = [
         ("torus-counterexample", command, corrupt)
         for corrupt in TORUS_CORRUPTIONS
         for command in ("validate", "torus-demo")
+    ] + [("cyclic-5", "validate", corrupt) for corrupt in NON_INTEGER_FINITE] + [
+        ("torus-counterexample", "validate", corrupt) for corrupt in NON_INTEGER_TORUS
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )

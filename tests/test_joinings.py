@@ -57,8 +57,9 @@ def test_furstenberg_properties(finite_corpus, rng):
 
 def test_furstenberg_joining_rejects_wrong_length_base_point():
     sys_ = cyclic_system(5, [1, 2])  # rank 1
-    with pytest.raises(ValidationError):
-        furstenberg_joining(sys_, (3, 4))
+    for base in [(3, 4), ()]:
+        with pytest.raises(ValidationError):
+            furstenberg_joining(sys_, base)
 
 
 def test_joining_integral_constants():

@@ -17,6 +17,7 @@ from ergolab.joinings import (
     JoinedMeasure,
     furstenberg_joining,
     host_kra_tower,
+    orbit_cells,
 )
 from ergolab.system import FiniteSystem, period_box
 from ergolab.torus import (
@@ -180,6 +181,22 @@ def test_is_invariant_matches_pushforward(systems):
                 assert verdict == oracle.is_invariant(jm, name)
                 seen.add(verdict)
     assert seen == {True, False}
+
+
+def test_host_kra_tower_matches_unit_vector_orbits(systems):
+    """Every stage's mass and action orbits against orbits found by moving
+    tuples along unit vectors with action_perm, one tuple at a time."""
+    for sys_ in systems:
+        tower = host_kra_tower(sys_)
+        expected = oracle.host_kra_masses(sys_)
+        assert len(tower) == len(expected) == sys_.d
+        for stage, (mass, actions) in zip(tower, expected):
+            assert stage.mass == mass
+            assert stage.actions == actions
+            for name, coords in actions.items():
+                assert orbit_cells(stage, name) == oracle.action_orbits(
+                    sys_, mass, coords
+                )
 
 
 def _torus_rank2():

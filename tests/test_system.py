@@ -128,8 +128,10 @@ def test_folner_box_stores_its_base():
     assert FolnerBox((3, 2)).base == (0, 0)
     assert FolnerBox((3, 2), [-1, 4]).base == (-1, 4)
     assert list(FolnerBox((2, 1)).points()) == [(0, 0), (1, 0)]
-    with pytest.raises(ValidationError):
-        FolnerBox((3, 2), (1,))
+    for base in [(1,), (), []]:
+        # an empty base point is a wrong-length one, not the origin
+        with pytest.raises(ValidationError):
+            FolnerBox((3, 2) if base else (5,), base)
 
 
 def test_act_zero_element_fixes_everything():
