@@ -2,13 +2,13 @@
 
 On a finite system the orbit map n -> (T_1^n, ..., T_d^n) is periodic with
 the axis periods of period_box, so the Folner limit is literally the
-average over one full period box, for any base point.  Every orbit consumer
-contracts the integer counts of orbit_counts, and reducing each lattice point
-modulo the period box there is exact because every axis period is a multiple
-of each generator order on that axis, modulo which exponents act.  A base
-point enters only through that reduction: a full period box at any base hits
-each residue once, so it has the counts, and hence the averages and joinings,
-of the box at 0.
+average over one full period box, for any base point.  residues, the one
+reader of lattice points, reduces each modulo the period box in an O(N) walk
+(ROADMAP item 4); that is exact because every axis period is a multiple of
+each generator order on that axis, modulo which exponents act.  The orbit
+counts every consumer contracts are a function of these residues, so a base
+point enters only through them: a full period box at any base hits each
+residue once, so it has the counts, averages and joinings of the box at 0.
 """
 
 from __future__ import annotations
@@ -43,26 +43,32 @@ def _check_args(sys: FiniteSystem, fs, actions):
     return acts
 
 
-def orbit_counts(
+def residues(
     sys: FiniteSystem,
     acts: Sequence[int],
     points: Iterable[Sequence[int]],
-) -> Dict[Tuple[int, ...], int]:
-    """How often each orbit tuple (x, T_{a_1}^n x, ..., T_{a_k}^n x) occurs
-    as n runs over the lattice points and x over all states.
-
-    The only place lattice points become orbit tuples.  Each point is
-    reduced modulo period_box(sys, acts): the orbit work is at most |P|*n,
-    but the reduction walks every point (see ROADMAP item 4).
-    """
+) -> Counter:
+    """How often each residue modulo period_box(sys, acts) occurs among the
+    lattice points: the one reader of points, an O(N) walk (ROADMAP item 4)."""
     periods = period_box(sys, acts).lengths
     reduced: Counter = Counter()
     for nvec in points:
         if len(nvec) != sys.r:
             raise DimensionMismatch("lattice point has wrong dimension")
         reduced[tuple(e % P for e, P in zip(nvec, periods))] += 1
+    return reduced
+
+
+def orbit_counts(
+    sys: FiniteSystem,
+    acts: Sequence[int],
+    points: Iterable[Sequence[int]],
+) -> Dict[Tuple[int, ...], int]:
+    """How often each orbit tuple (x, T_{a_1}^n x, ..., T_{a_k}^n x) occurs
+    as n runs over the lattice points and x over all states.  residues walks
+    the points, O(N); the orbit work here is at most |P|*n (ROADMAP item 4)."""
     counts: Dict[Tuple[int, ...], int] = {}
-    for nvec, mult in reduced.items():
+    for nvec, mult in residues(sys, acts, points).items():
         perms = [sys.action_perm(i, nvec) for i in acts]
         for x in range(sys.n):
             key = (x,) + tuple(p[x] for p in perms)
@@ -180,10 +186,7 @@ def vdc_correlation(
     u_n = prod_i f_i o T_i^n.  Equals the integral of the exact limit of the
     shifted-product observables f_i * (f_i o T_i^m)."""
     acts = _check_args(sys, fs, None)
-    if len(m) != sys.r:
-        raise DimensionMismatch("lattice point has wrong dimension")
-    pbox = period_box(sys, acts)
-    mred = tuple(e % P for e, P in zip(m, pbox.lengths))
+    (mred,) = residues(sys, acts, [m])
     hs = [f * f.compose_perm(sys.action_perm(i, mred)) for i, f in zip(acts, fs)]
     lim = exact_limit(sys, hs)
     return sum((v * w for v, w in zip(lim.values, sys.weights)), ZERO)

@@ -68,14 +68,14 @@ def _random_base(rng: random.Random, r: int, span: int):
 
 def _base_shift_free(sys_, rng: random.Random, trials: int) -> bool:
     """Whether trials full period boxes at random bases (all drawn first, so
-    the rng stream is fixed) give the orbit counts of the box at 0, the
-    input of every average, exact limit and Furstenberg joining."""
-    from .averages import orbit_counts
+    the rng stream is fixed) have the residues of the box at 0, of which the
+    orbit counts of every average, limit and joining are a function."""
+    from .averages import residues
 
     acts, P = range(1, sys_.d + 1), period_box(sys_).lengths
-    counts = orbit_counts(sys_, acts, FolnerBox(P).points())
+    at0 = residues(sys_, acts, FolnerBox(P).points())
     boxes = [FolnerBox(P, _random_base(rng, sys_.r, 50)) for _ in range(trials)]
-    return all(orbit_counts(sys_, acts, box.points()) == counts for box in boxes)
+    return all(residues(sys_, acts, box.points()) == at0 for box in boxes)
 
 
 def _write_report(out: str, scn_name: str, command: str, fmt: str, payload) -> Path:

@@ -136,19 +136,13 @@ def joining_integral(
     g=None,
 ) -> Fraction:
     """Integral of f_1(x_1) * ... * f_d(x_d) * g(x) against the joined mass.
-    g may be None (constant 1), a dict from state tuples to rationals
-    (default 0), or a callable."""
+    g may be None (constant 1) or a dict from state tuples to rationals
+    (default 0)."""
     if len(fs) != jm.power:
         raise DimensionMismatch("need one observable per coordinate")
     for f in fs:
         if len(f) != jm.base.n:
             raise DimensionMismatch("observable length differs from base states")
-    if g is None:
-        geval = lambda t: ONE
-    elif isinstance(g, dict):
-        geval = lambda t: g.get(t, ZERO)
-    else:
-        geval = g
     total = ZERO
     for t, m in jm.mass.items():
         prod = m
@@ -159,7 +153,7 @@ def joining_integral(
                 break
             prod *= v
         if prod:
-            gv = geval(t)
+            gv = ONE if g is None else g.get(t, ZERO)
             if gv:
                 total += prod * gv
     return total
@@ -188,26 +182,36 @@ def vdc_condition_check(sys: FiniteSystem, f1: Observable):
     indicator-basis exact limit with this f_1 is the zero observable.
     Returns (bool, witness-or-None).
     """
-    if len(f1) != sys.n:
-        raise DimensionMismatch("observable length differs from state count")
     jm = furstenberg_joining(sys)
     supp, coords = jm.support, jm.actions[diagonal_action_name(jm)]
     part = orbit_partition(len(supp), lift(sys, supp, coords))
-    acc: Dict[Tuple, Fraction] = {}
-    for s, t in enumerate(supp):
-        v = f1.values[t[0]]
-        if v == 0:
-            continue
-        key = (t[1:], part.cell_of[s])
-        acc[key] = acc.get(key, ZERO) + jm.mass[t] * v
-    for (rest, k), val in sorted(acc.items()):
-        if val != 0:
-            return False, VdcWitness(rest, supp[part.cells[k][0]], val)
+    nonzero = _first_nonzero_integral(jm, f1, 0, part.cell_of)
+    if nonzero:
+        (rest, k), val = nonzero
+        return False, VdcWitness(rest, supp[part.cells[k][0]], val)
     # verified conclusion: the lemma promises the limits vanish
     _check_basis_limits_vanish(
         sys, f1, "joining condition held but a basis limit is nonzero"
     )
     return True, None
+
+
+def _first_nonzero_integral(
+    jm: JoinedMeasure, f1: Observable, coord: int, cell_of=None
+):
+    """The integral of f_1 at coordinate coord against the joined mass, per
+    cell of the support: support tuple t lies in the cell (t without that
+    coordinate, cell_of[index of t], or 0 when cell_of is None).  Returns the
+    first (cell, integral) in cell order whose integral is nonzero, or None."""
+    if len(f1) != jm.base.n:
+        raise DimensionMismatch("observable length differs from state count")
+    acc: Dict[Tuple, Fraction] = {}
+    for s, t in enumerate(jm.support):
+        v = f1.values[t[coord]]
+        if v:
+            cell = (t[:coord] + t[coord + 1 :], cell_of[s] if cell_of else 0)
+            acc[cell] = acc.get(cell, ZERO) + jm.mass[t] * v
+    return next(((cell, v) for cell, v in sorted(acc.items()) if v), None)
 
 
 def _check_basis_limits_vanish(sys: FiniteSystem, f1: Observable, message: str):
@@ -322,18 +326,8 @@ def hk_condition_check(sys: FiniteSystem, f1: Observable) -> bool:
     f_1 o pi_empty against indicator choices on the other 2^d - 1
     coordinates vanish.  When true, verifies the vanishing of the
     indicator-basis exact limits with this f_1."""
-    if len(f1) != sys.n:
-        raise DimensionMismatch("observable length differs from state count")
     jm = host_kra_tower(sys)[-1]
-    e_idx = jm.labels.index(frozenset())
-    acc: Dict[StateTuple, Fraction] = {}
-    for t, m in jm.mass.items():
-        v = f1.values[t[e_idx]]
-        if v == 0:
-            continue
-        rest = t[:e_idx] + t[e_idx + 1 :]
-        acc[rest] = acc.get(rest, ZERO) + m * v
-    if any(val != 0 for val in acc.values()):
+    if _first_nonzero_integral(jm, f1, jm.labels.index(frozenset())):
         return False
     _check_basis_limits_vanish(
         sys, f1, "Host-Kra condition held but a basis limit is nonzero"

@@ -43,6 +43,8 @@ def _int(raw, what: str) -> int:
 
 
 def _finite_float(raw, what: str) -> float:
+    if isinstance(raw, bool):
+        raise ValidationError(f"{what} is not a number: {raw!r}")
     v = float(raw)
     if not math.isfinite(v):
         raise ValidationError(f"{what} is not finite: {raw!r}")
@@ -154,6 +156,8 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
     surfaces as a ValidationError."""
     try:
         name = str(raw["name"])
+        if "/" in name or "\\" in name:
+            raise ValidationError(f"scenario name {name!r} contains a path separator")
         engine = str(raw["engine"])
         system_raw = raw["system"]
         if engine == "finite":

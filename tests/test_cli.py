@@ -254,6 +254,32 @@ def test_base_shift_trials_catch_base_dependent_counts(tmp_path, monkeypatch, na
     assert flags and not any(flags)
 
 
+def test_base_shift_trials_run_no_orbit_pass(tmp_path, monkeypatch):
+    """The base-shift trials compare residues only: avg and joining make as
+    many action_perm calls with 40 trials as with none."""
+    from ergolab.system import FiniteSystem
+
+    calls = []
+    action_perm = FiniteSystem.action_perm
+
+    def counted(self, i, nvec):
+        calls.append(i)
+        return action_perm(self, i, nvec)
+
+    monkeypatch.setattr(FiniteSystem, "action_perm", counted)
+    raw = json.loads(Path(scn_path("cyclic-5")).read_text())
+    counts = []
+    for trials in (0, 40):
+        raw["base_point_trials"]["count"] = trials
+        path = tmp_path / f"trials-{trials}.json"
+        path.write_text(json.dumps(raw))
+        calls.clear()
+        for command in ("avg", "joining"):
+            run_ok([command, "--scenario", str(path), "--out", str(tmp_path)])
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[0] == counts[1], counts
+
+
 def test_torus_demo_formats(tmp_path):
     run_ok(
         [
@@ -478,6 +504,13 @@ NON_INTEGER_TORUS = [
     _put("observables", "f1", 0, "freq", 0, value=1.5),
     _put("observables", "f2", 0, "freq", 0, value=True),
 ]
+# float fields given a bool: each must be rejected, never read as 1.0 or 0.0
+BOOL_AS_FLOAT_TORUS = [
+    _put("samples", 0, 0, value=True),
+    _put("observables", "f1", 0, "coeff", 0, value=True),
+    _put("system", "symbol_values", "alpha", value=False),
+    _put("system", "rotations", 1, "vector", 0, value={"float": True}),
+]
 
 TORUS_CORRUPTIONS = [
     _nan_sample, _infinite_symbol_value, _nan_coefficient,
@@ -503,7 +536,8 @@ TORUS_CORRUPTIONS = [
         for corrupt in TORUS_CORRUPTIONS
         for command in ("validate", "torus-demo")
     ] + [("cyclic-5", "validate", corrupt) for corrupt in NON_INTEGER_FINITE] + [
-        ("torus-counterexample", "validate", corrupt) for corrupt in NON_INTEGER_TORUS
+        ("torus-counterexample", "validate", corrupt)
+        for corrupt in NON_INTEGER_TORUS + BOOL_AS_FLOAT_TORUS
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )
@@ -517,6 +551,22 @@ def test_malformed_scenario_one_line_error(tmp_path, scenario, command, corrupt)
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert "Traceback" not in result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/x"])
+def test_scenario_name_with_path_separator_rejected(tmp_path, name):
+    """A scenario name names a report file inside --out, so a name with a
+    path separator is invalid: nothing may be written, inside --out or not."""
+    raw = json.loads(Path(scn_path("cyclic-5")).read_text())
+    raw["name"] = name
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    out = str(tmp_path / "out")
+    result = run_cli(["validate", "--scenario", str(bad), "--out", out])
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert list(tmp_path.rglob("*")) == [bad]
 
 
 @pytest.mark.parametrize("where", ["missing", "directory"])
