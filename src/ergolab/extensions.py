@@ -7,7 +7,9 @@ stabilization verdict.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
+from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .averages import basis_counts, exact_limit
@@ -26,7 +28,7 @@ from .factors import (
     join,
 )
 from .joinings import diagonal_action_name, furstenberg_joining, lift
-from .observables import ExactNorm, Observable, ZERO
+from .observables import ExactNorm, Observable
 from .system import FiniteSystem, period_box
 
 
@@ -65,35 +67,58 @@ def is_pleasant(sys: FiniteSystem, budget: int = 10 ** 6) -> PleasantnessReport:
 
     Multilinearity of the limit plus completeness of indicators makes the
     basis check equivalent to the all-of-L^inf quantifier: the defect is
-    the max over basis tuples of ||limit(e_{x1} - E[e_{x1}|Xi], e_{x2}, ...)||_2.
-    All those limits are contractions of one set of orbit counts; the
-    witness is the first maximal tuple in lexicographic order.
+    the max over basis tuples of ||limit(h, e_{x2}, ..., e_{xd})||_2, where
+    h = e_{x1} - E[e_{x1}|Xi] = e_{x1} - a 1_C, C is the Xi-cell of x1 and
+    a = mu(x1)/mu(C).  At x, |P| times that limit contracts x's list of
+    orbit counts c_y (``basis_counts``) with h.  Two entries y, T_1^k y of
+    one list have T_i^k y = y for i >= 2, so they share their T_1-orbit
+    and every T_i T_1^-1-orbit: the list lies in one Xi-cell, so its count
+    mass S_x lies wholly inside C or outside it.  With Q_C = sum mu(x) S_x^2
+    over the lists in C, |P|^2 times the square norm expands to
+
+        a^2 Q_C + sum over the x whose list holds x1 of mu(x) c (c - 2a S_x),
+
+    so one pass over a rest's lists gives it for every x1.  Writing
+    mu = w/D with integers w, and W_C for the w-mass of C, D W_C^2 times
+    it is an integer: candidates compare by cross multiplication and one
+    Fraction is built at the end.  An x1 alone on the support in its cell
+    has h = 0 on the support, where every list lives, so each of its
+    squares is 0 and it is skipped.  The witness is the first maximal
+    tuple in lexicographic order.
     """
     if sys.n ** sys.d > budget:
         raise BudgetExceeded(sys.n ** sys.d, budget)
     xi = pleasant_factor(sys)
+    cell_of = xi.cell_of
+    denom = math.lcm(*(v.denominator for v in sys.weights))
+    w = [v.numerator * (denom // v.denominator) for v in sys.weights]
+    mass = [sum(w[x] for x in cell) for cell in xi.cells]
+    candidates = [x for x in sys.support if mass[cell_of[x]] != w[x]]
+    # per x1: the largest scaled square and the first rest reaching it
+    best, best_rest = [0] * sys.n, [None] * sys.n
     grouped = basis_counts(sys)
-    rests = sorted(grouped)
-    best_sq, witness = ZERO, None
-    for x1 in sys.support:
-        # E[e_{x1} | Xi] is mu(x1) / mu(C) on the Xi-cell C of x1 and 0 off
-        # it: only that cell, of positive weight, is conditioned on
-        cell = xi.cells[xi.cell_of[x1]]
-        share = sys.weights[x1] / sum((sys.weights[x] for x in cell), ZERO)
-        e1 = Observable.indicator(sys.n, x1)
-        h = e1 - Observable.indicator(sys.n, cell) * share
-        if h.is_zero:
-            continue
-        hv = h.values
-        for rest in rests:
-            sq = ZERO
-            for x, pairs in grouped[rest].items():
-                s = sum(c * hv[y] for y, c in pairs if hv[y])
-                if s:
-                    sq += sys.weights[x] * s * s
-            if sq > best_sq:
-                best_sq, witness = sq, (x1,) + rest
-    defect_sq = best_sq / period_box(sys).size ** 2
+    for rest in sorted(grouped):
+        q, cross = [0] * len(mass), [0] * sys.n
+        for x, pairs in grouped[rest].items():
+            # the list lies in one Xi-cell, and every y on it has x's weight
+            wx, k = w[x], cell_of[pairs[0][0]]
+            s = sum(c for _, c in pairs)
+            q[k] += wx * s * s
+            for y, c in pairs:
+                cross[y] += wx * c * (c * mass[k] - 2 * wx * s)
+        for x1 in candidates:
+            k = cell_of[x1]
+            sq = w[x1] * w[x1] * q[k] + mass[k] * cross[x1]
+            if sq > best[x1]:
+                best[x1], best_rest[x1] = sq, rest
+    top, top_mass, witness = 0, 1, None
+    for x1 in candidates:
+        m = mass[cell_of[x1]]
+        if best[x1] * top_mass * top_mass > top * m * m:
+            top, top_mass, witness = best[x1], m, (x1,) + best_rest[x1]
+    defect_sq = Fraction(
+        top, denom * top_mass * top_mass * period_box(sys).size ** 2
+    )
     return PleasantnessReport(
         pleasant=defect_sq == 0,
         defect=ExactNorm(defect_sq),

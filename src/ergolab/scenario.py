@@ -146,7 +146,10 @@ def load_scenario(path: Union[str, Path]) -> ScenarioConfig:
     sha = hashlib.sha256(data).hexdigest()
     try:
         raw = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError (bytes that are not UTF-8/16/32
+        # text), an integer longer than int's digit limit, and nesting
+        # deeper than the decoder's recursion limit
         raise ValidationError(f"scenario is not valid JSON: {exc}") from exc
     return parse_scenario(raw, sha)
 
@@ -158,6 +161,8 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
         name = str(raw["name"])
         if "/" in name or "\\" in name:
             raise ValidationError(f"scenario name {name!r} contains a path separator")
+        if "\0" in name:
+            raise ValidationError(f"scenario name {name!r} contains a NUL byte")
         engine = str(raw["engine"])
         system_raw = raw["system"]
         if engine == "finite":

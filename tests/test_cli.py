@@ -467,6 +467,19 @@ def _zero_max_m(raw):
     raw["options"] = {"max_m": 0}
 
 
+# corruptions that return the file's bytes in place of the edited scenario
+def _deeply_nested_json(raw):
+    return b"[" * 100000 + b"]" * 100000
+
+
+def _not_unicode_text(raw):
+    return b"\xff\xfe{"
+
+
+def _integer_past_digit_limit(raw):
+    return b'{"name": ' + b"1" * 5000 + b"}"
+
+
 def _put(*path, value):
     """A corruption that sets raw[path[0]]...[path[-1]] to value."""
     def corrupt(raw):
@@ -529,6 +542,9 @@ TORUS_CORRUPTIONS = [
         ("cyclic-5", "limit", _non_list_average_tuples),
         ("cyclic-5", "avg", _negative_trial_count),
         ("cyclic-5", "extend", _zero_max_m),
+        ("cyclic-5", "validate", _deeply_nested_json),
+        ("cyclic-5", "validate", _not_unicode_text),
+        ("cyclic-5", "validate", _integer_past_digit_limit),
         ("torus-counterexample", "torus-demo", _rotation_without_vector),
         ("torus-counterexample", "torus-demo", _one_component_coefficient),
     ] + [
@@ -543,9 +559,12 @@ TORUS_CORRUPTIONS = [
 )
 def test_malformed_scenario_one_line_error(tmp_path, scenario, command, corrupt):
     raw = json.loads(Path(scn_path(scenario)).read_text())
-    corrupt(raw)
+    data = corrupt(raw)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
+    if data is None:
+        bad.write_text(json.dumps(raw))
+    else:
+        bad.write_bytes(data)
     result = run_cli([command, "--scenario", str(bad), "--out", str(tmp_path)])
     assert result.exit_code == 1
     lines = result.stderr.splitlines()
@@ -553,10 +572,11 @@ def test_malformed_scenario_one_line_error(tmp_path, scenario, command, corrupt)
     assert "Traceback" not in result.stdout + result.stderr
 
 
-@pytest.mark.parametrize("name", ["../escaped", "sub/x"])
+@pytest.mark.parametrize("name", ["../escaped", "sub/x", "bad\0name"])
 def test_scenario_name_with_path_separator_rejected(tmp_path, name):
     """A scenario name names a report file inside --out, so a name with a
-    path separator is invalid: nothing may be written, inside --out or not."""
+    path separator, or a NUL byte no path may hold, is invalid: nothing may
+    be written, inside --out or not."""
     raw = json.loads(Path(scn_path("cyclic-5")).read_text())
     raw["name"] = name
     bad = tmp_path / "bad.json"

@@ -108,6 +108,28 @@ def test_budget_enforced():
         is_pleasant(sys_, budget=10)
 
 
+@pytest.mark.parametrize("n, steps", [(5, [1, 2]), (4, [1, 2, 3]), (6, [2])])
+def test_budget_counts_basis_tuples(n, steps):
+    """The budget bounds the n^d basis tuples, however cheap the kernel."""
+    sys_ = cyclic_system(n, steps)
+    is_pleasant(sys_, budget=n ** len(steps))
+    with pytest.raises(BudgetExceeded):
+        is_pleasant(sys_, budget=n ** len(steps) - 1)
+
+
+def test_iterate_budget_boundary_at_a_stage():
+    """Stage 1 of cyclic-5 has 25 states, so 25^2 basis tuples: that budget
+    builds and tests the stage, one less stops before it."""
+    sys_ = cyclic_system(5, [1, 2])
+    run = iterate_extensions(sys_, max_m=1, budget=25 ** 2)
+    assert run.status == "pleasant"
+    assert [stage.system.n for stage in run.stages] == [25]
+    run = iterate_extensions(sys_, max_m=1, budget=25 ** 2 - 1)
+    assert run.status == "budget-exceeded"
+    assert run.stages == ()
+    assert run.final_report == is_pleasant(sys_)
+
+
 def test_iterate_stops_immediately_when_pleasant():
     sys_ = cyclic_system(6, [2])  # d=1, always pleasant
     run = iterate_extensions(sys_)

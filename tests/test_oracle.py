@@ -12,7 +12,7 @@ import pytest
 
 import oracle
 from ergolab.averages import FolnerBox, exact_limit, truncated_average
-from ergolab.extensions import is_pleasant
+from ergolab.extensions import is_pleasant, one_step_extension
 from ergolab.joinings import (
     JoinedMeasure,
     furstenberg_joining,
@@ -125,9 +125,24 @@ def test_truncated_average_matches_per_point_loop(systems):
         ) == oracle.truncated_average(sys_, fs[:1], list(box.points()), acts)
 
 
+def extension_stages():
+    """One extension step of the d = 2 cyclic systems with n <= 6 and of the
+    two-cycle and rank-2 systems, with Furstenberg masses as weights (the
+    two-cycle stages have cells of unequal mass).  The 36-state stages of
+    n = 6 are left out; the per-tuple oracle takes about 3 s on each."""
+    bases = [sys_ for sys_ in cyclic_family() if sys_.d == 2 and sys_.n <= 6]
+    bases += [two_cycles(), two_cycles(5, 2, Fraction(3, 4)), rank2_product()]
+    stages = [one_step_extension(sys_).system for sys_ in bases]
+    return [stage for stage in stages if stage.n <= 32]
+
+
 def test_is_pleasant_matches_per_tuple_loop(systems):
+    # unpleasant, with two cells of unequal mass holding the two largest
+    # candidates, one way round and the other
+    unequal_cells = [two_cycles(4, 4, Fraction(1, 2)),
+                     two_cycles(3, 5, Fraction(3, 10))]
     unpleasant = 0
-    for sys_ in systems:
+    for sys_ in systems + unequal_cells + extension_stages():
         rep = is_pleasant(sys_)
         defect_sq, witness = oracle.is_pleasant(sys_)
         assert rep.defect.square == defect_sq
