@@ -177,7 +177,7 @@ def command(name, engine=None, csv=None, seed=False, options=None):
                                   scenario_sha256=scn.sha256)
                     _write_report(out, scn.name, name, "json", report)
             except BudgetExceeded as exc:
-                print(f"budget exceeded: {exc}", file=sys.stderr)
+                print(exc, file=sys.stderr)
                 sys.exit(2)
             except InternalInvariantViolation as exc:
                 print(f"internal invariant violation (bug): {exc}", file=sys.stderr)

@@ -50,7 +50,7 @@ class BudgetExceeded(ErgolabError):
     def __init__(self, size, budget):
         self.size = size
         self.budget = budget
-        super().__init__(f"state budget exceeded: {size} > {budget}")
+        super().__init__(f"basis-tuple budget exceeded: {size} > {budget} (n^d)")
 
 
 class NotMeasurable(ErgolabError):

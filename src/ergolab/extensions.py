@@ -7,10 +7,9 @@ stabilization verdict.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .averages import basis_counts, exact_limit
 from .errors import (
@@ -27,9 +26,11 @@ from .factors import (
     is_measurable,
     join,
 )
-from .joinings import diagonal_action_name, furstenberg_joining, lift
 from .observables import ExactNorm, Observable
 from .system import FiniteSystem, period_box
+
+if TYPE_CHECKING:
+    from .joinings import JoinedMeasure
 
 
 class ExtensionStage(NamedTuple):
@@ -90,8 +91,7 @@ def is_pleasant(sys: FiniteSystem, budget: int = 10 ** 6) -> PleasantnessReport:
         raise BudgetExceeded(sys.n ** sys.d, budget)
     xi = pleasant_factor(sys)
     cell_of = xi.cell_of
-    denom = math.lcm(*(v.denominator for v in sys.weights))
-    w = [v.numerator * (denom // v.denominator) for v in sys.weights]
+    w, denom = sys.int_weights
     mass = [sum(w[x] for x in cell) for cell in xi.cells]
     candidates = [x for x in sys.support if mass[cell_of[x]] != w[x]]
     # per x1: the largest scaled square and the first rest reaching it
@@ -131,11 +131,19 @@ def one_step_extension(sys: FiniteSystem) -> ExtensionStage:
     """The extension whose state space is the support of mu^{*d}, with
     T_1 lifted to the product T_1 x T_2 x ... x T_d and T_i (i >= 2) to its
     full diagonal.  The factor map is the first-coordinate projection."""
-    jm = furstenberg_joining(sys)
+    from .joinings import furstenberg_joining
+
+    return _extension(sys, furstenberg_joining(sys))
+
+
+def _extension(sys: FiniteSystem, jm: JoinedMeasure) -> ExtensionStage:
+    """one_step_extension from the system's Furstenberg joining jm."""
+    from .joinings import diagonal_action_name
+
     supp = jm.support
     weights = tuple(jm.mass[t] for t in supp)
     names = [diagonal_action_name(jm)] + [f"S{i}" for i in range(2, sys.d + 1)]
-    generators = tuple(lift(sys, supp, jm.actions[name]) for name in names)
+    generators = tuple(jm.lift(jm.actions[name]) for name in names)
     labels = tuple(
         "(" + ",".join(sys.label(x) for x in t) + ")" for t in supp
     )
@@ -166,7 +174,11 @@ def iterate_extensions(
     budget: int = 10 ** 6,
 ) -> ExtensionRun:
     """Apply one_step_extension until pleasant, the stage budget is hit, or
-    max_m stages have been built.  Budget overrun is reported, not raised."""
+    max_m stages have been built.  Budget overrun is reported, not raised:
+    a stage has one state per tuple of the joining's support, so its n^d
+    basis tuples are checked before anything is lifted."""
+    from .joinings import furstenberg_joining
+
     if max_m < 1:
         raise ValidationError("max_m must be at least 1")
     stages: List[ExtensionStage] = []
@@ -175,12 +187,13 @@ def iterate_extensions(
     m = 0
     status = "pleasant" if report.pleasant else "max-m-reached"
     while not report.pleasant and m < max_m:
-        try:
-            stage = one_step_extension(current)
-        except MemoryError:  # pragma: no cover
+        jm = furstenberg_joining(current)
+        if len(jm.support) ** current.d > budget:
             status = "budget-exceeded"
             break
-        if stage.system.n ** stage.system.d > budget:
+        try:
+            stage = _extension(current, jm)
+        except MemoryError:  # pragma: no cover
             status = "budget-exceeded"
             break
         stages.append(stage._replace(stage=m + 1))

@@ -1,25 +1,32 @@
 """Self-joinings: the Furstenberg joining, relatively independent joinings,
 and the Host-Kra tower.
 
-A joined measure lives on X^k with states as index tuples, stored sparsely.
+A joined measure lives on X^k with states as index tuples, stored sparsely
+as integer weights over one denominator D: tuple t has mass weight[t] / D,
+and D is the least such denominator.  Sums and comparisons of masses are
+int arithmetic; a Fraction is built only where a mass is read.  A
+relatively independent step over cells C of weight A_C turns the weights
+a_u, a_v of two tuples of one cell into a_u a_v (L / A_C) over D L, where L
+is the lcm of the A_C, and then divides out the gcd again.
+
 An action moves each coordinate by one base action or fixes it, so it is a
-tuple of base action indices, 0 for a fixed coordinate; lift turns it into
-permutations of a support, the one form every joined-action consumer uses.
+tuple of base action indices, 0 for a fixed coordinate; JoinedMeasure.lift
+turns it into permutations of the support's indices, the one form every
+joined-action consumer uses.  A relatively independent product's support
+is the pairs (u, v) of one cell below, so its lifts are read off the
+lifts below on index pairs, without hashing a tuple.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .averages import basis_counts, orbit_counts
-from .errors import (
-    DimensionMismatch,
-    InternalInvariantViolation,
-    ValidationError,
-    ZeroWeightCell,
-)
+from .errors import DimensionMismatch, InternalInvariantViolation, ValidationError
 from .factors import Partition, orbit_partition
 from .observables import Observable, ZERO, ONE
 from .system import (
@@ -29,29 +36,41 @@ from .system import (
     compose,
     identity_perm,
     invert,
+    over_common_denominator,
     period_box,
 )
 
 StateTuple = Tuple[int, ...]
 
 
-def lift(
-    base: FiniteSystem, supp: Sequence[StateTuple], coords: Sequence[int]
-) -> Tuple[Perm, ...]:
-    """The r axis generators of the joined action coords (coordinate c moved
-    by base action coords[c], 0 = fixed) as permutations of the indices of
-    the sorted support supp.  KeyError if an image leaves the support."""
-    index = {t: k for k, t in enumerate(supp)}
-    fixed = (identity_perm(base.n),) * base.r
-    rows = [base.generators[a - 1] if a else fixed for a in coords]
-    return tuple(
-        tuple(index[tuple(p[x] for p, x in zip(perms, t))] for t in supp)
-        for perms in zip(*rows)
-    )
+class Masses(Mapping):
+    """Read-only view of integer weights over a denominator as Fraction
+    masses, each built when it is read."""
+
+    __slots__ = ("_weight", "_denom")
+
+    def __init__(self, weight: Dict[StateTuple, int], denom: int):
+        self._weight, self._denom = weight, denom
+
+    def __getitem__(self, t: StateTuple) -> Fraction:
+        return Fraction(self._weight[t], self._denom)
+
+    def __iter__(self):
+        return iter(self._weight)
+
+    def __len__(self) -> int:
+        return len(self._weight)
 
 
 class JoinedMeasure:
-    """Sparse exact probability measure on X^power with named actions."""
+    """Sparse exact probability measure on X^power with named actions.
+
+    mass maps state tuples to Fraction masses, or, when denom is given, to
+    integer weights over denom.  Zero masses are dropped and the common
+    factor of the weights is divided out, so tuple t has mass
+    weight[t] / denom with denom the lcm of the masses' denominators;
+    ``mass`` reads the measure back as Fractions.
+    """
 
     def __init__(
         self,
@@ -60,49 +79,134 @@ class JoinedMeasure:
         mass: Dict[StateTuple, Fraction],
         actions: Dict[str, Tuple[int, ...]],
         labels: Optional[Tuple[frozenset, ...]] = None,
+        denom: Optional[int] = None,
     ):
+        if denom is None:
+            ints, denom = over_common_denominator(mass.values())
+            mass = dict(zip(mass, ints))
+        weight = {t: w for t, w in mass.items() if w}
         self.base = base
         self.power = power
-        self.mass = {t: m for t, m in mass.items() if m != 0}
         self.actions = dict(actions)
         self.labels = labels
-        if any(m < 0 for m in self.mass.values()):
+        if min(weight.values(), default=0) < 0:
             raise ValidationError("joined masses must be nonnegative")
-        if sum(self.mass.values(), ZERO) != ONE:
+        if denom < 1 or sum(weight.values()) != denom:
             raise ValidationError("joined masses must sum to exactly 1")
-        if any(len(t) != power for t in self.mass):
+        if any(len(t) != power for t in weight):
             raise ValidationError("state tuple length differs from power")
         for name, coords in self.actions.items():
             if len(coords) != power:
                 raise ValidationError(f"action {name} has wrong arity")
         if labels is not None and len(labels) != power:
             raise ValidationError("labels length differs from power")
+        g = math.gcd(*weight.values())
+        if g > 1:
+            weight = {t: w // g for t, w in weight.items()}
+        self.weight: Dict[StateTuple, int] = weight
+        self.denom: int = denom // g
+        # coords -> lifted perms; (measure below, cells, start, rank) for a
+        # relatively independent product (see _rel_indep_step)
+        self._lifts: Dict[Tuple[int, ...], Tuple[Perm, ...]] = {}
+        self._pairing = None
 
     @cached_property
     def support(self) -> List[StateTuple]:
-        return sorted(self.mass)
+        return sorted(self.weight)
 
-    def marginal(self, c: int) -> Tuple[Fraction, ...]:
-        out = [ZERO] * self.base.n
-        for t, m in self.mass.items():
-            out[t[c]] += m
-        return tuple(out)
+    @cached_property
+    def support_weights(self) -> List[int]:
+        """The weights in support order."""
+        return [self.weight[t] for t in self.support]
+
+    @cached_property
+    def mass(self) -> Masses:
+        return Masses(self.weight, self.denom)
+
+    @cached_property
+    def _index(self) -> Dict[StateTuple, int]:
+        return {t: k for k, t in enumerate(self.support)}
 
     def marginals_equal_base(self) -> bool:
-        return all(
-            self.marginal(c) == self.base.weights for c in range(self.power)
-        )
+        """Whether every coordinate's marginal is the base measure, in ints:
+        a coordinate's weights summed per state, s over D, match the base
+        weights b over D' when s D' == b D."""
+        base, base_denom = self.base.int_weights
+        items = self.weight.items()
+        for c in range(self.power):
+            sums = [0] * self.base.n
+            for t, w in items:
+                sums[t[c]] += w
+            if any(s * base_denom != b * self.denom for s, b in zip(sums, base)):
+                return False
+        return True
 
     def is_invariant(self, name: str) -> bool:
         """Invariance under the generators of the named action (hence under
         the whole group): every tuple's image carries the tuple's mass."""
-        coords = self.actions[name]
         try:
-            perms = lift(self.base, self.support, coords)
+            perms = self.lift(self.actions[name])
         except KeyError:
             return False
-        masses = [self.mass[t] for t in self.support]
-        return all([masses[y] for y in p] == masses for p in perms)
+        ws = self.support_weights
+        return all([ws[y] for y in p] == ws for p in perms)
+
+    def lift(self, coords: Sequence[int]) -> Tuple[Perm, ...]:
+        """The r axis generators of the joined action coords (coordinate c
+        moved by base action coords[c], 0 = fixed) as permutations of the
+        indices of the support, cached per coords.  KeyError if an image
+        leaves the support."""
+        coords = tuple(coords)
+        if coords not in self._lifts:
+            self._lifts[coords] = (
+                self._lift_pairs(coords) if self._pairing
+                else self._lift_tuples(coords)
+            )
+        return self._lifts[coords]
+
+    def _lift_tuples(self, coords: Tuple[int, ...]) -> Tuple[Perm, ...]:
+        base, index = self.base, self._index
+        fixed = (identity_perm(base.n),) * base.r
+        rows = [base.generators[a - 1] if a else fixed for a in coords]
+        return tuple(
+            tuple(index[tuple(p[x] for p, x in zip(perms, t))] for t in self.support)
+            for perms in zip(*rows)
+        )
+
+    def _lift_pairs(self, coords: Tuple[int, ...]) -> Tuple[Perm, ...]:
+        """Lift through the measure below: the pair (u, v), at index
+        start[i] + rank[j] for u, v at indices i, j below, moves to
+        (p u, q v), with p and q the lifts of the two halves of coords.
+        That pair is on the support iff p u and q v share a cell, so q
+        must carry each cell into one cell, the one p carries it to."""
+        below, cells, start, rank = self._pairing
+        cell_of, half = cells.cell_of, self.power // 2
+        out = []
+        for p, q in zip(below.lift(coords[:half]), below.lift(coords[half:])):
+            image_cell, image_ranks = [], []
+            for cell in cells.cells:
+                image = [q[j] for j in cell]
+                k = cell_of[image[0]]
+                if any(cell_of[y] != k for y in image):
+                    raise KeyError(coords)
+                image_cell.append(k)
+                image_ranks.append([rank[y] for y in image])
+            perm: List[int] = []
+            for i, k in enumerate(cell_of):
+                u = p[i]
+                if cell_of[u] != image_cell[k]:
+                    raise KeyError(coords)
+                s = start[u]
+                perm.extend([s + r for r in image_ranks[k]])
+            out.append(tuple(perm))
+        return tuple(out)
+
+
+def _point_masses(sys: FiniteSystem, actions, labels=None) -> JoinedMeasure:
+    """The system's own measure as a power-1 joined measure."""
+    ws, denom = sys.int_weights
+    weight = {(x,): ws[x] for x in sys.support}
+    return JoinedMeasure(sys, 1, weight, actions, labels=labels, denom=denom)
 
 
 def furstenberg_joining(
@@ -110,20 +214,21 @@ def furstenberg_joining(
 ) -> JoinedMeasure:
     """mu^{*d}: average over a full period box of the pushforwards of the
     diagonal measure under S_{d+1}^n = (T_1^n, ..., T_d^n).  Independent of
-    the box base point."""
+    the box base point.  With mu = w / D, tuple t gets the orbit counts of
+    the states x reaching it, weighted by w_x, over D |P|."""
     d = sys.d
     acts = tuple(range(1, d + 1))
     pbox = period_box(sys, acts)
     box = FolnerBox(pbox.lengths, base_point)
-    mass: Dict[StateTuple, Fraction] = {}
+    ws, denom = sys.int_weights
+    weight: Dict[StateTuple, int] = {}
     for (x, *t), c in orbit_counts(sys, acts, box.points()).items():
-        if sys.weights[x]:
+        if ws[x]:
             t = tuple(t)
-            mass[t] = mass.get(t, ZERO) + sys.weights[x] * c
-    mass = {t: m / pbox.size for t, m in mass.items()}
+            weight[t] = weight.get(t, 0) + ws[x] * c
     actions = {f"S{i}": (i,) * d for i in range(1, d + 1)}
     actions[f"S{d + 1}"] = tuple(range(1, d + 1))
-    return JoinedMeasure(sys, d, mass, actions)
+    return JoinedMeasure(sys, d, weight, actions, denom=denom * pbox.size)
 
 
 def diagonal_action_name(jm: JoinedMeasure) -> str:
@@ -163,7 +268,7 @@ def orbit_cells(jm: JoinedMeasure, name: str) -> List[Tuple[StateTuple, ...]]:
     """Orbits of the support under the named action; their indicators span
     the invariant functions on the support."""
     supp = jm.support
-    part = orbit_partition(len(supp), lift(jm.base, supp, jm.actions[name]))
+    part = orbit_partition(len(supp), jm.lift(jm.actions[name]))
     return [tuple(supp[k] for k in cell) for cell in part.cells]
 
 
@@ -183,8 +288,8 @@ def vdc_condition_check(sys: FiniteSystem, f1: Observable):
     Returns (bool, witness-or-None).
     """
     jm = furstenberg_joining(sys)
-    supp, coords = jm.support, jm.actions[diagonal_action_name(jm)]
-    part = orbit_partition(len(supp), lift(sys, supp, coords))
+    supp = jm.support
+    part = orbit_partition(len(supp), jm.lift(jm.actions[diagonal_action_name(jm)]))
     nonzero = _first_nonzero_integral(jm, f1, 0, part.cell_of)
     if nonzero:
         (rest, k), val = nonzero
@@ -202,16 +307,21 @@ def _first_nonzero_integral(
     """The integral of f_1 at coordinate coord against the joined mass, per
     cell of the support: support tuple t lies in the cell (t without that
     coordinate, cell_of[index of t], or 0 when cell_of is None).  Returns the
-    first (cell, integral) in cell order whose integral is nonzero, or None."""
+    first (cell, integral) in cell order whose integral is nonzero, or None.
+    With f_1 = v / F in ints, each cell sums weight times v, over D F."""
     if len(f1) != jm.base.n:
         raise DimensionMismatch("observable length differs from state count")
-    acc: Dict[Tuple, Fraction] = {}
-    for s, t in enumerate(jm.support):
-        v = f1.values[t[coord]]
+    values, scale = over_common_denominator(f1.values)
+    acc: Dict[Tuple, int] = {}
+    for s, (t, w) in enumerate(zip(jm.support, jm.support_weights)):
+        v = values[t[coord]]
         if v:
             cell = (t[:coord] + t[coord + 1 :], cell_of[s] if cell_of else 0)
-            acc[cell] = acc.get(cell, ZERO) + jm.mass[t] * v
-    return next(((cell, v) for cell, v in sorted(acc.items()) if v), None)
+            acc[cell] = acc.get(cell, 0) + w * v
+    return next(
+        ((cell, Fraction(v, jm.denom * scale)) for cell, v in sorted(acc.items()) if v),
+        None,
+    )
 
 
 def _check_basis_limits_vanish(sys: FiniteSystem, f1: Observable, message: str):
@@ -228,27 +338,43 @@ def rel_indep_joining(sys: FiniteSystem, part: Partition) -> JoinedMeasure:
     conditionally independent given it."""
     if part.n != sys.n:
         raise ValidationError("partition is over a different state set")
-    cells = [[(x,) for x in cell if sys.weights[x] > 0] for cell in part.cells]
-    masses = {(x,): sys.weights[x] for x in sys.support}
-    mass = _rel_indep_pairs(masses, [cell for cell in cells if cell])
-    return JoinedMeasure(sys, 2, mass, actions={})
+    cells = Partition.from_cell_ids([part.cell_of[x] for x in sys.support])
+    return _rel_indep_step(_point_masses(sys, {}), cells, {}, None)
 
 
-def _rel_indep_pairs(
-    masses: Dict[StateTuple, Fraction],
-    cells: Sequence[Sequence[StateTuple]],
-) -> Dict[StateTuple, Fraction]:
-    """The relatively independent self-product of a sparse measure over a
-    partition of its support into cells of state tuples."""
-    out: Dict[StateTuple, Fraction] = {}
-    for cell in cells:
-        w = sum((masses[u] for u in cell), ZERO)
-        if w == 0:
-            raise ZeroWeightCell("relatively independent step hit a null cell")
-        for u in cell:
-            for v in cell:
-                out[u + v] = masses[u] * masses[v] / w
-    return out
+def _rel_indep_step(
+    below: JoinedMeasure, cells: Partition, actions, labels
+) -> JoinedMeasure:
+    """The relatively independent self-product of a joined measure over a
+    partition of its support indices: the tuples u + v with u, v in one
+    cell C, of mass m(u) m(v) / m(C), in ints as in the module docstring.
+    The support is built in sorted order, u then v, and every action lifts
+    through the measure below."""
+    supp, ws = below.support, below.support_weights
+    cell_weight = [sum(ws[j] for j in cell) for cell in cells.cells]
+    lcm = math.lcm(*cell_weight)
+    members = [[supp[j] for j in cell] for cell in cells.cells]
+    member_ws = [[ws[j] for j in cell] for cell in cells.cells]
+    pairs: List[StateTuple] = []
+    pair_ws: List[int] = []
+    start = []
+    for u, a, k in zip(supp, ws, cells.cell_of):
+        start.append(len(pairs))
+        s = a * (lcm // cell_weight[k])
+        pairs.extend([u + v for v in members[k]])
+        pair_ws.extend([s * b for b in member_ws[k]])
+    rank = [0] * len(supp)
+    for cell in cells.cells:
+        for r, j in enumerate(cell):
+            rank[j] = r
+    jm = JoinedMeasure(
+        below.base, 2 * below.power, dict(zip(pairs, pair_ws)), actions,
+        labels=labels, denom=below.denom * lcm,
+    )
+    # the pairs are in sorted order, and dividing out the gcd kept it
+    jm.support, jm.support_weights = pairs, list(jm.weight.values())
+    jm._pairing = (below, cells, start, rank)
+    return jm
 
 
 def host_kra_tower(sys: FiniteSystem) -> List[JoinedMeasure]:
@@ -261,34 +387,28 @@ def host_kra_tower(sys: FiniteSystem) -> List[JoinedMeasure]:
     T_1^{[k-1]} x T_k^{[k-1]}, T_i^{[k-1]} to its diagonal square.
     """
     d = sys.d
-    # stage 0: the system itself as a power-1 joined measure
-    masses: Dict[StateTuple, Fraction] = {
-        (x,): sys.weights[x] for x in sys.support
-    }
-    labels: Tuple[frozenset, ...] = (frozenset(),)
     acts: Dict[str, Tuple[int, ...]] = {f"T{i}": (i,) for i in range(1, d + 1)}
+    # stage 0: the system itself as a power-1 joined measure
+    jm = _point_masses(sys, acts, labels=(frozenset(),))
     stages: List[JoinedMeasure] = []
     for k in range(1, d + 1):
-        supp = sorted(masses)
         # the stage measure is invariant under T_1 and T_k, so both lift
-        perms = lift(sys, supp, acts["T1"])
+        perms = jm.lift(acts["T1"])
         if k > 1:
             perms = [
                 compose(p, invert(q))
-                for p, q in zip(perms, lift(sys, supp, acts[f"T{k}"]))
+                for p, q in zip(perms, jm.lift(acts[f"T{k}"]))
             ]
-        part = orbit_partition(len(supp), perms)
-        masses = _rel_indep_pairs(
-            masses, [[supp[s] for s in cell] for cell in part.cells]
-        )
-        labels = labels + tuple(a | {k} for a in labels)
+        cells = orbit_partition(len(jm.support), perms)
+        labels = jm.labels + tuple(a | {k} for a in jm.labels)
         # the first stage lifts T_1 to T_1 x id
         t1_lift = (0,) * len(acts["T1"]) if k == 1 else acts[f"T{k}"]
         acts = {
             "T1": acts["T1"] + t1_lift,
             **{f"T{i}": acts[f"T{i}"] * 2 for i in range(2, d + 1)},
         }
-        stages.append(JoinedMeasure(sys, 2 ** k, masses, acts, labels=labels))
+        jm = _rel_indep_step(jm, cells, acts, labels)
+        stages.append(jm)
     return stages
 
 

@@ -27,6 +27,15 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def over_common_denominator(
+    values: Iterable[Fraction],
+) -> Tuple[Tuple[int, ...], int]:
+    """(w, D): integers w with values[k] == w[k] / D, for the least D."""
+    values = tuple(values)
+    denom = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (denom // v.denominator) for v in values), denom
+
+
 def identity_perm(n: int) -> Perm:
     return tuple(range(n))
 
@@ -165,6 +174,11 @@ class FiniteSystem:
     @cached_property
     def support(self) -> Tuple[int, ...]:
         return tuple(x for x in range(self.n) if self.weights[x] > 0)
+
+    @cached_property
+    def int_weights(self) -> Tuple[Tuple[int, ...], int]:
+        """(w, D): the weights as w[x] / D over their least common denominator."""
+        return over_common_denominator(self.weights)
 
     @cached_property
     def _power_cache(self) -> dict:

@@ -84,6 +84,18 @@ def furstenberg_mass(sys_, base_point=None):
     return mass
 
 
+def marginals_equal_base(jm):
+    """Each coordinate's marginal summed in Fractions, one coordinate at a
+    time, against the base weights."""
+    for c in range(jm.power):
+        marginal = [ZERO] * jm.base.n
+        for t, m in jm.mass.items():
+            marginal[t[c]] += m
+        if tuple(marginal) != jm.base.weights:
+            return False
+    return True
+
+
 def pushforward(jm, name, nvec):
     """The joined mass moved by the named action at lattice point nvec."""
     base = jm.base
@@ -108,6 +120,17 @@ def _mover(base, coords, nvec):
     fixing it if coords[c] is 0."""
     perms = [base.action_perm(a, nvec) if a else range(base.n) for a in coords]
     return lambda t: tuple(p[x] for p, x in zip(perms, t))
+
+
+def lift(jm, coords):
+    """The joined action coords as permutations of the support's indices,
+    moving each tuple along the unit vectors and looking its image up in a
+    tuple-to-index map; KeyError if an image leaves the support."""
+    index = {t: k for k, t in enumerate(jm.support)}
+    return tuple(
+        tuple(index[move(t)] for t in jm.support)
+        for move in (_mover(jm.base, coords, u) for u in _units(jm.base.r))
+    )
 
 
 def tuple_orbits(supp, moves):

@@ -82,6 +82,17 @@ def test_budget_exhaustion_exit_two(tmp_path):
     assert result.exit_code == 2
 
 
+def test_budget_message_names_basis_tuples(tmp_path):
+    """cyclic-5 has d = 2, so 5^2 = 25 basis tuples against a budget of 24."""
+    result = run_cli(
+        ["pleasant", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path),
+         "--budget", "24"]
+    )
+    assert result.exit_code == 2
+    assert result.stderr == "basis-tuple budget exceeded: 25 > 24 (n^d)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pleasant_cyclic5_report(tmp_path):
     run_ok(["pleasant", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)])
     report = json.loads((tmp_path / "cyclic-5__pleasant.json").read_text())

@@ -24,6 +24,7 @@ from ergolab.factors import (
     difference_isotropy,
     is_measurable,
 )
+from ergolab.joinings import JoinedMeasure
 from ergolab.observables import Observable
 
 from conftest import cell_valued_observable, cyclic_system, random_observable
@@ -128,6 +129,25 @@ def test_iterate_budget_boundary_at_a_stage():
     assert run.status == "budget-exceeded"
     assert run.stages == ()
     assert run.final_report == is_pleasant(sys_)
+
+
+def test_rejected_stage_is_never_lifted(monkeypatch):
+    """The budget is checked on the joining's support, before any lift."""
+    calls = []
+    lift = JoinedMeasure.lift
+
+    def counting_lift(self, coords):
+        calls.append(coords)
+        return lift(self, coords)
+
+    monkeypatch.setattr(JoinedMeasure, "lift", counting_lift)
+    sys_ = cyclic_system(5, [1, 2])
+    run = iterate_extensions(sys_, max_m=1, budget=25 ** 2 - 1)
+    assert run.status == "budget-exceeded" and run.stages == ()
+    assert calls == []
+    run = iterate_extensions(sys_, max_m=1, budget=25 ** 2)
+    assert run.status == "pleasant"
+    assert len(calls) == sys_.d
 
 
 def test_iterate_stops_immediately_when_pleasant():

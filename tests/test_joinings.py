@@ -7,6 +7,7 @@ from ergolab.averages import exact_limit
 from ergolab.errors import ValidationError
 from ergolab.factors import Partition, cond_expect
 from ergolab.joinings import (
+    JoinedMeasure,
     diagonal_action_name,
     furstenberg_joining,
     hk_condition_check,
@@ -19,6 +20,7 @@ from ergolab.joinings import (
     vdc_condition_check,
 )
 from ergolab.observables import Observable
+from ergolab.system import FiniteSystem
 from ergolab.extensions import one_step_extension, pleasant_factor
 
 from conftest import cyclic_system, random_observable
@@ -100,6 +102,16 @@ def test_vdc_condition_counterexample_witness():
     # consistent with the nonvanishing limit for this f_1
     lim = exact_limit(sys_, [f1, Observable.indicator(5, 0)])
     assert not lim.is_zero
+    # the witness's integral, summed in Fractions over its cell
+    jm = furstenberg_joining(sys_)
+    cell = next(
+        c for c in orbit_cells(jm, diagonal_action_name(jm))
+        if witness.cell_representative in c
+    )
+    assert witness.integral == sum(
+        jm.mass[t] * f1.values[t[0]]
+        for t in cell if t[1:] == witness.basis_states
+    )
 
 
 def test_vdc_condition_true_on_pleasant_extension():
@@ -129,6 +141,19 @@ def test_rel_indep_parity_cells():
         assert m == Fraction(1, 18)
     assert len(jm.mass) == 18
     assert jm.marginals_equal_base()
+
+
+def test_is_invariant_checks_every_axis():
+    """A rank-2 action whose one axis fixes every state and whose other
+    rotates: a non-uniform measure is invariant under the first only."""
+    rotate, still = (1, 2, 3, 0), (0, 1, 2, 3)
+    masses = {(x,): Fraction(x + 1, 10) for x in range(4)}
+    for gens in [(still, rotate), (rotate, still)]:
+        sys_ = FiniteSystem(n=4, r=2, d=1, weights=(Fraction(1, 4),) * 4,
+                            generators=(gens,))
+        jm = JoinedMeasure(sys_, 1, masses, {"T1": (1,), "id": (0,)})
+        assert not jm.is_invariant("T1")
+        assert jm.is_invariant("id")
 
 
 def test_host_kra_cyclic5_stage1_is_product():
@@ -196,3 +221,32 @@ def test_hk_condition_check_cases():
     assert hk_condition_check(sys_, Observable.constant(5, 0))
     f1 = Observable.indicator(5, 0) - Observable.constant(5, Fraction(1, 5))
     assert not hk_condition_check(sys_, f1)
+
+
+@pytest.mark.parametrize(
+    "mass, message",
+    [
+        ({(0, 1): Fraction(3, 2), (1, 0): Fraction(-1, 2)}, "must be nonnegative"),
+        ({(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 3)}, "sum to exactly 1"),
+        ({}, "sum to exactly 1"),
+        ({(0, 1): Fraction(1, 2), (1,): Fraction(1, 2)}, "differs from power"),
+    ],
+)
+def test_joined_measure_rejects(mass, message):
+    """The same messages for Fraction masses and for integer weights."""
+    sys_ = cyclic_system(5, [1, 2])
+    with pytest.raises(ValidationError, match=message):
+        JoinedMeasure(sys_, 2, mass, {})
+    denom = 6
+    weight = {t: m * denom for t, m in mass.items()}
+    assert all(w.denominator == 1 for w in weight.values())
+    with pytest.raises(ValidationError, match=message):
+        JoinedMeasure(sys_, 2, {t: int(w) for t, w in weight.items()}, {}, denom=denom)
+
+
+def test_joined_measure_weights_over_least_denominator():
+    sys_ = cyclic_system(5, [1, 2])
+    jm = JoinedMeasure(sys_, 2, {(0, 1): 6, (1, 0): 2, (2, 2): 0}, {}, denom=8)
+    assert (jm.weight, jm.denom) == ({(0, 1): 3, (1, 0): 1}, 4)
+    assert jm.mass == {(0, 1): Fraction(3, 4), (1, 0): Fraction(1, 4)}
+    assert jm.support == [(0, 1), (1, 0)] and jm.support_weights == [3, 1]

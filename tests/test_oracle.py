@@ -18,7 +18,9 @@ from ergolab.joinings import (
     furstenberg_joining,
     host_kra_tower,
     orbit_cells,
+    rel_indep_joining,
 )
+from ergolab.factors import Partition
 from ergolab.system import FiniteSystem, period_box
 from ergolab.torus import (
     RotationEntry,
@@ -196,6 +198,81 @@ def test_is_invariant_matches_pushforward(systems):
                 assert verdict == oracle.is_invariant(jm, name)
                 seen.add(verdict)
     assert seen == {True, False}
+
+
+def _lift_or_none(lift, jm, coords):
+    try:
+        return lift(jm, coords)
+    except KeyError:
+        return None
+
+
+def test_lift_matches_per_tuple_map(systems):
+    """Host-Kra stages lift through the stage below on index pairs; every
+    stage action and random coordinate choices (most of which leave the
+    support, through either half of a pair) against the tuple-to-index map,
+    and the Furstenberg joining's own map; likewise a relatively independent
+    joining over cells that are not orbits."""
+    rng = random.Random(47)
+    outcomes = set()
+    for sys_ in systems[:60] + systems[-5:]:
+        # two intervals, which no action need respect: either half of a
+        # pair may split a cell while its least member stays inside
+        cells = Partition.from_cell_ids([2 * x // sys_.n for x in range(sys_.n)])
+        joinings = [furstenberg_joining(sys_), rel_indep_joining(sys_, cells)]
+        for jm in joinings + host_kra_tower(sys_):
+            coords = list(jm.actions.values()) + [
+                tuple(rng.randint(0, sys_.d) for _ in range(jm.power))
+                for _ in range(4)
+            ]
+            for c in coords:
+                got = _lift_or_none(JoinedMeasure.lift, jm, c)
+                assert got == _lift_or_none(oracle.lift, jm, c)
+                outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def _reweighted(sys_, weights):
+    """sys_ with other weights, which its generators must preserve."""
+    return FiniteSystem(n=sys_.n, r=sys_.r, d=sys_.d, weights=weights,
+                        generators=sys_.generators)
+
+
+def test_marginals_match_fraction_sums(systems):
+    rng = random.Random(46)
+    seen = set()
+    for sys_ in systems[:60] + systems[-5:]:
+        cases = [jm for jm, _ in _is_invariant_cases(sys_, rng)]
+        # the tower of one weighting read against another's weights
+        uniform = _reweighted(sys_, (Fraction(1, sys_.n),) * sys_.n)
+        cases += [
+            JoinedMeasure(uniform, stage.power, stage.mass, stage.actions)
+            for stage in host_kra_tower(sys_)
+        ]
+        # one coordinate carries the base measure, the others sit at a state
+        power = sys_.d
+        for c in range(power):
+            pinned = {
+                (0,) * c + (x,) + (0,) * (power - 1 - c): sys_.weights[x]
+                for x in sys_.support
+            }
+            cases.append(JoinedMeasure(sys_, power, pinned, {}))
+        for jm in cases:
+            verdict = jm.marginals_equal_base()
+            assert verdict == oracle.marginals_equal_base(jm)
+            seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_host_kra_denominator_is_least(systems):
+    """Each stage's denominator is the lcm of its masses' denominators, so
+    the integer weights were divided by their gcd at every step."""
+    for sys_ in systems:
+        for stage in host_kra_tower(sys_):
+            assert stage.denom == math.lcm(
+                *(m.denominator for m in stage.mass.values())
+            )
+            assert sum(stage.weight.values()) == stage.denom
 
 
 def test_host_kra_tower_matches_unit_vector_orbits(systems):

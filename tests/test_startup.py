@@ -56,7 +56,7 @@ def test_cli_import_loads_no_engine_no_click_no_dataclasses(tmp_path):
         ("torus-demo", "torus-counterexample", ENGINES - {"ergolab.torus"}),
         ("validate", "torus-counterexample", ENGINES - {"ergolab.torus"}),
         ("validate", "cyclic-5", ENGINES),
-        ("pleasant", "cyclic-5", {"ergolab.torus"}),
+        ("pleasant", "cyclic-5", {"ergolab.torus", "ergolab.joinings"}),
     ],
 )
 def test_command_loads_only_what_it_runs(tmp_path, command, scenario, absent):
