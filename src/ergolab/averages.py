@@ -3,12 +3,14 @@
 On a finite system the orbit map n -> (T_1^n, ..., T_d^n) is periodic with
 the axis periods of period_box, so the Folner limit is literally the
 average over one full period box, for any base point.  residues, the one
-reader of lattice points, reduces each modulo the period box in an O(N) walk
-(ROADMAP item 4); that is exact because every axis period is a multiple of
-each generator order on that axis, modulo which exponents act.  The orbit
-counts every consumer contracts are a function of these residues, so a base
-point enters only through them: a full period box at any base hits each
-residue once, so it has the counts, averages and joinings of the box at 0.
+reader of lattice points, reduces them modulo the period box; that is exact
+because every axis period is a multiple of each generator order on that
+axis, modulo which exponents act.  A box's residues have a closed form per
+axis, so a box of any length costs O(|P|); only an explicit point list is
+walked.  The orbit counts every consumer contracts are a function of these
+residues, so a base point enters only through them: a full period box at
+any base hits each residue once, so it has the counts, averages and
+joinings of the box at 0.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, ValidationError
 from .observables import ExactNorm, Observable, ZERO, ONE, l2_square, linf_norm
-from .system import FiniteSystem, FolnerBox, period_box
+from .system import FiniteSystem, FolnerBox, over_common_denominator, period_box
 
 
 class AverageReport(NamedTuple):
@@ -46,11 +48,27 @@ def _check_args(sys: FiniteSystem, fs, actions):
 def residues(
     sys: FiniteSystem,
     acts: Sequence[int],
-    points: Iterable[Sequence[int]],
-) -> Counter:
+    points: Union[FolnerBox, Iterable[Sequence[int]]],
+) -> Dict[Tuple[int, ...], int]:
     """How often each residue modulo period_box(sys, acts) occurs among the
-    lattice points: the one reader of points, an O(N) walk (ROADMAP item 4)."""
+    lattice points, in the order a walk over them first meets each: the one
+    reader of points.  On an axis of period P, length N and base b, a box
+    hits the residue of offset o = 0..min(N, P)-1, which is (b + o) mod P,
+    N // P + [o < N mod P] times, and its counts are the product over axes:
+    O(|P|) whatever N.  Only an explicit point list is walked."""
     periods = period_box(sys, acts).lengths
+    if isinstance(points, FolnerBox):
+        if len(points.lengths) != sys.r:
+            raise DimensionMismatch("box has wrong dimension")
+        hist = {(): 1}
+        for N, b, P in zip(points.lengths, points.base, periods):
+            q, rem = divmod(N, P)
+            hist = {
+                key + ((b + o) % P,): c * (q + (o < rem))
+                for key, c in hist.items()
+                for o in range(min(N, P))
+            }
+        return hist
     reduced: Counter = Counter()
     for nvec in points:
         if len(nvec) != sys.r:
@@ -62,16 +80,15 @@ def residues(
 def orbit_counts(
     sys: FiniteSystem,
     acts: Sequence[int],
-    points: Iterable[Sequence[int]],
+    points: Union[FolnerBox, Iterable[Sequence[int]]],
 ) -> Dict[Tuple[int, ...], int]:
     """How often each orbit tuple (x, T_{a_1}^n x, ..., T_{a_k}^n x) occurs
-    as n runs over the lattice points and x over all states.  residues walks
-    the points, O(N); the orbit work here is at most |P|*n (ROADMAP item 4)."""
+    as n runs over a box or an explicit point list and x over all states.
+    The orbit work is at most |P|*n, on top of residues' O(|P|) per box."""
     counts: Dict[Tuple[int, ...], int] = {}
     for nvec, mult in residues(sys, acts, points).items():
         perms = [sys.action_perm(i, nvec) for i in acts]
-        for x in range(sys.n):
-            key = (x,) + tuple(p[x] for p in perms)
+        for key in zip(range(sys.n), *perms):
             counts[key] = counts.get(key, 0) + mult
     return counts
 
@@ -81,7 +98,7 @@ def basis_counts(sys: FiniteSystem) -> Dict[Tuple[int, ...], Dict[int, List]]:
     count)]}}, for x in the support.  Contracting a list with f_1 gives |P|
     times the exact limit of (f_1, e_{y_2}, ..., e_{y_d}) at x."""
     acts = tuple(range(1, sys.d + 1))
-    counts = orbit_counts(sys, acts, period_box(sys, acts).points())
+    counts = orbit_counts(sys, acts, period_box(sys, acts))
     grouped: Dict[Tuple[int, ...], Dict[int, List]] = {}
     for (x, y1, *rest), c in counts.items():
         if sys.weights[x]:
@@ -99,29 +116,33 @@ def truncated_average(
     """Pointwise average of prod_i f_i o T_i^n over the lattice points.
 
     Either a box or an explicit point list may be supplied; the point list
-    is the escape hatch for non-box Folner sets.
+    is the escape hatch for non-box Folner sets.  With f_i = w_i / D_i over
+    its least denominator, the sums are ints, and state x gets one
+    Fraction(total_x, |I| * prod_i D_i).
     """
     acts = _check_args(sys, fs, actions)
     if points is None:
         if box is None:
             raise ValidationError("need a box or an explicit point list")
-        pts = list(box.points())
+        where, size = box, box.size
     else:
-        pts = [tuple(p) for p in points]
-        if not pts:
+        where = [tuple(p) for p in points]
+        if not where:
             raise ValidationError("empty lattice point list")
-    total = [ZERO] * sys.n
-    for (x, *ys), c in orbit_counts(sys, acts, pts).items():
+        size = len(where)
+    nums, denoms = zip(*(over_common_denominator(f.values) for f in fs))
+    total = [0] * sys.n
+    for (x, *ys), c in orbit_counts(sys, acts, where).items():
         prod = c
-        for f, y in zip(fs, ys):
-            v = f.values[y]
-            if v == 0:
+        for w, y in zip(nums, ys):
+            v = w[y]
+            if not v:
                 break
             prod *= v
         else:
             total[x] += prod
-    count = Fraction(len(pts))
-    return Observable(tuple(t / count for t in total))
+    denom = size * math.prod(denoms)
+    return Observable(tuple(Fraction(t, denom) for t in total))
 
 
 def exact_limit(

@@ -20,10 +20,11 @@ scenario file included), 2 budget exceeded or a malformed command line,
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -55,7 +56,13 @@ def box_json(box: FolnerBox) -> dict:
 
 
 def measure_json(jm) -> list:
-    return [{"state": list(t), "mass": frac_str(jm.mass[t])} for t in jm.support]
+    """Each support tuple with its mass weight / denom in lowest terms."""
+    out = []
+    for t, w in zip(jm.support, jm.support_weights):
+        g = math.gcd(w, jm.denom)
+        num, den = w // g, jm.denom // g
+        out.append({"state": list(t), "mass": f"{num}/{den}" if den > 1 else str(num)})
+    return out
 
 
 def invariance_json(jm) -> dict:
@@ -73,9 +80,46 @@ def _base_shift_free(sys_, rng: random.Random, trials: int) -> bool:
     from .averages import residues
 
     acts, P = range(1, sys_.d + 1), period_box(sys_).lengths
-    at0 = residues(sys_, acts, FolnerBox(P).points())
+    at0 = residues(sys_, acts, FolnerBox(P))
     boxes = [FolnerBox(P, _random_base(rng, sys_.r, 50)) for _ in range(trials)]
-    return all(residues(sys_, acts, box.points()) == at0 for box in boxes)
+    return all(residues(sys_, acts, box) == at0 for box in boxes)
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for dict
+    (str keys), list, tuple, str, int, bool and None values; anything else,
+    a float or a non-str key included, raises TypeError, as reports are
+    exact.  Strings go through json's C ASCII encoder, and a list of ints
+    is joined flat."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            encode_basestring_ascii(k) + ": " + _json_text(value[k], inner)
+            for k in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if {*map(type, value)} == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"a {type(value).__name__} has no place in a report")
 
 
 def _write_report(out: str, scn_name: str, command: str, fmt: str, payload) -> Path:
@@ -83,7 +127,7 @@ def _write_report(out: str, scn_name: str, command: str, fmt: str, payload) -> P
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{scn_name}__{command}.{fmt}"
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         text = payload
     path.write_bytes(text.encode("utf-8"))

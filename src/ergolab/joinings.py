@@ -222,7 +222,7 @@ def furstenberg_joining(
     box = FolnerBox(pbox.lengths, base_point)
     ws, denom = sys.int_weights
     weight: Dict[StateTuple, int] = {}
-    for (x, *t), c in orbit_counts(sys, acts, box.points()).items():
+    for (x, *t), c in orbit_counts(sys, acts, box).items():
         if ws[x]:
             t = tuple(t)
             weight[t] = weight.get(t, 0) + ws[x] * c

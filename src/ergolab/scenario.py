@@ -3,13 +3,21 @@ boxes and trial settings, consumed by the CLI."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple, Union
+
+# the interpreter's built-in SHA-256 spares every run hashlib's OpenSSL load
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import ValidationError
 from .observables import Observable
@@ -143,7 +151,7 @@ def _parse_trig(raw, m: int) -> TrigObservable:
 
 def load_scenario(path: Union[str, Path]) -> ScenarioConfig:
     data = Path(path).read_bytes()
-    sha = hashlib.sha256(data).hexdigest()
+    sha = sha256(data).hexdigest()
     try:
         raw = json.loads(data)
     except (ValueError, RecursionError) as exc:

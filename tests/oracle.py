@@ -4,12 +4,15 @@ These are the per-point and per-tuple loops the library used before every
 orbit consumer became a contraction of orbit_counts: each lattice point is
 turned into permutations on its own, with no reduction modulo the period
 box, and each basis tuple of the pleasantness test gets its own limit.
+Residues modulo the period box are counted by walking every point, never
+by the per-axis closed form.
 The Host-Kra tower's orbits are found by moving one tuple at a time along
 unit vectors, never by lifting permutations to a support.  They are slow
 on purpose; tests compare the library against them exactly.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from ergolab.extensions import pleasant_factor
@@ -18,6 +21,16 @@ from ergolab.system import FolnerBox, period_box
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def residues(sys_, acts, pts):
+    """How often each residue modulo the period box occurs among the points,
+    walked one point at a time, in the order the walk first meets each."""
+    periods = period_box(sys_, acts).lengths
+    reduced = Counter()
+    for nvec in pts:
+        reduced[tuple(e % P for e, P in zip(nvec, periods))] += 1
+    return reduced
 
 
 def truncated_average(sys_, fs, pts, actions=None):

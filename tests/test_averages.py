@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from ergolab.averages import (
     FolnerBox,
     average_report,
@@ -12,15 +13,19 @@ from ergolab.averages import (
     exact_limit,
     l2_deviation,
     orbit_counts,
+    residues,
     truncated_average,
     vdc_correlation,
     vdc_identity_check,
 )
 from ergolab.errors import DimensionMismatch, ValidationError
+from ergolab.extensions import basis_counts
+from ergolab.joinings import furstenberg_joining
 from ergolab.observables import Observable, l2_square
+from ergolab.scenario import bundled_scenario_dir, load_scenario
 from ergolab.system import period_box
 
-from conftest import cyclic_system, random_observable
+from conftest import cyclic_system, random_observable, run_cli
 
 
 def oracle_average(sys_, fs, pts):
@@ -239,3 +244,84 @@ def test_vdc_identity_fuzz(rng):
         fs = [random_observable(rng, n) for _ in range(2)]
         _, _, ok = vdc_identity_check(sys_, fs)
         assert ok
+
+
+def _residue_systems():
+    """(system, action subset) pairs of ranks 1 and 2, periods 1 to 7."""
+    product = load_scenario(bundled_scenario_dir() / "product-2x3.json").system
+    return [
+        (cyclic_system(3, [0, 0]), (1, 2)),  # P = 1
+        (cyclic_system(4, [1, 2]), (1, 2)),
+        (cyclic_system(6, [2, 3]), (1, 2)),
+        (cyclic_system(6, [2, 3]), (2,)),
+        (cyclic_system(7, [1, 3]), (2, 1)),
+        (product, (1, 2)),
+        (product, (2,)),
+    ]
+
+
+def test_box_residues_match_point_walk(rng):
+    """The per-axis closed form gives the walk's counts, in the order the
+    walk first meets each residue: every length 1..3P on rank 1 (multiples
+    of P and N < P included) at every base in [-60, 60], and every pair of
+    lengths on rank 2 at random bases there and at the two ends."""
+    for sys_, acts in _residue_systems():
+        periods = period_box(sys_, acts).lengths
+        lengths = itertools.product(*(range(1, 3 * P + 1) for P in periods))
+        for ls in lengths:
+            if sys_.r == 1:
+                bases = [(b,) for b in range(-60, 61)]
+            else:
+                bases = [(-60,) * sys_.r, (60,) * sys_.r] + [
+                    tuple(rng.randint(-60, 60) for _ in ls) for _ in range(4)
+                ]
+            for base in bases:
+                box = FolnerBox(ls, base)
+                got = residues(sys_, acts, box)
+                want = oracle.residues(sys_, acts, list(box.points()))
+                assert list(got.items()) == list(want.items()), (box, periods)
+
+
+def test_box_residues_never_walk_points(monkeypatch, tmp_path):
+    """Averages, limits, basis counts, joinings and every finite report
+    take a box's residues in closed form, never from box.points()."""
+
+    def walk(box):
+        raise AssertionError(f"walked the points of {box}")
+
+    monkeypatch.setattr(FolnerBox, "points", walk)
+    sys_ = cyclic_system(6, [2, 3])
+    f = Observable.indicator(6, 1)
+    big = FolnerBox((10 ** 12,), (-(10 ** 9) - 1,))
+    assert truncated_average(sys_, [f, f], box=big).values[1] > 0
+    full = FolnerBox(period_box(sys_).lengths, (-5,))
+    assert exact_limit(sys_, [f, f]) == truncated_average(sys_, [f, f], box=full)
+    assert basis_counts(sys_)
+    assert furstenberg_joining(sys_, base_point=(-7,)).support
+    for name in ("cyclic-5", "product-2x3"):
+        for command in ("avg", "limit", "joining", "hk", "pleasant", "extend"):
+            path = bundled_scenario_dir() / f"{name}.json"
+            result = run_cli([command, "--scenario", str(path), "--out", str(tmp_path)])
+            assert result.exit_code == 0, (name, command, result.stderr)
+
+
+@pytest.mark.parametrize("N", [10 ** 9, 10 ** 9 + 3])
+def test_huge_box_average_is_exact(N):
+    """On cyclic-5 at base -10^6, the box is floor(N/P) full periods, each
+    averaging to the limit, then a remainder box summed by the oracle."""
+    scn = load_scenario(bundled_scenario_dir() / "cyclic-5.json")
+    sys_ = scn.system
+    fs = [scn.observables[name] for name in scn.average_tuples[0]]
+    (P,), base = period_box(sys_).lengths, -(10 ** 6)
+    q, rem = divmod(N, P)
+    tail = [0] * sys_.n
+    if rem:
+        rest = list(FolnerBox((rem,), (base + q * P,)).points())
+        tail = [v * rem for v in oracle.truncated_average(sys_, fs, rest).values]
+    limit = oracle.exact_limit(sys_, fs).values
+    want = tuple((q * P * lv + t) / N for lv, t in zip(limit, tail))
+    assert truncated_average(sys_, fs, box=FolnerBox((N,), (base,))).values == want
+    with pytest.raises(DimensionMismatch):
+        truncated_average(sys_, fs, box=FolnerBox((N, N), (base, base)))
+    with pytest.raises(DimensionMismatch):
+        residues(sys_, (1, 2), FolnerBox((N, 1)))

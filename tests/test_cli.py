@@ -38,11 +38,12 @@ def test_scenario_bad_json_rejected(tmp_path):
 
 
 def test_scenario_sha_is_of_bytes(tmp_path):
+    """The built-in SHA-256 gives hashlib's digest of the file's bytes."""
     import hashlib
 
-    src = Path(scn_path("cyclic-5"))
-    scn = load_scenario(src)
-    assert scn.sha256 == hashlib.sha256(src.read_bytes()).hexdigest()
+    for src in bundled_scenarios():
+        scn = load_scenario(src)
+        assert scn.sha256 == hashlib.sha256(src.read_bytes()).hexdigest(), src
 
 
 def test_validate_cyclic5_exit_zero(tmp_path):
@@ -702,3 +703,70 @@ def test_cli_surface():
 def test_cli_version():
     result = run_ok(["--version"])
     assert result.stdout == f"ergolab, version {__version__}\n"
+
+
+def _report_payloads(tmp_path, monkeypatch):
+    """The JSON payload of every command on the bundled scenarios and on the
+    bench/generate.py families at seed 1, as _write_report receives them."""
+    import importlib.util
+
+    from ergolab import cli
+
+    spec = importlib.util.spec_from_file_location(
+        "generate", Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+    )
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    paths = bundled_scenarios() + sorted(
+        generate.write_scenarios(list(generate.FAMILIES), 1, tmp_path / "gen").values()
+    )
+    payloads = []
+
+    def record(out, scn_name, command, fmt, payload):
+        payloads.append(payload)
+
+    monkeypatch.setattr(cli, "_write_report", record)
+    for command in _subcommands():
+        for path in paths:
+            run_cli([command, "--scenario", str(path), "--out", str(tmp_path)])
+    return payloads
+
+
+ADVERSARIAL = [
+    {"text": "caf\u00e9 \u2603 \U0001d11e \u4e2d", "quote": 'say "hi"',
+     "slash": "a\\b/c", "control": "\x00\x01\t\n\r\x1f\x7f",
+     "separators": "\u2028\u2029", "\u00e9t\u00e9 \"key\"\n": "\\"},
+    {}, [], "", {"": ""}, [[]], [{}],
+    {"empty": {}, "nested": {"a": {"b": {}}, "c": [[], [{}]]}, "list": []},
+    [True, 1, False, 0, None, -1], [1, True], [0, False, 2],
+    {"b": 1, "a": 2, "B": 3, "_": 4, "": 5, "aa": 6, "a b": 7},
+    [-(2 ** 5000) + 12345, 2 ** 5000 - 1, [2 ** 4999, -(2 ** 4999)]],
+    (1, 2, (3, "x")), {"t": (True, (None,), ())},
+    "plain", 7, -7, None, True, False,
+]
+
+
+def test_report_writer_matches_json_dumps(tmp_path, monkeypatch):
+    """The report writer is json.dumps(indent=2, sort_keys=True) byte for
+    byte on every report payload and on adversarial ones, and raises
+    TypeError on what has no exact place in a report: a Fraction or a set,
+    which json.dumps rejects too, and a float or a non-str key, which it
+    would write."""
+    from fractions import Fraction
+
+    from ergolab.cli import _json_text
+
+    payloads = _report_payloads(tmp_path, monkeypatch)
+    commands = {p["command"] for p in payloads}
+    assert commands == set(_subcommands()), commands
+    for payload in payloads + ADVERSARIAL:
+        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    for bad in (Fraction(1, 2), {1, 2}, [1, Fraction(1, 3)], {"a": {"b": {3}}}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _json_text(bad)
+    for bad in (1.5, float("nan"), float("inf"), [1, 2.0], {"x": -0.0},
+                {1: "a"}, {"a": 1, 2: "b"}, {None: 0}):
+        with pytest.raises(TypeError):
+            _json_text(bad)

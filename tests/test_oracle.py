@@ -21,6 +21,7 @@ from ergolab.joinings import (
     rel_indep_joining,
 )
 from ergolab.factors import Partition
+from ergolab.observables import Observable
 from ergolab.system import FiniteSystem, period_box
 from ergolab.torus import (
     RotationEntry,
@@ -98,6 +99,21 @@ def systems(finite_corpus):
     )
 
 
+# primes above 10^4, split among the observables of one average, so each
+# observable's least denominator is coprime to every other's
+PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091)
+
+
+def coprime_observable(rng, n, primes):
+    """Values k / p for p among the given primes and k in [-9, 9], at least
+    one of them 0 and one negative when n > 1."""
+    values = [Fraction(rng.randint(-9, 9), rng.choice(primes)) for _ in range(n)]
+    values[rng.randrange(n)] = Fraction(0)
+    if n > 1:
+        values[rng.randrange(n)] = Fraction(-rng.randint(1, 9), rng.choice(primes))
+    return Observable.from_values(values)
+
+
 def test_truncated_average_matches_per_point_loop(systems):
     rng = random.Random(41)
     for sys_ in systems:
@@ -125,6 +141,21 @@ def test_truncated_average_matches_per_point_loop(systems):
         assert truncated_average(
             sys_, fs[:1], box=box, actions=acts
         ) == oracle.truncated_average(sys_, fs[:1], list(box.points()), acts)
+        # a random ordered action subset, observables over large pairwise
+        # coprime denominators with zeros and negative values, and random
+        # boxes up to two periods plus one long
+        acts = rng.sample(range(1, sys_.d + 1), rng.randint(1, sys_.d))
+        gs = [
+            coprime_observable(rng, sys_.n, PRIMES[k::len(acts)])
+            for k in range(len(acts))
+        ]
+        for _ in range(3):
+            periods = period_box(sys_, acts).lengths
+            lengths = tuple(rng.randint(1, 2 * p + 1) for p in periods)
+            box = FolnerBox(lengths, tuple(rng.randint(-60, 60) for _ in periods))
+            assert truncated_average(
+                sys_, gs, box=box, actions=acts
+            ) == oracle.truncated_average(sys_, gs, list(box.points()), acts)
 
 
 def extension_stages():

@@ -63,3 +63,11 @@ def test_command_loads_only_what_it_runs(tmp_path, command, scenario, absent):
     added = loaded_by(tmp_path, [[command, "--scenario", scn(scenario)]])
     assert not added & absent, sorted(added & absent)
     assert not added & {"click", "dataclasses"}
+
+
+def test_scenario_hash_loads_no_openssl(tmp_path):
+    """The scenario digest comes from the interpreter's built-in SHA-256,
+    so neither the import nor validate loads hashlib's OpenSSL module."""
+    assert "_hashlib" not in loaded_by(tmp_path, [])
+    added = loaded_by(tmp_path, [["validate", "--scenario", scn("cyclic-5")]])
+    assert "_hashlib" not in added, sorted(added)
