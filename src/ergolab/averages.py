@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, ValidationError
-from .observables import ExactNorm, Observable, ZERO, ONE, l2_square, linf_norm
+from .observables import ExactNorm, Observable, ONE, l2_square, linf_norm
 from .system import FiniteSystem, FolnerBox, over_common_denominator, period_box
 
 
@@ -181,53 +181,6 @@ def deviation_bound(
         (linf_norm(f) for f in fs[1:]), start=ONE
     ) * (ONE - rho)
     return ExactNorm(l2_square(fs[0], sys.weights)).scale(coeff)
-
-
-def contractive_check(
-    sys: FiniteSystem,
-    fs: Sequence[Observable],
-    box: FolnerBox,
-    actions: Optional[Sequence[int]] = None,
-) -> Tuple[ExactNorm, ExactNorm, bool]:
-    """||avg||_2 against ||f_1||_2 * prod_{i>=2} ||f_i||_inf; must hold."""
-    avg = truncated_average(sys, fs, box=box, actions=actions)
-    lhs = avg.l2(sys.weights)
-    rhs = ExactNorm(l2_square(fs[0], sys.weights)).scale(
-        math.prod((linf_norm(f) for f in fs[1:]), start=ONE)
-    )
-    return lhs, rhs, lhs <= rhs
-
-
-def vdc_correlation(
-    sys: FiniteSystem,
-    fs: Sequence[Observable],
-    m: Sequence[int],
-) -> Fraction:
-    """gamma(m): the exact limit over n of <u_{n+m}, u_n>_mu where
-    u_n = prod_i f_i o T_i^n.  Equals the integral of the exact limit of the
-    shifted-product observables f_i * (f_i o T_i^m)."""
-    acts = _check_args(sys, fs, None)
-    (mred,) = residues(sys, acts, [m])
-    hs = [f * f.compose_perm(sys.action_perm(i, mred)) for i, f in zip(acts, fs)]
-    lim = exact_limit(sys, hs)
-    return sum((v * w for v, w in zip(lim.values, sys.weights)), ZERO)
-
-
-def vdc_identity_check(
-    sys: FiniteSystem,
-    fs: Sequence[Observable],
-) -> Tuple[Fraction, Fraction, bool]:
-    """Periodic-sequence van der Corput identity:
-    ||limit||_2^2 == (1/|P|) sum_{delta in P-box} gamma(delta), exactly."""
-    acts = _check_args(sys, fs, None)
-    pbox = period_box(sys, acts)
-    lim = exact_limit(sys, fs)
-    lhsq = l2_square(lim, sys.weights)
-    total = ZERO
-    for delta in pbox.points():
-        total += vdc_correlation(sys, fs, delta)
-    rhsq = total / pbox.size
-    return lhsq, rhsq, lhsq == rhsq
 
 
 def average_report(

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import argparse
 import math
-import random
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import (
@@ -36,6 +36,10 @@ from .errors import (
 )
 from .scenario import load_scenario
 from .system import FolnerBox, period_box
+
+if TYPE_CHECKING:
+    # a seeded command imports random where it builds its generator
+    import random
 
 
 def frac_str(q: Fraction) -> str:
@@ -207,6 +211,8 @@ def command(name, engine=None, csv=None, seed=False, options=None):
                     for key, default in options.items()
                 }
                 if seed:
+                    import random
+
                     trial_seed = given["seed"]
                     kwargs["rng"] = random.Random(
                         scn.trial_seed if trial_seed is None else trial_seed

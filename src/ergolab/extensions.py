@@ -9,24 +9,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
-from .averages import basis_counts, exact_limit
-from .errors import (
-    BudgetExceeded,
-    InternalInvariantViolation,
-    InvarianceViolated,
-    NotMeasurable,
-    ValidationError,
-)
-from .factors import (
-    Partition,
-    action_isotropy,
-    difference_isotropy,
-    is_measurable,
-    join,
-)
-from .observables import ExactNorm, Observable
+from .averages import basis_counts
+from .errors import BudgetExceeded, InternalInvariantViolation, ValidationError
+from .factors import Partition, action_isotropy, difference_isotropy, join
+from .observables import ExactNorm
 from .system import FiniteSystem, period_box
 
 if TYPE_CHECKING:
@@ -207,98 +195,3 @@ def iterate_extensions(
         stabilized=report.pleasant,
         status=status,
     )
-
-
-def pull_back(stage: ExtensionStage, f: Observable) -> Observable:
-    """Lift an observable on the previous system through the factor map."""
-    return Observable(tuple(f.values[x] for x in stage.factor_map))
-
-
-def pleasant_decompose(
-    sys: FiniteSystem,
-    f: Observable,
-    constituents: Sequence[Partition],
-) -> List[Tuple[Observable, ...]]:
-    """Write an observable measurable w.r.t. the join of the constituent
-    partitions as an exact finite sum of products g_1 * g_2 * ... * g_d
-    with g_i measurable w.r.t. the i-th constituent.
-
-    Finite spaces need no approximation: a join cell is the intersection of
-    one cell from each constituent, so its indicator factors exactly.
-    """
-    if len(constituents) != sys.d:
-        raise NotMeasurable("need one constituent partition per action")
-    joined = join(list(constituents))
-    if not is_measurable(f, joined):
-        raise NotMeasurable("observable is not measurable w.r.t. the join")
-    if len(set(f.values)) == 1:
-        return [
-            tuple(
-                [Observable.constant(sys.n, f.values[0])]
-                + [Observable.constant(sys.n, 1)] * (sys.d - 1)
-            )
-        ]
-    tuples: List[Tuple[Observable, ...]] = []
-    for cell in joined.cells:
-        v = f.values[cell[0]]
-        if v == 0:
-            continue
-        rep = cell[0]
-        gs = []
-        for slot, part in enumerate(constituents):
-            ind = Observable.indicator(sys.n, part.cells[part.cell_of[rep]])
-            gs.append(v * ind if slot == 0 else ind)
-        tuples.append(tuple(gs))
-    if not tuples:
-        tuples.append(
-            tuple(Observable.constant(sys.n, 0) for _ in range(sys.d))
-        )
-    return tuples
-
-
-def reduce_pleasant_limit(
-    sys: FiniteSystem,
-    tuples: Sequence[Tuple[Observable, ...]],
-    fs_rest: Sequence[Observable],
-) -> Observable:
-    """Evaluate the limit for f_1 = sum_k prod_i g_{i,k} by pulling g_1 out
-    and folding g_i into f_i, reducing to d-1 actions:
-
-        sum_k g_{1,k} * limit_{2..d}(g_{2,k} f_2, ..., g_{d,k} f_d).
-
-    Asserts exact agreement with the unreduced limit.
-    """
-    if len(fs_rest) != sys.d - 1:
-        raise InvarianceViolated("need d-1 companion observables")
-    xi1 = action_isotropy(sys, 1)
-    diffs = [difference_isotropy(sys, i, 1) for i in range(2, sys.d + 1)]
-    for gs in tuples:
-        if len(gs) != sys.d:
-            raise InvarianceViolated("tuple arity differs from action count")
-        if not is_measurable(gs[0], xi1):
-            raise InvarianceViolated("g_1 is not T_1-invariant")
-        for g, part in zip(gs[1:], diffs):
-            if not is_measurable(g, part):
-                raise InvarianceViolated("g_i is not (T_i = T_1)-invariant")
-    rest_actions = list(range(2, sys.d + 1))
-    reduced = Observable.constant(sys.n, 0)
-    for gs in tuples:
-        if sys.d == 1:
-            reduced = reduced + gs[0]
-        else:
-            inner_fs = [g * f for g, f in zip(gs[1:], fs_rest)]
-            reduced = reduced + gs[0] * exact_limit(
-                sys, inner_fs, actions=rest_actions
-            )
-    f1 = Observable.constant(sys.n, 0)
-    for gs in tuples:
-        prod = gs[0]
-        for g in gs[1:]:
-            prod = prod * g
-        f1 = f1 + prod
-    direct = exact_limit(sys, [f1] + list(fs_rest))
-    if direct.values != reduced.values:
-        raise InternalInvariantViolation(
-            "reduced limit disagrees with the direct limit"
-        )
-    return reduced

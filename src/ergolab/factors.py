@@ -7,7 +7,6 @@ are canonical (cells sorted by least element) so equality is structural.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
 
 from .errors import ValidationError, ZeroWeightCell
@@ -34,30 +33,9 @@ class Partition(NamedTuple):
                 cell_of[x] = k
         return Partition(tuple(cell_of), cells)
 
-    @staticmethod
-    def singletons(n: int) -> "Partition":
-        return Partition.from_cell_ids(range(n))
-
-    @staticmethod
-    def one_cell(n: int) -> "Partition":
-        return Partition.from_cell_ids([0] * n)
-
     @property
     def n(self) -> int:
         return len(self.cell_of)
-
-    @property
-    def is_discrete(self) -> bool:
-        return len(self.cells) == self.n
-
-    def cell_weights(self, weights: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-        return tuple(sum((weights[x] for x in cell), ZERO) for cell in self.cells)
-
-    def refines(self, other: "Partition") -> bool:
-        """True if every cell of self sits inside one cell of other."""
-        return all(
-            len({other.cell_of[x] for x in cell}) == 1 for cell in self.cells
-        )
 
 
 def orbit_partition(n: int, perms: Sequence) -> Partition:
@@ -124,16 +102,10 @@ def cond_expect(sys: FiniteSystem, f: Observable, part: Partition) -> Observable
     """Weight-weighted cell average, constant on each cell."""
     if len(f) != sys.n or part.n != sys.n:
         raise ValidationError("observable/partition size mismatch")
-    cw = part.cell_weights(sys.weights)
     cell_avgs = []
-    for cell, w in zip(part.cells, cw):
+    for cell in part.cells:
+        w = sum((sys.weights[x] for x in cell), ZERO)
         if w == 0:
             raise ZeroWeightCell(f"cell {cell} has zero weight")
         cell_avgs.append(sum((f.values[x] * sys.weights[x] for x in cell), ZERO) / w)
     return Observable(tuple(cell_avgs[part.cell_of[x]] for x in range(sys.n)))
-
-
-def is_measurable(f: Observable, part: Partition) -> bool:
-    return all(
-        len({f.values[x] for x in cell}) == 1 for cell in part.cells
-    )

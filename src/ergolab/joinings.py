@@ -23,12 +23,11 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .averages import basis_counts, orbit_counts
-from .errors import DimensionMismatch, InternalInvariantViolation, ValidationError
+from .averages import orbit_counts
+from .errors import ValidationError
 from .factors import Partition, orbit_partition
-from .observables import Observable, ZERO, ONE
 from .system import (
     FiniteSystem,
     FolnerBox,
@@ -235,113 +234,6 @@ def diagonal_action_name(jm: JoinedMeasure) -> str:
     return f"S{jm.base.d + 1}"
 
 
-def joining_integral(
-    jm: JoinedMeasure,
-    fs: Sequence[Observable],
-    g=None,
-) -> Fraction:
-    """Integral of f_1(x_1) * ... * f_d(x_d) * g(x) against the joined mass.
-    g may be None (constant 1) or a dict from state tuples to rationals
-    (default 0)."""
-    if len(fs) != jm.power:
-        raise DimensionMismatch("need one observable per coordinate")
-    for f in fs:
-        if len(f) != jm.base.n:
-            raise DimensionMismatch("observable length differs from base states")
-    total = ZERO
-    for t, m in jm.mass.items():
-        prod = m
-        for f, x in zip(fs, t):
-            v = f.values[x]
-            if v == 0:
-                prod = ZERO
-                break
-            prod *= v
-        if prod:
-            gv = ONE if g is None else g.get(t, ZERO)
-            if gv:
-                total += prod * gv
-    return total
-
-
-def orbit_cells(jm: JoinedMeasure, name: str) -> List[Tuple[StateTuple, ...]]:
-    """Orbits of the support under the named action; their indicators span
-    the invariant functions on the support."""
-    supp = jm.support
-    part = orbit_partition(len(supp), jm.lift(jm.actions[name]))
-    return [tuple(supp[k] for k in cell) for cell in part.cells]
-
-
-class VdcWitness(NamedTuple):
-    basis_states: StateTuple  # chosen basis states for f_2..f_d
-    cell_representative: StateTuple
-    integral: Fraction
-
-
-def vdc_condition_check(sys: FiniteSystem, f1: Observable):
-    """Exhaustive finite form of the joining-controls-averages condition.
-
-    Enumerates the indicator basis for f_2..f_d and the indicators of the
-    diagonal-action orbit cells (a spanning set for the invariant g).  When
-    all integrals vanish, additionally verifies the conclusion: every
-    indicator-basis exact limit with this f_1 is the zero observable.
-    Returns (bool, witness-or-None).
-    """
-    jm = furstenberg_joining(sys)
-    supp = jm.support
-    part = orbit_partition(len(supp), jm.lift(jm.actions[diagonal_action_name(jm)]))
-    nonzero = _first_nonzero_integral(jm, f1, 0, part.cell_of)
-    if nonzero:
-        (rest, k), val = nonzero
-        return False, VdcWitness(rest, supp[part.cells[k][0]], val)
-    # verified conclusion: the lemma promises the limits vanish
-    _check_basis_limits_vanish(
-        sys, f1, "joining condition held but a basis limit is nonzero"
-    )
-    return True, None
-
-
-def _first_nonzero_integral(
-    jm: JoinedMeasure, f1: Observable, coord: int, cell_of=None
-):
-    """The integral of f_1 at coordinate coord against the joined mass, per
-    cell of the support: support tuple t lies in the cell (t without that
-    coordinate, cell_of[index of t], or 0 when cell_of is None).  Returns the
-    first (cell, integral) in cell order whose integral is nonzero, or None.
-    With f_1 = v / F in ints, each cell sums weight times v, over D F."""
-    if len(f1) != jm.base.n:
-        raise DimensionMismatch("observable length differs from state count")
-    values, scale = over_common_denominator(f1.values)
-    acc: Dict[Tuple, int] = {}
-    for s, (t, w) in enumerate(zip(jm.support, jm.support_weights)):
-        v = values[t[coord]]
-        if v:
-            cell = (t[:coord] + t[coord + 1 :], cell_of[s] if cell_of else 0)
-            acc[cell] = acc.get(cell, 0) + w * v
-    return next(
-        ((cell, Fraction(v, jm.denom * scale)) for cell, v in sorted(acc.items()) if v),
-        None,
-    )
-
-
-def _check_basis_limits_vanish(sys: FiniteSystem, f1: Observable, message: str):
-    """Raise unless every indicator-basis exact limit with this f_1 vanishes
-    on the support."""
-    for by_x in basis_counts(sys).values():
-        for pairs in by_x.values():
-            if sum(c * f1.values[y] for y, c in pairs):
-                raise InternalInvariantViolation(message)
-
-
-def rel_indep_joining(sys: FiniteSystem, part: Partition) -> JoinedMeasure:
-    """mu tensor_Xi mu: couples two copies to share a Xi-cell and be
-    conditionally independent given it."""
-    if part.n != sys.n:
-        raise ValidationError("partition is over a different state set")
-    cells = Partition.from_cell_ids([part.cell_of[x] for x in sys.support])
-    return _rel_indep_step(_point_masses(sys, {}), cells, {}, None)
-
-
 def _rel_indep_step(
     below: JoinedMeasure, cells: Partition, actions, labels
 ) -> JoinedMeasure:
@@ -438,18 +330,4 @@ def host_kra_structural_check(jm: JoinedMeasure) -> bool:
     for i in range(2, d + 1):
         if jm.actions[f"T{i}"] != (i,) * jm.power:
             return False
-    return True
-
-
-def hk_condition_check(sys: FiniteSystem, f1: Observable) -> bool:
-    """Host-Kra analogue of the joining condition: all integrals of
-    f_1 o pi_empty against indicator choices on the other 2^d - 1
-    coordinates vanish.  When true, verifies the vanishing of the
-    indicator-basis exact limits with this f_1."""
-    jm = host_kra_tower(sys)[-1]
-    if _first_nonzero_integral(jm, f1, jm.labels.index(frozenset())):
-        return False
-    _check_basis_limits_vanish(
-        sys, f1, "Host-Kra condition held but a basis limit is nonzero"
-    )
     return True

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple, Union
 
@@ -24,9 +23,9 @@ from .observables import Observable
 from .system import FiniteSystem, FolnerBox
 
 if TYPE_CHECKING:
-    # the torus parsers import these themselves, so that a finite scenario
-    # never loads the torus engine
-    from .torus import RotationEntry, TorusSystem, TrigObservable
+    # the torus branch imports its parsers, so that a finite scenario never
+    # loads the torus engine
+    from .torus import TorusSystem, TrigObservable
 
 
 class ScenarioConfig(NamedTuple):
@@ -57,23 +56,6 @@ def _finite_float(raw, what: str) -> float:
     if not math.isfinite(v):
         raise ValidationError(f"{what} is not finite: {raw!r}")
     return v
-
-
-def _parse_entry(raw) -> RotationEntry:
-    from .torus import RotationEntry
-
-    if isinstance(raw, str):
-        return RotationEntry.exact(Fraction(raw))
-    if isinstance(raw, dict):
-        if "float" in raw:
-            return RotationEntry.from_float(
-                _finite_float(raw["float"], "float rotation")
-            )
-        symbols = {
-            str(k): Fraction(str(v)) for k, v in raw.get("symbols", {}).items()
-        }
-        return RotationEntry.exact(Fraction(str(raw.get("rational", "0"))), symbols)
-    raise ValidationError(f"unparseable rotation entry: {raw!r}")
 
 
 def _table(entries, d: int, r: int, key: str, parse, what: str):
@@ -117,38 +99,6 @@ def _parse_finite_system(raw: dict) -> FiniteSystem:
     )
 
 
-def _parse_torus_system(raw: dict) -> TorusSystem:
-    from .torus import TorusSystem
-
-    m, r, d = (_int(raw[k], k) for k in ("m", "r", "d"))
-    rotations = _table(
-        raw["rotations"], d, r, "vector",
-        lambda vec: tuple(_parse_entry(e) for e in vec), "rotation",
-    )
-    symbol_values = tuple(sorted(
-        (str(k), _finite_float(v, f"symbol value {k}"))
-        for k, v in raw.get("symbol_values", {}).items()
-    ))
-    return TorusSystem(
-        m=m, r=r, d=d, rotations=rotations, symbol_values=symbol_values
-    )
-
-
-def _parse_trig(raw, m: int) -> TrigObservable:
-    from .torus import TrigObservable
-
-    terms = []
-    for term in raw:
-        freq = tuple(_int(v, "frequency") for v in term["freq"])
-        if len(freq) != m:
-            raise ValidationError(
-                f"frequency {freq} has length {len(freq)}, expected {m}"
-            )
-        re, im = (_finite_float(v, "coefficient") for v in term["coeff"])
-        terms.append((freq, complex(re, im)))
-    return TrigObservable(tuple(terms))
-
-
 def load_scenario(path: Union[str, Path]) -> ScenarioConfig:
     data = Path(path).read_bytes()
     sha = sha256(data).hexdigest()
@@ -185,6 +135,8 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
                         f"observable {k} has length {len(f)}, expected {system.n}"
                     )
         elif engine == "torus":
+            from .torus import _parse_torus_system, _parse_trig
+
             system = _parse_torus_system(system_raw)
             observables = {
                 str(k): _parse_trig(v, system.m)
@@ -242,7 +194,7 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
 
 
 def bundled_scenario_dir() -> Path:
-    return Path(resources.files("ergolab") / "scenarios")
+    return Path(__file__).parent / "scenarios"
 
 
 def bundled_scenarios() -> List[Path]:

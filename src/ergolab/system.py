@@ -200,23 +200,8 @@ class FiniteSystem:
                 p = compose(self.generator_power(i, j, e), p)
         return p
 
-    def full_perm(self, g: Sequence[int]) -> Perm:
-        """Permutation realising T^g for g in Z^{rd}, a flat exponent vector
-        whose coordinate (i-1)*r + (j-1) belongs to action i, axis j."""
-        if len(g) != self.r * self.d:
-            raise ValidationError("group element has wrong length")
-        p = identity_perm(self.n)
-        for i in range(1, self.d + 1):
-            p = compose(self.action_perm(i, g[(i - 1) * self.r : i * self.r]), p)
-        return p
-
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
-
-
-def act(sys: FiniteSystem, g: Sequence[int], x: int) -> int:
-    """Image of state x under T^g."""
-    return sys.full_perm(g)[x]
 
 
 def period_box(sys: FiniteSystem, actions: Optional[Sequence[int]] = None) -> FolnerBox:
@@ -232,14 +217,3 @@ def period_box(sys: FiniteSystem, actions: Optional[Sequence[int]] = None) -> Fo
         math.lcm(*(sys.orders[i - 1][j] for i in acts)) for j in range(sys.r)
     )
     return FolnerBox(periods)
-
-
-def pushforward(sys: FiniteSystem, g, m: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    """(pushforward m)(y) = m(g^{-1} y)."""
-    if len(m) != sys.n:
-        raise ValidationError("measure vector has wrong length")
-    p = sys.full_perm(g)
-    out = [ZERO] * sys.n
-    for x in range(sys.n):
-        out[p[x]] = m[x]
-    return tuple(out)

@@ -8,6 +8,9 @@ one character term per observable contributes a product of per-axis
 Dirichlet kernels, and all phases are reduced exactly, from the numeric
 rotations taken as exact rationals (a float symbol value or rotation entry
 at its binary value), before anything is rounded to float.
+
+The torus scenario parsers live here too, so that a finite scenario loads
+none of this module.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import UndecidableResonance, ValidationError
-from .system import FiniteSystem, FolnerBox
+from .scenario import _finite_float, _int, _table
+from .system import FolnerBox
 
 TWO_PI = 2.0 * math.pi
 
@@ -293,44 +297,47 @@ def torus_deviation_bound(
     return total
 
 
-def rational_rotation_to_finite(sys: TorusSystem):
-    """Bridge: a system whose rotations are all rational lives on the grid
-    (1/q)Z^m / Z^m and converts to a FiniteSystem with uniform weights.
+# -- the torus branch of scenario.parse_scenario ----------------------------
 
-    Returns (finite system, grid points as Fraction tuples in state order).
-    """
-    denoms = [1]
-    for row in sys.rotations:
-        for vec in row:
-            for e in vec:
-                if not e.is_exact or e.symbols:
-                    raise ValidationError(
-                        "only purely rational rotations convert to a finite system"
-                    )
-                denoms.append(e.rational.denominator)
-    q = math.lcm(*denoms)
-    grid = list(itertools.product(range(q), repeat=sys.m))
-    index = {g: k for k, g in enumerate(grid)}
-    n = len(grid)
-    generators = []
-    for i in range(1, sys.d + 1):
-        row = []
-        for j in range(1, sys.r + 1):
-            step = tuple(int(e.rational * q) % q for e in sys.rotation(i, j))
-            row.append(
-                tuple(
-                    index[tuple((g[a] + step[a]) % q for a in range(sys.m))]
-                    for g in grid
-                )
+
+def _parse_entry(raw) -> RotationEntry:
+    if isinstance(raw, str):
+        return RotationEntry.exact(Fraction(raw))
+    if isinstance(raw, dict):
+        if "float" in raw:
+            return RotationEntry.from_float(
+                _finite_float(raw["float"], "float rotation")
             )
-        generators.append(tuple(row))
-    finite = FiniteSystem(
-        n=n,
-        r=sys.r,
-        d=sys.d,
-        weights=(Fraction(1, n),) * n,
-        generators=tuple(generators),
-        labels=tuple(str(g) for g in grid),
+        symbols = {
+            str(k): Fraction(str(v)) for k, v in raw.get("symbols", {}).items()
+        }
+        return RotationEntry.exact(Fraction(str(raw.get("rational", "0"))), symbols)
+    raise ValidationError(f"unparseable rotation entry: {raw!r}")
+
+
+def _parse_torus_system(raw: dict) -> TorusSystem:
+    m, r, d = (_int(raw[k], k) for k in ("m", "r", "d"))
+    rotations = _table(
+        raw["rotations"], d, r, "vector",
+        lambda vec: tuple(_parse_entry(e) for e in vec), "rotation",
     )
-    points = [tuple(Fraction(a, q) for a in g) for g in grid]
-    return finite, points
+    symbol_values = tuple(sorted(
+        (str(k), _finite_float(v, f"symbol value {k}"))
+        for k, v in raw.get("symbol_values", {}).items()
+    ))
+    return TorusSystem(
+        m=m, r=r, d=d, rotations=rotations, symbol_values=symbol_values
+    )
+
+
+def _parse_trig(raw, m: int) -> TrigObservable:
+    terms = []
+    for term in raw:
+        freq = tuple(_int(v, "frequency") for v in term["freq"])
+        if len(freq) != m:
+            raise ValidationError(
+                f"frequency {freq} has length {len(freq)}, expected {m}"
+            )
+        re, im = (_finite_float(v, "coefficient") for v in term["coeff"])
+        terms.append((freq, complex(re, im)))
+    return TrigObservable(tuple(terms))

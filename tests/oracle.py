@@ -7,17 +7,34 @@ box, and each basis tuple of the pleasantness test gets its own limit.
 Residues modulo the period box are counted by walking every point, never
 by the per-axis closed form.
 The Host-Kra tower's orbits are found by moving one tuple at a time along
-unit vectors, never by lifting permutations to a support.  They are slow
-on purpose; tests compare the library against them exactly.
+unit vectors, never by lifting permutations to a support.  The van der
+Corput identity takes one exact limit per shift, never one table of orbit
+products.  They are slow on purpose; tests compare the library against
+them exactly.
+
+The rest are helpers only tests use: the action of a flat exponent vector
+of Z^{rd}, partition predicates, a bare relatively independent joining,
+and the grid system of a purely rational torus rotation.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
+from ergolab import averages
+from ergolab.errors import ValidationError
 from ergolab.extensions import pleasant_factor
+from ergolab.factors import Partition
+from ergolab.joinings import _point_masses, _rel_indep_step
 from ergolab.observables import Observable, l2_square
-from ergolab.system import FolnerBox, period_box
+from ergolab.system import (
+    FiniteSystem,
+    FolnerBox,
+    compose,
+    identity_perm,
+    period_box,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -57,8 +74,7 @@ def cond_expect_on_support(sys_, f, part):
     value on a null state is never read: orbits of support states stay in
     the support."""
     out = [ZERO] * sys_.n
-    for cell in part.cells:
-        w = sum((sys_.weights[x] for x in cell), ZERO)
+    for cell, w in zip(part.cells, cell_weights(part, sys_.weights)):
         if w:
             v = sum((f.values[x] * sys_.weights[x] for x in cell), ZERO) / w
             for x in cell:
@@ -235,3 +251,125 @@ def torus_truncated_average(sys_, fs, box, samples):
             total = s
         out.append(total / len(pts))
     return out
+
+
+def vdc_correlation(sys_, fs, m):
+    """gamma(m) as the integral of the library's exact limit of the shifted
+    products f_i * (f_i o T_i^m)."""
+    acts = range(1, sys_.d + 1)
+    (mred,) = averages.residues(sys_, acts, [m])
+    hs = [f * f.compose_perm(sys_.action_perm(i, mred)) for i, f in zip(acts, fs)]
+    lim = averages.exact_limit(sys_, hs)
+    return sum((v * w for v, w in zip(lim.values, sys_.weights)), ZERO)
+
+
+def vdc_identity_check(sys_, fs):
+    """(||limit||^2, (1/|P|) sum_delta gamma(delta), equal), one exact limit
+    per shift delta of the period box."""
+    pbox = period_box(sys_)
+    lhsq = l2_square(averages.exact_limit(sys_, fs), sys_.weights)
+    total = ZERO
+    for delta in pbox.points():
+        total += vdc_correlation(sys_, fs, delta)
+    rhsq = total / pbox.size
+    return lhsq, rhsq, lhsq == rhsq
+
+
+def full_perm(sys_, g):
+    """Permutation realising T^g for g in Z^{rd}, a flat exponent vector
+    whose coordinate (i-1)*r + (j-1) belongs to action i, axis j."""
+    if len(g) != sys_.r * sys_.d:
+        raise ValidationError("group element has wrong length")
+    p = identity_perm(sys_.n)
+    for i in range(1, sys_.d + 1):
+        p = compose(sys_.action_perm(i, g[(i - 1) * sys_.r : i * sys_.r]), p)
+    return p
+
+
+def act(sys_, g, x):
+    """Image of state x under T^g."""
+    return full_perm(sys_, g)[x]
+
+
+def state_pushforward(sys_, g, m):
+    """(pushforward m)(y) = m(g^{-1} y) for a measure vector m on the states."""
+    if len(m) != sys_.n:
+        raise ValidationError("measure vector has wrong length")
+    p = full_perm(sys_, g)
+    out = [ZERO] * sys_.n
+    for x in range(sys_.n):
+        out[p[x]] = m[x]
+    return tuple(out)
+
+
+def singletons(n):
+    return Partition.from_cell_ids(range(n))
+
+
+def one_cell(n):
+    return Partition.from_cell_ids([0] * n)
+
+
+def is_discrete(part):
+    return len(part.cells) == part.n
+
+
+def cell_weights(part, weights):
+    return tuple(sum((weights[x] for x in cell), ZERO) for cell in part.cells)
+
+
+def refines(part, other):
+    """True if every cell of part sits inside one cell of other."""
+    return all(len({other.cell_of[x] for x in cell}) == 1 for cell in part.cells)
+
+
+def rel_indep_joining(sys_, part):
+    """mu tensor_Xi mu: couples two copies to share a Xi-cell and be
+    conditionally independent given it."""
+    if part.n != sys_.n:
+        raise ValidationError("partition is over a different state set")
+    cells = Partition.from_cell_ids([part.cell_of[x] for x in sys_.support])
+    return _rel_indep_step(_point_masses(sys_, {}), cells, {}, None)
+
+
+def rational_rotation_to_finite(sys_):
+    """Bridge: a system whose rotations are all rational lives on the grid
+    (1/q)Z^m / Z^m and converts to a FiniteSystem with uniform weights.
+
+    Returns (finite system, grid points as Fraction tuples in state order).
+    """
+    denoms = [1]
+    for row in sys_.rotations:
+        for vec in row:
+            for e in vec:
+                if not e.is_exact or e.symbols:
+                    raise ValidationError(
+                        "only purely rational rotations convert to a finite system"
+                    )
+                denoms.append(e.rational.denominator)
+    q = math.lcm(*denoms)
+    grid = list(itertools.product(range(q), repeat=sys_.m))
+    index = {g: k for k, g in enumerate(grid)}
+    n = len(grid)
+    generators = []
+    for i in range(1, sys_.d + 1):
+        row = []
+        for j in range(1, sys_.r + 1):
+            step = tuple(int(e.rational * q) % q for e in sys_.rotation(i, j))
+            row.append(
+                tuple(
+                    index[tuple((g[a] + step[a]) % q for a in range(sys_.m))]
+                    for g in grid
+                )
+            )
+        generators.append(tuple(row))
+    finite = FiniteSystem(
+        n=n,
+        r=sys_.r,
+        d=sys_.d,
+        weights=(Fraction(1, n),) * n,
+        generators=tuple(generators),
+        labels=tuple(str(g) for g in grid),
+    )
+    points = [tuple(Fraction(a, q) for a in g) for g in grid]
+    return finite, points

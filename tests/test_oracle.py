@@ -1,5 +1,6 @@
 """Differential tests: the orbit-count contractions against the per-point
-and per-tuple reference loops of tests/oracle.py, with exact equality, and
+and per-tuple reference loops of tests/oracle.py, and the one-table van der
+Corput identity against one exact limit per shift, with exact equality, and
 the closed-form torus box sum against the Fraction lattice loop, within a
 tolerance fixed in advance."""
 
@@ -13,15 +14,11 @@ import pytest
 import oracle
 from ergolab.averages import FolnerBox, exact_limit, truncated_average
 from ergolab.extensions import is_pleasant, one_step_extension
-from ergolab.joinings import (
-    JoinedMeasure,
-    furstenberg_joining,
-    host_kra_tower,
-    orbit_cells,
-    rel_indep_joining,
-)
+from ergolab.joinings import JoinedMeasure, furstenberg_joining, host_kra_tower
 from ergolab.factors import Partition
 from ergolab.observables import Observable
+from ergolab.proof import orbit_cells, vdc_correlation, vdc_identity_check
+from ergolab.scenario import load_scenario
 from ergolab.system import FiniteSystem, period_box
 from ergolab.torus import (
     RotationEntry,
@@ -30,7 +27,7 @@ from ergolab.torus import (
     torus_truncated_average,
 )
 
-from conftest import cyclic_system, random_observable
+from conftest import cyclic_system, generated_scenarios, random_observable
 
 
 def _translations(shape, steps):
@@ -194,6 +191,44 @@ def test_furstenberg_mass_matches_per_point_loop(systems):
             )
 
 
+def test_vdc_identity_matches_per_shift_loop(finite_corpus, systems, tmp_path):
+    """The van der Corput identity read from one table of orbit products
+    equals the loop of one exact limit per shift, both sides exactly: on
+    every average tuple of the bundled finite scenarios and the generated
+    finite families at seed 1, and on coprime-denominator observables over
+    every system; gamma(delta) too, for every shift of the period box and
+    shifts outside it."""
+    generated = [
+        scn for scn in map(load_scenario, generated_scenarios(tmp_path))
+        if scn.engine == "finite"
+    ]
+    assert len(generated) == 5
+    cases = [
+        (scn.system, [scn.observables[name] for name in names])
+        for scn in finite_corpus + generated
+        for names in scn.average_tuples
+    ]
+    assert len(cases) >= 15
+    rng = random.Random(43)
+    for sys_ in systems:
+        primes = rng.sample(PRIMES, sys_.d)
+        cases.append(
+            (sys_, [coprime_observable(rng, sys_.n, [p]) for p in primes])
+        )
+    for sys_, fs in cases:
+        assert vdc_identity_check(sys_, fs) == oracle.vdc_identity_check(sys_, fs)
+    for sys_, fs in cases[:40]:
+        pbox = period_box(sys_)
+        deltas = list(pbox.points()) + [
+            tuple(rng.randint(-3 * P, 3 * P) for P in pbox.lengths)
+            for _ in range(3)
+        ]
+        for delta in deltas:
+            assert vdc_correlation(sys_, fs, delta) == oracle.vdc_correlation(
+                sys_, fs, delta
+            )
+
+
 def _is_invariant_cases(sys_, rng):
     jm = furstenberg_joining(sys_)
     names = list(jm.actions)
@@ -250,7 +285,7 @@ def test_lift_matches_per_tuple_map(systems):
         # two intervals, which no action need respect: either half of a
         # pair may split a cell while its least member stays inside
         cells = Partition.from_cell_ids([2 * x // sys_.n for x in range(sys_.n)])
-        joinings = [furstenberg_joining(sys_), rel_indep_joining(sys_, cells)]
+        joinings = [furstenberg_joining(sys_), oracle.rel_indep_joining(sys_, cells)]
         for jm in joinings + host_kra_tower(sys_):
             coords = list(jm.actions.values()) + [
                 tuple(rng.randint(0, sys_.d) for _ in range(jm.power))

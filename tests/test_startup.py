@@ -1,6 +1,7 @@
 """What each command loads: ``import ergolab.cli`` loads only the scenario
 parser, and a command loads only the engine modules it runs.  Module sets
-only, no timing; each case runs in a fresh interpreter."""
+only, no timing; each case runs in a fresh interpreter started with -S, so
+that nothing a site hook preloads hides an import."""
 
 import json
 import os
@@ -14,6 +15,7 @@ import ergolab
 from ergolab.scenario import bundled_scenario_dir
 
 ENGINES = {f"ergolab.{m}" for m in ("averages", "extensions", "factors", "joinings", "torus")}
+FINITE_COMMANDS = ("validate", "avg", "limit", "joining", "hk", "extend", "pleasant")
 
 # argv: output directory, JSON list of command lines; prints the modules the
 # import and the commands added to sys.modules, as one JSON list
@@ -32,7 +34,7 @@ def loaded_by(tmp_path, commands):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(tmp_path), json.dumps(commands)],
+        [sys.executable, "-S", "-c", _PROBE, str(tmp_path), json.dumps(commands)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -71,3 +73,33 @@ def test_scenario_hash_loads_no_openssl(tmp_path):
     assert "_hashlib" not in loaded_by(tmp_path, [])
     added = loaded_by(tmp_path, [["validate", "--scenario", scn("cyclic-5")]])
     assert "_hashlib" not in added, sorted(added)
+
+
+def test_no_command_loads_the_proof_steps(tmp_path):
+    """The proof steps are reached from no command, and no finite command
+    loads the torus engine or its scenario parsers."""
+    finite = loaded_by(
+        tmp_path, [[c, "--scenario", scn("cyclic-5")] for c in FINITE_COMMANDS]
+    )
+    assert {"ergolab.joinings", "ergolab.extensions"} <= finite
+    assert not finite & {"ergolab.proof", "ergolab.torus"}, sorted(finite)
+    torus = loaded_by(
+        tmp_path, [["torus-demo", "--scenario", scn("torus-counterexample")]]
+    )
+    assert "ergolab.torus" in torus
+    assert "ergolab.proof" not in torus, sorted(torus)
+
+
+@pytest.mark.parametrize("command", ["hk", "joining"])
+def test_joinings_load_no_extensions(tmp_path, command):
+    added = loaded_by(tmp_path, [[command, "--scenario", scn("cyclic-5")]])
+    assert "ergolab.joinings" in added
+    assert "ergolab.extensions" not in added, sorted(added)
+
+
+def test_validate_loads_no_resources_and_no_random(tmp_path):
+    """Finding the bundled scenarios needs no importlib.resources, and only
+    a seeded command imports random."""
+    added = loaded_by(tmp_path, [["validate", "--scenario", scn("cyclic-5")]])
+    assert "ergolab.scenario" in added
+    assert not added & {"importlib.resources", "random"}, sorted(added)

