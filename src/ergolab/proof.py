@@ -1,8 +1,7 @@
 """The steps of the paper's proof, run exactly on a finite system.
 
 The theorem is proved by induction on d, the number of actions.  Each step
-below is a function here, or is imported here from the module a command
-runs it in:
+below is a function here, or lives in the module a command runs it in:
 
 * Extension (``one_step_extension``, from extensions): one step toward a
   pleasant extension, whose states are the support of the Furstenberg
@@ -38,9 +37,9 @@ from .averages import (
 from .errors import (
     DimensionMismatch, InternalInvariantViolation, InvarianceViolated, NotMeasurable,
 )
-from .extensions import ExtensionStage, one_step_extension
+from .extensions import ExtensionStage
 from .factors import (
-    Partition, action_isotropy, cond_expect, difference_isotropy, join, orbit_partition,
+    Partition, action_isotropy, difference_isotropy, join, orbit_partition,
 )
 from .joinings import (
     JoinedMeasure, StateTuple, diagonal_action_name, furstenberg_joining, host_kra_tower,
@@ -49,10 +48,10 @@ from .observables import ExactNorm, Observable, ONE, ZERO, l2_square, linf_norm
 from .system import FiniteSystem, FolnerBox, over_common_denominator, period_box
 
 __all__ = [
-    "VdcWitness", "cond_expect", "contractive_check", "hk_condition_check",
-    "is_measurable", "joining_integral", "one_step_extension", "orbit_cells",
-    "pleasant_decompose", "pull_back", "reduce_pleasant_limit",
-    "vdc_condition_check", "vdc_correlation", "vdc_identity_check",
+    "VdcWitness", "contractive_check", "hk_condition_check", "is_measurable",
+    "joining_integral", "orbit_cells", "pleasant_decompose", "pull_back",
+    "reduce_pleasant_limit", "vdc_condition_check", "vdc_correlation",
+    "vdc_identity_check",
 ]
 
 
@@ -76,50 +75,19 @@ def contractive_check(
     return lhs, rhs, lhs <= rhs
 
 
-def _orbit_products(sys: FiniteSystem, fs: Sequence[Observable]):
-    """u_n = prod_i f_i o T_i^n at every residue n of the period box, in one
-    orbit pass: (periods, {n: the ints U_n}, scale), u_n = U_n / scale with
-    scale the product of the f_i's least denominators."""
-    acts = _check_args(sys, fs, None)
-    pbox = period_box(sys, acts)
-    nums, denoms = zip(*(over_common_denominator(f.values) for f in fs))
-    rows = {}
-    for n in residues(sys, acts, pbox):
-        row = [1] * sys.n
-        for i, w in zip(acts, nums):
-            row = [a * w[y] for a, y in zip(row, sys.action_perm(i, n))]
-        rows[n] = row
-    return pbox.lengths, rows, math.prod(denoms)
-
-
-def _correlation_sums(w, periods, rows, deltas) -> List[int]:
-    """sum_n sum_x w_x U_{n+delta}(x) U_n(x) for each delta, with mu = w / D,
-    reading U_{n+delta} from the table at n + delta modulo the periods."""
-    weighted = {n: [a * b for a, b in zip(w, row)] for n, row in rows.items()}
-    sums = []
-    for delta in deltas:
-        total = 0
-        for n, wrow in weighted.items():
-            shifted = rows[tuple((a + b) % P for a, b, P in zip(n, delta, periods))]
-            total += sum(a * b for a, b in zip(shifted, wrow))
-        sums.append(total)
-    return sums
-
-
 def vdc_correlation(
     sys: FiniteSystem,
     fs: Sequence[Observable],
     m: Sequence[int],
 ) -> Fraction:
     """gamma(m): the exact limit over n of <u_{n+m}, u_n>_mu where
-    u_n = prod_i f_i o T_i^n, the average over the period box of the
-    integrals of u_{n+m} u_n."""
-    if len(m) != sys.r:
-        raise DimensionMismatch("lattice point has wrong dimension")
-    periods, rows, scale = _orbit_products(sys, fs)
-    w, denom = sys.int_weights
-    (total,) = _correlation_sums(w, periods, rows, [tuple(m)])
-    return Fraction(total, len(rows) * denom * scale * scale)
+    u_n = prod_i f_i o T_i^n.  Equals the integral of the exact limit of the
+    shifted-product observables f_i * (f_i o T_i^m)."""
+    acts = _check_args(sys, fs, None)
+    (mred,) = residues(sys, acts, [m])
+    hs = [f * f.compose_perm(sys.action_perm(i, mred)) for i, f in zip(acts, fs)]
+    lim = exact_limit(sys, hs)
+    return sum((v * w for v, w in zip(lim.values, sys.weights)), ZERO)
 
 
 def vdc_identity_check(
@@ -127,19 +95,16 @@ def vdc_identity_check(
     fs: Sequence[Observable],
 ) -> Tuple[Fraction, Fraction, bool]:
     """Periodic-sequence van der Corput identity:
-    ||limit||_2^2 == (1/|P|) sum_{delta in P-box} gamma(delta), exactly.
-
-    Both sides are read from one table of u_n over the residues of the
-    period box: with U_n the ints of u_n and S = sum_n U_n, the left side
-    is sum_x w_x S(x)^2 and the right side the sum of every gamma(delta)'s
-    numerator, both over D |P|^2 scale^2."""
-    periods, rows, scale = _orbit_products(sys, fs)
-    w, denom = sys.int_weights
-    sums = [sum(col) for col in zip(*rows.values())]
-    lhs = sum(a * s * s for a, s in zip(w, sums))
-    rhs = sum(_correlation_sums(w, periods, rows, list(rows)))
-    over = denom * len(rows) ** 2 * scale * scale
-    return Fraction(lhs, over), Fraction(rhs, over), lhs == rhs
+    ||limit||_2^2 == (1/|P|) sum_{delta in P-box} gamma(delta), exactly."""
+    acts = _check_args(sys, fs, None)
+    pbox = period_box(sys, acts)
+    lim = exact_limit(sys, fs)
+    lhsq = l2_square(lim, sys.weights)
+    total = ZERO
+    for delta in pbox.points():
+        total += vdc_correlation(sys, fs, delta)
+    rhsq = total / pbox.size
+    return lhsq, rhsq, lhsq == rhsq
 
 
 def joining_integral(

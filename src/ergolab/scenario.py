@@ -42,14 +42,15 @@ class ScenarioConfig(NamedTuple):
     sha256: str
 
 
-def _int(raw, what: str) -> int:
+# Field readers, shared with the torus scenario parsers in torus.py.
+def read_int(raw, what: str) -> int:
     """raw as an int; a bool or a fractional float is an error, not truncated."""
     if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
         raise ValidationError(f"{what} is not an integer: {raw!r}")
     return int(raw)
 
 
-def _finite_float(raw, what: str) -> float:
+def read_finite_float(raw, what: str) -> float:
     if isinstance(raw, bool):
         raise ValidationError(f"{what} is not a number: {raw!r}")
     v = float(raw)
@@ -58,12 +59,12 @@ def _finite_float(raw, what: str) -> float:
     return v
 
 
-def _table(entries, d: int, r: int, key: str, parse, what: str):
+def read_table(entries, d: int, r: int, key: str, parse, what: str):
     """The d-by-r table, indexed [action - 1][axis - 1], of parse(entry[key])
     over the (action, axis) entries: each index in range and given once."""
     table: dict = {}
     for entry in entries:
-        i, j = (_int(entry[k], f"{what} {k}") for k in ("action", "axis"))
+        i, j = (read_int(entry[k], f"{what} {k}") for k in ("action", "axis"))
         if not (1 <= i <= d and 1 <= j <= r):
             raise ValidationError(f"{what} index ({i},{j}) out of range")
         if (i, j) in table:
@@ -83,14 +84,14 @@ def _table(entries, d: int, r: int, key: str, parse, what: str):
 
 
 def _parse_finite_system(raw: dict) -> FiniteSystem:
-    r, d = _int(raw["r"], "r"), _int(raw["d"], "d")
-    generators = _table(
+    r, d = read_int(raw["r"], "r"), read_int(raw["d"], "d")
+    generators = read_table(
         raw["generators"], d, r, "perm",
-        lambda p: tuple(_int(v, "perm entry") for v in p), "generator",
+        lambda p: tuple(read_int(v, "perm entry") for v in p), "generator",
     )
     labels = raw.get("labels")
     return FiniteSystem(
-        n=_int(raw["n"], "n"),
+        n=read_int(raw["n"], "n"),
         r=r,
         d=d,
         weights=tuple(Fraction(str(w)) for w in raw["weights"]),
@@ -157,23 +158,23 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
                     raise ValidationError(f"unknown observable {n!r} in tuple")
         boxes = []
         for b in raw.get("boxes", []):
-            lengths = tuple(_int(v, "box length") for v in b["lengths"])
+            lengths = tuple(read_int(v, "box length") for v in b["lengths"])
             base = b.get("base")
-            base = None if base is None else tuple(_int(v, "box base") for v in base)
+            base = None if base is None else tuple(read_int(v, "box base") for v in base)
             if len(lengths) != system.r:
                 raise ValidationError("box dimension differs from rank")
             boxes.append(FolnerBox(lengths, base))
         trials = raw.get("base_point_trials", {})
-        trial_count = _int(trials.get("count", 20), "trial count")
+        trial_count = read_int(trials.get("count", 20), "trial count")
         if trial_count < 0:
             raise ValidationError("base_point_trials.count must be nonnegative")
         samples = tuple(
-            tuple(_finite_float(v, "sample coordinate") for v in s)
+            tuple(read_finite_float(v, "sample coordinate") for v in s)
             for s in raw.get("samples", [])
         )
         if engine == "torus" and any(len(s) != system.m for s in samples):
             raise ValidationError(f"a sample point does not have {system.m} coordinates")
-        options = {str(k): _int(v, k) for k, v in raw.get("options", {}).items()}
+        options = {str(k): read_int(v, k) for k, v in raw.get("options", {}).items()}
         return ScenarioConfig(
             name=name,
             engine=engine,
@@ -182,7 +183,7 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
             average_tuples=tuples,
             boxes=tuple(boxes),
             trial_count=trial_count,
-            trial_seed=_int(trials.get("seed", 7), "trial seed"),
+            trial_seed=read_int(trials.get("seed", 7), "trial seed"),
             samples=samples,
             options=options,
             sha256=sha256,

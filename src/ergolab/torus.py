@@ -10,7 +10,8 @@ rotations taken as exact rationals (a float symbol value or rotation entry
 at its binary value), before anything is rounded to float.
 
 The torus scenario parsers live here too, so that a finite scenario loads
-none of this module.
+none of this module; they read their fields with scenario's public
+readers, so importing this module loads scenario.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import UndecidableResonance, ValidationError
-from .scenario import _finite_float, _int, _table
+from .scenario import read_finite_float, read_int, read_table
 from .system import FolnerBox
 
 TWO_PI = 2.0 * math.pi
@@ -306,7 +307,7 @@ def _parse_entry(raw) -> RotationEntry:
     if isinstance(raw, dict):
         if "float" in raw:
             return RotationEntry.from_float(
-                _finite_float(raw["float"], "float rotation")
+                read_finite_float(raw["float"], "float rotation")
             )
         symbols = {
             str(k): Fraction(str(v)) for k, v in raw.get("symbols", {}).items()
@@ -316,13 +317,13 @@ def _parse_entry(raw) -> RotationEntry:
 
 
 def _parse_torus_system(raw: dict) -> TorusSystem:
-    m, r, d = (_int(raw[k], k) for k in ("m", "r", "d"))
-    rotations = _table(
+    m, r, d = (read_int(raw[k], k) for k in ("m", "r", "d"))
+    rotations = read_table(
         raw["rotations"], d, r, "vector",
         lambda vec: tuple(_parse_entry(e) for e in vec), "rotation",
     )
     symbol_values = tuple(sorted(
-        (str(k), _finite_float(v, f"symbol value {k}"))
+        (str(k), read_finite_float(v, f"symbol value {k}"))
         for k, v in raw.get("symbol_values", {}).items()
     ))
     return TorusSystem(
@@ -333,11 +334,11 @@ def _parse_torus_system(raw: dict) -> TorusSystem:
 def _parse_trig(raw, m: int) -> TrigObservable:
     terms = []
     for term in raw:
-        freq = tuple(_int(v, "frequency") for v in term["freq"])
+        freq = tuple(read_int(v, "frequency") for v in term["freq"])
         if len(freq) != m:
             raise ValidationError(
                 f"frequency {freq} has length {len(freq)}, expected {m}"
             )
-        re, im = (_finite_float(v, "coefficient") for v in term["coeff"])
+        re, im = (read_finite_float(v, "coefficient") for v in term["coeff"])
         terms.append((freq, complex(re, im)))
     return TrigObservable(tuple(terms))

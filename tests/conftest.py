@@ -62,20 +62,6 @@ def cell_valued_observable(rng, part, span=3, max_denom=6):
     return Observable.from_values([vals[part.cell_of[x]] for x in range(part.n)])
 
 
-def generated_scenarios(outdir, seed=1):
-    """Write the bench/generate.py families' scenarios for a seed into
-    outdir; their paths, sorted."""
-    import importlib.util
-    from pathlib import Path
-
-    spec = importlib.util.spec_from_file_location(
-        "generate", Path(__file__).resolve().parents[1] / "bench" / "generate.py"
-    )
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
-    return sorted(generate.write_scenarios(list(generate.FAMILIES), seed, outdir).values())
-
-
 @pytest.fixture(scope="session")
 def corpus():
     return [load_scenario(p) for p in bundled_scenarios()]

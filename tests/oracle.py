@@ -7,10 +7,8 @@ box, and each basis tuple of the pleasantness test gets its own limit.
 Residues modulo the period box are counted by walking every point, never
 by the per-axis closed form.
 The Host-Kra tower's orbits are found by moving one tuple at a time along
-unit vectors, never by lifting permutations to a support.  The van der
-Corput identity takes one exact limit per shift, never one table of orbit
-products.  They are slow on purpose; tests compare the library against
-them exactly.
+unit vectors, never by lifting permutations to a support.  They are slow
+on purpose; tests compare the library against them exactly.
 
 The rest are helpers only tests use: the action of a flat exponent vector
 of Z^{rd}, partition predicates, a bare relatively independent joining,
@@ -22,7 +20,6 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from ergolab import averages
 from ergolab.errors import ValidationError
 from ergolab.extensions import pleasant_factor
 from ergolab.factors import Partition
@@ -251,28 +248,6 @@ def torus_truncated_average(sys_, fs, box, samples):
             total = s
         out.append(total / len(pts))
     return out
-
-
-def vdc_correlation(sys_, fs, m):
-    """gamma(m) as the integral of the library's exact limit of the shifted
-    products f_i * (f_i o T_i^m)."""
-    acts = range(1, sys_.d + 1)
-    (mred,) = averages.residues(sys_, acts, [m])
-    hs = [f * f.compose_perm(sys_.action_perm(i, mred)) for i, f in zip(acts, fs)]
-    lim = averages.exact_limit(sys_, hs)
-    return sum((v * w for v, w in zip(lim.values, sys_.weights)), ZERO)
-
-
-def vdc_identity_check(sys_, fs):
-    """(||limit||^2, (1/|P|) sum_delta gamma(delta), equal), one exact limit
-    per shift delta of the period box."""
-    pbox = period_box(sys_)
-    lhsq = l2_square(averages.exact_limit(sys_, fs), sys_.weights)
-    total = ZERO
-    for delta in pbox.points():
-        total += vdc_correlation(sys_, fs, delta)
-    rhsq = total / pbox.size
-    return lhsq, rhsq, lhsq == rhsq
 
 
 def full_perm(sys_, g):

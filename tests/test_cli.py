@@ -10,7 +10,7 @@ from ergolab.errors import ValidationError
 from ergolab.scenario import bundled_scenario_dir, bundled_scenarios, load_scenario
 from ergolab.system import FolnerBox
 
-from conftest import generated_scenarios, run_cli
+from conftest import run_cli
 
 
 def scn_path(name):
@@ -708,9 +708,18 @@ def test_cli_version():
 def _report_payloads(tmp_path, monkeypatch):
     """The JSON payload of every command on the bundled scenarios and on the
     bench/generate.py families at seed 1, as _write_report receives them."""
+    import importlib.util
+
     from ergolab import cli
 
-    paths = bundled_scenarios() + generated_scenarios(tmp_path / "gen")
+    spec = importlib.util.spec_from_file_location(
+        "generate", Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+    )
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    paths = bundled_scenarios() + sorted(
+        generate.write_scenarios(list(generate.FAMILIES), 1, tmp_path / "gen").values()
+    )
     payloads = []
 
     def record(out, scn_name, command, fmt, payload):

@@ -1,6 +1,5 @@
 """Differential tests: the orbit-count contractions against the per-point
-and per-tuple reference loops of tests/oracle.py, and the one-table van der
-Corput identity against one exact limit per shift, with exact equality, and
+and per-tuple reference loops of tests/oracle.py, with exact equality, and
 the closed-form torus box sum against the Fraction lattice loop, within a
 tolerance fixed in advance."""
 
@@ -17,8 +16,7 @@ from ergolab.extensions import is_pleasant, one_step_extension
 from ergolab.joinings import JoinedMeasure, furstenberg_joining, host_kra_tower
 from ergolab.factors import Partition
 from ergolab.observables import Observable
-from ergolab.proof import orbit_cells, vdc_correlation, vdc_identity_check
-from ergolab.scenario import load_scenario
+from ergolab.proof import orbit_cells
 from ergolab.system import FiniteSystem, period_box
 from ergolab.torus import (
     RotationEntry,
@@ -27,7 +25,7 @@ from ergolab.torus import (
     torus_truncated_average,
 )
 
-from conftest import cyclic_system, generated_scenarios, random_observable
+from conftest import cyclic_system, random_observable
 
 
 def _translations(shape, steps):
@@ -188,44 +186,6 @@ def test_furstenberg_mass_matches_per_point_loop(systems):
             base = tuple(rng.randint(-50, 50) for _ in range(sys_.r))
             assert furstenberg_joining(sys_, base).mass == oracle.furstenberg_mass(
                 sys_, base
-            )
-
-
-def test_vdc_identity_matches_per_shift_loop(finite_corpus, systems, tmp_path):
-    """The van der Corput identity read from one table of orbit products
-    equals the loop of one exact limit per shift, both sides exactly: on
-    every average tuple of the bundled finite scenarios and the generated
-    finite families at seed 1, and on coprime-denominator observables over
-    every system; gamma(delta) too, for every shift of the period box and
-    shifts outside it."""
-    generated = [
-        scn for scn in map(load_scenario, generated_scenarios(tmp_path))
-        if scn.engine == "finite"
-    ]
-    assert len(generated) == 5
-    cases = [
-        (scn.system, [scn.observables[name] for name in names])
-        for scn in finite_corpus + generated
-        for names in scn.average_tuples
-    ]
-    assert len(cases) >= 15
-    rng = random.Random(43)
-    for sys_ in systems:
-        primes = rng.sample(PRIMES, sys_.d)
-        cases.append(
-            (sys_, [coprime_observable(rng, sys_.n, [p]) for p in primes])
-        )
-    for sys_, fs in cases:
-        assert vdc_identity_check(sys_, fs) == oracle.vdc_identity_check(sys_, fs)
-    for sys_, fs in cases[:40]:
-        pbox = period_box(sys_)
-        deltas = list(pbox.points()) + [
-            tuple(rng.randint(-3 * P, 3 * P) for P in pbox.lengths)
-            for _ in range(3)
-        ]
-        for delta in deltas:
-            assert vdc_correlation(sys_, fs, delta) == oracle.vdc_correlation(
-                sys_, fs, delta
             )
 
 
