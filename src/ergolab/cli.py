@@ -34,8 +34,7 @@ from .errors import (
     InternalInvariantViolation,
     ValidationError,
 )
-from .scenario import load_scenario
-from .system import FolnerBox, period_box
+from .scenario import FolnerBox, load_scenario
 
 if TYPE_CHECKING:
     # a seeded command imports random where it builds its generator
@@ -82,6 +81,7 @@ def _base_shift_free(sys_, rng: random.Random, trials: int) -> bool:
     the rng stream is fixed) have the residues of the box at 0, of which the
     orbit counts of every average, limit and joining are a function."""
     from .averages import residues
+    from .system import period_box
 
     acts, P = range(1, sys_.d + 1), period_box(sys_).lengths
     at0 = residues(sys_, acts, FolnerBox(P))
@@ -301,6 +301,7 @@ def avg(scn, rng):
 def limit(scn):
     """Exact limits of the scenario's average tuples."""
     from .averages import exact_limit
+    from .system import period_box
 
     entries = []
     for names in scn.average_tuples:

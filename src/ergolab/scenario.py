@@ -3,11 +3,14 @@ boxes and trial settings, consumed by the CLI."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional
+from typing import Sequence, Tuple, Union
 
 # the interpreter's built-in SHA-256 spares every run hashlib's OpenSSL load
 try:
@@ -20,12 +23,34 @@ except ImportError:
 
 from .errors import ValidationError
 from .observables import Observable
-from .system import FiniteSystem, FolnerBox
 
 if TYPE_CHECKING:
-    # the torus branch imports its parsers, so that a finite scenario never
-    # loads the torus engine
+    # each engine's branch imports its system, so that a finite scenario
+    # never loads the torus engine and a torus scenario no finite system
+    from .system import FiniteSystem
     from .torus import TorusSystem, TrigObservable
+
+
+class FolnerBox(namedtuple("FolnerBox", "lengths base")):
+    """The box prod_j [0, N_j) shifted by an integer base point (default 0)."""
+
+    __slots__ = ()
+
+    def __new__(cls, lengths: Tuple[int, ...], base: Optional[Sequence[int]] = None):
+        if any(N < 1 for N in lengths):
+            raise ValidationError("box edge lengths must be positive")
+        base = (0,) * len(lengths) if base is None else tuple(base)
+        if len(base) != len(lengths):
+            raise ValidationError("base point dimension mismatch")
+        return super().__new__(cls, lengths, base)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.lengths)
+
+    def points(self) -> Iterable[Tuple[int, ...]]:
+        for offs in itertools.product(*(range(N) for N in self.lengths)):
+            yield tuple(b + o for b, o in zip(self.base, offs))
 
 
 class ScenarioConfig(NamedTuple):
@@ -84,6 +109,7 @@ def read_table(entries, d: int, r: int, key: str, parse, what: str):
 
 
 def _parse_finite_system(raw: dict) -> FiniteSystem:
+    from .system import FiniteSystem
     r, d = read_int(raw["r"], "r"), read_int(raw["d"], "d")
     generators = read_table(
         raw["generators"], d, r, "perm",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
@@ -20,6 +19,7 @@ from .errors import (
     NonProbabilityWeights,
     ValidationError,
 )
+from .scenario import FolnerBox
 
 Perm = Tuple[int, ...]
 
@@ -84,28 +84,6 @@ def perm_power(p: Perm, e: int) -> Perm:
         for t, x in enumerate(cyc):
             out[x] = cyc[(t + s) % k]
     return tuple(out)
-
-
-class FolnerBox(namedtuple("FolnerBox", "lengths base")):
-    """The box prod_j [0, N_j) shifted by an integer base point (default 0)."""
-
-    __slots__ = ()
-
-    def __new__(cls, lengths: Tuple[int, ...], base: Optional[Sequence[int]] = None):
-        if any(N < 1 for N in lengths):
-            raise ValidationError("box edge lengths must be positive")
-        base = (0,) * len(lengths) if base is None else tuple(base)
-        if len(base) != len(lengths):
-            raise ValidationError("base point dimension mismatch")
-        return super().__new__(cls, lengths, base)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.lengths)
-
-    def points(self) -> Iterable[Tuple[int, ...]]:
-        for offs in itertools.product(*(range(N) for N in self.lengths)):
-            yield tuple(b + o for b, o in zip(self.base, offs))
 
 
 class FiniteSystem:

@@ -5,9 +5,12 @@ rational combination of named irrational symbols, assumed rationally
 independent) so resonance of integer character combinations is decided
 exactly.  Box averages are evaluated in closed form: every combination of
 one character term per observable contributes a product of per-axis
-Dirichlet kernels, and all phases are reduced exactly, from the numeric
-rotations taken as exact rationals (a float symbol value or rotation entry
-at its binary value), before anything is rounded to float.
+Dirichlet kernels.  Every phase is an int numerator over one denominator,
+from the numeric rotations taken as exact rationals (a float symbol value
+or rotation entry at its binary value) and made ints once per system, and
+is reduced exactly before anything is rounded to float.  Box lengths past
+float range and rotations below it are evaluated through the kernel's
+limits, from the exact values, rather than rounded to inf or 0.
 
 The torus scenario parsers live here too, so that a finite scenario loads
 none of this module; they read their fields with scenario's public
@@ -21,11 +24,12 @@ import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import UndecidableResonance, ValidationError
-from .scenario import read_finite_float, read_int, read_table
-from .system import FolnerBox
+from .scenario import FolnerBox, read_finite_float, read_int, read_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,9 +73,8 @@ class RotationEntry(NamedTuple):
 
 class TorusSystem(namedtuple("TorusSystem", "m r d rotations symbol_values")):
     """d commuting Z^r-actions by rotations of the m-torus:
-    rotations[i-1][j-1] is the m-vector of entries of T_i along axis j."""
-
-    __slots__ = ()
+    rotations[i-1][j-1] is the m-vector of entries of T_i along axis j.
+    Immutable, so the integer forms cached below stay valid."""
 
     def __new__(
         cls,
@@ -101,6 +104,41 @@ class TorusSystem(namedtuple("TorusSystem", "m r d rotations symbol_values")):
     def numeric_rotation(self, i: int, j: int) -> Tuple[Fraction, ...]:
         sv = self.symbol_map
         return tuple(e.value(sv) for e in self.rotation(i, j))
+
+    @cached_property
+    def int_rotations(self) -> Tuple[Tuple[Tuple[Tuple[int, ...], ...], ...], int]:
+        """(a, D): every numeric rotation as ints over their least common
+        denominator D, a[i-1][j-1][x] / D == numeric_rotation(i, j)[x]."""
+        values = [
+            [self.numeric_rotation(i, j) for j in range(1, self.r + 1)]
+            for i in range(1, self.d + 1)
+        ]
+        den = math.lcm(*(v.denominator for row in values for vec in row for v in vec))
+        return tuple(
+            tuple(tuple(v.numerator * (den // v.denominator) for v in vec) for vec in row)
+            for row in values
+        ), den
+
+    @cached_property
+    def int_resonance(self) -> Tuple[tuple, int]:
+        """(table, D): table[i-1][j-1][x] is None for an inexact entry, else
+        (its rational part's numerator over D, the least common denominator
+        of the rational parts; ((symbol, coefficient numerator), ...) over
+        the least common denominator of all symbol coefficients)."""
+        entries = [e for row in self.rotations for vec in row for e in vec if e.is_exact]
+        rden = math.lcm(*(e.rational.denominator for e in entries))
+        sden = math.lcm(*(c.denominator for e in entries for _, c in e.symbols))
+
+        def exact(e: RotationEntry):
+            if not e.is_exact:
+                return None
+            return e.rational.numerator * (rden // e.rational.denominator), tuple(
+                (name, c.numerator * (sden // c.denominator)) for name, c in e.symbols
+            )
+
+        return tuple(
+            tuple(tuple(map(exact, vec)) for vec in row) for row in self.rotations
+        ), rden
 
 
 class TrigObservable(namedtuple("TrigObservable", "terms")):
@@ -141,30 +179,68 @@ class TrigObservable(namedtuple("TrigObservable", "terms")):
         return sum(abs(c) for _, c in self.terms)
 
 
-def _centred(q: Fraction) -> Fraction:
-    """The representative of q mod 1 in (-1/2, 1/2]."""
-    return q - math.ceil(q - Fraction(1, 2))
+def _centred(p: int, den: int) -> int:
+    """The numerator, over den > 0, of the representative of p / den mod 1
+    in (-1/2, 1/2]."""
+    c = p % den
+    return c - den if 2 * c > den else c
 
 
-def _e(q: Fraction) -> complex:
-    """exp(2 pi i q), with q reduced exactly mod 1 first."""
-    return cmath.exp(1j * TWO_PI * float(_centred(q)))
+def _e(p: int, den: int) -> complex:
+    """exp(2 pi i p / den), with p / den reduced exactly mod 1 first."""
+    return cmath.exp(1j * TWO_PI * (_centred(p, den) / den))
 
 
-def _sin_pi(q: Fraction) -> float:
-    """sin(pi q), with q reduced exactly mod 2 first."""
-    h = _centred(q)
-    s = math.sin(math.pi * float(h))
-    return -s if (q - h) % 2 else s
+def _sin_pi(p: int, den: int) -> float:
+    """sin(pi p / den), with p / den reduced exactly mod 2 first."""
+    c = _centred(p, den)
+    s = math.sin(math.pi * (c / den))
+    return -s if (p - c) // den % 2 else s
 
 
-def _dirichlet(theta: Fraction, n: int, base: int) -> complex:
-    """(1/n) * sum_{k=base}^{base+n-1} e(k theta) for a centred theta."""
-    if theta == 0:
+def _n_sin_pi(n: int, t: int, den: int) -> Tuple[float, int]:
+    """(y, k) with y * 2**k = n sin(pi theta), for n >= 1 and a nonzero
+    centred theta = t / den.
+
+    Where the float product n * sin(pi * float(theta)) exists, it is y and
+    k = 0.  A box length n >= 2**1024 has no float, so n is shifted into
+    float range first.  A theta below 2**-1075 rounds to 0, but there
+    sin(pi theta) is pi theta far within rounding, so y * 2**k is the exact
+    pi n theta, with n theta rounded once at about 2**64.
+    """
+    theta = t / den
+    if theta:
+        try:
+            return n * math.sin(math.pi * theta), 0
+        except OverflowError:
+            k = n.bit_length() - 64
+            return (n >> k) * math.sin(math.pi * theta), k
+    nt = n * t
+    k = abs(nt).bit_length() - den.bit_length() - 64
+    x = nt / (den << k) if k >= 0 else (nt << -k) / den
+    return math.pi * x, k
+
+
+# A k below this comes only from a theta below 2**-1075 with |n theta|
+# below 2**-1000: both sines are then their arguments, and the kernel is 1.
+_TINY_K = -1065
+
+
+def _dirichlet(t: int, den: int, n: int, base: int) -> complex:
+    """(1/n) * sum_{k=base}^{base+n-1} e(k theta) for the centred
+    theta = t / den."""
+    if t == 0:
         return 1 + 0j
-    return _e(base * theta + (n - 1) * theta / 2) * (
-        _sin_pi(n * theta) / (n * math.sin(math.pi * float(theta)))
-    )
+    y, k = _n_sin_pi(n, t, den)
+    ratio = 1.0 if k < _TINY_K else math.ldexp(_sin_pi(n * t, den) / y, -k)
+    return _e(t * (2 * base + n - 1), 2 * den) * ratio
+
+
+def _decay(t: int, den: int, n: int) -> float:
+    """min(1, 1 / (n |sin(pi theta)|)) for a nonzero centred theta = t / den,
+    the bound on the modulus of its Dirichlet kernel."""
+    y, k = _n_sin_pi(n, t, den)
+    return 1.0 if k < _TINY_K else min(1.0, math.ldexp(1.0 / abs(y), -k))
 
 
 def _combos(fs: Sequence[TrigObservable]):
@@ -177,21 +253,25 @@ def _combos(fs: Sequence[TrigObservable]):
 
 
 def _thetas(sys: TorusSystem, fs: Sequence[TrigObservable]):
-    """_combos plus the centred total rotation theta_j = sum_i k_i . alpha_{i,j}
-    along each axis j, exact in the numeric rotations: a resonant
-    combination has theta exactly 0."""
-    alphas = [
-        [sys.numeric_rotation(i, j) for j in range(1, sys.r + 1)]
-        for i in range(1, sys.d + 1)
-    ]
+    """_combos plus the numerators, over sys.int_rotations' denominator, of
+    the centred total rotation theta_j = sum_i k_i . alpha_{i,j} along each
+    axis j: exact in the numeric rotations, so a resonant combination has
+    theta exactly 0."""
+    alphas, den = sys.int_rotations
     for ks, freq, coeff in _combos(fs):
         thetas = [
-            _centred(sum(
-                ka * a for k, rows in zip(ks, alphas) for ka, a in zip(k, rows[j])
-            ))
+            _centred(sum(sum(map(mul, k, rows[j])) for k, rows in zip(ks, alphas)), den)
             for j in range(sys.r)
         ]
         yield ks, freq, coeff, thetas
+
+
+def _sample_phases(samples: Sequence[Sequence[float]]):
+    """(points, S): the samples with every coordinate, at its binary value,
+    an int over one power of two S."""
+    ratios = [[float(x).as_integer_ratio() for x in t] for t in samples]
+    den = max((q for t in ratios for _, q in t), default=1)
+    return [tuple(p * (den // q) for p, q in t) for t in ratios], den
 
 
 def torus_truncated_average(
@@ -207,45 +287,48 @@ def torus_truncated_average(
     * prod_j D_j, where K = sum_i k_i and D_j is the Dirichlet kernel
     (1/N_j) sum_{n=b_j}^{b_j+N_j-1} e(n theta_j)
     = e(b_j theta_j + (N_j - 1) theta_j / 2) sin(pi N_j theta_j)
-    / (N_j sin(pi theta_j)).  Every phase and sine argument is reduced
-    exactly before it is rounded, so the error stays flat in the base point
-    and in N; the cost is O(#combos * (r + #samples)), whatever the box size.
+    / (N_j sin(pi theta_j)).  Every phase and sine argument is an int over
+    one denominator, reduced exactly before it is rounded, so the error
+    stays flat in the base point and in N; the cost is
+    O(#combos * (r + #samples)), whatever the box size.
     """
     if len(fs) != sys.d:
         raise ValidationError(f"need {sys.d} observables, got {len(fs)}")
     if len(box.lengths) != sys.r:
         raise ValidationError("box dimension differs from rank")
-    starts = [tuple(Fraction(float(x)) for x in t) for t in samples]
+    starts, sden = _sample_phases(samples)
     if any(len(t) != sys.m for t in starts):
         raise ValidationError("sample point has wrong dimension")
+    den = sys.int_rotations[1]
     out = [0j] * len(starts)
     for _, freq, coeff, thetas in _thetas(sys, fs):
-        for theta, n, b in zip(thetas, box.lengths, box.base):
-            coeff *= _dirichlet(theta, n, b)
-        for s, t in enumerate(starts):
-            out[s] += coeff * _e(sum(k * x for k, x in zip(freq, t)))
+        for t, n, b in zip(thetas, box.lengths, box.base):
+            coeff *= _dirichlet(t, den, n, b)
+        for s, x in enumerate(starts):
+            out[s] += coeff * _e(sum(map(mul, freq, x)), sden)
     return out
 
 
 def _resonant(sys: TorusSystem, ks: Sequence[Sequence[int]]) -> bool:
     """Whether sum_i k_i . alpha_{i,j} is an integer along every axis j:
     no symbolic part and an integral rational part, decided exactly."""
-    for j in range(1, sys.r + 1):
-        rational = Fraction(0)
-        symbols: Dict[str, Fraction] = {}
-        for i, k in enumerate(ks, start=1):
-            for ka, e in zip(k, sys.rotation(i, j)):
+    table, rden = sys.int_resonance
+    for j in range(sys.r):
+        rational = 0
+        symbols: Dict[str, int] = {}
+        for i, k in enumerate(ks):
+            for ka, e in zip(k, table[i][j]):
                 if ka == 0:
                     continue
-                if not e.is_exact:
+                if e is None:
                     raise UndecidableResonance(
-                        f"rotation of action {i}, axis {j} is inexact; cannot "
-                        f"decide resonance for frequency {k}"
+                        f"rotation of action {i + 1}, axis {j + 1} is inexact; "
+                        f"cannot decide resonance for frequency {k}"
                     )
-                rational += ka * e.rational
-                for name, coeff in e.symbols:
-                    symbols[name] = symbols.get(name, Fraction(0)) + ka * coeff
-        if any(symbols.values()) or rational.denominator != 1:
+                rational += ka * e[0]
+                for name, coeff in e[1]:
+                    symbols[name] = symbols.get(name, 0) + ka * coeff
+        if any(symbols.values()) or rational % rden:
             return False
     return True
 
@@ -286,14 +369,15 @@ def torus_deviation_bound(
         raise ValidationError(f"need {sys.d} observables, got {len(fs)}")
     if len(lengths) != sys.r:
         raise ValidationError("box dimension differs from rank")
+    den = sys.int_rotations[1]
     total = 0.0
     for ks, _, coeff, thetas in _thetas(sys, fs):
         if _resonant(sys, ks):
             continue
         term = abs(coeff)
-        for theta, n in zip(thetas, lengths):
-            if theta:
-                term *= min(1.0, 1.0 / (n * abs(math.sin(math.pi * float(theta)))))
+        for t, n in zip(thetas, lengths):
+            if t:
+                term *= _decay(t, den, n)
         total += term
     return total
 

@@ -6,6 +6,9 @@ turned into permutations on its own, with no reduction modulo the period
 box, and each basis tuple of the pleasantness test gets its own limit.
 Residues modulo the period box are counted by walking every point, never
 by the per-axis closed form.
+The torus box sum is kept twice: as a lattice loop over every point of the
+box, and as the closed form with every phase and resonance sum a Fraction,
+which the integer kernel must match to the last bit.
 The Host-Kra tower's orbits are found by moving one tuple at a time along
 unit vectors, never by lifting permutations to a support.  They are slow
 on purpose; tests compare the library against them exactly.
@@ -15,12 +18,14 @@ of Z^{rd}, partition predicates, a bare relatively independent joining,
 and the grid system of a purely rational torus rotation.
 """
 
+import cmath
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from typing import Dict, List, Sequence, Tuple
 
-from ergolab.errors import ValidationError
+from ergolab.errors import UndecidableResonance, ValidationError
 from ergolab.extensions import pleasant_factor
 from ergolab.factors import Partition
 from ergolab.joinings import _point_masses, _rel_indep_step
@@ -32,6 +37,7 @@ from ergolab.system import (
     identity_perm,
     period_box,
 )
+from ergolab.torus import TWO_PI, TorusSystem, TrigObservable, _combos
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -248,6 +254,162 @@ def torus_truncated_average(sys_, fs, box, samples):
             total = s
         out.append(total / len(pts))
     return out
+
+
+
+# -- the Fraction closed form of the torus kernel, as it was before every
+# phase became an int over one denominator --------------------------------
+
+
+def _centred(q: Fraction) -> Fraction:
+    """The representative of q mod 1 in (-1/2, 1/2]."""
+    return q - math.ceil(q - Fraction(1, 2))
+
+
+def _e(q: Fraction) -> complex:
+    """exp(2 pi i q), with q reduced exactly mod 1 first."""
+    return cmath.exp(1j * TWO_PI * float(_centred(q)))
+
+
+def _sin_pi(q: Fraction) -> float:
+    """sin(pi q), with q reduced exactly mod 2 first."""
+    h = _centred(q)
+    s = math.sin(math.pi * float(h))
+    return -s if (q - h) % 2 else s
+
+
+def _dirichlet(theta: Fraction, n: int, base: int) -> complex:
+    """(1/n) * sum_{k=base}^{base+n-1} e(k theta) for a centred theta."""
+    if theta == 0:
+        return 1 + 0j
+    return _e(base * theta + (n - 1) * theta / 2) * (
+        _sin_pi(n * theta) / (n * math.sin(math.pi * float(theta)))
+    )
+
+
+def _thetas(sys: TorusSystem, fs: Sequence[TrigObservable]):
+    """_combos plus the centred total rotation theta_j = sum_i k_i . alpha_{i,j}
+    along each axis j, exact in the numeric rotations: a resonant
+    combination has theta exactly 0."""
+    alphas = [
+        [sys.numeric_rotation(i, j) for j in range(1, sys.r + 1)]
+        for i in range(1, sys.d + 1)
+    ]
+    for ks, freq, coeff in _combos(fs):
+        thetas = [
+            _centred(sum(
+                ka * a for k, rows in zip(ks, alphas) for ka, a in zip(k, rows[j])
+            ))
+            for j in range(sys.r)
+        ]
+        yield ks, freq, coeff, thetas
+
+
+def closed_form_torus_average(
+    sys: TorusSystem,
+    fs: Sequence[TrigObservable],
+    box: FolnerBox,
+    samples: Sequence[Sequence[float]],
+) -> List[complex]:
+    """The Fraction closed form of ergolab.torus.torus_truncated_average:
+    average of prod_i f_i(t + sum_j n_j alpha_{i,j}) over n in the box,
+    at each sample t, in closed form.
+
+    A combination of terms c_i e(k_i . t) contributes prod_i c_i * e(K . t)
+    * prod_j D_j, where K = sum_i k_i and D_j is the Dirichlet kernel
+    (1/N_j) sum_{n=b_j}^{b_j+N_j-1} e(n theta_j)
+    = e(b_j theta_j + (N_j - 1) theta_j / 2) sin(pi N_j theta_j)
+    / (N_j sin(pi theta_j)).  Every phase and sine argument is reduced
+    exactly before it is rounded, so the error stays flat in the base point
+    and in N; the cost is O(#combos * (r + #samples)), whatever the box size.
+    """
+    if len(fs) != sys.d:
+        raise ValidationError(f"need {sys.d} observables, got {len(fs)}")
+    if len(box.lengths) != sys.r:
+        raise ValidationError("box dimension differs from rank")
+    starts = [tuple(Fraction(float(x)) for x in t) for t in samples]
+    if any(len(t) != sys.m for t in starts):
+        raise ValidationError("sample point has wrong dimension")
+    out = [0j] * len(starts)
+    for _, freq, coeff, thetas in _thetas(sys, fs):
+        for theta, n, b in zip(thetas, box.lengths, box.base):
+            coeff *= _dirichlet(theta, n, b)
+        for s, t in enumerate(starts):
+            out[s] += coeff * _e(sum(k * x for k, x in zip(freq, t)))
+    return out
+
+
+def _resonant(sys: TorusSystem, ks: Sequence[Sequence[int]]) -> bool:
+    """Whether sum_i k_i . alpha_{i,j} is an integer along every axis j:
+    no symbolic part and an integral rational part, decided exactly."""
+    for j in range(1, sys.r + 1):
+        rational = Fraction(0)
+        symbols: Dict[str, Fraction] = {}
+        for i, k in enumerate(ks, start=1):
+            for ka, e in zip(k, sys.rotation(i, j)):
+                if ka == 0:
+                    continue
+                if not e.is_exact:
+                    raise UndecidableResonance(
+                        f"rotation of action {i}, axis {j} is inexact; cannot "
+                        f"decide resonance for frequency {k}"
+                    )
+                rational += ka * e.rational
+                for name, coeff in e.symbols:
+                    symbols[name] = symbols.get(name, Fraction(0)) + ka * coeff
+        if any(symbols.values()) or rational.denominator != 1:
+            return False
+    return True
+
+
+def closed_form_character_limit(
+    sys: TorusSystem,
+    fs: Sequence[TrigObservable],
+) -> TrigObservable:
+    """The Fraction form of ergolab.torus.character_limit: closed-form
+    limit of the truncated averages.
+
+    A product of character terms survives iff it is resonant; the surviving
+    combination contributes its coefficient product at the summed frequency.
+    """
+    if len(fs) != sys.d:
+        raise ValidationError(f"need {sys.d} observables, got {len(fs)}")
+    acc: Dict[Tuple[int, ...], complex] = {}
+    for ks, freq, coeff in _combos(fs):
+        if _resonant(sys, ks):
+            acc[freq] = acc.get(freq, 0j) + coeff
+    terms = tuple(
+        (k, c) for k, c in sorted(acc.items()) if c != 0
+    )
+    return TrigObservable(terms)
+
+
+def closed_form_torus_bound(
+    sys: TorusSystem,
+    fs: Sequence[TrigObservable],
+    lengths: Sequence[int],
+) -> float:
+    """The Fraction form of ergolab.torus.torus_deviation_bound: certified
+    bound on |torus_truncated_average - character_limit| at
+    every sample, for a box with these edge lengths and any base point.
+
+    A resonant combination reproduces its limit term; any other one deviates
+    by at most |c| prod_j |D_j| <= |c| prod_j min(1, 1/(N_j |sin(pi theta_j)|)).
+    """
+    if len(fs) != sys.d:
+        raise ValidationError(f"need {sys.d} observables, got {len(fs)}")
+    if len(lengths) != sys.r:
+        raise ValidationError("box dimension differs from rank")
+    total = 0.0
+    for ks, _, coeff, thetas in _thetas(sys, fs):
+        if _resonant(sys, ks):
+            continue
+        term = abs(coeff)
+        for theta, n in zip(thetas, lengths):
+            if theta:
+                term *= min(1.0, 1.0 / (n * abs(math.sin(math.pi * float(theta)))))
+        total += term
+    return total
 
 
 def full_perm(sys_, g):

@@ -370,6 +370,34 @@ def test_torus_demo_errors_within_bound(tmp_path, r):
     assert 0 < by_n[big] < 1e-6 < by_n[" ".join(["64"] * r)]
 
 
+def test_torus_demo_past_float_range(tmp_path):
+    """A box length of 10**309 has no float, and the counterexample with
+    alpha = 5e-324 and action coefficients 1/3 and 1 has a nonzero theta =
+    alpha / 3 below 2**-1075, whose float is 0: both reports are written,
+    with every error within its bound."""
+    raw = json.loads(Path(scn_path("torus-counterexample")).read_text())
+    raw["name"] = "tiny-theta"
+    raw["system"]["symbol_values"]["alpha"] = 5e-324
+    for rot, coeff in zip(raw["system"]["rotations"], ("1/3", "1")):
+        rot["vector"][0]["symbols"]["alpha"] = coeff
+    raw["boxes"] += [{"lengths": [N], "base": [-5]} for N in (10 ** 309, 10 ** 330)]
+    mixed = _mixed_torus_scenario(1)
+    mixed["boxes"].append({"lengths": [10 ** 309], "base": [3]})
+    for scenario in (raw, mixed):
+        path = tmp_path / f"{scenario['name']}.json"
+        path.write_text(json.dumps(scenario))
+        run_ok(["torus-demo", "--scenario", str(path), "--out", str(tmp_path)])
+        report = tmp_path / f"{scenario['name']}__torus-demo.json"
+        rows = json.loads(report.read_text())["rows"]
+        assert {row["N"] for row in rows} >= {str(10 ** 309)}
+        # mixed has resonant combinations, whose errors are roundoff
+        slack = 1e-12 if scenario is mixed else 0.0
+        for row in rows:
+            assert float(row["abs_error"]) <= float(row["bound"]) + slack, row
+    tiny = json.loads((tmp_path / "tiny-theta__torus-demo.json").read_text())["rows"]
+    assert {row["bound"] for row in tiny if len(row["N"]) < 300} == {"1.000000000000e+00"}
+
+
 def test_torus_demo_resonance_exact_at_huge_boxes(tmp_path):
     """Rotations 1/2 and 1/3 with frequencies 2 and 3 resonate exactly
     (2/2 + 3/3 = 2), so the average equals the limit at any box size: the

@@ -18,10 +18,13 @@ from ergolab.factors import Partition
 from ergolab.observables import Observable
 from ergolab.proof import orbit_cells
 from ergolab.system import FiniteSystem, period_box
+from ergolab.errors import ErgolabError
 from ergolab.torus import (
     RotationEntry,
     TorusSystem,
     TrigObservable,
+    character_limit,
+    torus_deviation_bound,
     torus_truncated_average,
 )
 
@@ -378,3 +381,90 @@ def test_torus_sum_matches_fraction_loop(torus_scenario):
     for lengths, base in [((3, 5), (0, 0)), ((6, 4), (-77, 1000)),
                           ((1, 2), (10 ** 6, -10 ** 6)), ((40, 40), (10 ** 6, -10 ** 6))]:
         _assert_close(sys_, fs, FolnerBox(lengths, base), samples)
+
+
+SYMBOLS = ("alpha", "beta", "gamma")
+
+
+def _random_torus(rng):
+    """A random rotation system with m, r and d in 1..3, in one of three
+    flavours: purely rational (many resonances), integer multiples of one
+    symbol plus a rational (the counterexample's shape, resonances by
+    cancellation), or any mix of rationals, symbols and inexact floats.
+    Symbol values and float entries carry full 53-bit mantissas."""
+    m, r, d = (rng.randint(1, 3) for _ in range(3))
+    flavour = rng.choice(("rational", "multiples", "mixed"))
+
+    def entry(i):
+        rational = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+        if flavour == "rational":
+            return RotationEntry.exact(rational)
+        if flavour == "multiples":
+            return RotationEntry.exact(rational, {"alpha": Fraction(i * rng.randint(1, 2))})
+        if rng.random() < 0.25:
+            return RotationEntry.from_float(rng.uniform(-2.0, 2.0))
+        names = rng.sample(SYMBOLS, rng.randint(0, 2))
+        return RotationEntry.exact(
+            rational, {s: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for s in names}
+        )
+
+    rotations = tuple(
+        tuple(tuple(entry(i) for _ in range(m)) for _ in range(r))
+        for i in range(1, d + 1)
+    )
+    symbol_values = tuple((s, rng.random()) for s in SYMBOLS if rng.random() < 0.97)
+    sys_ = TorusSystem(m=m, r=r, d=d, rotations=rotations, symbol_values=symbol_values)
+    fs = []
+    for _ in range(d):
+        freqs = {tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(1, 3))}
+        fs.append(TrigObservable(tuple(
+            (k, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for k in sorted(freqs)
+        )))
+    return sys_, fs
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the ErgolabError it raises."""
+    try:
+        return fn(*args)
+    except ErgolabError as exc:
+        return type(exc), str(exc)
+
+
+def test_integer_torus_kernel_equals_fraction_closed_form():
+    """The integer kernel against the Fraction closed form it replaced, with
+    exact ==: averages, bounds and limits, or the same error with the same
+    message, on a seeded corpus with bases up to 10^12 in size, box lengths
+    up to 10^18 and samples with full 53-bit mantissas."""
+    rng = random.Random(1414)
+    seen, resonant = set(), 0
+    for _ in range(120):
+        sys_, fs = _random_torus(rng)
+        samples = [
+            tuple(rng.choice((rng.random(), rng.uniform(-1e6, 1e6))) for _ in range(sys_.m))
+            for _ in range(rng.randint(1, 3))
+        ]
+        limit = _outcome(character_limit, sys_, fs)
+        assert limit == _outcome(oracle.closed_form_character_limit, sys_, fs)
+        resonant += isinstance(limit, TrigObservable) and limit.terms != ()
+        for _ in range(3):
+            lengths = tuple(rng.randint(1, 10 ** rng.randint(1, 18)) for _ in range(sys_.r))
+            box = FolnerBox(lengths, tuple(rng.randint(-10 ** 12, 10 ** 12) for _ in lengths))
+            got = _outcome(torus_truncated_average, sys_, fs, box, samples)
+            assert got == _outcome(oracle.closed_form_torus_average, sys_, fs, box, samples)
+            got = _outcome(torus_deviation_bound, sys_, fs, lengths)
+            assert got == _outcome(oracle.closed_form_torus_bound, sys_, fs, lengths)
+            seen.add(got[0].__name__ if isinstance(got, tuple) else type(got).__name__)
+        # malformed calls fail the same way
+        box = FolnerBox((5,) * (sys_.r + 1))
+        for args in [(fs[:-1], FolnerBox((5,) * sys_.r), samples), (fs, box, samples),
+                     (fs, FolnerBox((5,) * sys_.r), [(0.5,) * (sys_.m + 1)])]:
+            assert _outcome(torus_truncated_average, sys_, *args) == _outcome(
+                oracle.closed_form_torus_average, sys_, *args
+            )
+        assert _outcome(torus_deviation_bound, sys_, fs, box.lengths) == _outcome(
+            oracle.closed_form_torus_bound, sys_, fs, box.lengths
+        )
+    # the corpus reaches resonances, undecidable ones and missing symbols
+    assert resonant >= 10
+    assert seen == {"float", "UndecidableResonance", "ValidationError"}

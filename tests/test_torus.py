@@ -164,3 +164,69 @@ def test_trig_norms():
     assert abs(f.linf_bound - 6.0) < 1e-12
     g = f.conjugate()
     assert g.terms == (((-1,), 3 - 4j), ((-2,), 0 + 1j))
+
+
+def test_box_lengths_past_float_range():
+    """A length N >= 2**1024 has no float: the kernel and the bound shift N
+    into float range before they divide by it, so both tend to 0 with N
+    instead of raising OverflowError."""
+    alpha = RotationEntry.exact(0, {"alpha": Fraction(1)})
+    sys_ = TorusSystem(
+        m=1, r=1, d=1, rotations=(((alpha,),),), symbol_values=(("alpha", 1e-10),)
+    )
+    f = TrigObservable.character((1,))
+    theta = Fraction(1e-10)
+    bounds = {}
+    for N in (2 ** 1023, 2 ** 1024, 10 ** 309, 10 ** 400):
+        (val,) = torus_truncated_average(sys_, [f], FolnerBox((N,), (-(10 ** 12),)), [(0.25,)])
+        bounds[N] = torus_deviation_bound(sys_, [f], (N,))
+        # |D_N| = |sin(pi N theta)| / (N sin(pi theta)), N theta reduced exactly
+        scale = N.bit_length() - 1
+        want = abs(oracle._sin_pi(N * theta)) / math.sin(math.pi * float(theta))
+        assert abs(val) == pytest.approx(want * 2.0 ** -scale / (N >> scale), rel=1e-12)
+        assert abs(val) <= bounds[N] * (1 + 1e-12)
+    with pytest.raises(OverflowError):
+        oracle.closed_form_torus_bound(sys_, [f], (2 ** 1024,))
+    assert bounds[2 ** 1024] == bounds[2 ** 1023] / 2
+    assert 0 < bounds[10 ** 309] < 1e-298
+    assert bounds[10 ** 400] == 0.0
+
+
+def _tiny_theta_pair():
+    """The counterexample's shape with alpha = 5e-324 (2**-1074) and
+    coefficients 1/3 and 1: frequencies -2 and 1 give theta = alpha / 3,
+    nonzero but below 2**-1075, so float(theta) is 0."""
+    alpha = Fraction(5e-324)
+    rotations = tuple(
+        ((RotationEntry.exact(0, {"alpha": c}),),) for c in (Fraction(1, 3), Fraction(1))
+    )
+    sys_ = TorusSystem(m=1, r=1, d=2, rotations=rotations, symbol_values=(("alpha", 5e-324),))
+    return sys_, [TrigObservable.character((-2,)), TrigObservable.character((1,))], alpha / 3
+
+
+def test_rotations_below_float_range():
+    """sin(pi theta) is pi theta far within rounding for theta < 2**-1075,
+    so the kernel is sin(pi N theta) / (pi N theta) with N theta exact, and
+    the bound min(1, 1 / (pi N |theta|)), instead of a ZeroDivisionError."""
+    sys_, fs, theta = _tiny_theta_pair()
+    assert float(theta) == 0.0 and theta != 0
+    assert character_limit(sys_, fs).terms == ()
+    t = 0.3
+    for N in (1, 64, 10 ** 309):
+        (val,) = torus_truncated_average(sys_, fs, FolnerBox((N,), (-7,)), [(t,)])
+        # |N theta| < 1e-14, so the kernel is its phase e(theta (2b + N - 1) / 2)
+        phase = float(theta * (2 * -7 + N - 1) / 2)
+        assert abs(val - cmath.exp(2j * math.pi * (phase - t))) <= 1e-15
+        assert torus_deviation_bound(sys_, fs, (N,)) == 1.0
+    for N in (10 ** 330, 10 ** 340):
+        x = N * theta
+        (val,) = torus_truncated_average(sys_, fs, FolnerBox((N,)), [(t,)])
+        want = abs(oracle._sin_pi(x)) / (math.pi * float(x))
+        assert abs(val) == pytest.approx(want, rel=1e-12)
+        bound = torus_deviation_bound(sys_, fs, (N,))
+        assert bound == pytest.approx(1 / (math.pi * float(x)), rel=1e-12)
+        assert abs(val) <= bound
+    with pytest.raises(ZeroDivisionError):
+        oracle.closed_form_torus_bound(sys_, fs, (8,))
+    with pytest.raises(ZeroDivisionError):
+        oracle.closed_form_torus_average(sys_, fs, FolnerBox((8,)), [(t,)])
