@@ -9,16 +9,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .averages import basis_counts
 from .errors import BudgetExceeded, InternalInvariantViolation, ValidationError
 from .factors import Partition, action_isotropy, difference_isotropy, join
 from .observables import ExactNorm
 from .system import FiniteSystem, period_box
-
-if TYPE_CHECKING:
-    from .joinings import JoinedMeasure
 
 
 class ExtensionStage(NamedTuple):
@@ -115,21 +112,20 @@ def is_pleasant(sys: FiniteSystem, budget: int = 10 ** 6) -> PleasantnessReport:
     )
 
 
-def one_step_extension(sys: FiniteSystem) -> ExtensionStage:
+def one_step_extension(sys: FiniteSystem, budget: int = 10 ** 6) -> ExtensionStage:
     """The extension whose state space is the support of mu^{*d}, with
     T_1 lifted to the product T_1 x T_2 x ... x T_d and T_i (i >= 2) to its
-    full diagonal.  The factor map is the first-coordinate projection."""
-    from .joinings import furstenberg_joining
+    full diagonal.  The factor map is the first-coordinate projection.
+    The stage has one state per support tuple, so its n^d basis tuples are
+    checked against the budget before anything is lifted: BudgetExceeded
+    if they exceed it."""
+    from .joinings import diagonal_action_name, furstenberg_joining
 
-    return _extension(sys, furstenberg_joining(sys))
-
-
-def _extension(sys: FiniteSystem, jm: JoinedMeasure) -> ExtensionStage:
-    """one_step_extension from the system's Furstenberg joining jm."""
-    from .joinings import diagonal_action_name
-
+    jm = furstenberg_joining(sys)
     supp = jm.support
-    weights = tuple(jm.mass[t] for t in supp)
+    if len(supp) ** sys.d > budget:
+        raise BudgetExceeded(len(supp) ** sys.d, budget)
+    weights = tuple(Fraction(w, jm.denom) for w in jm.support_weights)
     names = [diagonal_action_name(jm)] + [f"S{i}" for i in range(2, sys.d + 1)]
     generators = tuple(jm.lift(jm.actions[name]) for name in names)
     labels = tuple(
@@ -162,11 +158,7 @@ def iterate_extensions(
     budget: int = 10 ** 6,
 ) -> ExtensionRun:
     """Apply one_step_extension until pleasant, the stage budget is hit, or
-    max_m stages have been built.  Budget overrun is reported, not raised:
-    a stage has one state per tuple of the joining's support, so its n^d
-    basis tuples are checked before anything is lifted."""
-    from .joinings import furstenberg_joining
-
+    max_m stages have been built.  Budget overrun is reported, not raised."""
     if max_m < 1:
         raise ValidationError("max_m must be at least 1")
     stages: List[ExtensionStage] = []
@@ -175,13 +167,9 @@ def iterate_extensions(
     m = 0
     status = "pleasant" if report.pleasant else "max-m-reached"
     while not report.pleasant and m < max_m:
-        jm = furstenberg_joining(current)
-        if len(jm.support) ** current.d > budget:
-            status = "budget-exceeded"
-            break
         try:
-            stage = _extension(current, jm)
-        except MemoryError:  # pragma: no cover
+            stage = one_step_extension(current, budget=budget)
+        except (BudgetExceeded, MemoryError):
             status = "budget-exceeded"
             break
         stages.append(stage._replace(stage=m + 1))

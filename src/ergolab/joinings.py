@@ -1,13 +1,14 @@
 """Self-joinings: the Furstenberg joining, relatively independent joinings,
 and the Host-Kra tower.
 
-A joined measure lives on X^k with states as index tuples, stored sparsely
-as integer weights over one denominator D: tuple t has mass weight[t] / D,
-and D is the least such denominator.  Sums and comparisons of masses are
-int arithmetic; a Fraction is built only where a mass is read.  A
-relatively independent step over cells C of weight A_C turns the weights
-a_u, a_v of two tuples of one cell into a_u a_v (L / A_C) over D L, where L
-is the lcm of the A_C, and then divides out the gcd again.
+A joined measure lives on X^k with states as index tuples, stored as its
+support, the tuples of positive mass in strictly increasing order, and
+their positive integer weights over the least denominator D.  Sums and
+comparisons of masses are int arithmetic; a Fraction is built only where a
+mass is read.  A relatively independent step over cells C of weight A_C
+lists the pairs u + v of one cell in order of u, then v, turning the
+weights a_u, a_v into a_u a_v (L / A_C) over D L, where L is the lcm of
+the A_C, and then divides out the gcd again.
 
 An action moves each coordinate by one base action or fixes it, so it is a
 tuple of base action indices, 0 for a fixed coordinate; JoinedMeasure.lift
@@ -35,7 +36,6 @@ from .system import (
     compose,
     identity_perm,
     invert,
-    over_common_denominator,
     period_box,
 )
 
@@ -43,66 +43,67 @@ StateTuple = Tuple[int, ...]
 
 
 class Masses(Mapping):
-    """Read-only view of integer weights over a denominator as Fraction
-    masses, each built when it is read."""
+    """Read-only view of a joined measure's weights as Fraction masses,
+    each built when it is read."""
 
-    __slots__ = ("_weight", "_denom")
+    __slots__ = ("_jm",)
 
-    def __init__(self, weight: Dict[StateTuple, int], denom: int):
-        self._weight, self._denom = weight, denom
+    def __init__(self, jm: "JoinedMeasure"):
+        self._jm = jm
 
     def __getitem__(self, t: StateTuple) -> Fraction:
-        return Fraction(self._weight[t], self._denom)
+        jm = self._jm
+        return Fraction(jm.support_weights[jm._index[t]], jm.denom)
 
     def __iter__(self):
-        return iter(self._weight)
+        return iter(self._jm.support)
 
     def __len__(self) -> int:
-        return len(self._weight)
+        return len(self._jm.support)
 
 
 class JoinedMeasure:
     """Sparse exact probability measure on X^power with named actions.
 
-    mass maps state tuples to Fraction masses, or, when denom is given, to
-    integer weights over denom.  Zero masses are dropped and the common
-    factor of the weights is divided out, so tuple t has mass
-    weight[t] / denom with denom the lcm of the masses' denominators;
-    ``mass`` reads the measure back as Fractions.
+    support_weights[k] / denom is the mass of support[k].  The builder
+    passes the support in strictly increasing order; the weights must be
+    positive ints summing to denom, and their gcd is divided out, so denom
+    is the least denominator of the masses.  ``mass`` reads the measure
+    back as Fractions.
     """
 
     def __init__(
         self,
         base: FiniteSystem,
         power: int,
-        mass: Dict[StateTuple, Fraction],
+        support: List[StateTuple],
+        support_weights: List[int],
+        denom: int,
         actions: Dict[str, Tuple[int, ...]],
         labels: Optional[Tuple[frozenset, ...]] = None,
-        denom: Optional[int] = None,
     ):
-        if denom is None:
-            ints, denom = over_common_denominator(mass.values())
-            mass = dict(zip(mass, ints))
-        weight = {t: w for t, w in mass.items() if w}
         self.base = base
         self.power = power
         self.actions = dict(actions)
         self.labels = labels
-        if min(weight.values(), default=0) < 0:
-            raise ValidationError("joined masses must be nonnegative")
-        if denom < 1 or sum(weight.values()) != denom:
+        if len(support_weights) != len(support):
+            raise ValidationError("support and weights differ in length")
+        if min(support_weights, default=1) < 1:
+            raise ValidationError("joined weights must be positive")
+        if denom < 1 or sum(support_weights) != denom:
             raise ValidationError("joined masses must sum to exactly 1")
-        if any(len(t) != power for t in weight):
+        if any(len(t) != power for t in support):
             raise ValidationError("state tuple length differs from power")
         for name, coords in self.actions.items():
             if len(coords) != power:
                 raise ValidationError(f"action {name} has wrong arity")
         if labels is not None and len(labels) != power:
             raise ValidationError("labels length differs from power")
-        g = math.gcd(*weight.values())
+        g = math.gcd(*support_weights)
         if g > 1:
-            weight = {t: w // g for t, w in weight.items()}
-        self.weight: Dict[StateTuple, int] = weight
+            support_weights = [w // g for w in support_weights]
+        self.support: List[StateTuple] = support
+        self.support_weights: List[int] = support_weights
         self.denom: int = denom // g
         # coords -> lifted perms; (measure below, cells, start, rank) for a
         # relatively independent product (see _rel_indep_step)
@@ -110,17 +111,8 @@ class JoinedMeasure:
         self._pairing = None
 
     @cached_property
-    def support(self) -> List[StateTuple]:
-        return sorted(self.weight)
-
-    @cached_property
-    def support_weights(self) -> List[int]:
-        """The weights in support order."""
-        return [self.weight[t] for t in self.support]
-
-    @cached_property
     def mass(self) -> Masses:
-        return Masses(self.weight, self.denom)
+        return Masses(self)
 
     @cached_property
     def _index(self) -> Dict[StateTuple, int]:
@@ -131,10 +123,9 @@ class JoinedMeasure:
         a coordinate's weights summed per state, s over D, match the base
         weights b over D' when s D' == b D."""
         base, base_denom = self.base.int_weights
-        items = self.weight.items()
         for c in range(self.power):
             sums = [0] * self.base.n
-            for t, w in items:
+            for t, w in zip(self.support, self.support_weights):
                 sums[t[c]] += w
             if any(s * base_denom != b * self.denom for s, b in zip(sums, base)):
                 return False
@@ -204,8 +195,10 @@ class JoinedMeasure:
 def _point_masses(sys: FiniteSystem, actions, labels=None) -> JoinedMeasure:
     """The system's own measure as a power-1 joined measure."""
     ws, denom = sys.int_weights
-    weight = {(x,): ws[x] for x in sys.support}
-    return JoinedMeasure(sys, 1, weight, actions, labels=labels, denom=denom)
+    supp = sys.support
+    return JoinedMeasure(
+        sys, 1, [(x,) for x in supp], [ws[x] for x in supp], denom, actions, labels
+    )
 
 
 def furstenberg_joining(
@@ -227,7 +220,10 @@ def furstenberg_joining(
             weight[t] = weight.get(t, 0) + ws[x] * c
     actions = {f"S{i}": (i,) * d for i in range(1, d + 1)}
     actions[f"S{d + 1}"] = tuple(range(1, d + 1))
-    return JoinedMeasure(sys, d, weight, actions, denom=denom * pbox.size)
+    support = sorted(weight)
+    return JoinedMeasure(
+        sys, d, support, [weight[t] for t in support], denom * pbox.size, actions
+    )
 
 
 def diagonal_action_name(jm: JoinedMeasure) -> str:
@@ -260,11 +256,9 @@ def _rel_indep_step(
         for r, j in enumerate(cell):
             rank[j] = r
     jm = JoinedMeasure(
-        below.base, 2 * below.power, dict(zip(pairs, pair_ws)), actions,
-        labels=labels, denom=below.denom * lcm,
+        below.base, 2 * below.power, pairs, pair_ws, below.denom * lcm, actions,
+        labels,
     )
-    # the pairs are in sorted order, and dividing out the gcd kept it
-    jm.support, jm.support_weights = pairs, list(jm.weight.values())
     jm._pairing = (below, cells, start, rank)
     return jm
 

@@ -157,26 +157,10 @@ class TrigObservable(namedtuple("TrigObservable", "terms")):
     def character(freq: Sequence[int], coeff: complex = 1.0) -> "TrigObservable":
         return TrigObservable(((tuple(freq), complex(coeff)),))
 
-    def conjugate(self) -> "TrigObservable":
-        return TrigObservable(
-            tuple((tuple(-x for x in k), c.conjugate()) for k, c in self.terms)
-        )
-
     def __call__(self, t: Sequence[float]) -> complex:
-        total = 0j
-        for k, c in self.terms:
-            phase = sum(ki * ti for ki, ti in zip(k, t))
-            total += c * cmath.exp(1j * TWO_PI * phase)
-        return total
-
-    @property
-    def l2_norm(self) -> float:
-        # Haar-orthonormality of the characters
-        return math.sqrt(sum(abs(c) ** 2 for _, c in self.terms))
-
-    @property
-    def linf_bound(self) -> float:
-        return sum(abs(c) for _, c in self.terms)
+        """The value at t, each phase k.t reduced exactly as in the kernel."""
+        (x,), den = _sample_phases([t])
+        return sum((c * _e(sum(map(mul, k, x)), den) for k, c in self.terms), 0j)
 
 
 def _centred(p: int, den: int) -> int:

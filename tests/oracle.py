@@ -14,8 +14,9 @@ unit vectors, never by lifting permutations to a support.  They are slow
 on purpose; tests compare the library against them exactly.
 
 The rest are helpers only tests use: the action of a flat exponent vector
-of Z^{rd}, partition predicates, a bare relatively independent joining,
-and the grid system of a purely rational torus rotation.
+of Z^{rd}, partition predicates, a joined measure from Fraction masses, a
+bare relatively independent joining, the conjugate and norms of a trig
+polynomial, and the grid system of a purely rational torus rotation.
 """
 
 import cmath
@@ -28,13 +29,14 @@ from typing import Dict, List, Sequence, Tuple
 from ergolab.errors import UndecidableResonance, ValidationError
 from ergolab.extensions import pleasant_factor
 from ergolab.factors import Partition
-from ergolab.joinings import _point_masses, _rel_indep_step
+from ergolab.joinings import JoinedMeasure, _point_masses, _rel_indep_step
 from ergolab.observables import Observable, l2_square
 from ergolab.system import (
     FiniteSystem,
     FolnerBox,
     compose,
     identity_perm,
+    over_common_denominator,
     period_box,
 )
 from ergolab.torus import TWO_PI, TorusSystem, TrigObservable, _combos
@@ -467,6 +469,33 @@ def rel_indep_joining(sys_, part):
         raise ValidationError("partition is over a different state set")
     cells = Partition.from_cell_ids([part.cell_of[x] for x in sys_.support])
     return _rel_indep_step(_point_masses(sys_, {}), cells, {}, None)
+
+
+def joined_measure(base, power, mass, actions):
+    """A JoinedMeasure from a dict of Fraction masses: zero masses dropped,
+    the support sorted, the masses made ints over their least common
+    denominator."""
+    support = sorted(t for t, m in mass.items() if m)
+    weights, denom = over_common_denominator(mass[t] for t in support)
+    return JoinedMeasure(base, power, support, list(weights), denom, actions)
+
+
+def conjugate(f):
+    """The complex conjugate of a trig polynomial."""
+    return TrigObservable(
+        tuple((tuple(-x for x in k), c.conjugate()) for k, c in f.terms)
+    )
+
+
+def l2_norm(f) -> float:
+    """The L^2 norm of a trig polynomial, by Haar-orthonormality of the
+    characters."""
+    return math.sqrt(sum(abs(c) ** 2 for _, c in f.terms))
+
+
+def linf_bound(f) -> float:
+    """The sum of a trig polynomial's coefficient moduli, which bounds it."""
+    return sum(abs(c) for _, c in f.terms)
 
 
 def rational_rotation_to_finite(sys_):

@@ -148,6 +148,27 @@ def test_rejected_stage_is_never_lifted(monkeypatch):
     assert len(calls) == sys_.d
 
 
+def test_iterate_builds_each_stage_with_one_step_extension(monkeypatch):
+    """Every stage iterate_extensions builds, and every stage it rejects on
+    budget, goes through one_step_extension."""
+    import ergolab.extensions as extensions
+
+    calls = []
+    step = extensions.one_step_extension
+
+    def counting_step(sys_, budget):
+        calls.append(sys_.n)
+        return step(sys_, budget=budget)
+
+    monkeypatch.setattr(extensions, "one_step_extension", counting_step)
+    run = iterate_extensions(cyclic_system(5, [1, 2]), max_m=2)
+    assert run.status == "pleasant"
+    assert calls == [5]
+    run = iterate_extensions(cyclic_system(5, [1, 2]), max_m=2, budget=25 ** 2 - 1)
+    assert run.status == "budget-exceeded"
+    assert calls == [5, 5]
+
+
 def test_iterate_stops_immediately_when_pleasant():
     sys_ = cyclic_system(6, [2])  # d=1, always pleasant
     run = iterate_extensions(sys_)

@@ -153,7 +153,7 @@ def test_is_invariant_checks_every_axis():
     for gens in [(still, rotate), (rotate, still)]:
         sys_ = FiniteSystem(n=4, r=2, d=1, weights=(Fraction(1, 4),) * 4,
                             generators=(gens,))
-        jm = JoinedMeasure(sys_, 1, masses, {"T1": (1,), "id": (0,)})
+        jm = oracle.joined_measure(sys_, 1, masses, {"T1": (1,), "id": (0,)})
         assert not jm.is_invariant("T1")
         assert jm.is_invariant("id")
 
@@ -228,27 +228,25 @@ def test_hk_condition_check_cases():
 @pytest.mark.parametrize(
     "mass, message",
     [
-        ({(0, 1): Fraction(3, 2), (1, 0): Fraction(-1, 2)}, "must be nonnegative"),
-        ({(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 3)}, "sum to exactly 1"),
-        ({}, "sum to exactly 1"),
-        ({(0, 1): Fraction(1, 2), (1,): Fraction(1, 2)}, "differs from power"),
+        (([(0, 1), (1, 0)], [9, -3], 6), "must be positive"),
+        (([(0, 1), (1, 0)], [3, 2], 6), "sum to exactly 1"),
+        (([], [], 6), "sum to exactly 1"),
+        (([(0, 1), (1,)], [3, 3], 6), "differs from power"),
+        (([(0, 1), (1, 0)], [3, 0], 3), "must be positive"),
+        (([(0, 1), (1, 0)], [6], 6), "differ in length"),
     ],
 )
 def test_joined_measure_rejects(mass, message):
-    """The same messages for Fraction masses and for integer weights."""
+    """mass is (support, weights, denom); a zero weight is rejected, not
+    dropped."""
     sys_ = cyclic_system(5, [1, 2])
     with pytest.raises(ValidationError, match=message):
-        JoinedMeasure(sys_, 2, mass, {})
-    denom = 6
-    weight = {t: m * denom for t, m in mass.items()}
-    assert all(w.denominator == 1 for w in weight.values())
-    with pytest.raises(ValidationError, match=message):
-        JoinedMeasure(sys_, 2, {t: int(w) for t, w in weight.items()}, {}, denom=denom)
+        JoinedMeasure(sys_, 2, *mass, {})
 
 
 def test_joined_measure_weights_over_least_denominator():
     sys_ = cyclic_system(5, [1, 2])
-    jm = JoinedMeasure(sys_, 2, {(0, 1): 6, (1, 0): 2, (2, 2): 0}, {}, denom=8)
-    assert (jm.weight, jm.denom) == ({(0, 1): 3, (1, 0): 1}, 4)
+    jm = JoinedMeasure(sys_, 2, [(0, 1), (1, 0)], [6, 2], 8, {})
+    assert (jm.support_weights, jm.denom) == ([3, 1], 4)
     assert jm.mass == {(0, 1): Fraction(3, 4), (1, 0): Fraction(1, 4)}
-    assert jm.support == [(0, 1), (1, 0)] and jm.support_weights == [3, 1]
+    assert jm.support == [(0, 1), (1, 0)] and len(jm.mass) == 2

@@ -202,7 +202,7 @@ def _is_invariant_cases(sys_, rng):
     yield jm, names
     # a measure that is not invariant under anything moving its atom
     t = jm.support[0]
-    point = JoinedMeasure(sys_, jm.power, {t: Fraction(1)}, jm.actions)
+    point = oracle.joined_measure(sys_, jm.power, {t: Fraction(1)}, jm.actions)
     yield point, names
     # full support, so every image is an atom: only unequal masses can
     # break invariance
@@ -212,7 +212,7 @@ def _is_invariant_cases(sys_, rng):
         t: Fraction(math.prod(raw[x] for x in t), total)
         for t in itertools.product(range(sys_.n), repeat=jm.power)
     }
-    yield JoinedMeasure(sys_, jm.power, skewed, jm.actions), names
+    yield oracle.joined_measure(sys_, jm.power, skewed, jm.actions), names
     for stage in host_kra_tower(sys_):
         yield stage, list(stage.actions)
 
@@ -275,7 +275,7 @@ def test_marginals_match_fraction_sums(systems):
         # the tower of one weighting read against another's weights
         uniform = _reweighted(sys_, (Fraction(1, sys_.n),) * sys_.n)
         cases += [
-            JoinedMeasure(uniform, stage.power, stage.mass, stage.actions)
+            oracle.joined_measure(uniform, stage.power, stage.mass, stage.actions)
             for stage in host_kra_tower(sys_)
         ]
         # one coordinate carries the base measure, the others sit at a state
@@ -285,7 +285,7 @@ def test_marginals_match_fraction_sums(systems):
                 (0,) * c + (x,) + (0,) * (power - 1 - c): sys_.weights[x]
                 for x in sys_.support
             }
-            cases.append(JoinedMeasure(sys_, power, pinned, {}))
+            cases.append(oracle.joined_measure(sys_, power, pinned, {}))
         for jm in cases:
             verdict = jm.marginals_equal_base()
             assert verdict == oracle.marginals_equal_base(jm)
@@ -295,13 +295,20 @@ def test_marginals_match_fraction_sums(systems):
 
 def test_host_kra_denominator_is_least(systems):
     """Each stage's denominator is the lcm of its masses' denominators, so
-    the integer weights were divided by their gcd at every step."""
+    the integer weights were divided by their gcd at every step; every
+    stage and every Furstenberg joining lists its support strictly
+    increasing, each tuple once, with positive weights."""
     for sys_ in systems:
-        for stage in host_kra_tower(sys_):
+        tower = host_kra_tower(sys_)
+        for stage in tower:
             assert stage.denom == math.lcm(
                 *(m.denominator for m in stage.mass.values())
             )
-            assert sum(stage.weight.values()) == stage.denom
+            assert sum(stage.support_weights) == stage.denom
+        for jm in tower + [furstenberg_joining(sys_)]:
+            assert all(u < v for u, v in zip(jm.support, jm.support[1:]))
+            assert len(jm.support_weights) == len(jm.support)
+            assert all(w > 0 for w in jm.support_weights)
 
 
 def test_host_kra_tower_matches_unit_vector_orbits(systems):
@@ -356,7 +363,7 @@ def _near_integer_pair():
 
 
 def _assert_close(sys_, fs, box, samples):
-    tol = 1e-12 * math.prod(f.linf_bound for f in fs)
+    tol = 1e-12 * math.prod(oracle.linf_bound(f) for f in fs)
     closed = torus_truncated_average(sys_, fs, box, samples)
     expected = oracle.torus_truncated_average(sys_, fs, box, samples)
     assert len(closed) == len(expected)
