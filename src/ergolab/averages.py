@@ -1,12 +1,14 @@
 """Nonconventional averages over Folner boxes and their exact limits.
 
-On a finite system the orbit map n -> (T_1^n, ..., T_d^n) is periodic with
-the axis periods of period_box, so the Folner limit is literally the
-average over one full period box, for any base point.  residues, the one
-reader of lattice points, reduces them modulo the period box; that is exact
-because every axis period is a multiple of each generator order on that
-axis, modulo which exponents act.  A box's residues have a closed form per
-axis, so a box of any length costs O(|P|); only an explicit point list is
+Every function here averages over all d actions of the system it is
+given; ``ergolab.proof.restrict`` gives the system of fewer actions.  On a
+finite system the orbit map n -> (T_1^n, ..., T_d^n) is periodic with the
+axis periods of period_box, so the Folner limit is literally the average
+over one full period box, for any base point.  residues, the one reader of
+lattice points, reduces them modulo the period box; that is exact because
+every axis period is a multiple of each generator order on that axis,
+modulo which exponents act.  A box's residues have a closed form per axis,
+so a box of any length costs O(|P|); only an explicit point list is
 walked.  The orbit counts every consumer contracts are a function of these
 residues, so a base point enters only through them: a full period box at
 any base hits each residue once, so it has the counts, averages and
@@ -18,45 +20,32 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, ValidationError
 from .observables import ExactNorm, Observable, ONE, l2_square, linf_norm
 from .system import FiniteSystem, FolnerBox, over_common_denominator, period_box
 
 
-class AverageReport(NamedTuple):
-    truncated: Observable
-    limit: Observable
-    deviation: ExactNorm
-    bound: ExactNorm
-    box: FolnerBox
-
-
-def _check_args(sys: FiniteSystem, fs, actions):
-    acts = tuple(actions) if actions is not None else tuple(range(1, sys.d + 1))
-    if len(fs) != len(acts):
-        raise DimensionMismatch(
-            f"got {len(fs)} observables for {len(acts)} actions"
-        )
+def _check_args(sys: FiniteSystem, fs):
+    if len(fs) != sys.d:
+        raise DimensionMismatch(f"got {len(fs)} observables for {sys.d} actions")
     for f in fs:
         if len(f) != sys.n:
             raise DimensionMismatch("observable length differs from state count")
-    return acts
 
 
 def residues(
     sys: FiniteSystem,
-    acts: Sequence[int],
     points: Union[FolnerBox, Iterable[Sequence[int]]],
 ) -> Dict[Tuple[int, ...], int]:
-    """How often each residue modulo period_box(sys, acts) occurs among the
+    """How often each residue modulo period_box(sys) occurs among the
     lattice points, in the order a walk over them first meets each: the one
     reader of points.  On an axis of period P, length N and base b, a box
     hits the residue of offset o = 0..min(N, P)-1, which is (b + o) mod P,
     N // P + [o < N mod P] times, and its counts are the product over axes:
     O(|P|) whatever N.  Only an explicit point list is walked."""
-    periods = period_box(sys, acts).lengths
+    periods = period_box(sys).lengths
     if isinstance(points, FolnerBox):
         if len(points.lengths) != sys.r:
             raise DimensionMismatch("box has wrong dimension")
@@ -79,15 +68,14 @@ def residues(
 
 def orbit_counts(
     sys: FiniteSystem,
-    acts: Sequence[int],
     points: Union[FolnerBox, Iterable[Sequence[int]]],
 ) -> Dict[Tuple[int, ...], int]:
-    """How often each orbit tuple (x, T_{a_1}^n x, ..., T_{a_k}^n x) occurs
-    as n runs over a box or an explicit point list and x over all states.
-    The orbit work is at most |P|*n, on top of residues' O(|P|) per box."""
+    """How often each orbit tuple (x, T_1^n x, ..., T_d^n x) occurs as n
+    runs over a box or an explicit point list and x over all states.  The
+    orbit work is at most |P|*n, on top of residues' O(|P|) per box."""
     counts: Dict[Tuple[int, ...], int] = {}
-    for nvec, mult in residues(sys, acts, points).items():
-        perms = [sys.action_perm(i, nvec) for i in acts]
+    for nvec, mult in residues(sys, points).items():
+        perms = [sys.action_perm(i, nvec) for i in range(1, sys.d + 1)]
         for key in zip(range(sys.n), *perms):
             counts[key] = counts.get(key, 0) + mult
     return counts
@@ -97,10 +85,8 @@ def basis_counts(sys: FiniteSystem) -> Dict[Tuple[int, ...], Dict[int, List]]:
     """Full-period-box counts of all d actions as {(y_2..y_d): {x: [(y_1,
     count)]}}, for x in the support.  Contracting a list with f_1 gives |P|
     times the exact limit of (f_1, e_{y_2}, ..., e_{y_d}) at x."""
-    acts = tuple(range(1, sys.d + 1))
-    counts = orbit_counts(sys, acts, period_box(sys, acts))
     grouped: Dict[Tuple[int, ...], Dict[int, List]] = {}
-    for (x, y1, *rest), c in counts.items():
+    for (x, y1, *rest), c in orbit_counts(sys, period_box(sys)).items():
         if sys.weights[x]:
             grouped.setdefault(tuple(rest), {}).setdefault(x, []).append((y1, c))
     return grouped
@@ -110,7 +96,7 @@ def truncated_average(
     sys: FiniteSystem,
     fs: Sequence[Observable],
     box: Optional[FolnerBox] = None,
-    actions: Optional[Sequence[int]] = None,
+    *,
     points: Optional[Iterable[Tuple[int, ...]]] = None,
 ) -> Observable:
     """Pointwise average of prod_i f_i o T_i^n over the lattice points.
@@ -120,7 +106,7 @@ def truncated_average(
     its least denominator, the sums are ints, and state x gets one
     Fraction(total_x, |I| * prod_i D_i).
     """
-    acts = _check_args(sys, fs, actions)
+    _check_args(sys, fs)
     if points is None:
         if box is None:
             raise ValidationError("need a box or an explicit point list")
@@ -132,7 +118,7 @@ def truncated_average(
         size = len(where)
     nums, denoms = zip(*(over_common_denominator(f.values) for f in fs))
     total = [0] * sys.n
-    for (x, *ys), c in orbit_counts(sys, acts, where).items():
+    for (x, *ys), c in orbit_counts(sys, where).items():
         prod = c
         for w, y in zip(nums, ys):
             v = w[y]
@@ -145,55 +131,28 @@ def truncated_average(
     return Observable(tuple(Fraction(t, denom) for t in total))
 
 
-def exact_limit(
-    sys: FiniteSystem,
-    fs: Sequence[Observable],
-    actions: Optional[Sequence[int]] = None,
-) -> Observable:
+def exact_limit(sys: FiniteSystem, fs: Sequence[Observable]) -> Observable:
     """The L^2 limit of the truncated averages: one full period box."""
-    acts = _check_args(sys, fs, actions)
-    return truncated_average(sys, fs, box=period_box(sys, acts), actions=acts)
-
-
-def l2_deviation(sys: FiniteSystem, f: Observable, g: Observable) -> ExactNorm:
-    return (f - g).l2(sys.weights)
+    return truncated_average(sys, fs, period_box(sys))
 
 
 def deviation_bound(
     sys: FiniteSystem,
     fs: Sequence[Observable],
     box: FolnerBox,
-    actions: Optional[Sequence[int]] = None,
 ) -> ExactNorm:
     """Certified bound on ||truncated - limit||_2.
 
     Splitting the box into complete periods plus a boundary shell gives
     B = 2 * ||f_1||_2 * prod_{i>=2} ||f_i||_inf * (1 - prod_j floor(N_j/P_j)*P_j/N_j).
     """
-    acts = _check_args(sys, fs, actions)
+    _check_args(sys, fs)
     if len(box.lengths) != sys.r:
         raise DimensionMismatch("box has wrong dimension")
-    pbox = period_box(sys, acts)
     rho = ONE
-    for N, P in zip(box.lengths, pbox.lengths):
+    for N, P in zip(box.lengths, period_box(sys).lengths):
         rho *= Fraction((N // P) * P, N)
     coeff = Fraction(2) * math.prod(
         (linf_norm(f) for f in fs[1:]), start=ONE
     ) * (ONE - rho)
     return ExactNorm(l2_square(fs[0], sys.weights)).scale(coeff)
-
-
-def average_report(
-    sys: FiniteSystem,
-    fs: Sequence[Observable],
-    box: FolnerBox,
-) -> AverageReport:
-    truncated = truncated_average(sys, fs, box=box)
-    limit = exact_limit(sys, fs)
-    return AverageReport(
-        truncated=truncated,
-        limit=limit,
-        deviation=l2_deviation(sys, truncated, limit),
-        bound=deviation_bound(sys, fs, box),
-        box=box,
-    )

@@ -7,12 +7,11 @@ stabilization verdict.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
 from .averages import basis_counts
-from .errors import BudgetExceeded, InternalInvariantViolation, ValidationError
+from .errors import BudgetExceeded, ValidationError
 from .factors import Partition, action_isotropy, difference_isotropy, join
 from .observables import ExactNorm
 from .system import FiniteSystem, period_box
@@ -21,23 +20,21 @@ from .system import FiniteSystem, period_box
 class ExtensionStage(NamedTuple):
     system: FiniteSystem
     factor_map: Tuple[int, ...]  # state upstairs -> state downstairs
-    stage: int
     support_tuples: Tuple[Tuple[int, ...], ...]
 
 
-class PleasantnessReport(
-    namedtuple("PleasantnessReport", "pleasant defect factor witness")
-):
-    """The verdict, the defect, the pleasant factor and the witness: the
-    basis states (x_1, ..., x_d) of a maximal defect, or None."""
+class PleasantnessReport(NamedTuple):
+    """The defect, the pleasant factor and the witness: the basis states
+    (x_1, ..., x_d) of a maximal defect, or None.  The system is pleasant
+    exactly when the defect is zero."""
 
-    __slots__ = ()
+    defect: ExactNorm
+    factor: Partition
+    witness: Optional[Tuple[int, ...]]
 
-    def __new__(cls, pleasant: bool, defect: ExactNorm, factor: Partition,
-                witness: Optional[Tuple[int, ...]]):
-        if pleasant != defect.is_zero:
-            raise InternalInvariantViolation("pleasant flag disagrees with defect")
-        return super().__new__(cls, pleasant, defect, factor, witness)
+    @property
+    def pleasant(self) -> bool:
+        return self.defect.is_zero
 
 
 def pleasant_factor(sys: FiniteSystem) -> Partition:
@@ -105,7 +102,6 @@ def is_pleasant(sys: FiniteSystem, budget: int = 10 ** 6) -> PleasantnessReport:
         top, denom * top_mass * top_mass * period_box(sys).size ** 2
     )
     return PleasantnessReport(
-        pleasant=defect_sq == 0,
         defect=ExactNorm(defect_sq),
         factor=xi,
         witness=witness,
@@ -141,14 +137,13 @@ def one_step_extension(sys: FiniteSystem, budget: int = 10 ** 6) -> ExtensionSta
     )
     factor_map = tuple(t[0] for t in supp)
     return ExtensionStage(
-        system=ext, factor_map=factor_map, stage=1, support_tuples=tuple(supp)
+        system=ext, factor_map=factor_map, support_tuples=tuple(supp)
     )
 
 
 class ExtensionRun(NamedTuple):
     stages: Tuple[ExtensionStage, ...]
     final_report: PleasantnessReport
-    stabilized: bool
     status: str  # "pleasant" | "budget-exceeded" | "max-m-reached"
 
 
@@ -164,22 +159,19 @@ def iterate_extensions(
     stages: List[ExtensionStage] = []
     current = sys
     report = is_pleasant(current, budget=budget)
-    m = 0
     status = "pleasant" if report.pleasant else "max-m-reached"
-    while not report.pleasant and m < max_m:
+    while not report.pleasant and len(stages) < max_m:
         try:
             stage = one_step_extension(current, budget=budget)
         except (BudgetExceeded, MemoryError):
             status = "budget-exceeded"
             break
-        stages.append(stage._replace(stage=m + 1))
+        stages.append(stage)
         current = stage.system
         report = is_pleasant(current, budget=budget)
-        m += 1
         status = "pleasant" if report.pleasant else "max-m-reached"
     return ExtensionRun(
         stages=tuple(stages),
         final_report=report,
-        stabilized=report.pleasant,
         status=status,
     )

@@ -209,12 +209,11 @@ def furstenberg_joining(
     the box base point.  With mu = w / D, tuple t gets the orbit counts of
     the states x reaching it, weighted by w_x, over D |P|."""
     d = sys.d
-    acts = tuple(range(1, d + 1))
-    pbox = period_box(sys, acts)
+    pbox = period_box(sys)
     box = FolnerBox(pbox.lengths, base_point)
     ws, denom = sys.int_weights
     weight: Dict[StateTuple, int] = {}
-    for (x, *t), c in orbit_counts(sys, acts, box).items():
+    for (x, *t), c in orbit_counts(sys, box).items():
         if ws[x]:
             t = tuple(t)
             weight[t] = weight.get(t, 0) + ws[x] * c

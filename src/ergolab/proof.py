@@ -18,24 +18,26 @@ below is a function here, or lives in the module a command runs it in:
   against the Furstenberg self-joining, or the last Host-Kra self-joining,
   tested against every invariant function, every limit with this f_1 is 0.
 * Pleasant reduction (``cond_expect``, from factors, ``is_measurable``,
-  ``pleasant_decompose``, ``reduce_pleasant_limit``): on a pleasant system
-  the limit keeps its value when f_1 is replaced by E[f_1 | Xi], Xi the
-  join of the T_1-isotropy and the T_i = T_1 isotropies; E[f_1 | Xi] is a
-  finite sum of products g_1 * ... * g_d, each g_i measurable for its
-  constituent, and each product reduces the limit to d - 1 actions.
+  ``pleasant_decompose``, ``reduce_pleasant_limit``, ``restrict``): on a
+  pleasant system the limit keeps its value when f_1 is replaced by
+  E[f_1 | Xi], Xi the join of the T_1-isotropy and the T_i = T_1
+  isotropies; E[f_1 | Xi] is a finite sum of products g_1 * ... * g_d,
+  each g_i measurable for its constituent, and each product reduces the
+  limit to one over the system restricted to the d - 1 actions T_2..T_d.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .averages import (
     _check_args, basis_counts, exact_limit, residues, truncated_average,
 )
 from .errors import (
     DimensionMismatch, InternalInvariantViolation, InvarianceViolated, NotMeasurable,
+    ValidationError,
 )
 from .extensions import ExtensionStage
 from .factors import (
@@ -50,7 +52,7 @@ from .system import FiniteSystem, FolnerBox, over_common_denominator, period_box
 __all__ = [
     "VdcWitness", "contractive_check", "hk_condition_check", "is_measurable",
     "joining_integral", "orbit_cells", "pleasant_decompose", "pull_back",
-    "reduce_pleasant_limit", "vdc_condition_check", "vdc_correlation",
+    "reduce_pleasant_limit", "restrict", "vdc_condition_check", "vdc_correlation",
     "vdc_identity_check",
 ]
 
@@ -60,14 +62,24 @@ def pull_back(stage: ExtensionStage, f: Observable) -> Observable:
     return Observable(tuple(f.values[x] for x in stage.factor_map))
 
 
+def restrict(sys: FiniteSystem, actions: Iterable[int]) -> FiniteSystem:
+    """The system whose action k is action actions[k-1] of sys, on the same
+    states, weights and labels: its averages are those of sys over that
+    subset of its actions, in that order."""
+    acts = tuple(actions)
+    if any(not 1 <= i <= sys.d for i in acts):
+        raise ValidationError(f"action index out of range 1..{sys.d}")
+    generators = tuple(sys.generators[i - 1] for i in acts)
+    return FiniteSystem(sys.n, sys.r, len(acts), sys.weights, generators, sys.labels)
+
+
 def contractive_check(
     sys: FiniteSystem,
     fs: Sequence[Observable],
     box: FolnerBox,
-    actions: Optional[Sequence[int]] = None,
 ) -> Tuple[ExactNorm, ExactNorm, bool]:
     """||avg||_2 against ||f_1||_2 * prod_{i>=2} ||f_i||_inf; must hold."""
-    avg = truncated_average(sys, fs, box=box, actions=actions)
+    avg = truncated_average(sys, fs, box)
     lhs = avg.l2(sys.weights)
     rhs = ExactNorm(l2_square(fs[0], sys.weights)).scale(
         math.prod((linf_norm(f) for f in fs[1:]), start=ONE)
@@ -83,9 +95,12 @@ def vdc_correlation(
     """gamma(m): the exact limit over n of <u_{n+m}, u_n>_mu where
     u_n = prod_i f_i o T_i^n.  Equals the integral of the exact limit of the
     shifted-product observables f_i * (f_i o T_i^m)."""
-    acts = _check_args(sys, fs, None)
-    (mred,) = residues(sys, acts, [m])
-    hs = [f * f.compose_perm(sys.action_perm(i, mred)) for i, f in zip(acts, fs)]
+    _check_args(sys, fs)
+    (mred,) = residues(sys, [m])
+    hs = [
+        f * f.compose_perm(sys.action_perm(i, mred))
+        for i, f in enumerate(fs, start=1)
+    ]
     lim = exact_limit(sys, hs)
     return sum((v * w for v, w in zip(lim.values, sys.weights)), ZERO)
 
@@ -96,8 +111,8 @@ def vdc_identity_check(
 ) -> Tuple[Fraction, Fraction, bool]:
     """Periodic-sequence van der Corput identity:
     ||limit||_2^2 == (1/|P|) sum_{delta in P-box} gamma(delta), exactly."""
-    acts = _check_args(sys, fs, None)
-    pbox = period_box(sys, acts)
+    _check_args(sys, fs)
+    pbox = period_box(sys)
     lim = exact_limit(sys, fs)
     lhsq = l2_square(lim, sys.weights)
     total = ZERO
@@ -114,26 +129,27 @@ def joining_integral(
 ) -> Fraction:
     """Integral of f_1(x_1) * ... * f_d(x_d) * g(x) against the joined mass.
     g may be None (constant 1) or a dict from state tuples to rationals
-    (default 0)."""
+    (default 0).  With each f_i and g over its least denominator, the sum
+    over the support is an int, and one Fraction is built at the end."""
     if len(fs) != jm.power:
         raise DimensionMismatch("need one observable per coordinate")
     for f in fs:
         if len(f) != jm.base.n:
             raise DimensionMismatch("observable length differs from base states")
-    total = ZERO
-    for t, m in jm.mass.items():
-        prod = m
-        for f, x in zip(fs, t):
-            v = f.values[x]
-            if v == 0:
-                prod = ZERO
+    nums, denoms = zip(*(over_common_denominator(f.values) for f in fs))
+    if g is None:
+        gnums, gdenom = (1,) * len(jm.support), 1
+    else:
+        gnums, gdenom = over_common_denominator(g.get(t, ZERO) for t in jm.support)
+    total = 0
+    for t, w, gv in zip(jm.support, jm.support_weights, gnums):
+        prod = w * gv
+        for v, x in zip(nums, t):
+            if not prod:
                 break
-            prod *= v
-        if prod:
-            gv = ONE if g is None else g.get(t, ZERO)
-            if gv:
-                total += prod * gv
-    return total
+            prod *= v[x]
+        total += prod
+    return Fraction(total, jm.denom * gdenom * math.prod(denoms))
 
 
 def orbit_cells(jm: JoinedMeasure, name: str) -> List[Tuple[StateTuple, ...]]:
@@ -291,16 +307,14 @@ def reduce_pleasant_limit(
         for g, part in zip(gs[1:], diffs):
             if not is_measurable(g, part):
                 raise InvarianceViolated("g_i is not (T_i = T_1)-invariant")
-    rest_actions = list(range(2, sys.d + 1))
+    rest = restrict(sys, range(2, sys.d + 1)) if sys.d > 1 else None
     reduced = Observable.constant(sys.n, 0)
     for gs in tuples:
-        if sys.d == 1:
+        if rest is None:
             reduced = reduced + gs[0]
         else:
             inner_fs = [g * f for g, f in zip(gs[1:], fs_rest)]
-            reduced = reduced + gs[0] * exact_limit(
-                sys, inner_fs, actions=rest_actions
-            )
+            reduced = reduced + gs[0] * exact_limit(rest, inner_fs)
     f1 = Observable.constant(sys.n, 0)
     for gs in tuples:
         prod = gs[0]

@@ -182,16 +182,7 @@ class FiniteSystem:
         return self.labels[x] if self.labels is not None else str(x)
 
 
-def period_box(sys: FiniteSystem, actions: Optional[Sequence[int]] = None) -> FolnerBox:
+def period_box(sys: FiniteSystem) -> FolnerBox:
     """The box at base 0 whose edges are the axis-wise lcm of the generator
-    orders over the given action subset (all d by default): the orbit map
-    repeats after it.  The one place an action subset is checked."""
-    acts = tuple(actions) if actions is not None else tuple(range(1, sys.d + 1))
-    if not acts:
-        raise ValidationError("action subset must be nonempty")
-    if any(not 1 <= i <= sys.d for i in acts):
-        raise ValidationError(f"action index out of range 1..{sys.d}")
-    periods = tuple(
-        math.lcm(*(sys.orders[i - 1][j] for i in acts)) for j in range(sys.r)
-    )
-    return FolnerBox(periods)
+    orders over all d actions: the orbit map repeats after it."""
+    return FolnerBox(tuple(math.lcm(*col) for col in zip(*sys.orders)))

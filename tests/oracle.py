@@ -46,9 +46,13 @@ ONE = Fraction(1)
 
 
 def residues(sys_, acts, pts):
-    """How often each residue modulo the period box occurs among the points,
-    walked one point at a time, in the order the walk first meets each."""
-    periods = period_box(sys_, acts).lengths
+    """How often each residue modulo the periods of the action subset acts
+    (per axis, the lcm of those actions' generator orders) occurs among the
+    points, walked one point at a time, in the order the walk first meets
+    each."""
+    periods = tuple(
+        math.lcm(*(sys_.orders[i - 1][j] for i in acts)) for j in range(sys_.r)
+    )
     reduced = Counter()
     for nvec in pts:
         reduced[tuple(e % P for e, P in zip(nvec, periods))] += 1

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from ergolab.averages import FolnerBox, average_report, exact_limit
+from ergolab.averages import FolnerBox, deviation_bound, exact_limit, truncated_average
 from ergolab.extensions import is_pleasant, one_step_extension, pleasant_factor
 from ergolab.factors import cond_expect
 from ergolab.joinings import (
@@ -28,7 +28,9 @@ from ergolab.joinings import (
     host_kra_tower,
 )
 from ergolab.observables import Observable
-from ergolab.proof import contractive_check, vdc_condition_check, vdc_identity_check
+from ergolab.proof import (
+    contractive_check, restrict, vdc_condition_check, vdc_identity_check,
+)
 from ergolab.system import period_box
 from ergolab.torus import character_limit, torus_truncated_average
 
@@ -111,12 +113,12 @@ def test_acceptance_04_deviation_bounds(finite_corpus):
             for _ in range(20):
                 base = tuple(rng.randint(-50, 50) for _ in range(sys_.r))
                 lengths = tuple(rng.randint(1, 3 * p) for p in P)
-                rep = average_report(sys_, fs, FolnerBox(lengths, base))
-                passed = passed and rep.deviation <= rep.bound
-                mult = tuple(p * rng.randint(1, 3) for p in P)
-                exact = average_report(sys_, fs, FolnerBox(mult, base))
-                passed = passed and exact.truncated == lim
-                passed = passed and exact.deviation.is_zero
+                box = FolnerBox(lengths, base)
+                deviation = (truncated_average(sys_, fs, box) - lim).l2(sys_.weights)
+                passed = passed and deviation <= deviation_bound(sys_, fs, box)
+                mult = FolnerBox(tuple(p * rng.randint(1, 3) for p in P), base)
+                passed = passed and truncated_average(sys_, fs, mult) == lim
+                passed = passed and deviation_bound(sys_, fs, mult).is_zero
     passed = passed and (time.monotonic() - start) < 30.0
     _verdict(4, "deviation bounds and exactness at period multiples", passed)
 
@@ -213,7 +215,7 @@ def test_acceptance_08_pleasant_reduction():
         # independent recomputation of the reduced side
         check = Observable.constant(ext.n, 0)
         for gs in tuples:
-            check = check + gs[0] * exact_limit(ext, [gs[1] * f2], actions=[2])
+            check = check + gs[0] * exact_limit(restrict(ext, [2]), [gs[1] * f2])
         passed = passed and out == check
     _verdict(8, "pleasant reduction, 100 fuzzed inputs", passed)
 

@@ -7,11 +7,8 @@ import pytest
 import oracle
 from ergolab.averages import (
     FolnerBox,
-    average_report,
     deviation_bound,
     exact_limit,
-    l2_deviation,
-    orbit_counts,
     residues,
     truncated_average,
 )
@@ -19,9 +16,11 @@ from ergolab.errors import DimensionMismatch, ValidationError
 from ergolab.extensions import basis_counts
 from ergolab.joinings import furstenberg_joining
 from ergolab.observables import Observable, l2_square
-from ergolab.proof import contractive_check, vdc_correlation, vdc_identity_check
+from ergolab.proof import (
+    contractive_check, restrict, vdc_correlation, vdc_identity_check,
+)
 from ergolab.scenario import bundled_scenario_dir, load_scenario
-from ergolab.system import period_box
+from ergolab.system import FiniteSystem, period_box
 
 from conftest import cyclic_system, random_observable, run_cli
 
@@ -117,15 +116,38 @@ def test_argument_checking():
 @pytest.mark.parametrize("bad", [0, -1, 3])
 def test_action_index_out_of_range(bad):
     """An action index outside 1..d is rejected, not wrapped onto action d
-    by negative indexing or left to a bare IndexError."""
+    by negative indexing or left to a bare IndexError; an empty subset is
+    rejected as a system of no actions."""
     sys_ = cyclic_system(5, [1, 2])  # d = 2
-    f = Observable.indicator(5, 0)
-    with pytest.raises(ValidationError, match="action index out of range"):
-        period_box(sys_, [bad])
-    with pytest.raises(ValidationError, match="action index out of range"):
-        orbit_counts(sys_, [bad], [(0,), (1,)])
-    with pytest.raises(ValidationError, match="action index out of range"):
-        exact_limit(sys_, [f], actions=[bad])
+    for acts in ([bad], [1, bad], [bad, 2]):
+        with pytest.raises(ValidationError, match="action index out of range 1..2"):
+            restrict(sys_, acts)
+    with pytest.raises(ValidationError, match="must all be positive"):
+        restrict(sys_, [])
+
+
+def test_restrict_reordered_subset():
+    """restrict(sys, [2, 1]) swaps the actions and keeps the states, their
+    weights and labels; its averages are the whole system's with the
+    observables swapped."""
+    product = load_scenario(bundled_scenario_dir() / "product-2x3.json").system
+    # a 2-cycle and a 3-cycle of unequal weight, with labels
+    two_cycles = FiniteSystem(
+        5, 1, 2, (Fraction(1, 6),) * 2 + (Fraction(2, 9),) * 3,
+        (((1, 0, 3, 4, 2),), ((0, 1, 4, 2, 3),)), ("a0", "a1", "b0", "b1", "b2"),
+    )
+    rng = random.Random(16)
+    for sys_ in (cyclic_system(7, [1, 3]), product, two_cycles):
+        swapped = restrict(sys_, [2, 1])
+        assert (swapped.n, swapped.r, swapped.d) == (sys_.n, sys_.r, 2)
+        assert swapped.generators == (sys_.generators[1], sys_.generators[0])
+        assert swapped.weights == sys_.weights and swapped.labels == sys_.labels
+        f1, f2 = (random_observable(rng, sys_.n) for _ in range(2))
+        assert exact_limit(swapped, [f1, f2]) == exact_limit(sys_, [f2, f1])
+        box = FolnerBox(tuple(rng.randint(1, 9) for _ in range(sys_.r)))
+        assert truncated_average(swapped, [f1, f2], box) == oracle.truncated_average(
+            sys_, [f1, f2], list(box.points()), [2, 1]
+        )
 
 
 def test_wrong_dimension_lattice_vectors_rejected():
@@ -159,17 +181,19 @@ def test_deviation_bound_cyclic5_n7():
     bound = deviation_bound(sys_, [f1, f2], box)
     # 2 * (1 - 5/7) = 4/7 times ||f_1||_2
     assert bound.square == Fraction(16, 49) * l2_square(f1, sys_.weights)
-    rep = average_report(sys_, [f1, f2], box)
-    assert rep.deviation <= rep.bound
+    truncated = truncated_average(sys_, [f1, f2], box)
+    limit = exact_limit(sys_, [f1, f2])
+    assert (truncated - limit).l2(sys_.weights) <= bound
 
 
 def test_deviation_zero_at_period_multiples(rng):
     sys_ = cyclic_system(5, [1, 2])
     fs = [random_observable(rng, 5) for _ in range(2)]
+    limit = exact_limit(sys_, fs)
     for k in (1, 2, 3):
-        rep = average_report(sys_, fs, FolnerBox((5 * k,), (rng.randint(-9, 9),)))
-        assert rep.deviation.is_zero
-        assert rep.bound.is_zero
+        box = FolnerBox((5 * k,), (rng.randint(-9, 9),))
+        assert (truncated_average(sys_, fs, box) - limit).l2(sys_.weights).is_zero
+        assert deviation_bound(sys_, fs, box).is_zero
 
 
 def test_contractive_trivial_cases():
@@ -245,7 +269,8 @@ def test_vdc_identity_fuzz(rng):
 
 
 def _residue_systems():
-    """(system, action subset) pairs of ranks 1 and 2, periods 1 to 7."""
+    """(system, action subset) pairs of ranks 1 and 2, periods 1 to 7: the
+    residues of the restricted system against the oracle's subset periods."""
     product = load_scenario(bundled_scenario_dir() / "product-2x3.json").system
     return [
         (cyclic_system(3, [0, 0]), (1, 2)),  # P = 1
@@ -264,7 +289,8 @@ def test_box_residues_match_point_walk(rng):
     of P and N < P included) at every base in [-60, 60], and every pair of
     lengths on rank 2 at random bases there and at the two ends."""
     for sys_, acts in _residue_systems():
-        periods = period_box(sys_, acts).lengths
+        sub = restrict(sys_, acts)
+        periods = period_box(sub).lengths
         lengths = itertools.product(*(range(1, 3 * P + 1) for P in periods))
         for ls in lengths:
             if sys_.r == 1:
@@ -275,7 +301,7 @@ def test_box_residues_match_point_walk(rng):
                 ]
             for base in bases:
                 box = FolnerBox(ls, base)
-                got = residues(sys_, acts, box)
+                got = residues(sub, box)
                 want = oracle.residues(sys_, acts, list(box.points()))
                 assert list(got.items()) == list(want.items()), (box, periods)
 
@@ -322,4 +348,4 @@ def test_huge_box_average_is_exact(N):
     with pytest.raises(DimensionMismatch):
         truncated_average(sys_, fs, box=FolnerBox((N, N), (base, base)))
     with pytest.raises(DimensionMismatch):
-        residues(sys_, (1, 2), FolnerBox((N, 1)))
+        residues(sys_, FolnerBox((N, 1)))

@@ -258,8 +258,8 @@ def test_base_shift_trials_catch_base_dependent_counts(tmp_path, monkeypatch, na
     import ergolab.averages as averages
     from ergolab.system import period_box
 
-    def off_by_one(sys_, actions=None):
-        return FolnerBox(tuple(P + 1 for P in period_box(sys_, actions).lengths))
+    def off_by_one(sys_):
+        return FolnerBox(tuple(P + 1 for P in period_box(sys_).lengths))
 
     monkeypatch.setattr(averages, "period_box", off_by_one)
     flags = _shift_flags(tmp_path, name)

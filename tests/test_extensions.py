@@ -23,6 +23,7 @@ from ergolab.proof import (
     pleasant_decompose,
     pull_back,
     reduce_pleasant_limit,
+    restrict,
 )
 
 from conftest import cell_valued_observable, cyclic_system, random_observable
@@ -174,7 +175,7 @@ def test_iterate_stops_immediately_when_pleasant():
     run = iterate_extensions(sys_)
     assert run.status == "pleasant"
     assert run.stages == ()
-    assert run.stabilized
+    assert run.final_report.pleasant
 
 
 def test_iterate_cyclic5_pleasant_at_m1():
@@ -188,7 +189,7 @@ def test_iterate_cyclic5_pleasant_at_m1():
 def test_iterate_budget_reported_not_raised():
     run = iterate_extensions(cyclic_system(5, [1, 2]), max_m=3, budget=30)
     assert run.status == "budget-exceeded"
-    assert not run.stabilized
+    assert not run.final_report.pleasant
 
 
 def test_iterate_cyclic4_runs_to_verdict():
@@ -256,7 +257,7 @@ def test_reduce_trivial_g1_constant(ext25, rng):
     ones = Observable.constant(ext.n, 1)
     f2 = random_observable(rng, ext.n)
     out = reduce_pleasant_limit(ext, [(g1, ones)], [f2])
-    expected = g1 * exact_limit(ext, [f2], actions=[2])
+    expected = g1 * exact_limit(restrict(ext, [2]), [f2])
     assert out == expected
 
 

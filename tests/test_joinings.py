@@ -89,6 +89,31 @@ def test_joining_integral_diagonal_indicator():
     assert expected != 0
 
 
+def test_joining_integral_matches_fraction_sum(finite_corpus, rng):
+    """The int sum over the support equals the Fraction sum over the mass,
+    with g = None and with a seeded g dict that misses about half the
+    support (a missing tuple counts as 0), on every bundled finite
+    scenario's Furstenberg joining and top Host-Kra stage."""
+    for scn in finite_corpus:
+        sys_ = scn.system
+        for jm in (furstenberg_joining(sys_), host_kra_tower(sys_)[-1]):
+            fs = [random_observable(rng, sys_.n) for _ in range(jm.power)]
+            g = {
+                t: Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+                for t in jm.support
+                if rng.random() < 0.5
+            }
+            g[(-1,) * jm.power] = Fraction(1)  # off the support: never read
+            for gv in (None, g):
+                want = Fraction(0)
+                for t, m in jm.mass.items():
+                    term = m if gv is None else m * gv.get(t, 0)
+                    for f, x in zip(fs, t):
+                        term *= f.values[x]
+                    want += term
+                assert joining_integral(jm, fs, gv) == want, (scn.name, gv is None)
+
+
 def test_vdc_condition_zero_observable():
     sys_ = cyclic_system(5, [1, 2])
     ok, witness = vdc_condition_check(sys_, Observable.constant(5, 0))

@@ -16,7 +16,7 @@ from ergolab.extensions import is_pleasant, one_step_extension
 from ergolab.joinings import JoinedMeasure, furstenberg_joining, host_kra_tower
 from ergolab.factors import Partition
 from ergolab.observables import Observable
-from ergolab.proof import orbit_cells
+from ergolab.proof import orbit_cells, restrict
 from ergolab.system import FiniteSystem, period_box
 from ergolab.errors import ErgolabError
 from ergolab.torus import (
@@ -133,27 +133,30 @@ def test_truncated_average_matches_per_point_loop(systems):
             sys_, fs, pts
         )
         assert exact_limit(sys_, fs) == oracle.exact_limit(sys_, fs)
+        # averages of the restricted system against the oracle's walk over
+        # the same action subset of the whole system
         acts = [sys_.d]
         lengths = tuple(rng.randint(1, 3 * p) for p in periods)
         box = FolnerBox(lengths, tuple(rng.randint(-9, 9) for _ in range(sys_.r)))
         assert truncated_average(
-            sys_, fs[:1], box=box, actions=acts
+            restrict(sys_, acts), fs[:1], box
         ) == oracle.truncated_average(sys_, fs[:1], list(box.points()), acts)
         # a random ordered action subset, observables over large pairwise
         # coprime denominators with zeros and negative values, and random
         # boxes up to two periods plus one long
         acts = rng.sample(range(1, sys_.d + 1), rng.randint(1, sys_.d))
+        sub = restrict(sys_, acts)
         gs = [
             coprime_observable(rng, sys_.n, PRIMES[k::len(acts)])
             for k in range(len(acts))
         ]
         for _ in range(3):
-            periods = period_box(sys_, acts).lengths
+            periods = period_box(sub).lengths
             lengths = tuple(rng.randint(1, 2 * p + 1) for p in periods)
             box = FolnerBox(lengths, tuple(rng.randint(-60, 60) for _ in periods))
-            assert truncated_average(
-                sys_, gs, box=box, actions=acts
-            ) == oracle.truncated_average(sys_, gs, list(box.points()), acts)
+            assert truncated_average(sub, gs, box) == oracle.truncated_average(
+                sys_, gs, list(box.points()), acts
+            )
 
 
 def extension_stages():
