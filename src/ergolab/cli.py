@@ -14,12 +14,15 @@ with this module; each command imports the engine modules it runs.
 Reports are deterministic: identical inputs (including seeds) produce
 byte-identical files.  Exit codes: 1 validation failure (an unreadable
 scenario file included), 2 budget exceeded or a malformed command line,
-3 internal invariant violation (always a bug).
+3 internal invariant violation (always a bug).  The ``ergolab`` process
+enters through ``console``, which runs ``main`` without the cyclic garbage
+collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from fractions import Fraction
@@ -165,6 +168,21 @@ def main(argv=None, standalone_mode=True):
     args.pop("run")(**args)
     if standalone_mode:
         sys.exit(0)
+
+
+def console():
+    """The ``ergolab`` process: ``main`` on sys.argv, without the cyclic
+    garbage collector.  A command's objects live until the process ends and
+    no command leaves reference cycles behind, so a collection would find
+    nothing to free; and freezing the heap on the way out, whatever the exit
+    code, lets the interpreter's shutdown collections skip every object.
+    Only the process entry does this: an in-process caller of ``main`` keeps
+    its collector."""
+    gc.disable()
+    try:
+        main()
+    finally:
+        gc.freeze()
 
 
 def command(name, engine=None, csv=None, seed=False, options=None):
@@ -442,4 +460,4 @@ def torus_demo(scn, rng):
 
 
 if __name__ == "__main__":
-    main()
+    console()

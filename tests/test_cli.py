@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 from pathlib import Path
 
@@ -657,20 +658,30 @@ def test_usage_errors_exit_two(tmp_path, flags):
     assert not list(tmp_path.iterdir())
 
 
+def _collector_untouched():
+    return gc.isenabled() and gc.get_freeze_count() == 0
+
+
 def test_main_calling_contract(tmp_path):
     """main(argv) raises SystemExit(0) on success, as a console script
     exits; with standalone_mode=False it returns.  Failures raise
-    SystemExit with their exit code either way."""
+    SystemExit with their exit code either way.  Only the process entry,
+    cli.console, turns off the garbage collector: a caller of main in
+    process keeps it, and no object is frozen."""
     ok = ["validate", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)]
     bad = ["avg", "--scenario", scn_path("torus-counterexample"), "--out", str(tmp_path)]
+    assert _collector_untouched()
     with pytest.raises(SystemExit) as exc:
         main(ok)
     assert exc.value.code == 0
+    assert _collector_untouched()
     assert main(ok, standalone_mode=False) is None
+    assert _collector_untouched()
     for standalone in (True, False):
         with pytest.raises(SystemExit) as exc:
             main(bad, standalone_mode=standalone)
         assert exc.value.code == 1
+        assert _collector_untouched()
 
 
 def test_extend_max_m_zero_flag_one_line_error(tmp_path):

@@ -1,0 +1,153 @@
+"""The ``ergolab`` process entry, ``cli.console``: it runs ``main`` without
+the cyclic garbage collector and freezes the heap on the way out.  The
+process writes what an in-process call writes, and no command leaves
+cyclic garbage, which is what makes the collector pure overhead in the
+process.  That an in-process caller of ``main`` keeps its collector is part
+of ``test_cli.py::test_main_calling_contract``."""
+
+import gc
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ergolab
+from ergolab import cli
+from ergolab.scenario import bundled_scenario_dir, bundled_scenarios, load_scenario
+
+from conftest import run_cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def scn(name):
+    return str(bundled_scenario_dir() / f"{name}.json")
+
+
+def _formats(command):
+    """The --format values of a command, or [None] when it has no --format."""
+    sub = cli._commands.choices[command]
+    if "--format" in sub._option_string_actions:
+        return ["json", "csv"]
+    return [None]
+
+
+COMMAND_LINES = [
+    (command, fmt)
+    for command in sorted(cli._commands.choices)
+    for fmt in _formats(command)
+]
+
+
+def _argv(command, scenario, out, fmt=None):
+    return [command, "--scenario", scenario, "--out", str(out)] + (
+        ["--format", fmt] if fmt else []
+    )
+
+
+def _child(args, **kwargs):
+    """A child interpreter, as the benchmark spawns one (site hook on)."""
+    src = str(Path(ergolab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("command, fmt", COMMAND_LINES)
+def test_process_writes_what_main_writes(tmp_path, command, fmt):
+    """python -m ergolab.cli writes the same report bytes and prints the
+    same path line as main in process."""
+    scenario = scn("torus-counterexample" if command == "torus-demo" else "cyclic-5")
+    args = _argv(command, scenario, tmp_path, fmt)
+    proc = _child(["-m", "ergolab.cli", *args])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = Path(proc.stdout.rstrip("\n"))
+    assert report.parent == tmp_path
+    written = report.read_bytes()
+    report.unlink()
+    result = run_cli(args)
+    assert result == (0, proc.stdout, "")
+    assert report.read_bytes() == written
+
+
+def test_process_failure_is_one_error_line(tmp_path):
+    proc = _child(["-m", "ergolab.cli", *_argv("avg", scn("torus-counterexample"), tmp_path)])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: subcommand needs a 'finite' scenario, got 'torus'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# argv: the command line; runs ergolab.cli as ``python -m ergolab.cli``
+# does and prints its exit code and the collector's state after it, as one
+# JSON list on the last line
+_MAIN_PROBE = """
+import gc, json, runpy
+try:
+    runpy.run_module("ergolab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, gc.isenabled(), gc.get_freeze_count() > 0]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, scenario, code",
+    [("validate", "cyclic-5", 0), ("avg", "torus-counterexample", 1),
+     ("validate", None, 2)],
+)
+def test_process_disables_and_freezes_on_every_exit(tmp_path, command, scenario, code):
+    args = [command, "--out", str(tmp_path)]
+    if scenario is not None:
+        args += ["--scenario", scn(scenario)]
+    proc = _child(["-c", _MAIN_PROBE, *args])
+    assert json.loads(proc.stdout.splitlines()[-1]) == [code, False, True], proc.stderr
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"ergolab": "ergolab.cli:console"}
+
+
+def _generated(outdir):
+    """Every bench/generate.py family at seed 1, written to outdir."""
+    spec = importlib.util.spec_from_file_location("generate", ROOT / "bench" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate.write_scenarios(list(generate.FAMILIES), 1, outdir).values()
+
+
+@pytest.fixture(scope="module")
+def scenarios_by_engine(tmp_path_factory):
+    """(engine, path) for the bundled scenarios and the generated families:
+    finite systems of 4 to 23 states with d = 2, 3 and r = 1, 2, and the
+    torus scenarios."""
+    paths = [*bundled_scenarios(), *_generated(tmp_path_factory.mktemp("gen"))]
+    return sorted((load_scenario(p).engine, str(p)) for p in paths)
+
+
+@pytest.mark.parametrize("command, fmt", COMMAND_LINES)
+def test_no_command_leaves_cyclic_garbage(tmp_path, scenarios_by_engine, command, fmt):
+    """With the collector off, a collection after a command finds nothing:
+    everything a command builds is freed by reference counting, so the
+    process entry loses nothing by running without the collector.  One
+    warm-up call first, since importing an engine module may leave some."""
+    engine = {"torus-demo": "torus", "validate": None}.get(command, "finite")
+    paths = [p for e, p in scenarios_by_engine if engine in (None, e)]
+    assert run_cli(_argv(command, paths[0], tmp_path / "warm-up", fmt)).exit_code == 0
+    for path in paths:
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_cli(_argv(command, path, tmp_path, fmt))
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert result.exit_code == 0, result.stderr
+        assert found == 0, (Path(path).stem, found)

@@ -16,6 +16,17 @@ For every command, on the bundled ``cyclic-5`` scenario (``torus-demo`` on
   ``python -m ergolab.cli <command> --scenario S --out D`` as a subprocess,
   and ``over_bare_s``, that minus the least wall time of ``python -c pass``
   over K runs taken alternately with them.
+* ``phases``: the median over K more children, taken alternately with
+  those, of the four phases of a child's life, each timed on the
+  system-wide ``time.monotonic`` clock that parent and child share:
+  ``spawn_s`` from spawning the child to its first line, ``import_s``
+  importing ``ergolab.cli``, ``run_s`` the command through the process
+  entry (``console`` where the checkout has one, else ``main``, as its
+  ``python -m ergolab.cli`` calls), and ``exit_s`` from the entry's return
+  to reaping the child.  ``child_peak_mb`` is the median of the child's
+  own peak resident set, ``VmHWM`` in ``/proc/self/status`` read when the
+  command is done; ``ru_maxrss`` would not do, as a child spawned by vfork
+  keeps its spawner's high-water mark.
 
 The program is the ``ergolab`` package under ``src/`` of CHECKOUT, by
 default the checkout this file sits in.  ``package_lines`` is the total
@@ -32,6 +43,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from statistics import median
 
 HERE = Path(__file__).resolve().parents[1]
 COMMANDS = (
@@ -58,8 +70,34 @@ print(json.dumps({
 """
 
 
+# argv: the command line; runs it as the checkout's ``python -m ergolab.cli``
+# does, and writes the phase clock readings and VmHWM (kB) to stderr
+_PHASES = """
+import time
+t1 = time.monotonic()
+import sys
+import ergolab.cli
+t2 = time.monotonic()
+try:
+    getattr(ergolab.cli, "console", ergolab.cli.main)()
+finally:
+    t3 = time.monotonic()
+    with open("/proc/self/status") as status:
+        hwm = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    sys.stderr.write(f"{t1!r} {t2!r} {t3!r} {hwm}\\n")
+"""
+
+
 def _lines(path: Path) -> int:
     return len(path.read_text(encoding="utf-8").splitlines())
+
+
+def _unlink_reports(outdir: str) -> None:
+    """Remove the reports in outdir, so that no child overwrites a file: on
+    some filesystems truncating one costs more than a whole command, and
+    the benchmark unlinks each report before it spawns the job, too."""
+    for path in Path(outdir).glob("*__*"):
+        path.unlink()
 
 
 def _wall(argv, env) -> float:
@@ -67,6 +105,19 @@ def _wall(argv, env) -> float:
     subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
                    stderr=subprocess.DEVNULL, check=True)
     return time.perf_counter() - start
+
+
+def _phases(argv, env) -> dict:
+    t0 = time.monotonic()
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate()
+    t4 = time.monotonic()
+    if proc.returncode != 0:
+        raise subprocess.CalledProcessError(proc.returncode, argv, stderr=err)
+    t1, t2, t3, hwm_kb = map(float, err.split())
+    return {"spawn_s": t1 - t0, "import_s": t2 - t1, "run_s": t3 - t2,
+            "exit_s": t4 - t3, "child_peak_mb": hwm_kb / 1024}
 
 
 def ladder(checkout: Path, repeats: int) -> dict:
@@ -84,15 +135,25 @@ def ladder(checkout: Path, repeats: int) -> dict:
             )
             files = json.loads(probe.stdout.splitlines()[-1])
             wall = float("inf")
+            phases = []
             for _ in range(repeats):
                 bare = min(bare, _wall([sys.executable, "-c", "pass"], env))
+                _unlink_reports(tmp)
                 wall = min(wall, _wall(
                     [sys.executable, "-m", "ergolab.cli", *args, "--out", tmp], env
+                ))
+                _unlink_reports(tmp)
+                phases.append(_phases(
+                    [sys.executable, "-c", _PHASES, *args, "--out", tmp], env
                 ))
             out[f"{command} {scenario}"] = {
                 "modules": sorted(files),
                 "lines": sum(_lines(Path(f)) for f in files.values()),
                 "min_wall_s": round(wall, 4),
+                "phases": {
+                    key: round(median(p[key] for p in phases), 5)
+                    for key in phases[0]
+                },
             }
     for entry in out.values():
         entry["over_bare_s"] = round(entry["min_wall_s"] - bare, 4)
