@@ -2,28 +2,31 @@
 
     ergolab <command> --scenario S.json [--out DIR] [flags]
 
-Every command runs the same pipeline, registered by ``command`` as an
-``argparse`` subcommand: load and check the scenario (the engine a command
-needs included), turn ``--seed`` into a random generator, fill
-``--budget``/``--max-m`` from the scenario's options, compute the report
-body, add the header and write ``<out>/<scenario>__<command>.<format>``.
-A command is only the function that computes its body (plus, for
-``--format csv``, the CSV lines).  Only the scenario parser is imported
-with this module; each command imports the engine modules it runs.
+Every command runs the same pipeline, registered by ``command`` as one row
+of the ``COMMANDS`` table, from which ``parse`` reads the command line:
+load and check the scenario (the engine a command needs included), turn
+``--seed`` into a random generator, fill ``--budget``/``--max-m`` from the
+scenario's options, compute the report body, add the header and write
+``<out>/<scenario>__<command>.<format>``.  A command is only the function
+that computes its body (plus, for ``--format csv``, the CSV lines).  Only
+the scenario parser is imported with this module; each command imports the
+engine modules it runs.
 
 Reports are deterministic: identical inputs (including seeds) produce
 byte-identical files.  Exit codes: 1 validation failure (an unreadable
 scenario file included), 2 budget exceeded or a malformed command line,
 3 internal invariant violation (always a bug).  The ``ergolab`` process
 enters through ``console``, which runs ``main`` without the cyclic garbage
-collector.
+collector and leaves through ``os._exit`` once its output is flushed.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
+import os
+import re
+import stat
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -137,52 +140,172 @@ def _write_report(out: str, scn_name: str, command: str, fmt: str, payload) -> P
         text = _json_text(payload) + "\n"
     else:
         text = payload
+    # Truncating an existing file can cost more than a whole command (tens
+    # of ms on ext4 mounted with discard), so a regular file is unlinked
+    # and made anew.  A symlink is written through, and a file whose unlink
+    # is refused is truncated.
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except OSError:
+        pass
     path.write_bytes(text.encode("utf-8"))
     print(path)
     return path
 
 
-# every parser is made with add_help=False, allow_abbrev=False and given
-# --help by _with_help: flags are spelled out in full, and help only as --help
-def _with_help(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    p.add_argument("--help", action="help", help="Show this message and exit.")
-    return p
+# name -> (run, flags, doc) of every command, in registration order; flags
+# maps each "--flag" to (dest, converter, metavar, help), --scenario first.
+# A converter turns the flag's string into its value or raises ValueError.
+COMMANDS = {}
+FORMATS = ("json", "csv")
+DESCRIPTION = ("Exact laboratory for nonconventional ergodic averages on "
+               "finite systems, with a floating-point torus backend.")
+_HELP = "Show this message and exit."
+_DEFAULTS = {"out": ".", "fmt": "json"}
+# argparse's rule: these read as values, not flags, after a flag
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-parser = _with_help(argparse.ArgumentParser(
-    prog="ergolab",
-    description="Exact laboratory for nonconventional ergodic averages on "
-    "finite systems, with a floating-point torus backend.",
-    add_help=False, allow_abbrev=False,
-))
-parser.add_argument("--version", action="version",
-                    version=f"%(prog)s, version {__version__}")
-_commands = parser.add_subparsers(metavar="COMMAND", required=True)
+def report_format(value: str) -> str:
+    """The --format converter: one of FORMATS, or ValueError."""
+    if value not in FORMATS:
+        choices = ", ".join(map(repr, FORMATS))
+        raise ValueError(f"invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _is_flag(arg: str) -> bool:
+    """Whether arg reads as a flag: it starts with "-" and is not "-"
+    alone, a negative number or a string holding a space."""
+    return (arg[:1] == "-" and arg != "-" and " " not in arg
+            and not _NEGATIVE_NUMBER.match(arg))
+
+
+def _usage(name) -> str:
+    if name is None:
+        return "usage: ergolab [--help] [--version] COMMAND ..."
+    flags = COMMANDS[name][1]
+    words = [f"[{flag} {flags[flag][2]}]" for flag in flags]
+    words[0] = words[0][1:-1]  # --scenario is required
+    return f"usage: ergolab {name} [--help] " + " ".join(words)
+
+
+def _exit_usage(name, message: str):
+    prog = "ergolab" if name is None else f"ergolab {name}"
+    sys.stderr.write(f"{_usage(name)}\n{prog}: error: {message}\n")
+    sys.exit(2)
+
+
+def _exit_help(name):
+    """Print the help of the program (name None) or of one command."""
+    if name is None:
+        doc = DESCRIPTION
+        sections = [
+            ("commands", [(cmd, COMMANDS[cmd][2]) for cmd in COMMANDS]),
+            ("options", [("--help", _HELP),
+                         ("--version", "Show the version and exit.")]),
+        ]
+    else:
+        _, flags, doc = COMMANDS[name]
+        sections = [("options", [("--help", _HELP)] + [
+            (f"{flag} {metavar}", text)
+            for flag, (_, _, metavar, text) in flags.items()
+        ])]
+    width = max(len(term) for _, rows in sections for term, _ in rows) + 2
+    text = f"{_usage(name)}\n\n{doc}\n"
+    for title, rows in sections:
+        text += f"\n{title}:\n"
+        text += "".join(f"  {term:<{width}}{about}".rstrip() + "\n"
+                        for term, about in rows)
+    sys.stdout.write(text)
+    sys.exit(0)
+
+
+def parse(argv):
+    """(command name, keyword arguments of its run) for a command line.
+    --help and --version print and raise SystemExit(0); a usage error
+    prints the usage and one error line to stderr and raises SystemExit(2).
+
+    The arguments are read left to right: ``--flag value`` or
+    ``--flag=value``, the last of repeated flags winning.  A bad or missing
+    value is an error where it stands, so a --help after it is not reached;
+    an unrecognized argument is reported only once all are read, so a
+    --help after it is.  No positional argument follows the command, so
+    ``--`` after it, and everything after that, are unrecognized."""
+    name = None
+    flags = kwargs = {}
+    unrecognized = []
+    args = iter(argv)
+    for arg in args:
+        flag, eq, value = arg.partition("=")
+        if flag == "--help" or (name is None and flag == "--version"):
+            if eq:
+                _exit_usage(name, f"argument {flag}: ignored explicit argument {value!r}")
+            if flag == "--help":
+                _exit_help(name)
+            sys.stdout.write(f"ergolab, version {__version__}\n")
+            sys.exit(0)
+        if flag in flags:
+            if not eq:
+                value = next(args, None)
+                if value is None or _is_flag(value):
+                    _exit_usage(name, f"argument {flag}: expected one argument")
+            dest, convert, _, _ = flags[flag]
+            try:
+                kwargs[dest] = convert(value)
+            except ValueError as exc:
+                reason = f"invalid int value: {value!r}" if convert is int else exc
+                _exit_usage(name, f"argument {flag}: {reason}")
+        elif name is None and (arg == "--" or not _is_flag(arg)):
+            if arg not in COMMANDS:
+                choices = ", ".join(map(repr, COMMANDS))
+                _exit_usage(None, f"argument COMMAND: invalid choice: {arg!r} "
+                                  f"(choose from {choices})")
+            name = arg
+            flags = COMMANDS[name][1]
+            kwargs = {dest: _DEFAULTS.get(dest) for dest, *_ in flags.values()}
+        elif arg == "--":
+            unrecognized += [arg, *args]
+        else:
+            unrecognized.append(arg)
+    if name is None:
+        _exit_usage(None, "the following arguments are required: COMMAND")
+    if kwargs["scenario_path"] is None:
+        _exit_usage(name, "the following arguments are required: --scenario")
+    if unrecognized:
+        _exit_usage(None, "unrecognized arguments: " + " ".join(unrecognized))
+    return name, kwargs
 
 
 def main(argv=None, standalone_mode=True):
     """Run one command line (sys.argv[1:] by default).  A failure raises
     SystemExit with its exit code; success returns, or raises SystemExit(0)
     when standalone_mode is set, as a console script would exit."""
-    args = vars(parser.parse_args(argv))
-    args.pop("run")(**args)
+    name, kwargs = parse(sys.argv[1:] if argv is None else argv)
+    COMMANDS[name][0](**kwargs)
     if standalone_mode:
         sys.exit(0)
 
 
 def console():
     """The ``ergolab`` process: ``main`` on sys.argv, without the cyclic
-    garbage collector.  A command's objects live until the process ends and
-    no command leaves reference cycles behind, so a collection would find
-    nothing to free; and freezing the heap on the way out, whatever the exit
-    code, lets the interpreter's shutdown collections skip every object.
-    Only the process entry does this: an in-process caller of ``main`` keeps
-    its collector."""
+    garbage collector, leaving through ``os._exit`` once stdout and stderr
+    are flushed.  A command's objects live until the process ends and no
+    command leaves reference cycles behind, so a collection would find
+    nothing to free; every report is written and closed before ``main``
+    returns, and nothing registers an ``atexit`` handler, so tearing the
+    interpreter down would only free memory the exit frees anyway.  Any
+    exception but SystemExit (a bug) propagates with its traceback, as
+    does a failed flush.  Only the process entry does this: an in-process
+    caller of ``main`` keeps its collector."""
     gc.disable()
     try:
         main()
-    finally:
-        gc.freeze()
+    except SystemExit as exc:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(exc.code)
 
 
 def command(name, engine=None, csv=None, seed=False, options=None):
@@ -198,23 +321,18 @@ def command(name, engine=None, csv=None, seed=False, options=None):
     options = options or {}
 
     def register(body):
-        doc = " ".join(body.__doc__.split())
-        sub = _with_help(_commands.add_parser(
-            name, help=doc, description=doc, add_help=False, allow_abbrev=False
-        ))
-        sub.add_argument("--scenario", dest="scenario_path", required=True,
-                         metavar="PATH", help="the scenario file")
-        sub.add_argument("--out", default=".", metavar="DIR",
-                         help="directory for the report (default: %(default)s)")
+        flags = {
+            "--scenario": ("scenario_path", str, "PATH", "the scenario file"),
+            "--out": ("out", str, "DIR", "directory for the report (default: .)"),
+        }
         if csv is not None:
-            sub.add_argument("--format", dest="fmt", choices=["json", "csv"],
-                             default="json", help="default: %(default)s")
+            flags["--format"] = ("fmt", report_format, "{json,csv}", "default: json")
         if seed:
-            sub.add_argument("--seed", type=int, default=None, metavar="N",
-                             help="Override the scenario's trial seed.")
-        for key in options:
-            sub.add_argument("--" + key.replace("_", "-"), dest=key, type=int,
-                             default=None, metavar="N")
+            flags["--seed"] = ("seed", int, "N", "Override the scenario's trial seed.")
+        for key, default in options.items():
+            flags["--" + key.replace("_", "-")] = (
+                key, int, "N", f"default: the scenario's {key} option, else {default}"
+            )
 
         def run(scenario_path, out, fmt="json", **given):
             try:
@@ -254,7 +372,7 @@ def command(name, engine=None, csv=None, seed=False, options=None):
                 print(f"error: {exc}", file=sys.stderr)
                 sys.exit(1)
 
-        sub.set_defaults(run=run)
+        COMMANDS[name] = (run, flags, " ".join(body.__doc__.split()))
         return body
 
     return register

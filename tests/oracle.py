@@ -13,12 +13,16 @@ The Host-Kra tower's orbits are found by moving one tuple at a time along
 unit vectors, never by lifting permutations to a support.  They are slow
 on purpose; tests compare the library against them exactly.
 
+The command line is kept as the argparse parser it was read with before the
+table-driven ``cli.parse``, built from that table.
+
 The rest are helpers only tests use: the action of a flat exponent vector
 of Z^{rd}, partition predicates, a joined measure from Fraction masses, a
 bare relatively independent joining, the conjugate and norms of a trig
 polynomial, and the grid system of a purely rational torus rotation.
 """
 
+import argparse
 import cmath
 import itertools
 import math
@@ -26,6 +30,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
+from ergolab import __version__
+from ergolab.cli import COMMANDS, DESCRIPTION, FORMATS, report_format
 from ergolab.errors import UndecidableResonance, ValidationError
 from ergolab.extensions import pleasant_factor
 from ergolab.factors import Partition
@@ -543,3 +549,37 @@ def rational_rotation_to_finite(sys_):
     )
     points = [tuple(Fraction(a, q) for a in g) for g in grid]
     return finite, points
+
+
+def argparse_parser():
+    """The argparse parser of every command in ``cli.COMMANDS``: its
+    namespace holds the command's name as ``command`` and every flag's value
+    under its dest.  Every parser has add_help=False and allow_abbrev=False
+    and gets --help by hand: flags are spelled out in full, and help only as
+    --help."""
+
+    def with_help(p):
+        p.add_argument("--help", action="help", help="Show this message and exit.")
+        return p
+
+    parser = with_help(argparse.ArgumentParser(
+        prog="ergolab", description=DESCRIPTION, add_help=False, allow_abbrev=False,
+    ))
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, (_, flags, doc) in COMMANDS.items():
+        sub = with_help(commands.add_parser(
+            name, help=doc, description=doc, add_help=False, allow_abbrev=False
+        ))
+        for flag, (dest, convert, metavar, text) in flags.items():
+            if convert is report_format:
+                sub.add_argument(flag, dest=dest, choices=FORMATS, default="json",
+                                 help=text)
+            else:
+                sub.add_argument(flag, dest=dest, required=flag == "--scenario",
+                                 type=None if convert is str else convert,
+                                 default="." if flag == "--out" else None,
+                                 metavar=metavar, help=text)
+        sub.set_defaults(command=name)
+    return parser

@@ -1,12 +1,12 @@
-import argparse
 import gc
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from ergolab import __version__
-from ergolab.cli import main, parser
+from ergolab.cli import COMMANDS, FORMATS, main, parse, report_format
 from ergolab.errors import ValidationError
 from ergolab.scenario import bundled_scenario_dir, bundled_scenarios, load_scenario
 from ergolab.system import FolnerBox
@@ -709,35 +709,66 @@ CLI_SURFACE = {
 }
 
 
-def _subcommands():
-    """name -> parser of every subcommand of the ergolab parser."""
-    (subparsers,) = [
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    return subparsers.choices
-
-
-def test_cli_surface():
+def test_cli_surface(capsys):
     """The commands of the README synopsis, each with exactly its flags (in
-    this order), defaults, required flags and format choices."""
-    commands = _subcommands()
-    assert list(commands) == list(CLI_SURFACE)
+    this order), defaults, required flags and format choices, as the
+    command table holds them and as parse reads them."""
+    assert list(COMMANDS) == list(CLI_SURFACE)
     for name, flags in CLI_SURFACE.items():
-        params = {
-            a.option_strings[-1]: a for a in commands[name]._actions
-            if a.option_strings != ["--help"]
-        }
-        assert list(params) == ["--scenario", "--out", *flags], name
-        scenario, out = params.pop("--scenario"), params.pop("--out")
-        assert scenario.required and scenario.type is None
-        assert not out.required and out.default == "."
+        table = COMMANDS[name][1]
+        assert list(table) == ["--scenario", "--out", *flags], name
+        with pytest.raises(SystemExit) as exc:
+            parse([name, "--out", "D"])
+        assert exc.value.code == 2, name
+        defaults = {"scenario_path": "S", "out": "."}
         for flag, (default, choices) in flags.items():
-            p = params[flag]
-            assert not p.required and p.default == default, (name, flag)
+            dest, convert = table[flag][:2]
+            defaults[dest] = default
             if choices is None:
-                assert p.type is int and p.choices is None, (name, flag)
+                assert convert is int, (name, flag)
             else:
-                assert tuple(p.choices) == choices, (name, flag)
+                assert convert is report_format and FORMATS == choices, (name, flag)
+        assert parse([name, "--scenario", "S"]) == (name, defaults)
+
+
+def _validate_into(out):
+    run_ok(["validate", "--scenario", scn_path("cyclic-5"), "--out", str(out)])
+    return out / "cyclic-5__validate.json"
+
+
+def test_rerun_replaces_a_regular_report_without_truncating_it(tmp_path):
+    """A report already in --out is unlinked and written anew, not
+    truncated in place: a hard link to the old file keeps the old bytes."""
+    report = _validate_into(tmp_path)
+    fresh = report.read_bytes()
+    report.write_bytes(b"stale")
+    os.link(report, tmp_path / "old")
+    assert _validate_into(tmp_path).read_bytes() == fresh
+    assert (tmp_path / "old").read_bytes() == b"stale"
+    assert not report.samefile(tmp_path / "old")
+
+
+@pytest.mark.parametrize("where", ["symlink", "unlink-refused"])
+def test_rerun_truncates_what_it_cannot_replace(tmp_path, monkeypatch, where):
+    """A symlinked report is written through its link, and a report whose
+    unlink is refused is truncated in place, as a plain overwrite does."""
+    fresh = _validate_into(tmp_path / "first").read_bytes()
+    target = tmp_path / "target.json"
+    target.write_bytes(b"stale")
+    report = tmp_path / "out" / "cyclic-5__validate.json"
+    report.parent.mkdir()
+    if where == "symlink":
+        report.symlink_to(target)
+    else:
+        os.link(target, report)
+
+        def refuse(path):
+            raise PermissionError(1, "Operation not permitted", str(path))
+
+        monkeypatch.setattr(os, "unlink", refuse)
+    assert _validate_into(tmp_path / "out") == report
+    assert report.is_symlink() == (where == "symlink")
+    assert target.read_bytes() == fresh
 
 
 def test_cli_version():
@@ -766,7 +797,7 @@ def _report_payloads(tmp_path, monkeypatch):
         payloads.append(payload)
 
     monkeypatch.setattr(cli, "_write_report", record)
-    for command in _subcommands():
+    for command in COMMANDS:
         for path in paths:
             run_cli([command, "--scenario", str(path), "--out", str(tmp_path)])
     return payloads
@@ -798,7 +829,7 @@ def test_report_writer_matches_json_dumps(tmp_path, monkeypatch):
 
     payloads = _report_payloads(tmp_path, monkeypatch)
     commands = {p["command"] for p in payloads}
-    assert commands == set(_subcommands()), commands
+    assert commands == set(COMMANDS), commands
     for payload in payloads + ADVERSARIAL:
         assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
     for bad in (Fraction(1, 2), {1, 2}, [1, Fraction(1, 3)], {"a": {"b": {3}}}):

@@ -1,9 +1,9 @@
 """The ``ergolab`` process entry, ``cli.console``: it runs ``main`` without
-the cyclic garbage collector and freezes the heap on the way out.  The
-process writes what an in-process call writes, and no command leaves
-cyclic garbage, which is what makes the collector pure overhead in the
-process.  That an in-process caller of ``main`` keeps its collector is part
-of ``test_cli.py::test_main_calling_contract``."""
+the cyclic garbage collector and leaves through ``os._exit`` once stdout and
+stderr are flushed.  The process writes what an in-process call writes, and
+no command leaves cyclic garbage, which is what makes the collector pure
+overhead in the process.  That an in-process caller of ``main`` keeps its
+collector is part of ``test_cli.py::test_main_calling_contract``."""
 
 import gc
 import importlib.util
@@ -30,15 +30,14 @@ def scn(name):
 
 def _formats(command):
     """The --format values of a command, or [None] when it has no --format."""
-    sub = cli._commands.choices[command]
-    if "--format" in sub._option_string_actions:
-        return ["json", "csv"]
+    if "--format" in cli.COMMANDS[command][1]:
+        return list(cli.FORMATS)
     return [None]
 
 
 COMMAND_LINES = [
     (command, fmt)
-    for command in sorted(cli._commands.choices)
+    for command in sorted(cli.COMMANDS)
     for fmt in _formats(command)
 ]
 
@@ -84,15 +83,18 @@ def test_process_failure_is_one_error_line(tmp_path):
 
 
 # argv: the command line; runs ergolab.cli as ``python -m ergolab.cli``
-# does and prints its exit code and the collector's state after it, as one
-# JSON list on the last line
+# does, with os._exit wrapped to print the exit code, the collector's state
+# and whether anything is frozen, as one JSON list, before the process ends
 _MAIN_PROBE = """
-import gc, json, runpy
-try:
-    runpy.run_module("ergolab.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    code = exc.code
-print(json.dumps([code, gc.isenabled(), gc.get_freeze_count() > 0]))
+import gc, json, os, runpy, sys
+exit_now = os._exit
+def probe_exit(code):
+    print(json.dumps([code, gc.isenabled(), gc.get_freeze_count() > 0]))
+    sys.stdout.flush()
+    exit_now(code)
+os._exit = probe_exit
+runpy.run_module("ergolab.cli", run_name="__main__", alter_sys=True)
+print("returned")
 """
 
 
@@ -101,12 +103,61 @@ print(json.dumps([code, gc.isenabled(), gc.get_freeze_count() > 0]))
     [("validate", "cyclic-5", 0), ("avg", "torus-counterexample", 1),
      ("validate", None, 2)],
 )
-def test_process_disables_and_freezes_on_every_exit(tmp_path, command, scenario, code):
+def test_process_disables_collector_and_exits_at_once(tmp_path, command, scenario, code):
+    """Every exit, success and error alike, leaves through os._exit with the
+    collector off and nothing frozen, once the report path or the error
+    line is flushed."""
     args = [command, "--out", str(tmp_path)]
     if scenario is not None:
         args += ["--scenario", scn(scenario)]
     proc = _child(["-c", _MAIN_PROBE, *args])
-    assert json.loads(proc.stdout.splitlines()[-1]) == [code, False, True], proc.stderr
+    assert proc.returncode == code, proc.stderr
+    *printed, last = proc.stdout.splitlines()
+    assert json.loads(last) == [code, False, False], proc.stderr
+    assert printed == ([str(tmp_path / "cyclic-5__validate.json")] if code == 0 else [])
+    assert (proc.stderr == "") == (code == 0)
+
+
+# argv: the fault, then the command line.  Fault "body" replaces the body of
+# validate by one that raises ZeroDivisionError; fault "flush" gives the
+# process a stdout whose flush raises OSError.  Then enters the process as
+# the ergolab script does.
+_FAULT_PROBE = """
+import sys
+from ergolab import cli
+if sys.argv.pop(1) == "body":
+    run, flags, doc = cli.COMMANDS["validate"]
+    def crash(**kwargs):
+        1 / 0
+    cli.COMMANDS["validate"] = (crash, flags, doc)
+else:
+    class Unflushable:
+        def write(self, text):
+            return len(text)
+        def flush(self):
+            raise OSError(28, "No space left on device")
+    sys.stdout = Unflushable()
+sys.argv[0] = "ergolab"
+cli.console()
+"""
+
+
+@pytest.mark.parametrize("fault, error, code", [
+    ("body", "ZeroDivisionError: division by zero", 1),
+    # the interpreter's status when it cannot flush stdout at exit either
+    ("flush", "OSError: [Errno 28] No space left on device", 120),
+], ids=["body", "flush"])
+def test_process_fault_keeps_its_traceback(tmp_path, fault, error, code):
+    """An exception other than SystemExit, a bug in a command or a failed
+    flush before os._exit, is not swallowed: it propagates out of console
+    with its traceback, and the process ends through the interpreter's own
+    teardown with a failing status."""
+    proc = _child(["-c", _FAULT_PROBE, fault, "validate", "--scenario", scn("cyclic-5"),
+                   "--out", str(tmp_path)])
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert f"\n{error}\n" in proc.stderr
 
 
 def test_console_script_is_the_process_entry():

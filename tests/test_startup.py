@@ -69,6 +69,15 @@ def test_command_loads_only_what_it_runs(tmp_path, command, scenario, absent):
     assert not added & {"click", "dataclasses"}
 
 
+def test_no_command_loads_argparse(tmp_path):
+    """The command line is read from the command table: no command loads
+    argparse, nor the gettext and locale modules argparse imports."""
+    added = loaded_by(tmp_path, [
+        [c, "--scenario", scn("cyclic-5")] for c in FINITE_COMMANDS
+    ] + [["torus-demo", "--scenario", scn("torus-counterexample")]])
+    assert not added & {"argparse", "gettext", "locale"}, sorted(added)
+
+
 def test_scenario_hash_loads_no_openssl(tmp_path):
     """The scenario digest comes from the interpreter's built-in SHA-256,
     so neither the import nor validate loads hashlib's OpenSSL module."""

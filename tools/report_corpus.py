@@ -57,11 +57,18 @@ def _corpora(out: Path):
 
 
 def _commands():
-    """(command, format or None) for every registered command."""
+    """(command, format or None) for every registered command, read from
+    the command table, or from the argparse subcommands of a checkout that
+    has no table."""
     from ergolab import cli
 
-    for name, sub in sorted(cli._commands.choices.items()):
-        if "--format" in sub._option_string_actions:
+    if hasattr(cli, "COMMANDS"):
+        flags = {name: row[1] for name, row in cli.COMMANDS.items()}
+    else:
+        flags = {name: sub._option_string_actions
+                 for name, sub in cli._commands.choices.items()}
+    for name in sorted(flags):
+        if "--format" in flags[name]:
             yield name, "json"
             yield name, "csv"
         else:
