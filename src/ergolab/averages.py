@@ -20,11 +20,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, ValidationError
 from .observables import ExactNorm, Observable, ONE, l2_square, linf_norm
 from .system import FiniteSystem, FolnerBox, over_common_denominator, period_box
+
+# an averaging set: a box, or an explicit finite list of lattice points
+LatticeSet = Union[FolnerBox, Iterable[Sequence[int]]]
 
 
 def _check_args(sys: FiniteSystem, fs):
@@ -35,22 +38,20 @@ def _check_args(sys: FiniteSystem, fs):
             raise DimensionMismatch("observable length differs from state count")
 
 
-def residues(
-    sys: FiniteSystem,
-    points: Union[FolnerBox, Iterable[Sequence[int]]],
-) -> Dict[Tuple[int, ...], int]:
-    """How often each residue modulo period_box(sys) occurs among the
-    lattice points, in the order a walk over them first meets each: the one
-    reader of points.  On an axis of period P, length N and base b, a box
-    hits the residue of offset o = 0..min(N, P)-1, which is (b + o) mod P,
-    N // P + [o < N mod P] times, and its counts are the product over axes:
-    O(|P|) whatever N.  Only an explicit point list is walked."""
+def residues(sys: FiniteSystem, where: LatticeSet) -> Dict[Tuple[int, ...], int]:
+    """The histogram of an averaging set: how often each residue modulo
+    period_box(sys) occurs among its lattice points, in the order a walk
+    over them first meets each.  The one reader of a box or a point list.
+    On an axis of period P, length N and base b, a box hits the residue of
+    offset o = 0..min(N, P)-1, which is (b + o) mod P, N // P + [o < N mod
+    P] times, and its counts are the product over axes: O(|P|) whatever N.
+    Only an explicit point list is walked."""
     periods = period_box(sys).lengths
-    if isinstance(points, FolnerBox):
-        if len(points.lengths) != sys.r:
+    if isinstance(where, FolnerBox):
+        if len(where.lengths) != sys.r:
             raise DimensionMismatch("box has wrong dimension")
         hist = {(): 1}
-        for N, b, P in zip(points.lengths, points.base, periods):
+        for N, b, P in zip(where.lengths, where.base, periods):
             q, rem = divmod(N, P)
             hist = {
                 key + ((b + o) % P,): c * (q + (o < rem))
@@ -59,22 +60,30 @@ def residues(
             }
         return hist
     reduced: Counter = Counter()
-    for nvec in points:
+    for nvec in where:
         if len(nvec) != sys.r:
             raise DimensionMismatch("lattice point has wrong dimension")
         reduced[tuple(e % P for e, P in zip(nvec, periods))] += 1
     return reduced
 
 
+def _histogram(sys: FiniteSystem, where: LatticeSet):
+    """(residues(sys, where), |I|): a nonempty set's histogram and size."""
+    hist = residues(sys, where)
+    size = sum(hist.values())
+    if not size:
+        raise ValidationError("empty lattice point list")
+    return hist, size
+
+
 def orbit_counts(
-    sys: FiniteSystem,
-    points: Union[FolnerBox, Iterable[Sequence[int]]],
+    sys: FiniteSystem, hist: Dict[Tuple[int, ...], int]
 ) -> Dict[Tuple[int, ...], int]:
     """How often each orbit tuple (x, T_1^n x, ..., T_d^n x) occurs as n
-    runs over a box or an explicit point list and x over all states.  The
-    orbit work is at most |P|*n, on top of residues' O(|P|) per box."""
+    runs over a set with residue histogram hist and x over all states: at
+    most |P|*n orbit work, whatever the set."""
     counts: Dict[Tuple[int, ...], int] = {}
-    for nvec, mult in residues(sys, points).items():
+    for nvec, mult in hist.items():
         perms = [sys.action_perm(i, nvec) for i in range(1, sys.d + 1)]
         for key in zip(range(sys.n), *perms):
             counts[key] = counts.get(key, 0) + mult
@@ -86,7 +95,8 @@ def basis_counts(sys: FiniteSystem) -> Dict[Tuple[int, ...], Dict[int, List]]:
     count)]}}, for x in the support.  Contracting a list with f_1 gives |P|
     times the exact limit of (f_1, e_{y_2}, ..., e_{y_d}) at x."""
     grouped: Dict[Tuple[int, ...], Dict[int, List]] = {}
-    for (x, y1, *rest), c in orbit_counts(sys, period_box(sys)).items():
+    full = residues(sys, period_box(sys))
+    for (x, y1, *rest), c in orbit_counts(sys, full).items():
         if sys.weights[x]:
             grouped.setdefault(tuple(rest), {}).setdefault(x, []).append((y1, c))
     return grouped
@@ -95,30 +105,18 @@ def basis_counts(sys: FiniteSystem) -> Dict[Tuple[int, ...], Dict[int, List]]:
 def truncated_average(
     sys: FiniteSystem,
     fs: Sequence[Observable],
-    box: Optional[FolnerBox] = None,
-    *,
-    points: Optional[Iterable[Tuple[int, ...]]] = None,
+    where: LatticeSet,
 ) -> Observable:
-    """Pointwise average of prod_i f_i o T_i^n over the lattice points.
-
-    Either a box or an explicit point list may be supplied; the point list
-    is the escape hatch for non-box Folner sets.  With f_i = w_i / D_i over
-    its least denominator, the sums are ints, and state x gets one
-    Fraction(total_x, |I| * prod_i D_i).
+    """Pointwise average of prod_i f_i o T_i^n over the lattice points of a
+    box or of an explicit point list, the escape hatch for non-box Folner
+    sets.  With f_i = w_i / D_i over its least denominator, the sums are
+    ints, and state x gets one Fraction(total_x, |I| * prod_i D_i).
     """
     _check_args(sys, fs)
-    if points is None:
-        if box is None:
-            raise ValidationError("need a box or an explicit point list")
-        where, size = box, box.size
-    else:
-        where = [tuple(p) for p in points]
-        if not where:
-            raise ValidationError("empty lattice point list")
-        size = len(where)
+    hist, size = _histogram(sys, where)
     nums, denoms = zip(*(over_common_denominator(f.values) for f in fs))
     total = [0] * sys.n
-    for (x, *ys), c in orbit_counts(sys, where).items():
+    for (x, *ys), c in orbit_counts(sys, hist).items():
         prod = c
         for w, y in zip(nums, ys):
             v = w[y]
@@ -139,20 +137,22 @@ def exact_limit(sys: FiniteSystem, fs: Sequence[Observable]) -> Observable:
 def deviation_bound(
     sys: FiniteSystem,
     fs: Sequence[Observable],
-    box: FolnerBox,
+    where: LatticeSet,
 ) -> ExactNorm:
-    """Certified bound on ||truncated - limit||_2.
+    """Certified bound on ||truncated - limit||_2 over a box or a point list.
 
-    Splitting the box into complete periods plus a boundary shell gives
-    B = 2 * ||f_1||_2 * prod_{i>=2} ||f_i||_inf * (1 - prod_j floor(N_j/P_j)*P_j/N_j).
+    If every residue of the period box P occurs at least m times (else m =
+    0), the set holds m full period boxes, whose average is the limit; each
+    of the other |I| - m|P| points gives a product of norm at most ||f_1||_2
+    * prod_{i>=2} ||f_i||_inf.  So with rho = m|P|/|I|, which for a box is
+    prod_j floor(N_j/P_j)*P_j/N_j,
+    B = 2 * ||f_1||_2 * prod_{i>=2} ||f_i||_inf * (1 - rho).
     """
     _check_args(sys, fs)
-    if len(box.lengths) != sys.r:
-        raise DimensionMismatch("box has wrong dimension")
-    rho = ONE
-    for N, P in zip(box.lengths, period_box(sys).lengths):
-        rho *= Fraction((N // P) * P, N)
+    hist, size = _histogram(sys, where)
+    full = period_box(sys).size
+    m = min(hist.values()) if len(hist) == full else 0
     coeff = Fraction(2) * math.prod(
         (linf_norm(f) for f in fs[1:]), start=ONE
-    ) * (ONE - rho)
+    ) * (ONE - Fraction(m * full, size))
     return ExactNorm(l2_square(fs[0], sys.weights)).scale(coeff)

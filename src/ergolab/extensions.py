@@ -149,7 +149,7 @@ class ExtensionRun(NamedTuple):
 
 def iterate_extensions(
     sys: FiniteSystem,
-    max_m: int = 3,
+    max_m: int,
     budget: int = 10 ** 6,
 ) -> ExtensionRun:
     """Apply one_step_extension until pleasant, the stage budget is hit, or

@@ -26,12 +26,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .averages import orbit_counts
+from .averages import orbit_counts, residues
 from .errors import ValidationError
 from .factors import Partition, orbit_partition
 from .system import (
     FiniteSystem,
-    FolnerBox,
     Perm,
     compose,
     identity_perm,
@@ -201,19 +200,16 @@ def _point_masses(sys: FiniteSystem, actions, labels=None) -> JoinedMeasure:
     )
 
 
-def furstenberg_joining(
-    sys: FiniteSystem, base_point: Optional[Sequence[int]] = None
-) -> JoinedMeasure:
+def furstenberg_joining(sys: FiniteSystem) -> JoinedMeasure:
     """mu^{*d}: average over a full period box of the pushforwards of the
-    diagonal measure under S_{d+1}^n = (T_1^n, ..., T_d^n).  Independent of
-    the box base point.  With mu = w / D, tuple t gets the orbit counts of
-    the states x reaching it, weighted by w_x, over D |P|."""
+    diagonal measure under S_{d+1}^n = (T_1^n, ..., T_d^n).  With mu = w / D,
+    tuple t gets the orbit counts of the states x reaching it, weighted by
+    w_x, over D |P|."""
     d = sys.d
     pbox = period_box(sys)
-    box = FolnerBox(pbox.lengths, base_point)
     ws, denom = sys.int_weights
     weight: Dict[StateTuple, int] = {}
-    for (x, *t), c in orbit_counts(sys, box).items():
+    for (x, *t), c in orbit_counts(sys, residues(sys, pbox)).items():
         if ws[x]:
             t = tuple(t)
             weight[t] = weight.get(t, 0) + ws[x] * c

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .averages import (
-    _check_args, basis_counts, exact_limit, residues, truncated_average,
+    LatticeSet, _check_args, basis_counts, exact_limit, residues, truncated_average,
 )
 from .errors import (
     DimensionMismatch, InternalInvariantViolation, InvarianceViolated, NotMeasurable,
@@ -47,7 +47,7 @@ from .joinings import (
     JoinedMeasure, StateTuple, diagonal_action_name, furstenberg_joining, host_kra_tower,
 )
 from .observables import ExactNorm, Observable, ONE, ZERO, l2_square, linf_norm
-from .system import FiniteSystem, FolnerBox, over_common_denominator, period_box
+from .system import FiniteSystem, over_common_denominator, period_box
 
 __all__ = [
     "VdcWitness", "contractive_check", "hk_condition_check", "is_measurable",
@@ -76,10 +76,10 @@ def restrict(sys: FiniteSystem, actions: Iterable[int]) -> FiniteSystem:
 def contractive_check(
     sys: FiniteSystem,
     fs: Sequence[Observable],
-    box: FolnerBox,
+    where: LatticeSet,
 ) -> Tuple[ExactNorm, ExactNorm, bool]:
     """||avg||_2 against ||f_1||_2 * prod_{i>=2} ||f_i||_inf; must hold."""
-    avg = truncated_average(sys, fs, box)
+    avg = truncated_average(sys, fs, where)
     lhs = avg.l2(sys.weights)
     rhs = ExactNorm(l2_square(fs[0], sys.weights)).scale(
         math.prod((linf_norm(f) for f in fs[1:]), start=ONE)
@@ -116,7 +116,7 @@ def vdc_identity_check(
     lim = exact_limit(sys, fs)
     lhsq = l2_square(lim, sys.weights)
     total = ZERO
-    for delta in pbox.points():
+    for delta in residues(sys, pbox):
         total += vdc_correlation(sys, fs, delta)
     rhsq = total / pbox.size
     return lhsq, rhsq, lhsq == rhsq

@@ -3,13 +3,12 @@ boxes and trial settings, consumed by the CLI."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 from typing import Sequence, Tuple, Union
 
 # the interpreter's built-in SHA-256 spares every run hashlib's OpenSSL load
@@ -47,10 +46,6 @@ class FolnerBox(namedtuple("FolnerBox", "lengths base")):
     @property
     def size(self) -> int:
         return math.prod(self.lengths)
-
-    def points(self) -> Iterable[Tuple[int, ...]]:
-        for offs in itertools.product(*(range(N) for N in self.lengths)):
-            yield tuple(b + o for b, o in zip(self.base, offs))
 
 
 class ScenarioConfig(NamedTuple):

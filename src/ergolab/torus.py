@@ -160,6 +160,8 @@ class TrigObservable(namedtuple("TrigObservable", "terms")):
     def __call__(self, t: Sequence[float]) -> complex:
         """The value at t, each phase k.t reduced exactly as in the kernel."""
         (x,), den = _sample_phases([t])
+        if any(len(k) != len(x) for k, _ in self.terms):
+            raise ValidationError("sample point has wrong dimension")
         return sum((c * _e(sum(map(mul, k, x)), den) for k, c in self.terms), 0j)
 
 

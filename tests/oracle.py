@@ -4,8 +4,9 @@ These are the per-point and per-tuple loops the library used before every
 orbit consumer became a contraction of orbit_counts: each lattice point is
 turned into permutations on its own, with no reduction modulo the period
 box, and each basis tuple of the pleasantness test gets its own limit.
-Residues modulo the period box are counted by walking every point, never
-by the per-axis closed form.
+Residues modulo the period box are counted by walking every point of a
+box, listed by ``box_points``, never by the per-axis closed form; the
+deviation bound of a box is kept as its per-axis product.
 The torus box sum is kept twice: as a lattice loop over every point of the
 box, and as the closed form with every phase and resonance sum a Fraction,
 which the integer kernel must match to the last bit.
@@ -36,7 +37,7 @@ from ergolab.errors import UndecidableResonance, ValidationError
 from ergolab.extensions import pleasant_factor
 from ergolab.factors import Partition
 from ergolab.joinings import JoinedMeasure, _point_masses, _rel_indep_step
-from ergolab.observables import Observable, l2_square
+from ergolab.observables import ExactNorm, Observable, l2_square, linf_norm
 from ergolab.system import (
     FiniteSystem,
     FolnerBox,
@@ -49,6 +50,15 @@ from ergolab.torus import TWO_PI, TorusSystem, TrigObservable, _combos
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def box_points(box):
+    """The lattice points of a box, first axis slowest: base + offset for
+    every offset in prod_j [0, N_j)."""
+    return [
+        tuple(b + o for b, o in zip(box.base, offs))
+        for offs in itertools.product(*(range(N) for N in box.lengths))
+    ]
 
 
 def residues(sys_, acts, pts):
@@ -81,7 +91,17 @@ def truncated_average(sys_, fs, pts, actions=None):
 
 
 def exact_limit(sys_, fs):
-    return truncated_average(sys_, fs, list(period_box(sys_).points()))
+    return truncated_average(sys_, fs, box_points(period_box(sys_)))
+
+
+def box_deviation_bound(sys_, fs, box):
+    """The deviation bound of a box as the per-axis product: 2 * ||f_1||_2 *
+    prod_{i>=2} ||f_i||_inf * (1 - prod_j floor(N_j/P_j)*P_j/N_j)."""
+    rho = ONE
+    for N, P in zip(box.lengths, period_box(sys_).lengths):
+        rho *= Fraction((N // P) * P, N)
+    coeff = 2 * math.prod((linf_norm(f) for f in fs[1:]), start=ONE) * (1 - rho)
+    return ExactNorm(l2_square(fs[0], sys_.weights)).scale(coeff)
 
 
 def cond_expect_on_support(sys_, f, part):
@@ -120,7 +140,7 @@ def furstenberg_mass(sys_, base_point=None):
     pbox = period_box(sys_)
     scale = Fraction(1, pbox.size)
     mass = {}
-    for nvec in FolnerBox(pbox.lengths, base_point).points():
+    for nvec in box_points(FolnerBox(pbox.lengths, base_point)):
         perms = [sys_.action_perm(i, nvec) for i in range(1, sys_.d + 1)]
         for x in sys_.support:
             t = tuple(p[x] for p in perms)
@@ -247,7 +267,7 @@ def torus_truncated_average(sys_, fs, box, samples):
         ]
         for i in range(1, sys_.d + 1)
     ]
-    pts = list(box.points())
+    pts = box_points(box)
     out = []
     for t in samples:
         t_frac = tuple(Fraction(float(x)) for x in t)

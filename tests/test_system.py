@@ -126,7 +126,7 @@ def test_period_box_cyclic6_mixed_steps():
 def test_folner_box_stores_its_base():
     assert FolnerBox((3, 2)).base == (0, 0)
     assert FolnerBox((3, 2), [-1, 4]).base == (-1, 4)
-    assert list(FolnerBox((2, 1)).points()) == [(0, 0), (1, 0)]
+    assert oracle.box_points(FolnerBox((2, 1), (0, -3))) == [(0, -3), (1, -3)]
     for base in [(1,), (), []]:
         # an empty base point is a wrong-length one, not the origin
         with pytest.raises(ValidationError):

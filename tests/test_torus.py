@@ -158,6 +158,22 @@ def test_bridge_rejects_irrational():
         oracle.rational_rotation_to_finite(sys_)
 
 
+def test_sample_of_the_wrong_dimension_rejected():
+    """A sample with too few or too many coordinates is an error, both at a
+    trig polynomial's value and in the box average, not cut short by zip."""
+    sys_, f1, f2 = golden_pair()
+    for t in [(0.25, 0.5), ()]:
+        with pytest.raises(ValidationError, match="sample point has wrong dimension"):
+            f2(t)
+        with pytest.raises(ValidationError, match="sample point has wrong dimension"):
+            torus_truncated_average(sys_, [f1, f2], FolnerBox((3,)), [t])
+    f = TrigObservable.character((1, 1))
+    for t in [(0.25,), (0.25, 0.5, 0.75)]:
+        with pytest.raises(ValidationError, match="sample point has wrong dimension"):
+            f(t)
+    assert f((0.25, 0.5)) == pytest.approx(-1j)
+
+
 def test_trig_norms():
     f = TrigObservable((((1,), 3 + 4j), ((2,), 0 - 1j)))
     assert abs(oracle.l2_norm(f) - math.sqrt(26)) < 1e-12

@@ -96,7 +96,7 @@ def ladder(repeats: int) -> dict:
                 continue
             box = FolnerBox((N,), (-(N // 2),))
             rungs[f"1e{e}"] = _best(
-                lambda: truncated_average(sys_, fs, box=box), repeats
+                lambda: truncated_average(sys_, fs, box), repeats
             )
             stopped = rungs[f"1e{e}"] > STOP_S
         out[label] = rungs
