@@ -5,7 +5,8 @@
 Every command runs the same pipeline, registered by ``command`` as one row
 of the ``COMMANDS`` table, from which ``parse`` reads the command line:
 load and check the scenario (the engine a command needs included), turn
-``--seed`` into a random generator, fill ``--budget``/``--max-m`` from the
+``--seed`` into a random generator (only ``torus-demo`` takes it, as only
+its rows depend on the bases drawn), fill ``--budget``/``--max-m`` from the
 scenario's options, compute the report body, add the header and write
 ``<out>/<scenario>__<command>.<format>``.  A command is only the function
 that computes its body (plus, for ``--format csv``, the CSV lines).  Only
@@ -26,7 +27,6 @@ import gc
 import math
 import os
 import re
-import stat
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -43,7 +43,7 @@ from .errors import (
 from .scenario import FolnerBox, load_scenario
 
 if TYPE_CHECKING:
-    # a seeded command imports random where it builds its generator
+    # a command that draws bases imports random where it builds its generator
     import random
 
 
@@ -82,17 +82,20 @@ def _random_base(rng: random.Random, r: int, span: int):
     return tuple(rng.randint(-span, span) for _ in range(r))
 
 
-def _base_shift_free(sys_, rng: random.Random, trials: int) -> bool:
-    """Whether trials full period boxes at random bases (all drawn first, so
-    the rng stream is fixed) have the residues of the box at 0, of which the
-    orbit counts of every average, limit and joining are a function."""
+def _base_shift_free(scn) -> bool:
+    """Whether the scenario's trial count of full period boxes, at bases
+    drawn from its trial seed, have the residues of the box at 0, of which
+    the orbit counts of every average, limit and joining are a function."""
+    import random
+
     from .averages import residues
     from .system import period_box
 
+    sys_, rng = scn.system, random.Random(scn.trial_seed)
     P = period_box(sys_).lengths
     at0 = residues(sys_, FolnerBox(P))
-    boxes = [FolnerBox(P, _random_base(rng, sys_.r, 50)) for _ in range(trials)]
-    return all(residues(sys_, box) == at0 for box in boxes)
+    return all(residues(sys_, FolnerBox(P, _random_base(rng, sys_.r, 50))) == at0
+               for _ in range(scn.trial_count))
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -140,15 +143,6 @@ def _write_report(out: str, scn_name: str, command: str, fmt: str, payload) -> P
         text = _json_text(payload) + "\n"
     else:
         text = payload
-    # Truncating an existing file can cost more than a whole command (tens
-    # of ms on ext4 mounted with discard), so a regular file is unlinked
-    # and made anew.  A symlink is written through, and a file whose unlink
-    # is refused is truncated.
-    try:
-        if stat.S_ISREG(os.lstat(path).st_mode):
-            os.unlink(path)
-    except OSError:
-        pass
     path.write_bytes(text.encode("utf-8"))
     print(path)
     return path
@@ -163,6 +157,8 @@ DESCRIPTION = ("Exact laboratory for nonconventional ergodic averages on "
                "finite systems, with a floating-point torus backend.")
 _HELP = "Show this message and exit."
 _DEFAULTS = {"out": ".", "fmt": "json"}
+# the default cap on the n^d basis tuples of extend's and pleasant's checks
+BUDGET = 10 ** 6
 # argparse's rule: these read as values, not flags, after a flag
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
@@ -404,12 +400,13 @@ def _avg_csv(report):
     return lines
 
 
-@command("avg", engine="finite", csv=_avg_csv, seed=True)
-def avg(scn, rng):
+@command("avg", engine="finite", csv=_avg_csv)
+def avg(scn):
     """Truncated averages with exact limits and deviation bounds."""
     from .averages import deviation_bound, exact_limit, truncated_average
 
     sys_ = scn.system
+    shift_free = _base_shift_free(scn)
     entries = []
     for names in scn.average_tuples:
         fs = [scn.observables[n] for n in names]
@@ -430,8 +427,7 @@ def avg(scn, rng):
         entries.append({
             "tuple": list(names),
             "base_point_trials": scn.trial_count,
-            "full_period_box_equals_limit":
-                _base_shift_free(sys_, rng, scn.trial_count),
+            "full_period_box_equals_limit": shift_free,
         })
     return {"results": entries}
 
@@ -453,8 +449,8 @@ def limit(scn):
     }
 
 
-@command("joining", engine="finite", seed=True)
-def joining(scn, rng):
+@command("joining", engine="finite")
+def joining(scn):
     """The exact self-joining measure with its property checks."""
     from .joinings import diagonal_action_name, furstenberg_joining
 
@@ -466,8 +462,7 @@ def joining(scn, rng):
         "invariant_under": invariance_json(jm),
         "diagonal_action": diagonal_action_name(jm),
         "base_shift_trials": scn.trial_count,
-        "base_shift_independent":
-            _base_shift_free(scn.system, rng, scn.trial_count),
+        "base_shift_independent": _base_shift_free(scn),
         "measure": measure_json(jm),
     }
 
@@ -512,7 +507,7 @@ def _pleasant_json(sys_, rep) -> dict:
     }
 
 
-@command("extend", engine="finite", options={"max_m": 2, "budget": 10 ** 6})
+@command("extend", engine="finite", options={"max_m": 2, "budget": BUDGET})
 def extend(scn, max_m, budget):
     """Iterate the one-step extension until pleasant or out of budget."""
     from .extensions import iterate_extensions
@@ -532,7 +527,7 @@ def extend(scn, max_m, budget):
     }
 
 
-@command("pleasant", engine="finite", options={"budget": 10 ** 6})
+@command("pleasant", engine="finite", options={"budget": BUDGET})
 def pleasant(scn, budget):
     """Pleasantness defect report for the scenario system itself."""
     from .extensions import is_pleasant

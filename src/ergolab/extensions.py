@@ -45,7 +45,7 @@ def pleasant_factor(sys: FiniteSystem) -> Partition:
     return join(parts)
 
 
-def is_pleasant(sys: FiniteSystem, budget: int = 10 ** 6) -> PleasantnessReport:
+def is_pleasant(sys: FiniteSystem, budget: int) -> PleasantnessReport:
     """Exact pleasantness test over the indicator basis.
 
     Multilinearity of the limit plus completeness of indicators makes the
@@ -108,7 +108,7 @@ def is_pleasant(sys: FiniteSystem, budget: int = 10 ** 6) -> PleasantnessReport:
     )
 
 
-def one_step_extension(sys: FiniteSystem, budget: int = 10 ** 6) -> ExtensionStage:
+def one_step_extension(sys: FiniteSystem, budget: int) -> ExtensionStage:
     """The extension whose state space is the support of mu^{*d}, with
     T_1 lifted to the product T_1 x T_2 x ... x T_d and T_i (i >= 2) to its
     full diagonal.  The factor map is the first-coordinate projection.
@@ -147,11 +147,7 @@ class ExtensionRun(NamedTuple):
     status: str  # "pleasant" | "budget-exceeded" | "max-m-reached"
 
 
-def iterate_extensions(
-    sys: FiniteSystem,
-    max_m: int,
-    budget: int = 10 ** 6,
-) -> ExtensionRun:
+def iterate_extensions(sys: FiniteSystem, max_m: int, budget: int) -> ExtensionRun:
     """Apply one_step_extension until pleasant, the stage budget is hit, or
     max_m stages have been built.  Budget overrun is reported, not raised."""
     if max_m < 1:

@@ -8,7 +8,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
 from typing import Sequence, Tuple, Union
 
 # the interpreter's built-in SHA-256 spares every run hashlib's OpenSSL load
@@ -217,7 +217,3 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
 
 def bundled_scenario_dir() -> Path:
     return Path(__file__).parent / "scenarios"
-
-
-def bundled_scenarios() -> List[Path]:
-    return sorted(bundled_scenario_dir().glob("*.json"))

@@ -19,12 +19,10 @@ from .errors import (
     NonProbabilityWeights,
     ValidationError,
 )
+from .observables import ONE, ZERO
 from .scenario import FolnerBox
 
 Perm = Tuple[int, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def over_common_denominator(

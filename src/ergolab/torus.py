@@ -260,6 +260,13 @@ def _sample_phases(samples: Sequence[Sequence[float]]):
     return [tuple(p * (den // q) for p, q in t) for t in ratios], den
 
 
+def _check_args(sys: TorusSystem, fs, lengths: Optional[Sequence[int]] = None):
+    if len(fs) != sys.d:
+        raise ValidationError(f"need {sys.d} observables, got {len(fs)}")
+    if lengths is not None and len(lengths) != sys.r:
+        raise ValidationError("box dimension differs from rank")
+
+
 def torus_truncated_average(
     sys: TorusSystem,
     fs: Sequence[TrigObservable],
@@ -278,10 +285,7 @@ def torus_truncated_average(
     stays flat in the base point and in N; the cost is
     O(#combos * (r + #samples)), whatever the box size.
     """
-    if len(fs) != sys.d:
-        raise ValidationError(f"need {sys.d} observables, got {len(fs)}")
-    if len(box.lengths) != sys.r:
-        raise ValidationError("box dimension differs from rank")
+    _check_args(sys, fs, box.lengths)
     starts, sden = _sample_phases(samples)
     if any(len(t) != sys.m for t in starts):
         raise ValidationError("sample point has wrong dimension")
@@ -328,8 +332,7 @@ def character_limit(
     A product of character terms survives iff it is resonant; the surviving
     combination contributes its coefficient product at the summed frequency.
     """
-    if len(fs) != sys.d:
-        raise ValidationError(f"need {sys.d} observables, got {len(fs)}")
+    _check_args(sys, fs)
     acc: Dict[Tuple[int, ...], complex] = {}
     for ks, freq, coeff in _combos(fs):
         if _resonant(sys, ks):
@@ -351,10 +354,7 @@ def torus_deviation_bound(
     A resonant combination reproduces its limit term; any other one deviates
     by at most |c| prod_j |D_j| <= |c| prod_j min(1, 1/(N_j |sin(pi theta_j)|)).
     """
-    if len(fs) != sys.d:
-        raise ValidationError(f"need {sys.d} observables, got {len(fs)}")
-    if len(lengths) != sys.r:
-        raise ValidationError("box dimension differs from rank")
+    _check_args(sys, fs, lengths)
     den = sys.int_rotations[1]
     total = 0.0
     for ks, _, coeff, thetas in _thetas(sys, fs):

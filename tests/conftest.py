@@ -2,12 +2,13 @@ import contextlib
 import io
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from pathlib import Path
+from typing import List, NamedTuple
 
 import pytest
 
 from ergolab.observables import Observable
-from ergolab.scenario import bundled_scenarios, load_scenario
+from ergolab.scenario import bundled_scenario_dir, load_scenario
 from ergolab.system import FiniteSystem
 
 
@@ -60,6 +61,10 @@ def cell_valued_observable(rng, part, span=3, max_denom=6):
         for _ in part.cells
     ]
     return Observable.from_values([vals[part.cell_of[x]] for x in range(part.n)])
+
+
+def bundled_scenarios() -> List[Path]:
+    return sorted(bundled_scenario_dir().glob("*.json"))
 
 
 @pytest.fixture(scope="session")

@@ -71,10 +71,10 @@ def test_acceptance_02_cyclic5_extension_pleasant():
     extension is pleasant with defect exactly zero, exhaustively."""
     start = time.monotonic()
     base = cyclic_system(5, [1, 2])
-    rep = is_pleasant(base)
+    rep = is_pleasant(base, budget=10 ** 6)
     passed = (not rep.pleasant) and rep.defect.square > 0 and rep.witness is not None
-    ext = one_step_extension(base).system
-    ext_rep = is_pleasant(ext)
+    ext = one_step_extension(base, budget=10 ** 6).system
+    ext_rep = is_pleasant(ext, budget=10 ** 6)
     passed = passed and ext_rep.pleasant and ext_rep.defect.square == 0
     passed = passed and (time.monotonic() - start) < 10.0
     _verdict(2, "cyclic-5 unpleasant, extension pleasant", passed)
@@ -183,7 +183,7 @@ def test_acceptance_07_joining_condition_implication(finite_corpus):
                 passed = passed and witness is not None and witness.integral != 0
     # pleasant systems make nontrivial positives: the extension's centered
     # indicators are orthogonal to its (discrete) pleasant factor
-    ext = one_step_extension(cyclic_system(5, [1, 2])).system
+    ext = one_step_extension(cyclic_system(5, [1, 2]), budget=10 ** 6).system
     ok, _ = vdc_condition_check(ext, Observable.constant(ext.n, 0))
     passed = passed and ok
     passed = passed and positives >= len(finite_corpus)
@@ -200,7 +200,7 @@ def test_acceptance_08_pleasant_reduction():
     from conftest import cell_valued_observable
 
     rng = random.Random(108)
-    ext = one_step_extension(cyclic_system(5, [1, 2])).system
+    ext = one_step_extension(cyclic_system(5, [1, 2]), budget=10 ** 6).system
     cons = [action_isotropy(ext, 1), difference_isotropy(ext, 2, 1)]
     passed = True
     for _ in range(100):

@@ -1,6 +1,5 @@
 import gc
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -8,10 +7,10 @@ import pytest
 from ergolab import __version__
 from ergolab.cli import COMMANDS, FORMATS, main, parse, report_format
 from ergolab.errors import ValidationError
-from ergolab.scenario import bundled_scenario_dir, bundled_scenarios, load_scenario
+from ergolab.scenario import bundled_scenario_dir, load_scenario
 from ergolab.system import FolnerBox
 
-from conftest import run_cli
+from conftest import bundled_scenarios, run_cli
 
 
 def scn_path(name):
@@ -225,11 +224,17 @@ def test_joining_and_hk_reports(tmp_path):
 
 def _shift_flags(tmp_path, name, seed=None):
     """avg's full_period_box_equals_limit verdicts and joining's
-    base_shift_independent on one bundled scenario."""
-    extra = [] if seed is None else ["--seed", str(seed)]
+    base_shift_independent on one bundled scenario, run on a copy with
+    base_point_trials.seed set to seed when one is given."""
+    path = scn_path(name)
+    if seed is not None:
+        raw = json.loads(Path(path).read_text())
+        raw["base_point_trials"]["seed"] = seed
+        path = tmp_path / f"seed-{seed}.json"
+        path.write_text(json.dumps(raw))
     flags = []
     for command in ("avg", "joining"):
-        run_ok([command, "--scenario", scn_path(name), "--out", str(tmp_path)] + extra)
+        run_ok([command, "--scenario", str(path), "--out", str(tmp_path)])
         report = json.loads((tmp_path / f"{name}__{command}.json").read_text())
         if command == "avg":
             flags += [e["full_period_box_equals_limit"] for e in report["results"]
@@ -699,9 +704,9 @@ _FORMAT = ("json", ("json", "csv"))
 _INT = (None, None)
 CLI_SURFACE = {
     "validate": {},
-    "avg": {"--format": _FORMAT, "--seed": _INT},
+    "avg": {"--format": _FORMAT},
     "limit": {},
-    "joining": {"--seed": _INT},
+    "joining": {},
     "hk": {},
     "extend": {"--max-m": _INT, "--budget": _INT},
     "pleasant": {"--budget": _INT},
@@ -731,43 +736,35 @@ def test_cli_surface(capsys):
         assert parse([name, "--scenario", "S"]) == (name, defaults)
 
 
+@pytest.mark.parametrize("command", ["avg", "joining"])
+def test_seed_is_only_a_torus_demo_flag(tmp_path, command):
+    """avg and joining draw their base-shift trials from the scenario's
+    trial seed, so --seed is unrecognized there; torus-demo keeps it."""
+    result = run_cli([command, "--scenario", scn_path("cyclic-5"),
+                      "--out", str(tmp_path), "--seed", "1"])
+    assert result.exit_code == 2
+    assert result.stderr.endswith(
+        "ergolab: error: unrecognized arguments: --seed 1\n")
+    assert not list(tmp_path.iterdir())
+    run_ok(["torus-demo", "--scenario", scn_path("torus-counterexample"),
+            "--out", str(tmp_path), "--seed", "1"])
+
+
 def _validate_into(out):
     run_ok(["validate", "--scenario", scn_path("cyclic-5"), "--out", str(out)])
     return out / "cyclic-5__validate.json"
 
 
-def test_rerun_replaces_a_regular_report_without_truncating_it(tmp_path):
-    """A report already in --out is unlinked and written anew, not
-    truncated in place: a hard link to the old file keeps the old bytes."""
-    report = _validate_into(tmp_path)
-    fresh = report.read_bytes()
-    report.write_bytes(b"stale")
-    os.link(report, tmp_path / "old")
-    assert _validate_into(tmp_path).read_bytes() == fresh
-    assert (tmp_path / "old").read_bytes() == b"stale"
-    assert not report.samefile(tmp_path / "old")
-
-
-@pytest.mark.parametrize("where", ["symlink", "unlink-refused"])
-def test_rerun_truncates_what_it_cannot_replace(tmp_path, monkeypatch, where):
-    """A symlinked report is written through its link, and a report whose
-    unlink is refused is truncated in place, as a plain overwrite does."""
+def test_rerun_writes_through_a_symlinked_report(tmp_path):
+    """A symlinked report is written through its link."""
     fresh = _validate_into(tmp_path / "first").read_bytes()
     target = tmp_path / "target.json"
     target.write_bytes(b"stale")
     report = tmp_path / "out" / "cyclic-5__validate.json"
     report.parent.mkdir()
-    if where == "symlink":
-        report.symlink_to(target)
-    else:
-        os.link(target, report)
-
-        def refuse(path):
-            raise PermissionError(1, "Operation not permitted", str(path))
-
-        monkeypatch.setattr(os, "unlink", refuse)
+    report.symlink_to(target)
     assert _validate_into(tmp_path / "out") == report
-    assert report.is_symlink() == (where == "symlink")
+    assert report.is_symlink()
     assert target.read_bytes() == fresh
 
 

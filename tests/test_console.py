@@ -17,9 +17,9 @@ import pytest
 
 import ergolab
 from ergolab import cli
-from ergolab.scenario import bundled_scenario_dir, bundled_scenarios, load_scenario
+from ergolab.scenario import bundled_scenario_dir, load_scenario
 
-from conftest import run_cli
+from conftest import bundled_scenarios, run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 

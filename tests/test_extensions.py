@@ -31,7 +31,7 @@ from conftest import cell_valued_observable, cyclic_system, random_observable
 
 @pytest.fixture(scope="module")
 def ext25():
-    return one_step_extension(cyclic_system(5, [1, 2]))
+    return one_step_extension(cyclic_system(5, [1, 2]), budget=10 ** 6)
 
 
 def test_pleasant_factor_d1_is_isotropy():
@@ -53,7 +53,7 @@ def test_d1_always_pleasant(rng):
     for _ in range(5):
         n = rng.randint(2, 7)
         sys_ = cyclic_system(n, [rng.randint(1, n)])
-        rep = is_pleasant(sys_)
+        rep = is_pleasant(sys_, budget=10 ** 6)
         assert rep.pleasant and rep.defect.is_zero
         # the d=1 limit is exactly the conditional expectation
         f = random_observable(rng, n)
@@ -63,7 +63,7 @@ def test_d1_always_pleasant(rng):
 
 def test_cyclic5_not_pleasant():
     sys_ = cyclic_system(5, [1, 2])
-    rep = is_pleasant(sys_)
+    rep = is_pleasant(sys_, budget=10 ** 6)
     assert not rep.pleasant
     assert rep.defect.square > 0
     assert rep.witness is not None
@@ -91,13 +91,13 @@ def test_extension_shape(ext25):
 
 
 def test_extension_is_pleasant(ext25):
-    rep = is_pleasant(ext25.system)
+    rep = is_pleasant(ext25.system, budget=10 ** 6)
     assert rep.pleasant and rep.defect.square == 0
 
 
 def test_extension_d1_is_same_dynamics():
     sys_ = cyclic_system(5, [2])
-    stage = one_step_extension(sys_)
+    stage = one_step_extension(sys_, budget=10 ** 6)
     assert stage.system.n == 5
     assert stage.system.generators == sys_.generators
 
@@ -127,7 +127,7 @@ def test_iterate_budget_boundary_at_a_stage():
     run = iterate_extensions(sys_, max_m=1, budget=25 ** 2 - 1)
     assert run.status == "budget-exceeded"
     assert run.stages == ()
-    assert run.final_report == is_pleasant(sys_)
+    assert run.final_report == is_pleasant(sys_, budget=10 ** 6)
 
 
 def test_rejected_stage_is_never_lifted(monkeypatch):
@@ -162,7 +162,7 @@ def test_iterate_builds_each_stage_with_one_step_extension(monkeypatch):
         return step(sys_, budget=budget)
 
     monkeypatch.setattr(extensions, "one_step_extension", counting_step)
-    run = iterate_extensions(cyclic_system(5, [1, 2]), max_m=2)
+    run = iterate_extensions(cyclic_system(5, [1, 2]), max_m=2, budget=10 ** 6)
     assert run.status == "pleasant"
     assert calls == [5]
     run = iterate_extensions(cyclic_system(5, [1, 2]), max_m=2, budget=25 ** 2 - 1)
@@ -172,14 +172,14 @@ def test_iterate_builds_each_stage_with_one_step_extension(monkeypatch):
 
 def test_iterate_stops_immediately_when_pleasant():
     sys_ = cyclic_system(6, [2])  # d=1, always pleasant
-    run = iterate_extensions(sys_, max_m=1)
+    run = iterate_extensions(sys_, max_m=1, budget=10 ** 6)
     assert run.status == "pleasant"
     assert run.stages == ()
     assert run.final_report.pleasant
 
 
 def test_iterate_cyclic5_pleasant_at_m1():
-    run = iterate_extensions(cyclic_system(5, [1, 2]), max_m=2)
+    run = iterate_extensions(cyclic_system(5, [1, 2]), max_m=2, budget=10 ** 6)
     assert run.status == "pleasant"
     assert len(run.stages) == 1
     assert run.stages[0].system.n == 25

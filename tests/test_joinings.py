@@ -136,7 +136,7 @@ def test_vdc_condition_counterexample_witness():
 
 def test_vdc_condition_true_on_pleasant_extension():
     base = cyclic_system(5, [1, 2])
-    ext = one_step_extension(base).system
+    ext = one_step_extension(base, budget=10 ** 6).system
     xi = pleasant_factor(ext)
     e0 = Observable.indicator(ext.n, 0)
     f1 = e0 - cond_expect(ext, e0, xi)

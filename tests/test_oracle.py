@@ -166,7 +166,7 @@ def extension_stages():
     n = 6 are left out; the per-tuple oracle takes about 3 s on each."""
     bases = [sys_ for sys_ in cyclic_family() if sys_.d == 2 and sys_.n <= 6]
     bases += [two_cycles(), two_cycles(5, 2, Fraction(3, 4)), rank2_product()]
-    stages = [one_step_extension(sys_).system for sys_ in bases]
+    stages = [one_step_extension(sys_, budget=10 ** 6).system for sys_ in bases]
     return [stage for stage in stages if stage.n <= 32]
 
 
@@ -177,7 +177,7 @@ def test_is_pleasant_matches_per_tuple_loop(systems):
                      two_cycles(3, 5, Fraction(3, 10))]
     unpleasant = 0
     for sys_ in systems + unequal_cells + extension_stages():
-        rep = is_pleasant(sys_)
+        rep = is_pleasant(sys_, budget=10 ** 6)
         defect_sq, witness = oracle.is_pleasant(sys_)
         assert rep.defect.square == defect_sq
         assert rep.witness == witness

@@ -110,7 +110,7 @@ def test_joinings_load_no_extensions(tmp_path, command):
 
 def test_validate_loads_no_resources_and_no_random(tmp_path):
     """Finding the bundled scenarios needs no importlib.resources, and only
-    a seeded command imports random."""
+    a command that draws bases imports random."""
     added = loaded_by(tmp_path, [["validate", "--scenario", scn("cyclic-5")]])
     assert "ergolab.scenario" in added
     assert not added & {"importlib.resources", "random"}, sorted(added)

@@ -45,9 +45,9 @@ def _generator():
 
 def _corpora(out: Path):
     """(corpus name, scenario paths) for the bundled and generated corpora."""
-    from ergolab.scenario import bundled_scenarios
+    from ergolab.scenario import bundled_scenario_dir
 
-    yield "bundled", bundled_scenarios()
+    yield "bundled", sorted(bundled_scenario_dir().glob("*.json"))
     generate = _generator()
     for seed in SEEDS:
         paths = generate.write_scenarios(
