@@ -126,3 +126,12 @@ def integral(f: Observable, weights: Tuple[Fraction, ...]) -> Fraction:
         raise DimensionMismatch("weights and observable lengths differ")
     return sum((v * w for v, w in zip(f.values, weights)), ZERO)
 
+
+# how a report writes an exact value
+def frac_str(q: Fraction) -> str:
+    q = Fraction(q)
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def norm_json(norm: ExactNorm) -> dict:
+    return {"square": frac_str(norm.square)}

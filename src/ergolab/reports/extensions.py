@@ -1,0 +1,40 @@
+"""The ``extend`` and ``pleasant`` reports: the pleasantness defect, with
+its witness, of the system or of its last extension stage."""
+
+from ..extensions import is_pleasant, iterate_extensions
+from ..observables import norm_json
+
+
+def _pleasant_json(sys_, rep) -> dict:
+    return {
+        "pleasant": rep.pleasant,
+        "defect": norm_json(rep.defect),
+        "factor_cells": [
+            [sys_.label(x) for x in cell] for cell in rep.factor.cells
+        ],
+        "witness": (
+            None
+            if rep.witness is None
+            else [sys_.label(x) for x in rep.witness]
+        ),
+    }
+
+
+def extend(scn, max_m, budget):
+    run = iterate_extensions(scn.system, max_m=max_m, budget=budget)
+    final_sys = run.stages[-1].system if run.stages else scn.system
+    return {
+        "max_m": max_m,
+        "budget": budget,
+        "stages": [
+            {"stage": k, "states": st.system.n}
+            for k, st in enumerate(run.stages, start=1)
+        ],
+        "status": run.status,
+        "stabilized": run.final_report.pleasant,
+        "final": _pleasant_json(final_sys, run.final_report),
+    }
+
+
+def pleasant(scn, budget):
+    return _pleasant_json(scn.system, is_pleasant(scn.system, budget=budget))

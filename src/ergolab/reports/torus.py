@@ -1,0 +1,36 @@
+"""The ``torus-demo`` report: the convergence table of a torus scenario."""
+
+from ..scenario import FolnerBox, random_base
+from ..torus import character_limit, torus_deviation_bound, torus_truncated_average
+
+
+def torus_csv(report):
+    return ["tuple,N,base,sample,abs_error,bound"] + [
+        ",".join(row.values()) for row in report["rows"]
+    ]
+
+
+def torus_demo(scn, rng):
+    sys_ = scn.system
+    rows = []
+    for names in scn.average_tuples:
+        fs = [scn.observables[n] for n in names]
+        lim = character_limit(sys_, fs)
+        limits = [lim(t) for t in scn.samples]
+        for box in scn.boxes:
+            bound = torus_deviation_bound(sys_, fs, box.lengths)
+            bases = [box.base]
+            bases += [random_base(rng, sys_.r, 1000) for _ in range(scn.trial_count)]
+            for base in bases:
+                shifted = FolnerBox(box.lengths, base)
+                avgs = torus_truncated_average(sys_, fs, shifted, scn.samples)
+                for t, a, lt in zip(scn.samples, avgs, limits):
+                    rows.append({
+                        "tuple": "|".join(names),
+                        "N": " ".join(map(str, box.lengths)),
+                        "base": " ".join(map(str, base)),
+                        "sample": " ".join(f"{x:.6f}" for x in t),
+                        "abs_error": f"{abs(a - lt):.12e}",
+                        "bound": f"{bound:.12e}",
+                    })
+    return {"rows": rows}

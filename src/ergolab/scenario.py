@@ -24,8 +24,10 @@ from .errors import ValidationError
 from .observables import Observable
 
 if TYPE_CHECKING:
-    # each engine's branch imports its system, so that a finite scenario
-    # never loads the torus engine and a torus scenario no finite system
+    # imported where used: a finite scenario never loads the torus engine, a
+    # torus scenario no finite system, and only a draw of bases loads random
+    import random
+
     from .system import FiniteSystem
     from .torus import TorusSystem, TrigObservable
 
@@ -60,6 +62,26 @@ class ScenarioConfig(NamedTuple):
     samples: Tuple[Tuple[float, ...], ...]
     options: Dict[str, int]
     sha256: str
+
+
+def random_base(rng: random.Random, r: int, span: int) -> Tuple[int, ...]:
+    return tuple(rng.randint(-span, span) for _ in range(r))
+
+
+def base_shift_free(scn: ScenarioConfig) -> bool:
+    """Whether the scenario's trial count of full period boxes, at bases
+    drawn from its trial seed, have the residues of the box at 0, of which
+    the orbit counts of every average, limit and joining are a function."""
+    import random
+
+    from .averages import residues
+    from .system import period_box
+
+    sys_, rng = scn.system, random.Random(scn.trial_seed)
+    P = period_box(sys_).lengths
+    at0 = residues(sys_, FolnerBox(P))
+    return all(residues(sys_, FolnerBox(P, random_base(rng, sys_.r, 50))) == at0
+               for _ in range(scn.trial_count))
 
 
 # Field readers, shared with the torus scenario parsers in torus.py.

@@ -1,12 +1,15 @@
 """What each command loads: ``import ergolab.cli`` loads only the scenario
-parser, and a command loads only the engine modules it runs.  Module sets
-only, no timing; each case runs in a fresh interpreter started with -S, so
-that nothing a site hook preloads hides an import."""
+parser, and a command loads only its own report module and the engine
+modules it runs.  Module sets only, no timing; each case runs in a fresh
+interpreter started with -S, so that nothing a site hook preloads hides an
+import."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from importlib.util import resolve_name
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,13 @@ ENGINES = {f"ergolab.{m}" for m in ("averages", "extensions", "factors", "joinin
 # a torus run builds no finite system
 TORUS_ABSENT = ENGINES - {"ergolab.torus"} | {"ergolab.system"}
 FINITE_COMMANDS = ("validate", "avg", "limit", "joining", "hk", "extend", "pleasant")
+# command -> the report module that computes its body
+REPORT_OF = {
+    "validate": "validate", "avg": "averages", "limit": "averages",
+    "joining": "joinings", "hk": "joinings", "extend": "extensions",
+    "pleasant": "extensions", "torus-demo": "torus",
+}
+REPORTS = {f"ergolab.reports.{m}" for m in REPORT_OF.values()}
 
 # argv: output directory, JSON list of command lines; prints the modules the
 # import and the commands added to sys.modules, as one JSON list
@@ -30,17 +40,36 @@ for argv in json.loads(sys.argv[2]):
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
+# argv: JSON list of command lines; parses each (a --help or --version
+# prints and exits 0) and prints the modules the import and parse added
+_PARSE_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import ergolab.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            ergolab.cli.parse(argv)
+        except SystemExit as exc:
+            assert exc.code == 0, argv
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
 
-def loaded_by(tmp_path, commands):
+
+def _child(args):
+    """A child interpreter on this checkout's package; its stdout, stderr."""
     src = str(Path(ergolab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", _PROBE, str(tmp_path), json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return proc.stdout, proc.stderr
+
+
+def loaded_by(tmp_path, commands):
+    stdout, _ = _child(["-S", "-c", _PROBE, str(tmp_path), json.dumps(commands)])
+    return set(json.loads(stdout.splitlines()[-1]))
 
 
 def scn(name):
@@ -50,8 +79,21 @@ def scn(name):
 def test_cli_import_loads_no_engine_no_click_no_dataclasses(tmp_path):
     added = loaded_by(tmp_path, [])
     assert not added & (ENGINES | {"click", "dataclasses"}), sorted(added)
+    assert not {m for m in added if m.startswith("ergolab.reports")}, sorted(added)
     # the benchmark's in-process runner reads this module from sys.modules
     assert "ergolab.observables" in added
+
+
+def test_parse_help_and_version_load_no_report_module():
+    """The command table holds every flag and help line, so reading any
+    command line, --help and --version included, imports no report module."""
+    lines = [["--help"], ["--version"]]
+    for command in REPORT_OF:
+        lines += [[command, "--scenario", "S"], [command, "--help"]]
+    stdout, _ = _child(["-S", "-c", _PARSE_PROBE, json.dumps(lines)])
+    added = set(json.loads(stdout.splitlines()[-1]))
+    assert "ergolab.cli" in added
+    assert not {m for m in added if m.startswith("ergolab.reports")}, sorted(added)
 
 
 @pytest.mark.parametrize(
@@ -61,12 +103,22 @@ def test_cli_import_loads_no_engine_no_click_no_dataclasses(tmp_path):
         ("validate", "torus-counterexample", TORUS_ABSENT),
         ("validate", "cyclic-5", ENGINES),
         ("pleasant", "cyclic-5", {"ergolab.torus", "ergolab.joinings"}),
+        ("avg", "cyclic-5", ENGINES - {"ergolab.averages"}),
+        ("limit", "cyclic-5", ENGINES - {"ergolab.averages"}),
+        # the Furstenberg joining needs no factor, the Host-Kra tower no average
+        ("joining", "cyclic-5", {"ergolab.factors", "ergolab.torus"}),
+        ("hk", "cyclic-5", {"ergolab.averages", "ergolab.torus"}),
+        ("extend", "cyclic-5", {"ergolab.torus"}),
     ],
 )
 def test_command_loads_only_what_it_runs(tmp_path, command, scenario, absent):
+    """A command loads the engines it runs and its own report module, and
+    no other command's."""
     added = loaded_by(tmp_path, [[command, "--scenario", scn(scenario)]])
-    assert not added & absent, sorted(added & absent)
-    assert not added & {"click", "dataclasses"}
+    own = f"ergolab.reports.{REPORT_OF[command]}"
+    assert own in added
+    unwanted = absent | REPORTS - {own} | {"click", "dataclasses"}
+    assert not added & unwanted, sorted(added & unwanted)
 
 
 def test_no_command_loads_argparse(tmp_path):
@@ -114,3 +166,43 @@ def test_validate_loads_no_resources_and_no_random(tmp_path):
     added = loaded_by(tmp_path, [["validate", "--scenario", scn("cyclic-5")]])
     assert "ergolab.scenario" in added
     assert not added & {"importlib.resources", "random"}, sorted(added)
+
+
+def _imports(path: Path, package: str):
+    """The absolute names of the modules path imports, each ``from X import
+    y`` counted both as X and as X.y, as y may be a submodule."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = resolve_name("." * node.level + (node.module or ""), package)
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_the_cli():
+    """Under ``python -m ergolab.cli`` the command line runs as __main__, so
+    a module importing ergolab.cli would compile and run it a second time,
+    with a second command table."""
+    root = Path(ergolab.__file__).resolve().parent
+    importers = []
+    for path in sorted(root.rglob("*.py")):
+        package = ".".join(("ergolab", *path.parent.relative_to(root).parts))
+        if path != root / "cli.py" and "ergolab.cli" in set(_imports(path, package)):
+            importers.append(str(path.relative_to(root)))
+    assert importers == []
+    # relative imports are resolved: a report module's engine, the cli's own
+    assert "ergolab.averages" in set(
+        _imports(root / "reports" / "averages.py", "ergolab.reports"))
+    assert "ergolab.scenario.load_scenario" in set(_imports(root / "cli.py", "ergolab"))
+
+
+def test_a_job_never_imports_the_cli_as_a_module(tmp_path):
+    """An ``hk`` job as the benchmark spawns it imports its report module
+    and never ergolab.cli: the command line runs once, as __main__."""
+    _, stderr = _child(["-X", "importtime", "-m", "ergolab.cli", "hk",
+                        "--scenario", scn("cyclic-5"), "--out", str(tmp_path)])
+    imported = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"ergolab.reports.joinings", "ergolab.joinings"} <= imported
+    assert "ergolab.cli" not in imported

@@ -10,7 +10,11 @@ For every command, on the bundled ``cyclic-5`` scenario (``torus-demo`` on
   loaded after importing ``ergolab.cli`` and running the command, and the
   total source lines of their files.  Nothing is compiled ahead of time
   when ``PYTHONDONTWRITEBYTECODE`` is set, so every line is compiled in
-  every process; the counts are exact and free of noise.
+  every process; the counts are exact and free of noise.  ``compile_ms``
+  is what that costs: for each of those files, the least time of the
+  ``compile()`` calls on its source made in this run, as the import system
+  compiles a source file (one after each of the K runs of every command
+  that loads it, so that they are spread out in time), summed over them.
 * ``stdlib_modules`` and ``stdlib_count``: every other module that child
   has loaded beyond what ``python -c pass`` loads (the site hook's own
   imports included), so a dropped standard-library import shows as a
@@ -120,6 +124,14 @@ def _lines(path: Path) -> int:
     return len(path.read_text(encoding="utf-8").splitlines())
 
 
+def _compile_s(path: str) -> float:
+    """The time of one compile() call on path's source."""
+    source = Path(path).read_bytes()
+    start = time.perf_counter()
+    compile(source, path, "exec", dont_inherit=True)
+    return time.perf_counter() - start
+
+
 def _unlink_reports(outdir: str) -> None:
     """Remove the reports in outdir, so that no child overwrites a file: on
     some filesystems truncating one costs more than a whole command, and
@@ -164,6 +176,8 @@ def ladder(checkout: Path, repeats: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     scenarios = src / "ergolab" / "scenarios"
     bare = float("inf")
+    compile_s = {}  # source file -> least compile() time seen
+    files_of = {}  # command -> the ergolab source files it loaded
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for command, scenario in COMMANDS:
@@ -174,6 +188,7 @@ def ladder(checkout: Path, repeats: int) -> dict:
             )
             loaded = json.loads(probe.stdout.splitlines()[-1])
             files = loaded["ergolab"]
+            files_of[command] = files.values()
             wall = float("inf")
             reruns, phases = [], []
             for _ in range(repeats):
@@ -187,9 +202,12 @@ def ladder(checkout: Path, repeats: int) -> dict:
                 phases.append(_phases(
                     [sys.executable, "-c", _PHASES, *args, "--out", tmp], env
                 ))
+                for f in files.values():
+                    compile_s[f] = min(compile_s.get(f, float("inf")), _compile_s(f))
             out[f"{command} {scenario}"] = {
                 "modules": sorted(files),
                 "lines": sum(_lines(Path(f)) for f in files.values()),
+                "compile_ms": None,  # once every command has run
                 "stdlib_modules": loaded["stdlib"],
                 "stdlib_count": len(loaded["stdlib"]),
                 "min_wall_s": round(wall, 4),
@@ -199,8 +217,10 @@ def ladder(checkout: Path, repeats: int) -> dict:
                     for key in phases[0]
                 },
             }
-    for entry in out.values():
+    for (command, _), entry in zip(COMMANDS, out.values()):
         entry["over_bare_s"] = round(entry["min_wall_s"] - bare, 4)
+        entry["compile_ms"] = round(
+            1000 * sum(map(compile_s.get, files_of[command])), 3)
     return {
         "python": sys.version.split()[0],
         "repeats": repeats,
