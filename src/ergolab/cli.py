@@ -17,12 +17,20 @@ byte-identical files.  Exit codes: 1 validation failure (an unreadable
 scenario file included), 2 budget exceeded or a malformed command line,
 3 internal invariant violation (always a bug).  The ``ergolab`` process
 enters through ``console``, which runs ``main`` without the cyclic garbage
-collector and leaves through ``os._exit`` once its output is flushed.
+collector and leaves through ``os._exit`` once its output is flushed;
+under ``python -m ergolab.cli`` the collector is off from this module's
+first import of the package on.
 """
 
 from __future__ import annotations
 
 import gc
+
+if __name__ == "__main__":
+    # ``python -m ergolab.cli``: the collector is off from the package's own
+    # imports on, not only from ``console`` on
+    gc.disable()
+
 import os
 import re
 import sys
@@ -41,10 +49,11 @@ from .scenario import load_scenario
 
 def _json_text(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, for dict
-    (str keys), list, tuple, str, int, bool and None values; anything else,
-    a float or a non-str key included, raises TypeError, as reports are
-    exact.  Strings go through json's C ASCII encoder, and a list of ints
-    is joined flat."""
+    (str keys), list, tuple, str, int, bool and None values; a value with a
+    ``json_text`` method writes itself, given its indent (a joined measure's
+    rows do).  Anything else, a float or a non-str key included, raises
+    TypeError, as reports are exact.  Strings go through json's C ASCII
+    encoder, and a list of ints is joined flat."""
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -73,6 +82,9 @@ def _json_text(value, indent: str = "\n") -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    json_text = getattr(value, "json_text", None)
+    if json_text is not None:
+        return json_text(indent)
     raise TypeError(f"a {type(value).__name__} has no place in a report")
 
 
@@ -100,8 +112,9 @@ _HELP = "Show this message and exit."
 _DEFAULTS = {"out": ".", "fmt": "json"}
 # the default cap on the n^d basis tuples of extend's and pleasant's checks
 BUDGET = 10 ** 6
-# argparse's rule: these read as values, not flags, after a flag
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# argparse's rule: these read as values, not flags, after a flag; compiled
+# only when a single-dash argument is read
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
 def report_format(value: str) -> str:
@@ -116,7 +129,7 @@ def _is_flag(arg: str) -> bool:
     """Whether arg reads as a flag: it starts with "-" and is not "-"
     alone, a negative number or a string holding a space."""
     return (arg[:1] == "-" and arg != "-" and " " not in arg
-            and not _NEGATIVE_NUMBER.match(arg))
+            and (arg[1] == "-" or not re.match(_NEGATIVE_NUMBER, arg)))
 
 
 def _usage(name) -> str:

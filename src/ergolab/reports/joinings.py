@@ -12,14 +12,44 @@ from ..joinings import (
 from ..scenario import base_shift_free
 
 
-def measure_json(jm) -> list:
-    """Each support tuple with its mass weight / denom in lowest terms."""
-    out = []
-    for t, w in zip(jm.support, jm.support_weights):
-        g = math.gcd(w, jm.denom)
-        num, den = w // g, jm.denom // g
-        out.append({"state": list(t), "mass": f"{num}/{den}" if den > 1 else str(num)})
-    return out
+class MeasureRows:
+    """A joined measure's report rows, ``[{"mass": "p/q", "state": [...]},
+    ...]`` with each mass weight / denom in lowest terms, in support order.
+    The report writer hands it to ``json_text``, which writes the list as
+    ``json.dumps(rows, indent=2, sort_keys=True)`` would at that indent,
+    without building a dict per row."""
+
+    __slots__ = ("jm",)
+
+    def __init__(self, jm):
+        self.jm = jm
+
+    def json_text(self, indent: str) -> str:
+        """The rows' JSON text, the list's own line break and indent given
+        as indent: one row template, one mass string per distinct weight
+        and one string per state index."""
+        jm = self.jm
+        row, entry, coord = indent + "  ", indent + "    ", indent + "      "
+        head = "," + row + "{" + entry + '"mass": "'
+        mid = '",' + entry + '"state": [' + coord
+        tail = entry + "]" + row + "}"
+        d = jm.denom
+        prefix = {}
+        for w in set(jm.support_weights):
+            g = math.gcd(w, d)
+            prefix[w] = head + (f"{w // g}/{d // g}" if d > g else str(w // g)) + mid
+        names = [str(x) for x in range(jm.base.n)]
+        sep = "," + coord
+        text = "".join([
+            prefix[w] + sep.join(map(names.__getitem__, t)) + tail
+            for t, w in zip(jm.support, jm.support_weights)
+        ])
+        return "[" + text[1:] + indent + "]"
+
+
+def measure_json(jm) -> MeasureRows:
+    """Each support tuple with its mass, as report rows."""
+    return MeasureRows(jm)
 
 
 def invariance_json(jm) -> dict:

@@ -1,5 +1,7 @@
 import contextlib
+import importlib.util
 import io
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +10,7 @@ from typing import List, NamedTuple
 import pytest
 
 from ergolab.observables import Observable
-from ergolab.scenario import bundled_scenario_dir, load_scenario
+from ergolab.scenario import bundled_scenario_dir, load_scenario, parse_scenario
 from ergolab.system import FiniteSystem
 
 
@@ -65,6 +67,20 @@ def cell_valued_observable(rng, part, span=3, max_denom=6):
 
 def bundled_scenarios() -> List[Path]:
     return sorted(bundled_scenario_dir().glob("*.json"))
+
+
+def generated_finite_scenarios(seeds):
+    """The finite bench/generate.py families at the given seeds."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    scenarios = [
+        parse_scenario(json.loads(generate.scenario_text(family, seed)))
+        for family in generate.FAMILIES
+        for seed in seeds
+    ]
+    return [scn for scn in scenarios if scn.engine == "finite"]
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,10 @@ on purpose; tests compare the library against them exactly.
 The command line is kept as the argparse parser it was read with before the
 table-driven ``cli.parse``, built from that table.
 
+A joined measure's report rows are kept as the list of one dict per
+support tuple that the report writer once walked, each mass reduced by its
+own gcd.
+
 The rest are helpers only tests use: the action of a flat exponent vector
 of Z^{rd}, partition predicates, a joined measure from Fraction masses, a
 bare relatively independent joining, the conjugate and norms of a trig
@@ -508,6 +512,16 @@ def joined_measure(base, power, mass, actions):
     support = sorted(t for t, m in mass.items() if m)
     weights, denom = over_common_denominator(mass[t] for t in support)
     return JoinedMeasure(base, power, support, list(weights), denom, actions)
+
+
+def measure_json(jm) -> list:
+    """Each support tuple with its mass weight / denom in lowest terms."""
+    out = []
+    for t, w in zip(jm.support, jm.support_weights):
+        g = math.gcd(w, jm.denom)
+        num, den = w // g, jm.denom // g
+        out.append({"state": list(t), "mass": f"{num}/{den}" if den > 1 else str(num)})
+    return out
 
 
 def conjugate(f):

@@ -1,9 +1,6 @@
-import importlib.util
 import itertools
-import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -22,10 +19,15 @@ from ergolab.observables import Observable, l2_square
 from ergolab.proof import (
     contractive_check, restrict, vdc_correlation, vdc_identity_check,
 )
-from ergolab.scenario import bundled_scenario_dir, load_scenario, parse_scenario
+from ergolab.scenario import bundled_scenario_dir, load_scenario
 from ergolab.system import FiniteSystem, period_box
 
-from conftest import cyclic_system, random_observable, run_cli
+from conftest import (
+    cyclic_system,
+    generated_finite_scenarios,
+    random_observable,
+    run_cli,
+)
 
 
 def oracle_average(sys_, fs, pts):
@@ -190,27 +192,13 @@ def test_deviation_bound_cyclic5_n7():
     assert (truncated - limit).l2(sys_.weights) <= bound
 
 
-def _generated_finite_scenarios(seeds):
-    """The finite bench/generate.py families at the given seeds."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
-    spec = importlib.util.spec_from_file_location("generate", path)
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
-    scenarios = [
-        parse_scenario(json.loads(generate.scenario_text(family, seed)))
-        for family in generate.FAMILIES
-        for seed in seeds
-    ]
-    return [scn for scn in scenarios if scn.engine == "finite"]
-
-
 def test_box_bound_is_the_per_axis_product(finite_corpus):
     """On every box of the bundled scenarios and of the generated finite
     families at seeds 1-3, and on random boxes (edges below the period,
     10^9 + 3 long, negative bases), the bound read from the histogram is
     the per-axis product prod_j floor(N_j/P_j)*P_j/N_j, exactly."""
     rng = random.Random(2001)
-    for scn in finite_corpus + _generated_finite_scenarios((1, 2, 3)):
+    for scn in finite_corpus + generated_finite_scenarios((1, 2, 3)):
         sys_ = scn.system
         P = period_box(sys_).lengths
         boxes = list(scn.boxes) + [

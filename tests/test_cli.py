@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from ergolab import __version__
 from ergolab.cli import COMMANDS, FORMATS, main, parse, report_format
 from ergolab.errors import ValidationError
@@ -814,12 +815,26 @@ ADVERSARIAL = [
 ]
 
 
+def _with_oracle_rows(value):
+    """value with every joined measure's rows, which write themselves, as
+    the oracle's list of one dict per support tuple."""
+    from ergolab.reports.joinings import MeasureRows
+
+    if isinstance(value, MeasureRows):
+        return oracle.measure_json(value.jm)
+    if isinstance(value, dict):
+        return {k: _with_oracle_rows(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_with_oracle_rows(v) for v in value]
+    return value
+
+
 def test_report_writer_matches_json_dumps(tmp_path, monkeypatch):
     """The report writer is json.dumps(indent=2, sort_keys=True) byte for
-    byte on every report payload and on adversarial ones, and raises
-    TypeError on what has no exact place in a report: a Fraction or a set,
-    which json.dumps rejects too, and a float or a non-str key, which it
-    would write."""
+    byte on every report payload, its measure rows read as the oracle's
+    dicts, and on adversarial ones, and raises TypeError on what has no
+    exact place in a report: a Fraction or a set, which json.dumps rejects
+    too, and a float or a non-str key, which it would write."""
     from fractions import Fraction
 
     from ergolab.cli import _json_text
@@ -828,7 +843,8 @@ def test_report_writer_matches_json_dumps(tmp_path, monkeypatch):
     commands = {p["command"] for p in payloads}
     assert commands == set(COMMANDS), commands
     for payload in payloads + ADVERSARIAL:
-        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+        expected = json.dumps(_with_oracle_rows(payload), indent=2, sort_keys=True)
+        assert _json_text(payload) == expected
     for bad in (Fraction(1, 2), {1, 2}, [1, Fraction(1, 3)], {"a": {"b": {3}}}):
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2, sort_keys=True)
@@ -836,5 +852,41 @@ def test_report_writer_matches_json_dumps(tmp_path, monkeypatch):
             _json_text(bad)
     for bad in (1.5, float("nan"), float("inf"), [1, 2.0], {"x": -0.0},
                 {1: "a"}, {"a": 1, 2: "b"}, {None: 0}):
+        with pytest.raises(TypeError):
+            _json_text(bad)
+
+
+class _SelfWriting:
+    """A value that writes itself: json.dumps(value, indent=2, sort_keys=True)
+    moved to the indent the writer gives; it records each indent."""
+
+    def __init__(self, value):
+        self.value = value
+        self.indents = []
+
+    def json_text(self, indent):
+        self.indents.append(indent)
+        return json.dumps(self.value, indent=2, sort_keys=True).replace("\n", indent)
+
+
+def test_report_writer_hands_a_self_writing_value_its_indent():
+    """A value with a json_text method is written by it, at the caller's
+    indent: alone, as a dict value, and two levels deep in a list in a
+    dict; a Fraction, a set, a float and a non-str key still raise."""
+    from fractions import Fraction
+
+    from ergolab.cli import _json_text
+
+    inner = {"b": [1, 2], "a": {"c": None}}
+    for wrap, indent in [
+        (lambda v: v, "\n"),
+        (lambda v: {"k": v}, "\n  "),
+        (lambda v: {"k": [0, v], "z": "s"}, "\n    "),
+    ]:
+        value = _SelfWriting(inner)
+        assert _json_text(wrap(value)) == json.dumps(
+            wrap(inner), indent=2, sort_keys=True)
+        assert value.indents == [indent]
+    for bad in (Fraction(1, 2), {1, 2}, 0.5, {1: "a"}, {"k": [Fraction(1, 3)]}):
         with pytest.raises(TypeError):
             _json_text(bad)

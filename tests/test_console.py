@@ -118,6 +118,38 @@ def test_process_disables_collector_and_exits_at_once(tmp_path, command, scenari
     assert (proc.stderr == "") == (code == 0)
 
 
+# argv: the command line.  Prints each ergolab submodule as it is found,
+# with whether the collector is on, then runs ergolab.cli as ``python -m``
+# does, as __main__
+_IMPORT_PROBE = """
+import gc, runpy, sys
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("ergolab."):
+            print(name, gc.isenabled(), flush=True)
+sys.meta_path.insert(0, Probe())
+runpy.run_module("ergolab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_collector_is_off_before_the_cli_imports_under_python_m(tmp_path):
+    """Under ``python -m ergolab.cli`` the collector is off before the
+    command line's own imports, so every package module a job loads after
+    ergolab.cli itself is imported without collections; importing
+    ergolab.cli as a module leaves the collector on."""
+    proc = _child(["-c", _IMPORT_PROBE, "hk", "--scenario", scn("cyclic-5"),
+                   "--out", str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    *found, report = proc.stdout.splitlines()
+    assert report == str(tmp_path / "cyclic-5__hk.json")
+    assert found[0] == "ergolab.cli True"
+    modules = [line.split()[0] for line in found[1:]]
+    assert {"ergolab.errors", "ergolab.scenario", "ergolab.reports.joinings"} <= set(modules)
+    assert found[1:] == [f"{m} False" for m in modules]
+    imported = _child(["-c", "import gc, ergolab.cli; print(gc.isenabled())"])
+    assert imported.stdout == "True\n", imported.stderr
+
+
 # argv: the fault, then the command line.  Fault "body" replaces the body of
 # validate by one that raises ZeroDivisionError; fault "flush" gives the
 # process a stdout whose flush raises OSError.  Then enters the process as

@@ -28,7 +28,7 @@ from ergolab.torus import (
     torus_truncated_average,
 )
 
-from conftest import cyclic_system, random_observable
+from conftest import cyclic_system, generated_finite_scenarios, random_observable
 
 
 def _translations(shape, steps):
@@ -329,6 +329,37 @@ def test_host_kra_tower_matches_unit_vector_orbits(systems):
                 assert orbit_cells(stage, name) == oracle.action_orbits(
                     sys_, mass, coords
                 )
+
+
+# where reports write a measure: joining's top-level key, an hk stage's key
+REPORT_INDENTS = ("\n  ", "\n      ")
+
+
+def test_measure_rows_match_dict_rows(systems):
+    """A joined measure's report rows, written in one pass, are the writer's
+    text of one dict per support tuple, at the indents reports use: every
+    Furstenberg joining and every Host-Kra stage of at most 4,096 tuples
+    (the ones ``hk`` writes) of the test systems, the bundled finite
+    scenarios and the generated finite families at seeds 1-2, and point
+    masses whose mass reads "1"."""
+    from ergolab.cli import _json_text
+    from ergolab.reports.joinings import measure_json
+
+    base = cyclic_system(12, (1,))
+    measures = [
+        JoinedMeasure(base, 1, [(11,)], [1], 1, {}),
+        JoinedMeasure(base, 3, [(0, 1, 10), (2, 3, 11), (9, 9, 9)], [6, 3, 3], 12, {}),
+    ]
+    scenarios = generated_finite_scenarios((1, 2))
+    for sys_ in systems + [scn.system for scn in scenarios]:
+        measures.append(furstenberg_joining(sys_))
+        measures += [jm for jm in host_kra_tower(sys_) if len(jm.support) <= 4096]
+    for jm in measures:
+        rows = oracle.measure_json(jm)
+        for indent in REPORT_INDENTS:
+            assert _json_text(measure_json(jm), indent) == _json_text(rows, indent)
+    assert {row["mass"] for row in oracle.measure_json(measures[0])} == {"1"}
+    assert max(len(jm.support) for jm in measures) > 2000
 
 
 def _torus_rank2():

@@ -1,5 +1,5 @@
-"""Time the Host-Kra report's three computations on a ladder of cyclic
-systems, so that two checkouts can be compared.
+"""Time the Host-Kra report's computations and its measure text on a
+ladder of cyclic systems, so that two checkouts can be compared.
 
     python3 tools/hk_ladder.py [CHECKOUT] [--repeat K]
 
@@ -7,9 +7,14 @@ For Z/n with uniform weights and actions rotating by the given steps
 (d = 2: n = 31 and 61, steps 1, 2; d = 3: n = 11, steps 1, 2, 3), each
 repetition builds the tower with ``host_kra_tower``, then runs
 ``marginals_equal_base`` on every stage, then ``is_invariant`` for every
-action of every stage, as ``ergolab hk`` does.  It prints one JSON object:
-per system the least time of each phase over the repetitions (seconds,
-summed over the stages), the top stage's support size and the verdicts.
+action of every stage, as ``ergolab hk`` does, then writes every stage's
+measure as ``hk`` writes a stage's ``measure`` key (``hk`` itself writes
+only stages of at most 4,096 tuples): ``measure_json`` of
+``ergolab.reports.joinings``, through ``cli._json_text``.  A checkout
+without that writer gets null for ``text_min_s``.  It prints one JSON
+object: per system the least time of each phase over the repetitions
+(seconds, summed over the stages), the top stage's support size, the
+verdicts and the measure text's length.
 
 The program is the ``ergolab`` package under ``src/`` of CHECKOUT, by
 default the checkout this file sits in.  Run each checkout in its own
@@ -26,6 +31,8 @@ from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
+# where an hk report writes a stage's measure
+STAGE_INDENT = "\n      "
 # (n, steps, repetitions)
 LADDER = (
     (31, (1, 2), 5),
@@ -42,10 +49,28 @@ def cyclic(n: int, steps):
                         generators=gens)
 
 
+def measure_writer():
+    """A function writing a joined measure as an hk stage's measure text,
+    or None where the checkout has no ``cli._json_text`` or no
+    ``ergolab.reports.joinings``."""
+    import ergolab.cli as cli
+
+    try:
+        from ergolab.reports.joinings import measure_json
+    except ImportError:
+        return None
+    write = getattr(cli, "_json_text", None)
+    if write is None:
+        return None
+    return lambda jm: write(measure_json(jm), STAGE_INDENT)
+
+
 def rung(sys_, repeats: int) -> dict:
     from ergolab.joinings import host_kra_tower
 
-    best = {"tower_min_s": [], "marginals_min_s": [], "invariance_min_s": []}
+    write = measure_writer()
+    best = {"tower_min_s": [], "marginals_min_s": [], "invariance_min_s": [],
+            "text_min_s": []}
     for _ in range(repeats):
         t0 = time.perf_counter()
         tower = host_kra_tower(sys_)
@@ -54,14 +79,19 @@ def rung(sys_, repeats: int) -> dict:
         t2 = time.perf_counter()
         invariant = [jm.is_invariant(a) for jm in tower for a in sorted(jm.actions)]
         t3 = time.perf_counter()
-        for key, dt in zip(best, (t1 - t0, t2 - t1, t3 - t2)):
+        texts = [write(jm) for jm in tower] if write is not None else None
+        t4 = time.perf_counter()
+        for key, dt in zip(best, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             best[key].append(dt)
     out = {key: round(min(times), 5) for key, times in best.items()}
+    if texts is None:
+        out["text_min_s"] = None
     out.update(
         repeats=repeats,
         top_support=len(tower[-1].support),
         marginals_equal_mu=all(marginals),
         invariant=all(invariant),
+        text_chars=None if texts is None else sum(map(len, texts)),
     )
     return out
 
