@@ -5,15 +5,16 @@
 ``COMMANDS``, from which ``parse`` reads the command line, names each
 command's module and function in ``ergolab.reports``, its flags and its help
 line.  Every command runs the pipeline ``command`` builds: load and check
-the scenario (the engine a command needs included), turn ``--seed`` into a
-random generator (only ``torus-demo`` takes it, as only its rows depend on
-the bases drawn), fill ``--budget``/``--max-m`` from the scenario's options,
-import the command's module and compute its report body, add the header and
-write ``<out>/<scenario>__<command>.<format>``.  So a job compiles only its
-own report module, and ``parse``, ``--help`` and ``--version`` compile none.
+the scenario (the engine a command needs included), fill
+``--budget``/``--max-m`` from the scenario's options, import the command's
+module and compute its report body, add the header and write
+``<out>/<scenario>__<command>.<format>``.  So a job compiles only its own
+report module, and ``parse``, ``--help`` and ``--version`` compile none.
 
-Reports are deterministic: identical inputs (including seeds) produce
-byte-identical files.  Exit codes: 1 validation failure (an unreadable
+Reports are deterministic: a report's bytes follow from the scenario file
+its ``scenario_sha256`` hashes (random trial bases come from the scenario's
+``base_point_trials.seed``), the command, the flags it records and
+``engine_version``.  Exit codes: 1 validation failure (an unreadable
 scenario file included), 2 budget exceeded or a malformed command line,
 3 internal invariant violation (always a bug).  The ``ergolab`` process
 enters through ``console``, which runs ``main`` without the cyclic garbage
@@ -258,15 +259,15 @@ def console():
         os._exit(exc.code)
 
 
-def command(name, body, doc, engine=None, csv=None, seed=False, options=None):
+def command(name, body, doc, engine=None, csv=None, options=None):
     """Register ``ergolab <name>``, with doc as its help line, on the report
     pipeline of the function that body names, as "module:function" in
-    ``ergolab.reports``.  It takes the loaded scenario, plus ``rng`` when
-    seed is set and one keyword per entry of options (an integer flag,
-    filled from the scenario's options and then from the entry's default),
-    and returns the report body.  engine restricts the scenario's engine;
-    csv, when given, adds ``--format json|csv`` and names the function of
-    the same module that turns a body into its CSV lines."""
+    ``ergolab.reports``.  It takes the loaded scenario and one keyword per
+    entry of options (an integer flag, filled from the scenario's options
+    and then from the entry's default), and returns the report body.
+    engine restricts the scenario's engine; csv, when given, adds
+    ``--format json|csv`` and names the function of the same module that
+    turns a body into its CSV lines."""
     module, _, function = body.partition(":")
     options = options or {}
     flags = {
@@ -275,8 +276,6 @@ def command(name, body, doc, engine=None, csv=None, seed=False, options=None):
     }
     if csv is not None:
         flags["--format"] = ("fmt", report_format, "{json,csv}", "default: json")
-    if seed:
-        flags["--seed"] = ("seed", int, "N", "Override the scenario's trial seed.")
     for key, default in options.items():
         flags["--" + key.replace("_", "-")] = (
             key, int, "N", f"default: the scenario's {key} option, else {default}"
@@ -294,13 +293,6 @@ def command(name, body, doc, engine=None, csv=None, seed=False, options=None):
                 if given[key] is None else given[key]
                 for key, default in options.items()
             }
-            if seed:
-                import random
-
-                trial_seed = given["seed"]
-                kwargs["rng"] = random.Random(
-                    scn.trial_seed if trial_seed is None else trial_seed
-                )
             # __import__, unlike importlib.import_module, shows in -X importtime
             bodies = __import__("ergolab.reports." + module, fromlist=[function])
             report = getattr(bodies, function)(scn, **kwargs)
@@ -344,7 +336,7 @@ command("pleasant", "extensions:pleasant",
         engine="finite", options={"budget": BUDGET})
 command("torus-demo", "torus:torus_demo",
         "Convergence table |average - limit|, with its certified bound, for a "
-        "torus scenario.", engine="torus", csv="torus_csv", seed=True)
+        "torus scenario.", engine="torus", csv="torus_csv")
 
 
 if __name__ == "__main__":

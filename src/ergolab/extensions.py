@@ -20,7 +20,6 @@ from .system import FiniteSystem, period_box
 class ExtensionStage(NamedTuple):
     system: FiniteSystem
     factor_map: Tuple[int, ...]  # state upstairs -> state downstairs
-    support_tuples: Tuple[Tuple[int, ...], ...]
 
 
 class PleasantnessReport(NamedTuple):
@@ -135,10 +134,7 @@ def one_step_extension(sys: FiniteSystem, budget: int) -> ExtensionStage:
         generators=generators,
         labels=labels,
     )
-    factor_map = tuple(t[0] for t in supp)
-    return ExtensionStage(
-        system=ext, factor_map=factor_map, support_tuples=tuple(supp)
-    )
+    return ExtensionStage(system=ext, factor_map=tuple(t[0] for t in supp))
 
 
 class ExtensionRun(NamedTuple):

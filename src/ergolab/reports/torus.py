@@ -1,5 +1,7 @@
 """The ``torus-demo`` report: the convergence table of a torus scenario."""
 
+import random
+
 from ..scenario import FolnerBox, random_base
 from ..torus import character_limit, torus_deviation_bound, torus_truncated_average
 
@@ -10,8 +12,10 @@ def torus_csv(report):
     ]
 
 
-def torus_demo(scn, rng):
+def torus_demo(scn):
     sys_ = scn.system
+    # one generator for every tuple and box, drawn in the order of the rows
+    rng = random.Random(scn.trial_seed)
     rows = []
     for names in scn.average_tuples:
         fs = [scn.observables[n] for n in names]

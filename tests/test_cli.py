@@ -322,6 +322,47 @@ def test_torus_demo_formats(tmp_path):
         assert float(abs_error) <= float(bound)
 
 
+def _torus_demo_at_trial_seed(tmp_path, seed):
+    """torus-demo's JSON report on torus-counterexample with
+    base_point_trials.seed set to seed, written to its own directory."""
+    raw = json.loads(Path(scn_path("torus-counterexample")).read_text())
+    raw["base_point_trials"]["seed"] = seed
+    out = tmp_path / f"seed-{seed}"
+    out.mkdir(exist_ok=True)
+    path = out / "scenario.json"
+    path.write_text(json.dumps(raw))
+    run_ok(["torus-demo", "--scenario", str(path), "--out", str(out)])
+    return (out / "torus-counterexample__torus-demo.json").read_bytes()
+
+
+def test_torus_demo_trial_bases_follow_the_scenario_seed(tmp_path):
+    """The trial bases come from base_point_trials.seed: seeds 1 and 2 give
+    the same rows at each box's own base and different trial bases, and one
+    seed gives the same bytes on every run."""
+    scn = load_scenario(scn_path("torus-counterexample"))
+    first = _torus_demo_at_trial_seed(tmp_path, 1)
+    assert _torus_demo_at_trial_seed(tmp_path, 1) == first
+    one = json.loads(first)
+    two = json.loads(_torus_demo_at_trial_seed(tmp_path, 2))
+    assert one.pop("scenario_sha256") != two.pop("scenario_sha256")
+    rows = one.pop("rows"), two.pop("rows")
+    assert one == two
+    # a (tuple, box) block holds the samples at the box's own base, then at
+    # each trial base in turn
+    per_base = len(scn.samples)
+    block = per_base * (1 + scn.trial_count)
+    assert scn.trial_count > 0
+    assert len(rows[0]) == len(rows[1]) == block * len(scn.boxes) * len(scn.average_tuples)
+    same = ("tuple", "N", "sample", "bound")
+    for own in range(0, len(rows[0]), block):
+        trial, end = own + per_base, own + block
+        assert rows[0][own:trial] == rows[1][own:trial]
+        trials = rows[0][trial:end], rows[1][trial:end]
+        assert [a["base"] for a in trials[0]] != [b["base"] for b in trials[1]]
+        for a, b in zip(*trials):
+            assert [a[k] for k in same] == [b[k] for k in same]
+
+
 def _mixed_torus_scenario(r):
     """Rotations rational + multiples of two independent irrationals on the
     2-torus, so some term combinations resonate and others do not; boxes up
@@ -711,7 +752,7 @@ CLI_SURFACE = {
     "hk": {},
     "extend": {"--max-m": _INT, "--budget": _INT},
     "pleasant": {"--budget": _INT},
-    "torus-demo": {"--format": _FORMAT, "--seed": _INT},
+    "torus-demo": {"--format": _FORMAT},
 }
 
 
@@ -737,18 +778,17 @@ def test_cli_surface(capsys):
         assert parse([name, "--scenario", "S"]) == (name, defaults)
 
 
-@pytest.mark.parametrize("command", ["avg", "joining"])
-def test_seed_is_only_a_torus_demo_flag(tmp_path, command):
-    """avg and joining draw their base-shift trials from the scenario's
-    trial seed, so --seed is unrecognized there; torus-demo keeps it."""
-    result = run_cli([command, "--scenario", scn_path("cyclic-5"),
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_seed_is_not_a_flag(tmp_path, command):
+    """No command takes --seed: trial bases are drawn from the scenario's
+    base_point_trials.seed, so a report follows from the scenario it hashes."""
+    name = "torus-counterexample" if command == "torus-demo" else "cyclic-5"
+    result = run_cli([command, "--scenario", scn_path(name),
                       "--out", str(tmp_path), "--seed", "1"])
     assert result.exit_code == 2
     assert result.stderr.endswith(
         "ergolab: error: unrecognized arguments: --seed 1\n")
     assert not list(tmp_path.iterdir())
-    run_ok(["torus-demo", "--scenario", scn_path("torus-counterexample"),
-            "--out", str(tmp_path), "--seed", "1"])
 
 
 def _validate_into(out):

@@ -18,8 +18,8 @@ from oracle import argparse_parser
 # a value for each flag that parses, and values that parse for some flags
 # and not for others: blanks and underscores in ints, signs, empty values,
 # values that look like flags, negative numbers, a space, a non-ASCII digit
-GOOD = {"--scenario": "S.json", "--out": "D", "--format": "csv", "--seed": "-3",
-        "--max-m": "1", "--budget": "1_000"}
+GOOD = {"--scenario": "S.json", "--out": "D", "--format": "csv", "--max-m": "1",
+        "--budget": "1_000"}
 VALUES = ["7", " 7 ", "1_000", "-3", "+4", "-0", "", "x", "1.5", "-3.5", "json",
           "csv", "JSON", "-x y", "-", "-x", "--budget", "--out", "-1_000",
           "٣", "--scenario=S"]

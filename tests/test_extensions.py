@@ -16,7 +16,7 @@ from ergolab.extensions import (
     pleasant_factor,
 )
 from ergolab.factors import action_isotropy, cond_expect, difference_isotropy
-from ergolab.joinings import JoinedMeasure
+from ergolab.joinings import JoinedMeasure, furstenberg_joining
 from ergolab.observables import Observable
 from ergolab.proof import (
     is_measurable,
@@ -32,6 +32,13 @@ from conftest import cell_valued_observable, cyclic_system, random_observable
 @pytest.fixture(scope="module")
 def ext25():
     return one_step_extension(cyclic_system(5, [1, 2]), budget=10 ** 6)
+
+
+@pytest.fixture(scope="module")
+def supp25():
+    """The Furstenberg joining's support, whose k-th tuple is ext25's
+    state k."""
+    return furstenberg_joining(cyclic_system(5, [1, 2])).support
 
 
 def test_pleasant_factor_d1_is_isotropy():
@@ -77,17 +84,17 @@ def test_cyclic5_not_pleasant():
     )
 
 
-def test_extension_shape(ext25):
+def test_extension_shape(ext25, supp25):
     ext = ext25.system
     assert ext.n == 25
     assert all(w == Fraction(1, 25) for w in ext.weights)
     # T'_1 = (+1, +2) and T'_2 = (+2, +2) on pairs
-    idx = {t: k for k, t in enumerate(ext25.support_tuples)}
+    idx = {t: k for k, t in enumerate(supp25)}
     for (a, b), k in idx.items():
         assert ext.generator(1, 1)[k] == idx[((a + 1) % 5, (b + 2) % 5)]
         assert ext.generator(2, 1)[k] == idx[((a + 2) % 5, (b + 2) % 5)]
     # factor map is the first coordinate
-    assert ext25.factor_map == tuple(t[0] for t in ext25.support_tuples)
+    assert ext25.factor_map == tuple(t[0] for t in supp25)
 
 
 def test_extension_is_pleasant(ext25):
@@ -201,10 +208,10 @@ def test_iterate_cyclic4_runs_to_verdict():
     assert again.final_report.defect.square == run.final_report.defect.square
 
 
-def test_pull_back(ext25):
+def test_pull_back(ext25, supp25):
     f = Observable.indicator(5, 0)
     lifted = pull_back(ext25, f)
-    for k, t in enumerate(ext25.support_tuples):
+    for k, t in enumerate(supp25):
         assert lifted.values[k] == f.values[t[0]]
 
 

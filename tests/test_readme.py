@@ -1,11 +1,14 @@
 """The README's library example runs on the package's public names and
-prints the values the README shows."""
+prints the values the README shows, and its CLI synopsis lists the
+commands and flags of the command table."""
 
 import contextlib
 import io
 import re
 from fractions import Fraction
 from pathlib import Path
+
+from ergolab.cli import COMMANDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FRACTION = re.compile(r"Fraction\((-?\d+), (\d+)\)")
@@ -26,3 +29,19 @@ def test_readme_library_example():
     shown = _fractions(code.rsplit("\n# ", 1)[1])
     assert shown == [Fraction(4, 25), Fraction(-1, 25), Fraction(-1, 25)]
     assert printed == shown[:1] + shown[-1:] * 4
+
+
+def test_readme_cli_synopsis_matches_command_table():
+    """Each synopsis line names a command of ``COMMANDS``, in table order,
+    with only flags of its row, and with every flag of its row but --out."""
+    section = README.read_text().split("## CLI", 1)[1]
+    synopsis = re.search(r"```\n(ergolab .*?)```", section, re.S).group(1)
+    names = []
+    for line in synopsis.splitlines():
+        name = line.split()[1]
+        names.append(name)
+        flags = set(re.findall(r"--[a-z-]+", line))
+        row = set(COMMANDS[name][1])
+        assert flags <= row, (name, flags - row)
+        assert row - {"--out"} <= flags, (name, row - {"--out"} - flags)
+    assert names == list(COMMANDS)

@@ -42,7 +42,7 @@ For every command, on the bundled ``cyclic-5`` scenario (``torus-demo`` on
 
 The program is the ``ergolab`` package under ``src/`` of CHECKOUT, by
 default the checkout this file sits in.  ``package_lines`` is the total
-source lines of ``src/ergolab``.
+source lines of ``src/ergolab``, its subpackages included.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def ladder(checkout: Path, repeats: int) -> dict:
         "python": sys.version.split()[0],
         "repeats": repeats,
         "python_c_pass_min_s": round(bare, 4),
-        "package_lines": sum(_lines(p) for p in (src / "ergolab").glob("*.py")),
+        "package_lines": sum(_lines(p) for p in (src / "ergolab").rglob("*.py")),
         "commands": out,
     }
 
