@@ -20,13 +20,12 @@ class Partition(NamedTuple):
 
     @staticmethod
     def from_cell_ids(ids: Sequence[int]) -> "Partition":
-        """Canonicalize: cells ordered by least member, members sorted."""
+        """Cells in order of least member, members sorted: both hold as the
+        ids are read in state order."""
         groups: dict = {}
         for x, c in enumerate(ids):
             groups.setdefault(c, []).append(x)
-        cells = tuple(
-            tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: min(g))
-        )
+        cells = tuple(map(tuple, groups.values()))
         cell_of = [0] * len(ids)
         for k, cell in enumerate(cells):
             for x in cell:

@@ -86,8 +86,9 @@ def base_shift_free(scn: ScenarioConfig) -> bool:
 
 # Field readers, shared with the torus scenario parsers in torus.py.
 def read_int(raw, what: str) -> int:
-    """raw as an int; a bool or a fractional float is an error, not truncated."""
-    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+    """raw as an int; it must be a JSON number: a bool, a string or a
+    fractional float is an error, never truncated or read digit by digit."""
+    if isinstance(raw, (bool, str)) or isinstance(raw, float) and not raw.is_integer():
         raise ValidationError(f"{what} is not an integer: {raw!r}")
     return int(raw)
 

@@ -3,6 +3,11 @@
 A system is a weighted finite state space together with r*d commuting
 weight-preserving permutation generators, indexed by (action i, axis j)
 with i in 1..d and j in 1..r.  All arithmetic is exact rational.
+
+Every T_i^n is read off one table, FiniteSystem.powers, of each generator's
+powers up to its order: order * n ints per generator, as a pass over the
+full period box holds anyway.  It is built in full on first use, even for a
+library call on a short box.
 """
 
 from __future__ import annotations
@@ -50,37 +55,11 @@ def invert(p: Perm) -> Perm:
     return tuple(out)
 
 
-def cycles(p: Perm):
-    seen = [False] * len(p)
-    out = []
-    for x in range(len(p)):
-        if seen[x]:
-            continue
-        cyc = [x]
-        seen[x] = True
-        y = p[x]
-        while y != x:
-            cyc.append(y)
-            seen[y] = True
-            y = p[y]
-        out.append(tuple(cyc))
-    return out
-
-
-def perm_order(p: Perm) -> int:
-    # cycle decomposition rather than repeated composition: O(n)
-    return math.lcm(*(len(c) for c in cycles(p))) if p else 1
-
-
-def perm_power(p: Perm, e: int) -> Perm:
-    """p**e for any integer e, via cycle rotation."""
-    n = len(p)
-    out = [0] * n
-    for cyc in cycles(p):
-        k = len(cyc)
-        s = e % k
-        for t, x in enumerate(cyc):
-            out[x] = cyc[(t + s) % k]
+def _powers_of(g: Perm) -> Tuple[Perm, ...]:
+    """g^0, g^1, ... up to the first power that is the identity again."""
+    out = [identity_perm(len(g))]
+    while (p := compose(g, out[-1])) != out[0]:
+        out.append(p)
     return tuple(out)
 
 
@@ -144,8 +123,14 @@ class FiniteSystem:
         return self.generators[i - 1][j - 1]
 
     @cached_property
+    def powers(self) -> Tuple[Tuple[Tuple[Perm, ...], ...], ...]:
+        """powers[i-1][j-1][e] is generator (i, j) to the power e, for e from
+        0 up to, not including, its order."""
+        return tuple(tuple(_powers_of(p) for p in row) for row in self.generators)
+
+    @cached_property
     def orders(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(tuple(perm_order(p) for p in row) for row in self.generators)
+        return tuple(tuple(map(len, row)) for row in self.powers)
 
     @cached_property
     def support(self) -> Tuple[int, ...]:
@@ -156,24 +141,13 @@ class FiniteSystem:
         """(w, D): the weights as w[x] / D over their least common denominator."""
         return over_common_denominator(self.weights)
 
-    @cached_property
-    def _power_cache(self) -> dict:
-        return {}
-
-    def generator_power(self, i: int, j: int, e: int) -> Perm:
-        order = self.orders[i - 1][j - 1]
-        key = (i, j, e % order)
-        cache = self._power_cache
-        if key not in cache:
-            cache[key] = perm_power(self.generator(i, j), e)
-        return cache[key]
-
     def action_perm(self, i: int, nvec: Sequence[int]) -> Perm:
         """Permutation realising T_i^nvec."""
         p = identity_perm(self.n)
-        for j, e in enumerate(nvec, start=1):
+        for pw, e in zip(self.powers[i - 1], nvec):
+            e %= len(pw)
             if e:
-                p = compose(self.generator_power(i, j, e), p)
+                p = compose(pw[e], p)
         return p
 
     def label(self, x: int) -> str:

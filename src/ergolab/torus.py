@@ -396,9 +396,9 @@ def _parse_torus_system(raw: dict) -> TorusSystem:
         (str(k), read_finite_float(v, f"symbol value {k}"))
         for k, v in raw.get("symbol_values", {}).items()
     ))
-    return TorusSystem(
-        m=m, r=r, d=d, rotations=rotations, symbol_values=symbol_values
-    )
+    sys_ = TorusSystem(m=m, r=r, d=d, rotations=rotations, symbol_values=symbol_values)
+    sys_.int_rotations  # every rotation symbol must have a value
+    return sys_
 
 
 def _parse_trig(raw, m: int) -> TrigObservable:

@@ -556,6 +556,11 @@ def _zero_max_m(raw):
     raw["options"] = {"max_m": 0}
 
 
+def _digit_string_box(raw):
+    # read digit by digit, this would be the box (5, 7) at base (1, 2)
+    raw["boxes"] = [{"lengths": "57", "base": "12"}]
+
+
 # corruptions that return the file's bytes in place of the edited scenario
 def _deeply_nested_json(raw):
     return b"[" * 100000 + b"]" * 100000
@@ -581,8 +586,9 @@ def _put(*path, value):
     return corrupt
 
 
-# integer fields given a bool or a fractional float: each must be rejected,
-# never truncated (true and false would pass as 1 and 0)
+# integer fields given a bool, a fractional float or a string: each must be
+# rejected, never truncated (true and false would pass as 1 and 0) nor read
+# from its digits (a list given as a string would be read digit by digit)
 NON_INTEGER_FINITE = [
     _put("boxes", 0, "lengths", 0, value=5.7),
     _put("boxes", 0, "lengths", 0, value=True),
@@ -599,12 +605,17 @@ NON_INTEGER_FINITE = [
     _put("system", "generators", 1, "perm", 4, value=1.25),
     _put("options", "budget", value=1000000.5),
     _put("options", "max_m", value=True),
+    _put("boxes", 0, "lengths", value="5"),
+    _put("boxes", 1, "base", value="3"),
+    _put("system", "generators", 0, "perm", value="12340"),
+    _put("system", "n", value="5"),
 ]
 NON_INTEGER_TORUS = [
     _put("system", "m", value=True),
     _put("system", "rotations", 0, "action", value=1.5),
     _put("observables", "f1", 0, "freq", 0, value=1.5),
     _put("observables", "f2", 0, "freq", 0, value=True),
+    _put("observables", "f2", 0, "freq", value="1"),
 ]
 # float fields given a bool: each must be rejected, never read as 1.0 or 0.0
 BOOL_AS_FLOAT_TORUS = [
@@ -631,6 +642,7 @@ TORUS_CORRUPTIONS = [
         ("cyclic-5", "limit", _non_list_average_tuples),
         ("cyclic-5", "avg", _negative_trial_count),
         ("cyclic-5", "extend", _zero_max_m),
+        ("product-2x3", "avg", _digit_string_box),
         ("cyclic-5", "validate", _deeply_nested_json),
         ("cyclic-5", "validate", _not_unicode_text),
         ("cyclic-5", "validate", _integer_past_digit_limit),
@@ -659,6 +671,19 @@ def test_malformed_scenario_one_line_error(tmp_path, scenario, command, corrupt)
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert "Traceback" not in result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "torus-demo"])
+def test_rotation_symbol_without_value_rejected(tmp_path, command):
+    """A rotation naming a symbol that symbol_values leaves out fails
+    validate as it fails torus-demo: exit 1, one error line naming it."""
+    raw = json.loads(Path(scn_path("torus-counterexample")).read_text())
+    del raw["system"]["symbol_values"]["alpha"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    result = run_cli([command, "--scenario", str(bad), "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == ["error: no numeric value for symbol alpha"]
 
 
 @pytest.mark.parametrize("name", ["../escaped", "sub/x", "bad\0name"])

@@ -19,6 +19,21 @@ from ergolab.proof import is_measurable
 from conftest import cyclic_system, random_observable
 
 
+def test_from_cell_ids_is_canonical_without_sorting():
+    """Cells come in order of least member, members sorted, for any labels."""
+    rng = random.Random(21)
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        labels = rng.sample(range(-50, 50), rng.randint(1, n))
+        ids = [rng.choice(labels) for _ in range(n)]
+        part = Partition.from_cell_ids(ids)
+        # disjoint sorted tuples sort by their least members
+        assert part.cells == tuple(sorted(
+            tuple(sorted(x for x in range(n) if ids[x] == c)) for c in set(ids)
+        ))
+        assert all(x in part.cells[k] for x, k in enumerate(part.cell_of))
+
+
 def test_trivial_subgroup_gives_singletons():
     sys_ = cyclic_system(5, [1, 2])
     assert isotropy_partition(sys_, []) == oracle.singletons(5)

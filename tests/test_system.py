@@ -17,8 +17,6 @@ from ergolab.system import (
     compose,
     identity_perm,
     invert,
-    perm_order,
-    perm_power,
     period_box,
 )
 
@@ -35,28 +33,42 @@ def brute_order(p):
     return k
 
 
-def test_perm_order_matches_brute_force():
+def test_one_generator_powers_match_repeated_composition():
     rng = random.Random(11)
     for _ in range(50):
         n = rng.randint(1, 9)
         p = list(range(n))
         rng.shuffle(p)
         p = tuple(p)
-        assert perm_order(p) == brute_order(p)
-
-
-def test_perm_power_matches_repeated_composition():
-    rng = random.Random(12)
-    for _ in range(50):
-        n = rng.randint(2, 8)
-        p = list(range(n))
-        rng.shuffle(p)
-        p = tuple(p)
+        sys_ = FiniteSystem(n=n, r=1, d=1, weights=(Fraction(1, n),) * n,
+                            generators=((p,),))
+        assert sys_.orders == ((brute_order(p),),)
+        assert len(sys_.powers[0][0]) == brute_order(p)
         q = identity_perm(n)
-        for e in range(12):
-            assert perm_power(p, e) == q
+        for e in range(brute_order(p)):
+            assert sys_.powers[0][0][e] == q
             q = compose(p, q)
-        assert perm_power(p, -1) == invert(p)
+
+
+def test_rank2_action_perm_matches_repeated_composition():
+    # Z/4 x Z/3 on x = 3a + b: axis 1 steps a by 1, axis 2 steps b by 2
+    step_a = tuple(3 * ((x // 3 + 1) % 4) + x % 3 for x in range(12))
+    step_b = tuple(3 * (x // 3) + (x % 3 + 2) % 3 for x in range(12))
+    sys_ = FiniteSystem(n=12, r=2, d=1, weights=(Fraction(1, 12),) * 12,
+                        generators=((step_a, step_b),))
+    assert sys_.orders == ((4, 3),)
+
+    def power(p, e):
+        q, g = identity_perm(len(p)), p if e >= 0 else invert(p)
+        for _ in range(abs(e)):
+            q = compose(g, q)
+        return q
+
+    for e1 in range(-3, 2 * 4 + 1):
+        for e2 in range(-3, 2 * 3 + 1):
+            assert sys_.action_perm(1, (e1, e2)) == compose(
+                power(step_b, e2), power(step_a, e1)
+            ), (e1, e2)
 
 
 def test_identity_generators_have_unit_orders():
