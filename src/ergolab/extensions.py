@@ -77,7 +77,7 @@ def is_pleasant(sys: FiniteSystem, budget: int) -> PleasantnessReport:
     candidates = [x for x in sys.support if mass[cell_of[x]] != w[x]]
     # per x1: the largest scaled square and the first rest reaching it
     best, best_rest = [0] * sys.n, [None] * sys.n
-    grouped = basis_counts(sys)
+    grouped = basis_counts(sys) if candidates else {}
     for rest in sorted(grouped):
         q, cross = [0] * len(mass), [0] * sys.n
         for x, pairs in grouped[rest].items():

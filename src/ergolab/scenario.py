@@ -94,7 +94,7 @@ def read_int(raw, what: str) -> int:
 
 
 def read_finite_float(raw, what: str) -> float:
-    if isinstance(raw, bool):
+    if isinstance(raw, (bool, str)):
         raise ValidationError(f"{what} is not a number: {raw!r}")
     v = float(raw)
     if not math.isfinite(v):
@@ -102,25 +102,40 @@ def read_finite_float(raw, what: str) -> float:
     return v
 
 
+def read_rational(raw, what: str) -> Fraction:
+    """raw, a "p/q" or decimal string or a JSON number, as a Fraction."""
+    try:
+        return Fraction(str(raw))
+    except ValueError:
+        raise ValidationError(f"{what} is not a rational: {raw!r}") from None
+
+
+def read_list(raw, what: str, read, length: Optional[int] = None) -> tuple:
+    """The tuple of read(item, what) over raw, a JSON array of the given
+    length if one is given: a string or an object is never read item by item."""
+    if not isinstance(raw, list):
+        raise ValidationError(f"{what} is not a list: {raw!r}")
+    if length is not None and len(raw) != length:
+        raise ValidationError(f"{what} has {len(raw)} entries, expected {length}")
+    return tuple([read(item, what) for item in raw])
+
+
 def read_table(entries, d: int, r: int, key: str, parse, what: str):
     """The d-by-r table, indexed [action - 1][axis - 1], of parse(entry[key])
     over the (action, axis) entries: each index in range and given once."""
     table: dict = {}
-    for entry in entries:
+    for entry in read_list(entries, f"{what}s", lambda e, _: e):
         i, j = (read_int(entry[k], f"{what} {k}") for k in ("action", "axis"))
         if not (1 <= i <= d and 1 <= j <= r):
             raise ValidationError(f"{what} index ({i},{j}) out of range")
         if (i, j) in table:
             raise ValidationError(f"duplicate {what} for ({i},{j})")
         table[i, j] = parse(entry[key])
-    missing = [
-        (i, j)
-        for i in range(1, d + 1)
-        for j in range(1, r + 1)
-        if (i, j) not in table
-    ]
+    # the scan stops at the first missing pair, within len(table) + 1 steps
+    missing = next(((i, j) for i in range(1, d + 1) for j in range(1, r + 1)
+                    if (i, j) not in table), None)
     if missing:
-        raise ValidationError(f"missing {what}s for {missing}")
+        raise ValidationError(f"missing {what} for {missing}")
     return tuple(
         tuple(table[i, j] for j in range(1, r + 1)) for i in range(1, d + 1)
     )
@@ -131,17 +146,22 @@ def _parse_finite_system(raw: dict) -> FiniteSystem:
     r, d = read_int(raw["r"], "r"), read_int(raw["d"], "d")
     generators = read_table(
         raw["generators"], d, r, "perm",
-        lambda p: tuple(read_int(v, "perm entry") for v in p), "generator",
+        lambda p: read_list(p, "generator perm", read_int), "generator",
     )
     labels = raw.get("labels")
+    labels = None if labels is None else read_list(labels, "labels", lambda s, _: str(s))
     return FiniteSystem(
         n=read_int(raw["n"], "n"),
         r=r,
         d=d,
-        weights=tuple(Fraction(str(w)) for w in raw["weights"]),
+        weights=read_list(raw["weights"], "weights", read_rational),
         generators=generators,
-        labels=None if labels is None else tuple(str(s) for s in labels),
+        labels=labels,
     )
+
+
+def _read_observable(raw, what: str, system: FiniteSystem) -> Observable:
+    return Observable(read_list(raw, what, read_rational, system.n))
 
 
 def load_scenario(path: Union[str, Path]) -> ScenarioConfig:
@@ -167,57 +187,42 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
         if "\0" in name:
             raise ValidationError(f"scenario name {name!r} contains a NUL byte")
         engine = str(raw["engine"])
-        system_raw = raw["system"]
         if engine == "finite":
-            system = _parse_finite_system(system_raw)
-            observables = {
-                str(k): Observable.from_values([Fraction(str(v)) for v in vals])
-                for k, vals in raw.get("observables", {}).items()
-            }
-            for k, f in observables.items():
-                if len(f) != system.n:
-                    raise ValidationError(
-                        f"observable {k} has length {len(f)}, expected {system.n}"
-                    )
+            system = _parse_finite_system(raw["system"])
+            read_observable = _read_observable
         elif engine == "torus":
-            from .torus import _parse_torus_system, _parse_trig
-
-            system = _parse_torus_system(system_raw)
-            observables = {
-                str(k): _parse_trig(v, system.m)
-                for k, v in raw.get("observables", {}).items()
-            }
+            from .torus import _parse_torus_system, _parse_trig as read_observable
+            system = _parse_torus_system(raw["system"])
         else:
             raise ValidationError(f"unknown engine {engine!r}")
-        tuples = tuple(
-            tuple(str(n) for n in t) for t in raw.get("average_tuples", [])
+        observables = {
+            str(k): read_observable(v, f"observable {k}", system)
+            for k, v in raw.get("observables", {}).items()
+        }
+
+        def read_name(raw_name, _) -> str:
+            name = str(raw_name)
+            if name not in observables:
+                raise ValidationError(f"unknown observable {name!r} in tuple")
+            return name
+
+        tuples = read_list(
+            raw.get("average_tuples", []), "average_tuples",
+            lambda t, _: read_list(t, "average tuple", read_name, system.d),
         )
-        for t in tuples:
-            if len(t) != system.d:
-                raise ValidationError(
-                    f"average tuple {t} has {len(t)} entries, expected {system.d}"
-                )
-            for n in t:
-                if n not in observables:
-                    raise ValidationError(f"unknown observable {n!r} in tuple")
-        boxes = []
-        for b in raw.get("boxes", []):
-            lengths = tuple(read_int(v, "box length") for v in b["lengths"])
-            base = b.get("base")
-            base = None if base is None else tuple(read_int(v, "box base") for v in base)
-            if len(lengths) != system.r:
-                raise ValidationError("box dimension differs from rank")
-            boxes.append(FolnerBox(lengths, base))
+        boxes = read_list(raw.get("boxes", []), "boxes", lambda b, _: FolnerBox(
+            read_list(b["lengths"], "box lengths", read_int, system.r),
+            None if b.get("base") is None else read_list(b["base"], "box base", read_int),
+        ))
         trials = raw.get("base_point_trials", {})
         trial_count = read_int(trials.get("count", 20), "trial count")
         if trial_count < 0:
             raise ValidationError("base_point_trials.count must be nonnegative")
-        samples = tuple(
-            tuple(read_finite_float(v, "sample coordinate") for v in s)
-            for s in raw.get("samples", [])
+        m = system.m if engine == "torus" else None
+        samples = read_list(
+            raw.get("samples", []), "samples",
+            lambda t, _: read_list(t, "sample", read_finite_float, m),
         )
-        if engine == "torus" and any(len(s) != system.m for s in samples):
-            raise ValidationError(f"a sample point does not have {system.m} coordinates")
         options = {str(k): read_int(v, k) for k, v in raw.get("options", {}).items()}
         return ScenarioConfig(
             name=name,
@@ -225,7 +230,7 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
             system=system,
             observables=observables,
             average_tuples=tuples,
-            boxes=tuple(boxes),
+            boxes=boxes,
             trial_count=trial_count,
             trial_seed=read_int(trials.get("seed", 7), "trial seed"),
             samples=samples,

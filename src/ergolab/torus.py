@@ -29,7 +29,8 @@ from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import UndecidableResonance, ValidationError
-from .scenario import FolnerBox, read_finite_float, read_int, read_table
+from .scenario import FolnerBox, read_finite_float, read_int, read_list
+from .scenario import read_rational, read_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -371,18 +372,18 @@ def torus_deviation_bound(
 # -- the torus branch of scenario.parse_scenario ----------------------------
 
 
-def _parse_entry(raw) -> RotationEntry:
+def _parse_entry(raw, what: str) -> RotationEntry:
+    """A "p/q" string, {"float": x}, or keys from "rational" and "symbols"."""
     if isinstance(raw, str):
-        return RotationEntry.exact(Fraction(raw))
-    if isinstance(raw, dict):
-        if "float" in raw:
-            return RotationEntry.from_float(
-                read_finite_float(raw["float"], "float rotation")
-            )
+        return RotationEntry.exact(read_rational(raw, what))
+    if isinstance(raw, dict) and raw.keys() == {"float"}:
+        return RotationEntry.from_float(read_finite_float(raw["float"], "float rotation"))
+    if isinstance(raw, dict) and raw.keys() <= {"rational", "symbols"}:
         symbols = {
-            str(k): Fraction(str(v)) for k, v in raw.get("symbols", {}).items()
+            str(k): read_rational(v, f"coefficient of {k}")
+            for k, v in raw.get("symbols", {}).items()
         }
-        return RotationEntry.exact(Fraction(str(raw.get("rational", "0"))), symbols)
+        return RotationEntry.exact(read_rational(raw.get("rational", 0), what), symbols)
     raise ValidationError(f"unparseable rotation entry: {raw!r}")
 
 
@@ -390,7 +391,7 @@ def _parse_torus_system(raw: dict) -> TorusSystem:
     m, r, d = (read_int(raw[k], k) for k in ("m", "r", "d"))
     rotations = read_table(
         raw["rotations"], d, r, "vector",
-        lambda vec: tuple(_parse_entry(e) for e in vec), "rotation",
+        lambda vec: read_list(vec, "rotation vector", _parse_entry), "rotation",
     )
     symbol_values = tuple(sorted(
         (str(k), read_finite_float(v, f"symbol value {k}"))
@@ -401,14 +402,8 @@ def _parse_torus_system(raw: dict) -> TorusSystem:
     return sys_
 
 
-def _parse_trig(raw, m: int) -> TrigObservable:
-    terms = []
-    for term in raw:
-        freq = tuple(read_int(v, "frequency") for v in term["freq"])
-        if len(freq) != m:
-            raise ValidationError(
-                f"frequency {freq} has length {len(freq)}, expected {m}"
-            )
-        re, im = (read_finite_float(v, "coefficient") for v in term["coeff"])
-        terms.append((freq, complex(re, im)))
-    return TrigObservable(tuple(terms))
+def _parse_trig(raw, what: str, sys: TorusSystem) -> TrigObservable:
+    return TrigObservable(read_list(raw, what, lambda term, _: (
+        read_list(term["freq"], "frequency", read_int, sys.m),
+        complex(*read_list(term["coeff"], "coefficient", read_finite_float, 2)),
+    )))

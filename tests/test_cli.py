@@ -533,7 +533,7 @@ def _nan_coefficient(raw):
 
 
 def _infinite_float_rotation(raw):
-    raw["system"]["rotations"][1]["vector"] = [{"float": "-inf"}]
+    raw["system"]["rotations"][1]["vector"] = [{"float": float("-inf")}]
 
 
 def _two_coordinate_sample(raw):
@@ -625,6 +625,53 @@ BOOL_AS_FLOAT_TORUS = [
     _put("system", "rotations", 1, "vector", 0, value={"float": True}),
 ]
 
+
+def _one_state_weights_string(raw):
+    # read character by character, "1" would be the weights (1,)
+    raw["system"] = {
+        "n": 1, "r": 1, "d": 2, "weights": "1",
+        "generators": [
+            {"action": i, "axis": 1, "perm": [0]} for i in (1, 2)
+        ],
+    }
+    raw["observables"] = {k: ["1"] for k in raw["observables"]}
+
+
+def _average_tuple_string(raw):
+    # read character by character, "gg" would be the tuple (g, g)
+    raw["observables"]["g"] = ["1", "0", "0", "0", "0"]
+    raw["average_tuples"] = ["gg"]
+
+
+# list fields given a string, or an object, that iterating would read item
+# by item (or key by key) as a valid list of the right length
+LIST_AS_STRING_FINITE = [
+    _one_state_weights_string,
+    _put("system", "labels", value="abcde"),
+    _put("observables", "f2", value="10000"),
+    _put("observables", "f2", value={"1": 0, "0": 0, "2": 0, "3": 0, "4": 0}),
+    _average_tuple_string,
+]
+LIST_AS_STRING_TORUS = [
+    _put("samples", value=["1", "0"]),
+    _put("observables", "f1", 0, "coeff", value="10"),
+    _put("system", "rotations", 0, "vector", value="0"),
+]
+# float fields given a string, never parsed from its text
+STRING_AS_FLOAT_TORUS = [
+    _put("samples", 0, value=["1_0"]),
+    _put("system", "symbol_values", "alpha", value="0.25"),
+    _put("observables", "f1", 0, "coeff", 0, value="1.0"),
+    _put("system", "rotations", 1, "vector", 0, value={"float": "0.3"}),
+]
+# a rotation object whose keys are neither {"float"} nor drawn from
+# {"rational", "symbols"}: a key is never dropped
+BAD_ROTATION_KEYS = [
+    _put("system", "rotations", 0, "vector", 0, value={"rationl": "1/2"}),
+    _put("system", "rotations", 0, "vector", 0,
+         value={"float": 0.3, "rational": "1/2"}),
+]
+
 TORUS_CORRUPTIONS = [
     _nan_sample, _infinite_symbol_value, _nan_coefficient,
     _infinite_float_rotation, _two_coordinate_sample, _long_frequency,
@@ -652,9 +699,17 @@ TORUS_CORRUPTIONS = [
         ("torus-counterexample", command, corrupt)
         for corrupt in TORUS_CORRUPTIONS
         for command in ("validate", "torus-demo")
-    ] + [("cyclic-5", "validate", corrupt) for corrupt in NON_INTEGER_FINITE] + [
+    ] + [
+        ("cyclic-5", "validate", corrupt)
+        for corrupt in NON_INTEGER_FINITE + LIST_AS_STRING_FINITE
+    ] + [("cyclic-5", "avg", corrupt) for corrupt in LIST_AS_STRING_FINITE] + [
         ("torus-counterexample", "validate", corrupt)
         for corrupt in NON_INTEGER_TORUS + BOOL_AS_FLOAT_TORUS
+        + LIST_AS_STRING_TORUS + STRING_AS_FLOAT_TORUS + BAD_ROTATION_KEYS
+    ] + [
+        ("torus-counterexample", "torus-demo", corrupt)
+        # the mixed entry already fails torus-demo, on its inexact resonance
+        for corrupt in LIST_AS_STRING_TORUS + BAD_ROTATION_KEYS[:1]
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )
@@ -671,6 +726,22 @@ def test_malformed_scenario_one_line_error(tmp_path, scenario, command, corrupt)
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert "Traceback" not in result.stdout + result.stderr
+
+
+@pytest.mark.parametrize(
+    "scenario, what",
+    [("cyclic-5", "generator"), ("torus-counterexample", "rotation")],
+)
+def test_missing_table_entry_names_the_first(tmp_path, scenario, what):
+    """A rank of 10**5 with entries for axis 1 only fails on one short line
+    naming the first missing (action, axis) pair, not all 2 * 10**5."""
+    raw = json.loads(Path(scn_path(scenario)).read_text())
+    raw["system"]["r"] = 10 ** 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    result = run_cli(["validate", "--scenario", str(bad), "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: missing {what} for (1, 2)\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "torus-demo"])

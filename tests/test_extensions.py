@@ -102,6 +102,19 @@ def test_extension_is_pleasant(ext25):
     assert rep.pleasant and rep.defect.square == 0
 
 
+def test_discrete_factor_sweeps_no_basis(ext25, monkeypatch):
+    """Xi of the extension is discrete on the support, so no state is a
+    candidate for the witness: the defect is 0 with no basis swept."""
+    import ergolab.extensions as extensions
+
+    def no_sweep(sys_):
+        raise AssertionError("basis_counts swept a discrete factor")
+
+    monkeypatch.setattr(extensions, "basis_counts", no_sweep)
+    rep = is_pleasant(ext25.system, budget=10 ** 6)
+    assert rep.defect.square == 0 and rep.witness is None
+
+
 def test_extension_d1_is_same_dynamics():
     sys_ = cyclic_system(5, [2])
     stage = one_step_extension(sys_, budget=10 ** 6)
