@@ -1,22 +1,22 @@
 """Batch front end: load a scenario, run one computation, write a report.
 
-    ergolab <command> --scenario S.json [--out DIR] [flags]
+    ergolab <command> --scenario S.json [--out DIR] [--format json|csv]
 
 ``COMMANDS``, from which ``parse`` reads the command line, names each
 command's module and function in ``ergolab.reports``, its flags and its help
 line.  Every command runs the pipeline ``command`` builds: load and check
-the scenario (the engine a command needs included), fill
-``--budget``/``--max-m`` from the scenario's options, import the command's
+the scenario (the engine a command needs included), import the command's
 module and compute its report body, add the header and write
 ``<out>/<scenario>__<command>.<format>``.  So a job compiles only its own
 report module, and ``parse``, ``--help`` and ``--version`` compile none.
 
 Reports are deterministic: a report's bytes follow from the scenario file
-its ``scenario_sha256`` hashes (random trial bases come from the scenario's
-``base_point_trials.seed``), the command, the flags it records and
-``engine_version``.  Exit codes: 1 validation failure (an unreadable
-scenario file included), 2 budget exceeded or a malformed command line,
-3 internal invariant violation (always a bug).  The ``ergolab`` process
+its ``scenario_sha256`` hashes (trial bases come from its
+``base_point_trials.seed``, extend's and pleasant's budget and max_m from
+its ``options``), the command, its format and ``engine_version``.  Exit
+codes: 1 validation failure (an unreadable scenario file included),
+2 budget exceeded or a malformed command line, 3 internal invariant
+violation (always a bug).  The ``ergolab`` process
 enters through ``console``, which runs ``main`` without the cyclic garbage
 collector and leaves through ``os._exit`` once its output is flushed;
 under ``python -m ergolab.cli`` the collector is off from this module's
@@ -111,8 +111,6 @@ DESCRIPTION = ("Exact laboratory for nonconventional ergodic averages on "
                "finite systems, with a floating-point torus backend.")
 _HELP = "Show this message and exit."
 _DEFAULTS = {"out": ".", "fmt": "json"}
-# the default cap on the n^d basis tuples of extend's and pleasant's checks
-BUDGET = 10 ** 6
 # argparse's rule: these read as values, not flags, after a flag; compiled
 # only when a single-dash argument is read
 _NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
@@ -206,8 +204,7 @@ def parse(argv):
             try:
                 kwargs[dest] = convert(value)
             except ValueError as exc:
-                reason = f"invalid int value: {value!r}" if convert is int else exc
-                _exit_usage(name, f"argument {flag}: {reason}")
+                _exit_usage(name, f"argument {flag}: {exc}")
         elif name is None and (arg == "--" or not _is_flag(arg)):
             if arg not in COMMANDS:
                 choices = ", ".join(map(repr, COMMANDS))
@@ -259,43 +256,31 @@ def console():
         os._exit(exc.code)
 
 
-def command(name, body, doc, engine=None, csv=None, options=None):
+def command(name, body, doc, engine=None, csv=None):
     """Register ``ergolab <name>``, with doc as its help line, on the report
     pipeline of the function that body names, as "module:function" in
-    ``ergolab.reports``.  It takes the loaded scenario and one keyword per
-    entry of options (an integer flag, filled from the scenario's options
-    and then from the entry's default), and returns the report body.
-    engine restricts the scenario's engine; csv, when given, adds
-    ``--format json|csv`` and names the function of the same module that
-    turns a body into its CSV lines."""
+    ``ergolab.reports``.  It takes the loaded scenario, and nothing else,
+    and returns the report body.  engine restricts the scenario's engine;
+    csv, when given, adds ``--format json|csv`` and names the function of
+    the same module that turns a body into its CSV lines."""
     module, _, function = body.partition(":")
-    options = options or {}
     flags = {
         "--scenario": ("scenario_path", str, "PATH", "the scenario file"),
         "--out": ("out", str, "DIR", "directory for the report (default: .)"),
     }
     if csv is not None:
         flags["--format"] = ("fmt", report_format, "{json,csv}", "default: json")
-    for key, default in options.items():
-        flags["--" + key.replace("_", "-")] = (
-            key, int, "N", f"default: the scenario's {key} option, else {default}"
-        )
 
-    def run(scenario_path, out, fmt="json", **given):
+    def run(scenario_path, out, fmt="json"):
         try:
             scn = load_scenario(scenario_path)
             if engine is not None and scn.engine != engine:
                 raise ValidationError(
                     f"subcommand needs a {engine!r} scenario, got {scn.engine!r}"
                 )
-            kwargs = {
-                key: scn.options.get(key, default)
-                if given[key] is None else given[key]
-                for key, default in options.items()
-            }
             # __import__, unlike importlib.import_module, shows in -X importtime
             bodies = __import__("ergolab.reports." + module, fromlist=[function])
-            report = getattr(bodies, function)(scn, **kwargs)
+            report = getattr(bodies, function)(scn)
             if fmt == "csv":
                 text = "\n".join(getattr(bodies, csv)(report)) + "\n"
                 _write_report(out, scn.name, name, "csv", text)
@@ -330,10 +315,10 @@ command("hk", "joinings:hk",
         "The tower of relatively independent self-joinings.", engine="finite")
 command("extend", "extensions:extend",
         "Iterate the one-step extension until pleasant or out of budget.",
-        engine="finite", options={"max_m": 2, "budget": BUDGET})
+        engine="finite")
 command("pleasant", "extensions:pleasant",
         "Pleasantness defect report for the scenario system itself.",
-        engine="finite", options={"budget": BUDGET})
+        engine="finite")
 command("torus-demo", "torus:torus_demo",
         "Convergence table |average - limit|, with its certified bound, for a "
         "torus scenario.", engine="torus", csv="torus_csv")

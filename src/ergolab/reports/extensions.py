@@ -1,5 +1,6 @@
-"""The ``extend`` and ``pleasant`` reports: the pleasantness defect, with
-its witness, of the system or of its last extension stage."""
+"""The ``extend`` and ``pleasant`` reports, under the scenario's budget and
+max_m: the pleasantness defect, with its witness, of the system or of its
+last extension stage."""
 
 from ..extensions import is_pleasant, iterate_extensions
 from ..observables import norm_json
@@ -20,12 +21,12 @@ def _pleasant_json(sys_, rep) -> dict:
     }
 
 
-def extend(scn, max_m, budget):
-    run = iterate_extensions(scn.system, max_m=max_m, budget=budget)
+def extend(scn):
+    run = iterate_extensions(scn.system, max_m=scn.max_m, budget=scn.budget)
     final_sys = run.stages[-1].system if run.stages else scn.system
     return {
-        "max_m": max_m,
-        "budget": budget,
+        "max_m": scn.max_m,
+        "budget": scn.budget,
         "stages": [
             {"stage": k, "states": st.system.n}
             for k, st in enumerate(run.stages, start=1)
@@ -36,5 +37,5 @@ def extend(scn, max_m, budget):
     }
 
 
-def pleasant(scn, budget):
-    return _pleasant_json(scn.system, is_pleasant(scn.system, budget=budget))
+def pleasant(scn):
+    return _pleasant_json(scn.system, is_pleasant(scn.system, budget=scn.budget))

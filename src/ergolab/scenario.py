@@ -60,8 +60,13 @@ class ScenarioConfig(NamedTuple):
     trial_count: int
     trial_seed: int
     samples: Tuple[Tuple[float, ...], ...]
-    options: Dict[str, int]
+    budget: int
+    max_m: int
     sha256: str
+
+
+# option -> default: extend's and pleasant's cap on n^d basis tuples, extend's stages
+OPTIONS = {"budget": 10 ** 6, "max_m": 2}
 
 
 def random_base(rng: random.Random, r: int, span: int) -> Tuple[int, ...]:
@@ -103,8 +108,13 @@ def read_finite_float(raw, what: str) -> float:
 
 
 def read_rational(raw, what: str) -> Fraction:
-    """raw, a "p/q" or decimal string or a JSON number, as a Fraction."""
+    """raw, a "p/q" or decimal string or a JSON number, as a Fraction.  As
+    Fraction writes 10**e out in full, a decimal exponent e must have
+    |e| <= 4300, the digits json.loads allows an integer literal by default."""
+    exponent = str(raw).upper().partition("E")[2]
     try:
+        if exponent and abs(int(exponent)) > 4300:
+            raise ValidationError(f"{what} has an exponent beyond 4300: {raw!r}")
         return Fraction(str(raw))
     except ValueError:
         raise ValidationError(f"{what} is not a rational: {raw!r}") from None
@@ -212,7 +222,8 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
         )
         boxes = read_list(raw.get("boxes", []), "boxes", lambda b, _: FolnerBox(
             read_list(b["lengths"], "box lengths", read_int, system.r),
-            None if b.get("base") is None else read_list(b["base"], "box base", read_int),
+            None if b.get("base") is None
+            else read_list(b["base"], "box base", read_int, system.r),
         ))
         trials = raw.get("base_point_trials", {})
         trial_count = read_int(trials.get("count", 20), "trial count")
@@ -223,7 +234,10 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
             raw.get("samples", []), "samples",
             lambda t, _: read_list(t, "sample", read_finite_float, m),
         )
-        options = {str(k): read_int(v, k) for k, v in raw.get("options", {}).items()}
+        options = raw.get("options", {})
+        unknown = sorted(options.keys() - OPTIONS.keys())
+        if unknown:
+            raise ValidationError(f"unknown option {unknown[0]!r}, not one of {[*OPTIONS]}")
         return ScenarioConfig(
             name=name,
             engine=engine,
@@ -234,7 +248,7 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
             trial_count=trial_count,
             trial_seed=read_int(trials.get("seed", 7), "trial seed"),
             samples=samples,
-            options=options,
+            **{k: read_int(options.get(k, v), k) for k, v in OPTIONS.items()},
             sha256=sha256,
         )
     except (

@@ -391,7 +391,7 @@ def _parse_torus_system(raw: dict) -> TorusSystem:
     m, r, d = (read_int(raw[k], k) for k in ("m", "r", "d"))
     rotations = read_table(
         raw["rotations"], d, r, "vector",
-        lambda vec: read_list(vec, "rotation vector", _parse_entry), "rotation",
+        lambda vec: read_list(vec, "rotation vector", _parse_entry, m), "rotation",
     )
     symbol_values = tuple(sorted(
         (str(k), read_finite_float(v, f"symbol value {k}"))

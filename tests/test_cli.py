@@ -69,30 +69,32 @@ def test_engine_mismatch_exit_one(tmp_path):
     assert result.exit_code == 1
 
 
+def with_options(tmp_path, name, **options):
+    """The path of a copy of a bundled scenario whose options are options."""
+    raw = json.loads(Path(scn_path(name)).read_text())
+    raw["options"] = options
+    path = tmp_path / "scenarios" / f"{name}.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
 def test_budget_exhaustion_exit_two(tmp_path):
-    result = run_cli(
-        [
-            "pleasant",
-            "--scenario",
-            scn_path("cyclic-5"),
-            "--out",
-            str(tmp_path),
-            "--budget",
-            "3",
-        ],
-    )
+    scenario = with_options(tmp_path, "cyclic-5", budget=3)
+    out = tmp_path / "out"
+    result = run_cli(["pleasant", "--scenario", scenario, "--out", str(out)])
     assert result.exit_code == 2
+    assert not out.exists()
 
 
 def test_budget_message_names_basis_tuples(tmp_path):
     """cyclic-5 has d = 2, so 5^2 = 25 basis tuples against a budget of 24."""
-    result = run_cli(
-        ["pleasant", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path),
-         "--budget", "24"]
-    )
+    scenario = with_options(tmp_path, "cyclic-5", budget=24)
+    out = tmp_path / "out"
+    result = run_cli(["pleasant", "--scenario", scenario, "--out", str(out)])
     assert result.exit_code == 2
     assert result.stderr == "basis-tuple budget exceeded: 25 > 24 (n^d)\n"
-    assert list(tmp_path.iterdir()) == []
+    assert not out.exists()
 
 
 def test_pleasant_cyclic5_report(tmp_path):
@@ -104,18 +106,10 @@ def test_pleasant_cyclic5_report(tmp_path):
 
 
 def test_extend_cyclic5_reaches_pleasant(tmp_path):
-    run_ok(
-        [
-            "extend",
-            "--scenario",
-            scn_path("cyclic-5"),
-            "--out",
-            str(tmp_path),
-            "--max-m",
-            "1",
-        ],
-    )
+    scenario = with_options(tmp_path, "cyclic-5", max_m=1)
+    run_ok(["extend", "--scenario", scenario, "--out", str(tmp_path)])
     report = json.loads((tmp_path / "cyclic-5__extend.json").read_text())
+    assert report["max_m"] == 1 and report["budget"] == 10 ** 6
     assert report["status"] == "pleasant"
     assert report["final"]["pleasant"] is True
     assert report["final"]["defect"]["square"] == "0"
@@ -672,6 +666,14 @@ BAD_ROTATION_KEYS = [
          value={"float": 0.3, "rational": "1/2"}),
 ]
 
+# an option key that no option has (it would be ignored), and rationals
+# whose exponent Fraction would expand in full, for minutes
+UNREAD_FINITE = [
+    _put("options", "maxm", value=1),
+    _put("system", "weights", 0, value="1e100000000"),
+    _put("system", "weights", 0, value="1e-100000000"),
+]
+
 TORUS_CORRUPTIONS = [
     _nan_sample, _infinite_symbol_value, _nan_coefficient,
     _infinite_float_rotation, _two_coordinate_sample, _long_frequency,
@@ -701,7 +703,7 @@ TORUS_CORRUPTIONS = [
         for command in ("validate", "torus-demo")
     ] + [
         ("cyclic-5", "validate", corrupt)
-        for corrupt in NON_INTEGER_FINITE + LIST_AS_STRING_FINITE
+        for corrupt in NON_INTEGER_FINITE + LIST_AS_STRING_FINITE + UNREAD_FINITE
     ] + [("cyclic-5", "avg", corrupt) for corrupt in LIST_AS_STRING_FINITE] + [
         ("torus-counterexample", "validate", corrupt)
         for corrupt in NON_INTEGER_TORUS + BOOL_AS_FLOAT_TORUS
@@ -787,12 +789,13 @@ def test_unreadable_scenario_one_line_error(tmp_path, where):
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [["--budget", "x"], ["--budget", "1.5"], ["--format", "csv"], []],
-    ids=["non-integer", "float", "unknown-flag", "no-scenario"],
+    "command, flags",
+    [("avg", ["--format", "xml"]), ("avg", ["--out"]),
+     ("pleasant", ["--format", "csv"]), ("pleasant", [])],
+    ids=["bad-choice", "missing-value", "unknown-flag", "no-scenario"],
 )
-def test_usage_errors_exit_two(tmp_path, flags):
-    args = ["pleasant", "--out", str(tmp_path)] + flags
+def test_usage_errors_exit_two(tmp_path, command, flags):
+    args = [command, "--out", str(tmp_path)] + flags
     if flags:
         args += ["--scenario", scn_path("cyclic-5")]
     result = run_cli(args)
@@ -827,27 +830,55 @@ def test_main_calling_contract(tmp_path):
         assert _collector_untouched()
 
 
-def test_extend_max_m_zero_flag_one_line_error(tmp_path):
-    result = run_cli(
-        ["extend", "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path),
-         "--max-m", "0"],
-    )
+def test_extend_max_m_zero_option_one_line_error(tmp_path):
+    scenario = with_options(tmp_path, "cyclic-5", max_m=0)
+    result = run_cli(["extend", "--scenario", scenario, "--out", str(tmp_path)])
     assert result.exit_code == 1
     assert result.stderr == "error: max_m must be at least 1\n"
 
 
-# flag -> (default, --format choices, or None for an integer flag); every
-# command also takes a required --scenario and --out (default ".")
+@pytest.mark.parametrize("scenario, corrupt, error", [
+    ("cyclic-5", _put("options", "maxm", value=1),
+     "unknown option 'maxm', not one of ['budget', 'max_m']"),
+    ("cyclic-5", _put("observables", "f1", 0, value="-1E-4301"),
+     "observable f1 has an exponent beyond 4300: '-1E-4301'"),
+    ("cyclic-5", _empty_base, "box base has 0 entries, expected 1"),
+    ("torus-counterexample", _put("system", "rotations", 0, "vector", value=["0", "0"]),
+     "rotation vector has 2 entries, expected 1"),
+], ids=["unknown-option", "exponent-past-cap", "short-base", "long-rotation-vector"])
+def test_validate_error_names_the_field(tmp_path, scenario, corrupt, error):
+    """An unknown option, an exponent past 4300 and a base or rotation vector
+    of the wrong length each fail validate on one line that names them."""
+    raw = json.loads(Path(scn_path(scenario)).read_text())
+    corrupt(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    result = run_cli(["validate", "--scenario", str(bad), "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("value", ["1e4300", "-1e-4300", "1E+4300", 1e300])
+def test_decimal_exponent_at_the_cap_is_read(value):
+    """An exponent of magnitude up to 4300 still reads as its exact rational."""
+    from fractions import Fraction
+
+    from ergolab.scenario import read_rational
+
+    assert read_rational(value, "x") == Fraction(str(value))
+
+
+# flag -> (default, --format choices); every command also takes a required
+# --scenario and --out (default ".")
 _FORMAT = ("json", ("json", "csv"))
-_INT = (None, None)
 CLI_SURFACE = {
     "validate": {},
     "avg": {"--format": _FORMAT},
     "limit": {},
     "joining": {},
     "hk": {},
-    "extend": {"--max-m": _INT, "--budget": _INT},
-    "pleasant": {"--budget": _INT},
+    "extend": {},
+    "pleasant": {},
     "torus-demo": {"--format": _FORMAT},
 }
 
@@ -867,24 +898,24 @@ def test_cli_surface(capsys):
         for flag, (default, choices) in flags.items():
             dest, convert = table[flag][:2]
             defaults[dest] = default
-            if choices is None:
-                assert convert is int, (name, flag)
-            else:
-                assert convert is report_format and FORMATS == choices, (name, flag)
+            assert convert is report_format and FORMATS == choices, (name, flag)
         assert parse([name, "--scenario", "S"]) == (name, defaults)
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_seed_is_not_a_flag(tmp_path, command):
-    """No command takes --seed: trial bases are drawn from the scenario's
-    base_point_trials.seed, so a report follows from the scenario it hashes."""
+    """No command takes --seed, --budget or --max-m: trial bases are drawn
+    from the scenario's base_point_trials.seed, and extend's and pleasant's
+    budget and max_m are its options, so a report follows from the scenario
+    it hashes."""
     name = "torus-counterexample" if command == "torus-demo" else "cyclic-5"
-    result = run_cli([command, "--scenario", scn_path(name),
-                      "--out", str(tmp_path), "--seed", "1"])
-    assert result.exit_code == 2
-    assert result.stderr.endswith(
-        "ergolab: error: unrecognized arguments: --seed 1\n")
-    assert not list(tmp_path.iterdir())
+    for flag in ("--seed", "--budget", "--max-m"):
+        result = run_cli([command, "--scenario", scn_path(name),
+                          "--out", str(tmp_path), flag, "1"])
+        assert result.exit_code == 2
+        assert result.stderr.endswith(
+            f"ergolab: error: unrecognized arguments: {flag} 1\n")
+        assert not list(tmp_path.iterdir())
 
 
 def _validate_into(out):

@@ -5,15 +5,18 @@ checkouts can be compared byte for byte.
 
 Runs ``ergolab <command>`` in process, every command in every ``--format``
 it has, on the bundled scenarios and on the ``bench/generate.py`` families
-at seeds 1 and 2 (written to ``OUT/scenarios``).  Each run gets its own
+at seeds 1 and 2, and ``extend`` and ``pleasant`` on copies of cyclic-5
+that set one of its options (``OPTION_COPIES``); the generated scenarios
+and the copies are written to ``OUT/scenarios``.  Each run gets its own
 directory ``OUT/<corpus>/<scenario>/<command>[.<format>]`` holding the
 report, if one was written, and the files ``exit_code``, ``stdout`` (with
 the run directory spelled ``RUN``) and ``stderr``.  A command that fails is
 recorded like one that succeeds: both count as its behaviour.
 
 The program is the ``ergolab`` package under ``src/`` of CHECKOUT, by
-default the checkout this file sits in; the generated scenarios always come
-from this file's checkout, which is only read.  Compare two checkouts with
+default the checkout this file sits in; the generated scenarios and the
+copies always come from this file's checkout, which is only read.  Compare
+two checkouts with
 
     python3 tools/report_corpus.py /tmp/a
     python3 tools/report_corpus.py /tmp/b ../other-checkout
@@ -25,12 +28,17 @@ from __future__ import annotations
 import contextlib
 import importlib.util
 import io
+import json
 import sys
 import traceback
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
+# the options set on copies of cyclic-5, one copy each, and the commands
+# that read them
+OPTION_COPIES = ({"max_m": 1}, {"budget": 24})
+OPTION_COMMANDS = ("extend", "pleasant")
 
 
 def _generator():
@@ -43,17 +51,34 @@ def _generator():
     return module
 
 
+def _option_copies(outdir: Path):
+    """Write a copy of cyclic-5 per entry of OPTION_COPIES, with those
+    options and named after them, to outdir; their paths."""
+    raw = json.loads((HERE / "src/ergolab/scenarios/cyclic-5.json").read_text())
+    outdir.mkdir(parents=True, exist_ok=True)
+    for options in OPTION_COPIES:
+        name = "cyclic-5-" + "-".join(f"{k}-{v}" for k, v in options.items())
+        path = outdir / f"{name}.json"
+        path.write_text(json.dumps(dict(raw, name=name, options=options), indent=2) + "\n")
+        yield path
+
+
 def _corpora(out: Path):
-    """(corpus name, scenario paths) for the bundled and generated corpora."""
+    """(corpus name, scenario paths, (command, format) pairs) for the
+    bundled, generated and option-copy corpora."""
     from ergolab.scenario import bundled_scenario_dir
 
-    yield "bundled", sorted(bundled_scenario_dir().glob("*.json"))
+    commands = list(_commands())
+    yield "bundled", sorted(bundled_scenario_dir().glob("*.json")), commands
     generate = _generator()
     for seed in SEEDS:
         paths = generate.write_scenarios(
             list(generate.FAMILIES), seed, out / "scenarios" / f"seed{seed}"
         )
-        yield f"seed{seed}", sorted(paths.values())
+        yield f"seed{seed}", sorted(paths.values()), commands
+    yield "options", list(_option_copies(out / "scenarios" / "options")), [
+        (command, fmt) for command, fmt in commands if command in OPTION_COMMANDS
+    ]
 
 
 def _commands():
@@ -101,9 +126,9 @@ def main(argv) -> int:
     checkout = Path(argv[1]).resolve() if len(argv) == 2 else HERE
     sys.path.insert(0, str(checkout / "src"))
     runs = 0
-    for corpus, paths in _corpora(out):
+    for corpus, paths, commands in _corpora(out):
         for path in paths:
-            for command, fmt in _commands():
+            for command, fmt in commands:
                 label = command if fmt is None else f"{command}.{fmt}"
                 rundir = out / corpus / path.stem / label
                 rundir.mkdir(parents=True, exist_ok=True)
