@@ -12,7 +12,9 @@ so a box of any length costs O(|P|); only an explicit point list is
 walked.  The orbit counts every consumer contracts are a function of these
 residues, so a base point enters only through them: a full period box at
 any base hits each residue once, so it has the counts, averages and
-joinings of the box at 0.
+joinings of the box at 0.  The exact limit therefore contracts the
+system's full-period table, FiniteSystem.period_orbits, built once per
+system, as basis_counts and the Furstenberg joining do.
 """
 
 from __future__ import annotations
@@ -95,8 +97,7 @@ def basis_counts(sys: FiniteSystem) -> Dict[Tuple[int, ...], Dict[int, List]]:
     count)]}}, for x in the support.  Contracting a list with f_1 gives |P|
     times the exact limit of (f_1, e_{y_2}, ..., e_{y_d}) at x."""
     grouped: Dict[Tuple[int, ...], Dict[int, List]] = {}
-    full = residues(sys, period_box(sys))
-    for (x, y1, *rest), c in orbit_counts(sys, full).items():
+    for (x, y1, *rest), c in sys.period_orbits.items():
         if sys.weights[x]:
             grouped.setdefault(tuple(rest), {}).setdefault(x, []).append((y1, c))
     return grouped
@@ -109,14 +110,26 @@ def truncated_average(
 ) -> Observable:
     """Pointwise average of prod_i f_i o T_i^n over the lattice points of a
     box or of an explicit point list, the escape hatch for non-box Folner
-    sets.  With f_i = w_i / D_i over its least denominator, the sums are
-    ints, and state x gets one Fraction(total_x, |I| * prod_i D_i).
-    """
+    sets."""
     _check_args(sys, fs)
     hist, size = _histogram(sys, where)
+    return _contract(sys, fs, orbit_counts(sys, hist), size)
+
+
+def exact_limit(sys: FiniteSystem, fs: Sequence[Observable]) -> Observable:
+    """The L^2 limit of the truncated averages: the average over one full
+    period box, contracted from the system's table of its orbit counts."""
+    _check_args(sys, fs)
+    return _contract(sys, fs, sys.period_orbits, period_box(sys).size)
+
+
+def _contract(sys: FiniteSystem, fs, counts, size: int) -> Observable:
+    """The average over a set of size |I| = size with orbit_counts counts.
+    With f_i = w_i / D_i over its least denominator, the sums are ints, and
+    state x gets one Fraction(total_x, |I| * prod_i D_i)."""
     nums, denoms = zip(*(over_common_denominator(f.values) for f in fs))
     total = [0] * sys.n
-    for (x, *ys), c in orbit_counts(sys, hist).items():
+    for (x, *ys), c in counts.items():
         prod = c
         for w, y in zip(nums, ys):
             v = w[y]
@@ -127,11 +140,6 @@ def truncated_average(
             total[x] += prod
     denom = size * math.prod(denoms)
     return Observable(tuple(Fraction(t, denom) for t in total))
-
-
-def exact_limit(sys: FiniteSystem, fs: Sequence[Observable]) -> Observable:
-    """The L^2 limit of the truncated averages: one full period box."""
-    return truncated_average(sys, fs, period_box(sys))
 
 
 def deviation_bound(

@@ -206,14 +206,11 @@ def furstenberg_joining(sys: FiniteSystem) -> JoinedMeasure:
     """mu^{*d}: average over a full period box of the pushforwards of the
     diagonal measure under S_{d+1}^n = (T_1^n, ..., T_d^n).  With mu = w / D,
     tuple t gets the orbit counts of the states x reaching it, weighted by
-    w_x, over D |P|."""
-    from .averages import orbit_counts, residues
-
+    w_x, over D |P|: a sum over the system's period_orbits table."""
     d = sys.d
-    pbox = period_box(sys)
     ws, denom = sys.int_weights
     weight: Dict[StateTuple, int] = {}
-    for (x, *t), c in orbit_counts(sys, residues(sys, pbox)).items():
+    for (x, *t), c in sys.period_orbits.items():
         if ws[x]:
             t = tuple(t)
             weight[t] = weight.get(t, 0) + ws[x] * c
@@ -221,7 +218,8 @@ def furstenberg_joining(sys: FiniteSystem) -> JoinedMeasure:
     actions[f"S{d + 1}"] = tuple(range(1, d + 1))
     support = sorted(weight)
     return JoinedMeasure(
-        sys, d, support, [weight[t] for t in support], denom * pbox.size, actions
+        sys, d, support, [weight[t] for t in support],
+        denom * period_box(sys).size, actions,
     )
 
 

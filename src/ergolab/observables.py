@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import DimensionMismatch
 
@@ -56,10 +56,6 @@ class Observable(NamedTuple):
     """Exact rational function on the states of a finite system."""
 
     values: Tuple[Fraction, ...]
-
-    @staticmethod
-    def from_values(values: Sequence) -> "Observable":
-        return Observable(tuple(_frac(v) for v in values))
 
     @staticmethod
     def constant(n: int, c) -> "Observable":
@@ -119,12 +115,6 @@ def l2_square(f: Observable, weights: Tuple[Fraction, ...]) -> Fraction:
     if len(weights) != len(f.values):
         raise DimensionMismatch("weights and observable lengths differ")
     return sum((v * v * w for v, w in zip(f.values, weights)), ZERO)
-
-
-def integral(f: Observable, weights: Tuple[Fraction, ...]) -> Fraction:
-    if len(weights) != len(f.values):
-        raise DimensionMismatch("weights and observable lengths differ")
-    return sum((v * w for v, w in zip(f.values, weights)), ZERO)
 
 
 # how a report writes an exact value

@@ -96,9 +96,10 @@ def vdc_correlation(
     u_n = prod_i f_i o T_i^n.  Equals the integral of the exact limit of the
     shifted-product observables f_i * (f_i o T_i^m)."""
     _check_args(sys, fs)
-    (mred,) = residues(sys, [m])
+    if len(m) != sys.r:
+        raise DimensionMismatch("shift has wrong dimension")
     hs = [
-        f * f.compose_perm(sys.action_perm(i, mred))
+        f * f.compose_perm(sys.action_perm(i, m))
         for i, f in enumerate(fs, start=1)
     ]
     lim = exact_limit(sys, hs)

@@ -130,11 +130,18 @@ def read_list(raw, what: str, read, length: Optional[int] = None) -> tuple:
     return tuple([read(item, what) for item in raw])
 
 
+def read_object(raw, what: str) -> dict:
+    """raw, which must be a JSON object: a list is never read by key."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} is not an object: {raw!r}")
+    return raw
+
+
 def read_table(entries, d: int, r: int, key: str, parse, what: str):
     """The d-by-r table, indexed [action - 1][axis - 1], of parse(entry[key])
-    over the (action, axis) entries: each index in range and given once."""
+    over the (action, axis) entry objects: each index in range and given once."""
     table: dict = {}
-    for entry in read_list(entries, f"{what}s", lambda e, _: e):
+    for entry in read_list(entries, f"{what}s", lambda e, _: read_object(e, what)):
         i, j = (read_int(entry[k], f"{what} {k}") for k in ("action", "axis"))
         if not (1 <= i <= d and 1 <= j <= r):
             raise ValidationError(f"{what} index ({i},{j}) out of range")
@@ -191,6 +198,7 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
     """Build a ScenarioConfig from the parsed JSON; every malformed input
     surfaces as a ValidationError."""
     try:
+        raw = read_object(raw, "scenario")
         name = str(raw["name"])
         if "/" in name or "\\" in name:
             raise ValidationError(f"scenario name {name!r} contains a path separator")
@@ -198,16 +206,16 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
             raise ValidationError(f"scenario name {name!r} contains a NUL byte")
         engine = str(raw["engine"])
         if engine == "finite":
-            system = _parse_finite_system(raw["system"])
+            system = _parse_finite_system(read_object(raw["system"], "system"))
             read_observable = _read_observable
         elif engine == "torus":
             from .torus import _parse_torus_system, _parse_trig as read_observable
-            system = _parse_torus_system(raw["system"])
+            system = _parse_torus_system(read_object(raw["system"], "system"))
         else:
             raise ValidationError(f"unknown engine {engine!r}")
         observables = {
             str(k): read_observable(v, f"observable {k}", system)
-            for k, v in raw.get("observables", {}).items()
+            for k, v in read_object(raw.get("observables", {}), "observables").items()
         }
 
         def read_name(raw_name, _) -> str:
@@ -221,11 +229,11 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
             lambda t, _: read_list(t, "average tuple", read_name, system.d),
         )
         boxes = read_list(raw.get("boxes", []), "boxes", lambda b, _: FolnerBox(
-            read_list(b["lengths"], "box lengths", read_int, system.r),
+            read_list(read_object(b, "box")["lengths"], "box lengths", read_int, system.r),
             None if b.get("base") is None
             else read_list(b["base"], "box base", read_int, system.r),
         ))
-        trials = raw.get("base_point_trials", {})
+        trials = read_object(raw.get("base_point_trials", {}), "base_point_trials")
         trial_count = read_int(trials.get("count", 20), "trial count")
         if trial_count < 0:
             raise ValidationError("base_point_trials.count must be nonnegative")
@@ -234,7 +242,7 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
             raw.get("samples", []), "samples",
             lambda t, _: read_list(t, "sample", read_finite_float, m),
         )
-        options = raw.get("options", {})
+        options = read_object(raw.get("options", {}), "options")
         unknown = sorted(options.keys() - OPTIONS.keys())
         if unknown:
             raise ValidationError(f"unknown option {unknown[0]!r}, not one of {[*OPTIONS]}")

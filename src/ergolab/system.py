@@ -4,10 +4,11 @@ A system is a weighted finite state space together with r*d commuting
 weight-preserving permutation generators, indexed by (action i, axis j)
 with i in 1..d and j in 1..r.  All arithmetic is exact rational.
 
-Every T_i^n is read off one table, FiniteSystem.powers, of each generator's
-powers up to its order: order * n ints per generator, as a pass over the
-full period box holds anyway.  It is built in full on first use, even for a
-library call on a short box.
+A system's derived tables are built in full on first use and kept with it:
+FiniteSystem.powers, each generator's powers up to its order (order * n
+ints per generator, as a pass over the full period box holds anyway), off
+which every T_i^n is read, and FiniteSystem.period_orbits, the full-period
+orbit counts that the exact limit, the joining and the basis sweep contract.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     MeasureNotPreserved,
@@ -119,9 +120,6 @@ class FiniteSystem:
 
     # -- derived structure ------------------------------------------------
 
-    def generator(self, i: int, j: int) -> Perm:
-        return self.generators[i - 1][j - 1]
-
     @cached_property
     def powers(self) -> Tuple[Tuple[Tuple[Perm, ...], ...], ...]:
         """powers[i-1][j-1][e] is generator (i, j) to the power e, for e from
@@ -131,6 +129,15 @@ class FiniteSystem:
     @cached_property
     def orders(self) -> Tuple[Tuple[int, ...], ...]:
         return tuple(tuple(map(len, row)) for row in self.powers)
+
+    @cached_property
+    def period_orbits(self) -> Dict[Tuple[int, ...], int]:
+        """How often each orbit tuple (x, T_1^n x, ..., T_d^n x) occurs as n
+        runs over one full period box, for every state x, null ones too;
+        read only."""
+        from .averages import orbit_counts, residues
+
+        return orbit_counts(self, residues(self, period_box(self)))
 
     @cached_property
     def support(self) -> Tuple[int, ...]:

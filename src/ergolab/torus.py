@@ -30,7 +30,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import UndecidableResonance, ValidationError
 from .scenario import FolnerBox, read_finite_float, read_int, read_list
-from .scenario import read_rational, read_table
+from .scenario import read_object, read_rational, read_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -95,25 +95,13 @@ class TorusSystem(namedtuple("TorusSystem", "m r d rotations symbol_values")):
                     raise ValidationError("rotation vector has wrong dimension")
         return super().__new__(cls, m, r, d, rotations, symbol_values)
 
-    @property
-    def symbol_map(self) -> Dict[str, float]:
-        return dict(self.symbol_values)
-
-    def rotation(self, i: int, j: int) -> Tuple[RotationEntry, ...]:
-        return self.rotations[i - 1][j - 1]
-
-    def numeric_rotation(self, i: int, j: int) -> Tuple[Fraction, ...]:
-        sv = self.symbol_map
-        return tuple(e.value(sv) for e in self.rotation(i, j))
-
     @cached_property
     def int_rotations(self) -> Tuple[Tuple[Tuple[Tuple[int, ...], ...], ...], int]:
-        """(a, D): every numeric rotation as ints over their least common
-        denominator D, a[i-1][j-1][x] / D == numeric_rotation(i, j)[x]."""
-        values = [
-            [self.numeric_rotation(i, j) for j in range(1, self.r + 1)]
-            for i in range(1, self.d + 1)
-        ]
+        """(a, D): every rotation entry's value at the symbol values as ints
+        over their least common denominator D: a[i-1][j-1][x] / D is
+        rotations[i-1][j-1][x].value(dict(symbol_values))."""
+        sv = dict(self.symbol_values)
+        values = [[[e.value(sv) for e in vec] for vec in row] for row in self.rotations]
         den = math.lcm(*(v.denominator for row in values for vec in row for v in vec))
         return tuple(
             tuple(tuple(v.numerator * (den // v.denominator) for v in vec) for vec in row)
@@ -381,7 +369,7 @@ def _parse_entry(raw, what: str) -> RotationEntry:
     if isinstance(raw, dict) and raw.keys() <= {"rational", "symbols"}:
         symbols = {
             str(k): read_rational(v, f"coefficient of {k}")
-            for k, v in raw.get("symbols", {}).items()
+            for k, v in read_object(raw.get("symbols", {}), "symbols").items()
         }
         return RotationEntry.exact(read_rational(raw.get("rational", 0), what), symbols)
     raise ValidationError(f"unparseable rotation entry: {raw!r}")
@@ -395,7 +383,7 @@ def _parse_torus_system(raw: dict) -> TorusSystem:
     )
     symbol_values = tuple(sorted(
         (str(k), read_finite_float(v, f"symbol value {k}"))
-        for k, v in raw.get("symbol_values", {}).items()
+        for k, v in read_object(raw.get("symbol_values", {}), "symbol_values").items()
     ))
     sys_ = TorusSystem(m=m, r=r, d=d, rotations=rotations, symbol_values=symbol_values)
     sys_.int_rotations  # every rotation symbol must have a value
@@ -404,6 +392,6 @@ def _parse_torus_system(raw: dict) -> TorusSystem:
 
 def _parse_trig(raw, what: str, sys: TorusSystem) -> TrigObservable:
     return TrigObservable(read_list(raw, what, lambda term, _: (
-        read_list(term["freq"], "frequency", read_int, sys.m),
+        read_list(read_object(term, "trig term")["freq"], "frequency", read_int, sys.m),
         complex(*read_list(term["coeff"], "coefficient", read_finite_float, 2)),
     )))

@@ -48,12 +48,10 @@ def cyclic_system(n, steps, weights=None):
 
 
 def random_observable(rng, n, span=3, max_denom=6):
-    return Observable.from_values(
-        [
-            Fraction(rng.randint(-span, span), rng.randint(1, max_denom))
-            for _ in range(n)
-        ]
-    )
+    return Observable(tuple(
+        Fraction(rng.randint(-span, span), rng.randint(1, max_denom))
+        for _ in range(n)
+    ))
 
 
 def cell_valued_observable(rng, part, span=3, max_denom=6):
@@ -62,7 +60,7 @@ def cell_valued_observable(rng, part, span=3, max_denom=6):
         Fraction(rng.randint(-span, span), rng.randint(1, max_denom))
         for _ in part.cells
     ]
-    return Observable.from_values([vals[part.cell_of[x]] for x in range(part.n)])
+    return Observable(tuple(vals[part.cell_of[x]] for x in range(part.n)))
 
 
 def bundled_scenarios() -> List[Path]:

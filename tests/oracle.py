@@ -22,9 +22,10 @@ support tuple that the report writer once walked, each mass reduced by its
 own gcd.
 
 The rest are helpers only tests use: the action of a flat exponent vector
-of Z^{rd}, partition predicates, a joined measure from Fraction masses, a
-bare relatively independent joining, the conjugate and norms of a trig
-polynomial, and the grid system of a purely rational torus rotation.
+of Z^{rd}, an integral, partition predicates, a joined measure from
+Fraction masses, a bare relatively independent joining, the conjugate and
+norms of a trig polynomial, a rotation's numeric entries, and the grid
+system of a purely rational torus rotation.
 """
 
 import argparse
@@ -96,6 +97,17 @@ def truncated_average(sys_, fs, pts, actions=None):
 
 def exact_limit(sys_, fs):
     return truncated_average(sys_, fs, box_points(period_box(sys_)))
+
+
+def period_orbits(sys_, base_point=None):
+    """How often each (x, T_1^n x, ..., T_d^n x) occurs, for every state x,
+    as n walks every point of the period box at base_point, unreduced."""
+    counts = Counter()
+    for nvec in box_points(FolnerBox(period_box(sys_).lengths, base_point)):
+        perms = [sys_.action_perm(i, nvec) for i in range(1, sys_.d + 1)]
+        for x in range(sys_.n):
+            counts[(x,) + tuple(p[x] for p in perms)] += 1
+    return counts
 
 
 def box_deviation_bound(sys_, fs, box):
@@ -266,7 +278,7 @@ def torus_truncated_average(sys_, fs, box, samples):
     Fraction, one point and one observable at a time."""
     numeric = [
         [
-            tuple(Fraction(v) for v in sys_.numeric_rotation(i, j + 1))
+            tuple(Fraction(v) for v in numeric_rotation(sys_, i, j + 1))
             for j in range(sys_.r)
         ]
         for i in range(1, sys_.d + 1)
@@ -328,7 +340,7 @@ def _thetas(sys: TorusSystem, fs: Sequence[TrigObservable]):
     along each axis j, exact in the numeric rotations: a resonant
     combination has theta exactly 0."""
     alphas = [
-        [sys.numeric_rotation(i, j) for j in range(1, sys.r + 1)]
+        [numeric_rotation(sys, i, j) for j in range(1, sys.r + 1)]
         for i in range(1, sys.d + 1)
     ]
     for ks, freq, coeff in _combos(fs):
@@ -382,7 +394,7 @@ def _resonant(sys: TorusSystem, ks: Sequence[Sequence[int]]) -> bool:
         rational = Fraction(0)
         symbols: Dict[str, Fraction] = {}
         for i, k in enumerate(ks, start=1):
-            for ka, e in zip(k, sys.rotation(i, j)):
+            for ka, e in zip(k, sys.rotations[i - 1][j - 1]):
                 if ka == 0:
                     continue
                 if not e.is_exact:
@@ -487,6 +499,10 @@ def is_discrete(part):
     return len(part.cells) == part.n
 
 
+def integral(f, weights):
+    return sum((v * w for v, w in zip(f.values, weights)), ZERO)
+
+
 def cell_weights(part, weights):
     return tuple(sum((weights[x] for x in cell), ZERO) for cell in part.cells)
 
@@ -522,6 +538,12 @@ def measure_json(jm) -> list:
         num, den = w // g, jm.denom // g
         out.append({"state": list(t), "mass": f"{num}/{den}" if den > 1 else str(num)})
     return out
+
+
+def numeric_rotation(sys_, i, j):
+    """The values mod 1 of the entries of T_i along axis j."""
+    sv = dict(sys_.symbol_values)
+    return tuple(e.value(sv) for e in sys_.rotations[i - 1][j - 1])
 
 
 def conjugate(f):
@@ -565,7 +587,7 @@ def rational_rotation_to_finite(sys_):
     for i in range(1, sys_.d + 1):
         row = []
         for j in range(1, sys_.r + 1):
-            step = tuple(int(e.rational * q) % q for e in sys_.rotation(i, j))
+            step = tuple(int(e.rational * q) % q for e in sys_.rotations[i - 1][j - 1])
             row.append(
                 tuple(
                     index[tuple((g[a] + step[a]) % q for a in range(sys_.m))]

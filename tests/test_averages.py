@@ -40,7 +40,7 @@ def oracle_average(sys_, fs, pts):
             for i, f in enumerate(fs, start=1):
                 y = x
                 for j, e in enumerate(nvec, start=1):
-                    p = sys_.generator(i, j)
+                    p = sys_.generators[i - 1][j - 1]
                     if e >= 0:
                         for _ in range(e):
                             y = p[y]
@@ -307,7 +307,9 @@ def test_vdc_correlation_cyclic5_m1():
                 term *= f.values[(x + i * n) % 5] * f.values[(x + i * (n + 1)) % 5]
             total += term
     expected = total / 25
-    assert vdc_correlation(sys_, [f, f], (1,)) == expected
+    # a shift by a multiple of the period 5 is the same shift
+    for m in (1, 6, -9):
+        assert vdc_correlation(sys_, [f, f], (m,)) == expected
 
 
 def test_vdc_identity_trivial():

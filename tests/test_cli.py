@@ -293,6 +293,25 @@ def test_base_shift_trials_run_no_orbit_pass(tmp_path, monkeypatch):
     assert counts[0] > 0 and counts[0] == counts[1], counts
 
 
+@pytest.mark.parametrize("command", ["limit", "extend"])
+def test_one_full_period_orbit_pass_per_system(tmp_path, monkeypatch, command):
+    """limit's two averages, and extend's pleasantness test and Furstenberg
+    joining of cyclic-5, all contract its one period_orbits table: one
+    orbit pass in all, as the extension stage has no basis tuple to test."""
+    from ergolab import averages
+
+    calls = []
+    orbit_counts = averages.orbit_counts
+
+    def counted(sys_, hist):
+        calls.append(sys_)
+        return orbit_counts(sys_, hist)
+
+    monkeypatch.setattr(averages, "orbit_counts", counted)
+    run_ok([command, "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)])
+    assert len(calls) == 1
+
+
 def test_torus_demo_formats(tmp_path):
     run_ok(
         [
@@ -674,6 +693,41 @@ UNREAD_FINITE = [
     _put("system", "weights", 0, value="1e-100000000"),
 ]
 
+
+def _not_an_object(field, *path):
+    """A corruption that gives the object at path a list, which would be
+    read by key: the one error line must name the field."""
+    corrupt = _put(*path, value=[])
+    corrupt.field = field
+    return corrupt
+
+
+def _scenario_list(raw):
+    return b"[]"
+
+
+_scenario_list.field = "scenario"
+
+# object fields given a list, per scenario
+OBJECT_AS_LIST = {
+    "cyclic-5": [
+        _scenario_list,
+        _not_an_object("system", "system"),
+        _not_an_object("observables", "observables"),
+        _not_an_object("base_point_trials", "base_point_trials"),
+        _not_an_object("options", "options"),
+        _not_an_object("box", "boxes", 1),
+        _not_an_object("generator", "system", "generators", 0),
+    ],
+    "torus-counterexample": [
+        _not_an_object("system", "system"),
+        _not_an_object("rotation", "system", "rotations", 1),
+        _not_an_object("symbol_values", "system", "symbol_values"),
+        _not_an_object("symbols", "system", "rotations", 0, "vector", 0, "symbols"),
+        _not_an_object("trig term", "observables", "f2", 0),
+    ],
+}
+
 TORUS_CORRUPTIONS = [
     _nan_sample, _infinite_symbol_value, _nan_coefficient,
     _infinite_float_rotation, _two_coordinate_sample, _long_frequency,
@@ -712,6 +766,10 @@ TORUS_CORRUPTIONS = [
         ("torus-counterexample", "torus-demo", corrupt)
         # the mixed entry already fails torus-demo, on its inexact resonance
         for corrupt in LIST_AS_STRING_TORUS + BAD_ROTATION_KEYS[:1]
+    ] + [
+        (scenario, "validate", corrupt)
+        for scenario, corrupts in OBJECT_AS_LIST.items()
+        for corrupt in corrupts
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )
@@ -728,6 +786,9 @@ def test_malformed_scenario_one_line_error(tmp_path, scenario, command, corrupt)
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
     assert "Traceback" not in result.stdout + result.stderr
+    if hasattr(corrupt, "field"):
+        # the field by name, not an AttributeError( or TypeError( repr
+        assert result.stderr == f"error: {corrupt.field} is not an object: []\n"
 
 
 @pytest.mark.parametrize(

@@ -91,8 +91,8 @@ def test_extension_shape(ext25, supp25):
     # T'_1 = (+1, +2) and T'_2 = (+2, +2) on pairs
     idx = {t: k for k, t in enumerate(supp25)}
     for (a, b), k in idx.items():
-        assert ext.generator(1, 1)[k] == idx[((a + 1) % 5, (b + 2) % 5)]
-        assert ext.generator(2, 1)[k] == idx[((a + 2) % 5, (b + 2) % 5)]
+        assert ext.generators[0][0][k] == idx[((a + 1) % 5, (b + 2) % 5)]
+        assert ext.generators[1][0][k] == idx[((a + 2) % 5, (b + 2) % 5)]
     # factor map is the first coordinate
     assert ext25.factor_map == tuple(t[0] for t in supp25)
 

@@ -109,7 +109,7 @@ def coprime_observable(rng, n, primes):
     values[rng.randrange(n)] = Fraction(0)
     if n > 1:
         values[rng.randrange(n)] = Fraction(-rng.randint(1, 9), rng.choice(primes))
-    return Observable.from_values(values)
+    return Observable(tuple(values))
 
 
 def test_truncated_average_matches_per_point_loop(systems):
@@ -183,6 +183,18 @@ def test_is_pleasant_matches_per_tuple_loop(systems):
         assert rep.witness == witness
         unpleasant += not rep.pleasant
     assert unpleasant > 0
+
+
+def test_period_orbits_match_unreduced_walk(systems):
+    """The system's full-period table against the walk over every point of
+    the period box, at 0 and at a shifted base: null states count too."""
+    rng = random.Random(42)
+    for sys_ in systems:
+        table = sys_.period_orbits
+        assert {x for x, *_ in table} == set(range(sys_.n))
+        base = tuple(rng.randint(-50, 50) for _ in range(sys_.r))
+        assert table == dict(oracle.period_orbits(sys_))
+        assert table == dict(oracle.period_orbits(sys_, base))
 
 
 def test_furstenberg_mass_matches_per_point_loop(systems):

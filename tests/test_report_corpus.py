@@ -51,3 +51,17 @@ def test_run_records_exit_code_and_report(tmp_path, command, fmt, scenario):
     report = tmp_path / f"{scenario}__{command}.{fmt or 'json'}"
     assert report.is_file()
     assert (tmp_path / "stdout").read_text() == f"RUN/{report.name}\n"
+
+
+def test_error_copies_fail_validate_naming_the_field(tmp_path):
+    paths = list(report_corpus._error_copies(tmp_path / "scenarios"))
+    assert len(paths) == len(report_corpus.ERROR_COPIES)
+    for path in paths:
+        field = path.stem.rsplit("-", 2)[1]
+        rundir = tmp_path / path.stem
+        rundir.mkdir()
+        report_corpus._run(
+            ["validate", "--scenario", str(path), "--out", str(rundir)], rundir
+        )
+        assert (rundir / "exit_code").read_text() == "1\n"
+        assert (rundir / "stderr").read_text() == f"error: {field} is not an object: []\n"

@@ -122,16 +122,16 @@ def test_weights_must_be_probability():
 def test_period_box_cyclic5():
     # both +1 and +2 have order 5 by brute force
     sys_ = cyclic_system(5, [1, 2])
-    assert brute_order(sys_.generator(1, 1)) == 5
-    assert brute_order(sys_.generator(2, 1)) == 5
+    assert brute_order(sys_.generators[0][0]) == 5
+    assert brute_order(sys_.generators[1][0]) == 5
     assert period_box(sys_).lengths == (5,)
 
 
 def test_period_box_cyclic6_mixed_steps():
     # lcm(order(+2), order(+3)) = lcm(3, 2) = 6
     sys_ = cyclic_system(6, [2, 3])
-    assert brute_order(sys_.generator(1, 1)) == 3
-    assert brute_order(sys_.generator(2, 1)) == 2
+    assert brute_order(sys_.generators[0][0]) == 3
+    assert brute_order(sys_.generators[1][0]) == 2
     assert period_box(sys_).lengths == (6,)
 
 
@@ -211,7 +211,7 @@ def test_validate_system_round_trip():
     }
     sys_ = validate_system(raw)
     assert sys_.n == 5 and sys_.d == 2
-    assert sys_.generator(2, 1) == (2, 3, 4, 0, 1)
+    assert sys_.generators[1][0] == (2, 3, 4, 0, 1)
 
 
 def test_validate_system_missing_generator():

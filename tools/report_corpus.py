@@ -5,12 +5,14 @@ checkouts can be compared byte for byte.
 
 Runs ``ergolab <command>`` in process, every command in every ``--format``
 it has, on the bundled scenarios and on the ``bench/generate.py`` families
-at seeds 1 and 2, and ``extend`` and ``pleasant`` on copies of cyclic-5
-that set one of its options (``OPTION_COPIES``); the generated scenarios
-and the copies are written to ``OUT/scenarios``.  Each run gets its own
-directory ``OUT/<corpus>/<scenario>/<command>[.<format>]`` holding the
-report, if one was written, and the files ``exit_code``, ``stdout`` (with
-the run directory spelled ``RUN``) and ``stderr``.  A command that fails is
+at seeds 1 and 2, ``extend`` and ``pleasant`` on copies of cyclic-5 that
+set one of its options (``OPTION_COPIES``), and ``validate`` on copies that
+give one object field a list (``ERROR_COPIES``), so that error paths are
+compared too; the generated scenarios and the copies are written to
+``OUT/scenarios``.  Each run gets its own directory
+``OUT/<corpus>/<scenario>/<command>[.<format>]`` holding the report, if
+one was written, and the files ``exit_code``, ``stdout`` (with the run
+directory spelled ``RUN``) and ``stderr``.  A command that fails is
 recorded like one that succeeds: both count as its behaviour.
 
 The program is the ``ergolab`` package under ``src/`` of CHECKOUT, by
@@ -39,6 +41,14 @@ SEEDS = (1, 2)
 # that read them
 OPTION_COPIES = ({"max_m": 1}, {"budget": 24})
 OPTION_COMMANDS = ("extend", "pleasant")
+# (bundled scenario, path of an object field) given [] on a copy each, which
+# validate must reject
+ERROR_COPIES = (
+    ("cyclic-5", ("base_point_trials",)),
+    ("cyclic-5", ("observables",)),
+    ("cyclic-5", ("options",)),
+    ("torus-counterexample", ("system", "symbol_values")),
+)
 
 
 def _generator():
@@ -63,9 +73,24 @@ def _option_copies(outdir: Path):
         yield path
 
 
+def _error_copies(outdir: Path):
+    """Write a copy of a bundled scenario per entry of ERROR_COPIES, with
+    that field set to [] and named after it, to outdir; their paths."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    for scenario, (*outer, last) in ERROR_COPIES:
+        raw = json.loads((HERE / f"src/ergolab/scenarios/{scenario}.json").read_text())
+        name = raw["name"] = f"{scenario}-{last}-list"
+        field = raw
+        for key in outer:
+            field = field[key]
+        field[last] = []
+        (outdir / f"{name}.json").write_text(json.dumps(raw, indent=2) + "\n")
+        yield outdir / f"{name}.json"
+
+
 def _corpora(out: Path):
     """(corpus name, scenario paths, (command, format) pairs) for the
-    bundled, generated and option-copy corpora."""
+    bundled, generated, option-copy and error-copy corpora."""
     from ergolab.scenario import bundled_scenario_dir
 
     commands = list(_commands())
@@ -78,6 +103,9 @@ def _corpora(out: Path):
         yield f"seed{seed}", sorted(paths.values()), commands
     yield "options", list(_option_copies(out / "scenarios" / "options")), [
         (command, fmt) for command, fmt in commands if command in OPTION_COMMANDS
+    ]
+    yield "errors", list(_error_copies(out / "scenarios" / "errors")), [
+        ("validate", None)
     ]
 
 
