@@ -1,5 +1,6 @@
 """Scenario files: declarative descriptions of a system, observables,
-boxes and trial settings, consumed by the CLI."""
+boxes and trial settings, consumed by the CLI.  Each object's keys are read
+through read_object and one table of key -> default per object kind."""
 
 from __future__ import annotations
 
@@ -65,10 +66,6 @@ class ScenarioConfig(NamedTuple):
     sha256: str
 
 
-# option -> default: extend's and pleasant's cap on n^d basis tuples, extend's stages
-OPTIONS = {"budget": 10 ** 6, "max_m": 2}
-
-
 def random_base(rng: random.Random, r: int, span: int) -> Tuple[int, ...]:
     return tuple(rng.randint(-span, span) for _ in range(r))
 
@@ -130,18 +127,28 @@ def read_list(raw, what: str, read, length: Optional[int] = None) -> tuple:
     return tuple([read(item, what) for item in raw])
 
 
-def read_object(raw, what: str) -> dict:
-    """raw, which must be a JSON object: a list is never read by key."""
+def read_object(raw, what: str, table: Optional[dict] = None) -> dict:
+    """raw, which must be a JSON object: a list is never read by key.  Given a
+    table, raw has only its keys and each REQUIRED one, and gets its defaults."""
     if not isinstance(raw, dict):
         raise ValidationError(f"{what} is not an object: {raw!r}")
+    if table is not None:
+        if unknown := raw.keys() - table.keys():
+            raise ValidationError(
+                f"unknown {what} key {min(unknown)!r}, not one of {[*table]}")
+        raw = {**table, **raw}
+        for key, value in raw.items():
+            if value is REQUIRED:
+                raise ValidationError(f"{what} has no {key}")
     return raw
 
 
 def read_table(entries, d: int, r: int, key: str, parse, what: str):
     """The d-by-r table, indexed [action - 1][axis - 1], of parse(entry[key])
     over the (action, axis) entry objects: each index in range and given once."""
+    keys = dict.fromkeys(("action", "axis", key), REQUIRED)
     table: dict = {}
-    for entry in read_list(entries, f"{what}s", lambda e, _: read_object(e, what)):
+    for entry in read_list(entries, f"{what}s", lambda e, _: read_object(e, what, keys)):
         i, j = (read_int(entry[k], f"{what} {k}") for k in ("action", "axis"))
         if not (1 <= i <= d and 1 <= j <= r):
             raise ValidationError(f"{what} index ({i},{j}) out of range")
@@ -158,14 +165,27 @@ def read_table(entries, d: int, r: int, key: str, parse, what: str):
     )
 
 
-def _parse_finite_system(raw: dict) -> FiniteSystem:
+# each scenario object's key -> default, REQUIRED where there is none
+REQUIRED = object()
+SCENARIO = {"name": REQUIRED, "engine": REQUIRED, "system": REQUIRED,
+            "observables": {}, "average_tuples": [], "boxes": [],
+            "base_point_trials": {}, "samples": [], "options": {}}
+FINITE_SYSTEM = {"n": REQUIRED, "r": REQUIRED, "d": REQUIRED, "weights": REQUIRED,
+                 "generators": REQUIRED, "labels": None}
+BOX = {"lengths": REQUIRED, "base": None}
+TRIALS = {"count": 20, "seed": 7}  # count at most 1000: a trial draws one base
+OPTIONS = {"budget": 10 ** 6, "max_m": 2}  # cap on n^d basis tuples, extend's stages
+
+
+def _parse_finite_system(raw) -> FiniteSystem:
     from .system import FiniteSystem
+    raw = read_object(raw, "system", FINITE_SYSTEM)
     r, d = read_int(raw["r"], "r"), read_int(raw["d"], "d")
     generators = read_table(
         raw["generators"], d, r, "perm",
         lambda p: read_list(p, "generator perm", read_int), "generator",
     )
-    labels = raw.get("labels")
+    labels = raw["labels"]
     labels = None if labels is None else read_list(labels, "labels", lambda s, _: str(s))
     return FiniteSystem(
         n=read_int(raw["n"], "n"),
@@ -198,24 +218,26 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
     """Build a ScenarioConfig from the parsed JSON; every malformed input
     surfaces as a ValidationError."""
     try:
-        raw = read_object(raw, "scenario")
-        name = str(raw["name"])
+        raw = read_object(raw, "scenario", SCENARIO)
+        for key in ("name", "engine"):
+            if not isinstance(raw[key], str):
+                raise ValidationError(f"{key} is not a string: {raw[key]!r}")
+        name, engine = raw["name"], raw["engine"]
         if "/" in name or "\\" in name:
             raise ValidationError(f"scenario name {name!r} contains a path separator")
         if "\0" in name:
             raise ValidationError(f"scenario name {name!r} contains a NUL byte")
-        engine = str(raw["engine"])
         if engine == "finite":
-            system = _parse_finite_system(read_object(raw["system"], "system"))
+            system = _parse_finite_system(raw["system"])
             read_observable = _read_observable
         elif engine == "torus":
             from .torus import _parse_torus_system, _parse_trig as read_observable
-            system = _parse_torus_system(read_object(raw["system"], "system"))
+            system = _parse_torus_system(raw["system"])
         else:
             raise ValidationError(f"unknown engine {engine!r}")
         observables = {
             str(k): read_observable(v, f"observable {k}", system)
-            for k, v in read_object(raw.get("observables", {}), "observables").items()
+            for k, v in read_object(raw["observables"], "observables").items()
         }
 
         def read_name(raw_name, _) -> str:
@@ -224,28 +246,22 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
                 raise ValidationError(f"unknown observable {name!r} in tuple")
             return name
 
-        tuples = read_list(
-            raw.get("average_tuples", []), "average_tuples",
-            lambda t, _: read_list(t, "average tuple", read_name, system.d),
-        )
-        boxes = read_list(raw.get("boxes", []), "boxes", lambda b, _: FolnerBox(
-            read_list(read_object(b, "box")["lengths"], "box lengths", read_int, system.r),
-            None if b.get("base") is None
-            else read_list(b["base"], "box base", read_int, system.r),
+        tuples = read_list(raw["average_tuples"], "average_tuples",
+                           lambda t, _: read_list(t, "average tuple", read_name, system.d))
+        boxes = read_list(raw["boxes"], "boxes", lambda b, _: FolnerBox(
+            read_list((box := read_object(b, "box", BOX))["lengths"], "box lengths",
+                      read_int, system.r),
+            None if box["base"] is None
+            else read_list(box["base"], "box base", read_int, system.r),
         ))
-        trials = read_object(raw.get("base_point_trials", {}), "base_point_trials")
-        trial_count = read_int(trials.get("count", 20), "trial count")
-        if trial_count < 0:
-            raise ValidationError("base_point_trials.count must be nonnegative")
+        trials = read_object(raw["base_point_trials"], "base_point_trials", TRIALS)
+        count = read_int(trials["count"], "trial count")
+        if not 0 <= count <= 1000:
+            raise ValidationError(f"base_point_trials.count {count} is not in [0, 1000]")
         m = system.m if engine == "torus" else None
-        samples = read_list(
-            raw.get("samples", []), "samples",
-            lambda t, _: read_list(t, "sample", read_finite_float, m),
-        )
-        options = read_object(raw.get("options", {}), "options")
-        unknown = sorted(options.keys() - OPTIONS.keys())
-        if unknown:
-            raise ValidationError(f"unknown option {unknown[0]!r}, not one of {[*OPTIONS]}")
+        samples = read_list(raw["samples"], "samples",
+                            lambda t, _: read_list(t, "sample", read_finite_float, m))
+        options = read_object(raw["options"], "options", OPTIONS)
         return ScenarioConfig(
             name=name,
             engine=engine,
@@ -253,10 +269,10 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
             observables=observables,
             average_tuples=tuples,
             boxes=boxes,
-            trial_count=trial_count,
-            trial_seed=read_int(trials.get("seed", 7), "trial seed"),
+            trial_count=count,
+            trial_seed=read_int(trials["seed"], "trial seed"),
             samples=samples,
-            **{k: read_int(options.get(k, v), k) for k, v in OPTIONS.items()},
+            **{k: read_int(options[k], k) for k in OPTIONS},
             sha256=sha256,
         )
     except (

@@ -30,7 +30,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import UndecidableResonance, ValidationError
 from .scenario import FolnerBox, read_finite_float, read_int, read_list
-from .scenario import read_object, read_rational, read_table
+from .scenario import REQUIRED, read_object, read_rational, read_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,10 +141,6 @@ class TrigObservable(namedtuple("TrigObservable", "terms")):
         if len(set(freqs)) != len(freqs):
             raise ValidationError("duplicate frequencies in trig polynomial")
         return super().__new__(cls, terms)
-
-    @staticmethod
-    def character(freq: Sequence[int], coeff: complex = 1.0) -> "TrigObservable":
-        return TrigObservable(((tuple(freq), complex(coeff)),))
 
     def __call__(self, t: Sequence[float]) -> complex:
         """The value at t, each phase k.t reduced exactly as in the kernel."""
@@ -359,23 +355,30 @@ def torus_deviation_bound(
 
 # -- the torus branch of scenario.parse_scenario ----------------------------
 
+TORUS_SYSTEM = {"m": REQUIRED, "r": REQUIRED, "d": REQUIRED, "rotations": REQUIRED,
+                "symbol_values": {}}
+FLOAT_ROTATION = {"float": REQUIRED}
+EXACT_ROTATION = {"rational": 0, "symbols": {}}
+TRIG_TERM = {"freq": REQUIRED, "coeff": REQUIRED}
+
 
 def _parse_entry(raw, what: str) -> RotationEntry:
     """A "p/q" string, {"float": x}, or keys from "rational" and "symbols"."""
     if isinstance(raw, str):
         return RotationEntry.exact(read_rational(raw, what))
-    if isinstance(raw, dict) and raw.keys() == {"float"}:
-        return RotationEntry.from_float(read_finite_float(raw["float"], "float rotation"))
-    if isinstance(raw, dict) and raw.keys() <= {"rational", "symbols"}:
-        symbols = {
-            str(k): read_rational(v, f"coefficient of {k}")
-            for k, v in read_object(raw.get("symbols", {}), "symbols").items()
-        }
-        return RotationEntry.exact(read_rational(raw.get("rational", 0), what), symbols)
-    raise ValidationError(f"unparseable rotation entry: {raw!r}")
+    if isinstance(raw, dict) and "float" in raw:
+        x = read_object(raw, f"{what} entry", FLOAT_ROTATION)["float"]
+        return RotationEntry.from_float(read_finite_float(x, "float rotation"))
+    raw = read_object(raw, f"{what} entry", EXACT_ROTATION)
+    symbols = {
+        str(k): read_rational(v, f"coefficient of {k}")
+        for k, v in read_object(raw["symbols"], "symbols").items()
+    }
+    return RotationEntry.exact(read_rational(raw["rational"], what), symbols)
 
 
-def _parse_torus_system(raw: dict) -> TorusSystem:
+def _parse_torus_system(raw) -> TorusSystem:
+    raw = read_object(raw, "system", TORUS_SYSTEM)
     m, r, d = (read_int(raw[k], k) for k in ("m", "r", "d"))
     rotations = read_table(
         raw["rotations"], d, r, "vector",
@@ -383,7 +386,7 @@ def _parse_torus_system(raw: dict) -> TorusSystem:
     )
     symbol_values = tuple(sorted(
         (str(k), read_finite_float(v, f"symbol value {k}"))
-        for k, v in read_object(raw.get("symbol_values", {}), "symbol_values").items()
+        for k, v in read_object(raw["symbol_values"], "symbol_values").items()
     ))
     sys_ = TorusSystem(m=m, r=r, d=d, rotations=rotations, symbol_values=symbol_values)
     sys_.int_rotations  # every rotation symbol must have a value
@@ -391,7 +394,8 @@ def _parse_torus_system(raw: dict) -> TorusSystem:
 
 
 def _parse_trig(raw, what: str, sys: TorusSystem) -> TrigObservable:
-    return TrigObservable(read_list(raw, what, lambda term, _: (
-        read_list(read_object(term, "trig term")["freq"], "frequency", read_int, sys.m),
+    return TrigObservable(read_list(raw, what, lambda t, _: (
+        read_list((term := read_object(t, "trig term", TRIG_TERM))["freq"], "frequency",
+                  read_int, sys.m),
         complex(*read_list(term["coeff"], "coefficient", read_finite_float, 2)),
     )))

@@ -67,18 +67,28 @@ def bundled_scenarios() -> List[Path]:
     return sorted(bundled_scenario_dir().glob("*.json"))
 
 
-def generated_finite_scenarios(seeds):
-    """The finite bench/generate.py families at the given seeds."""
+def bench_generator():
+    """bench/generate.py, loaded as a module; it is only read."""
     path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
     spec = importlib.util.spec_from_file_location("generate", path)
     generate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generate)
-    scenarios = [
+    return generate
+
+
+def generated_scenarios(seeds):
+    """Every bench/generate.py family at the given seeds, parsed."""
+    generate = bench_generator()
+    return [
         parse_scenario(json.loads(generate.scenario_text(family, seed)))
         for family in generate.FAMILIES
         for seed in seeds
     ]
-    return [scn for scn in scenarios if scn.engine == "finite"]
+
+
+def generated_finite_scenarios(seeds):
+    """The finite bench/generate.py families at the given seeds."""
+    return [scn for scn in generated_scenarios(seeds) if scn.engine == "finite"]
 
 
 @pytest.fixture(scope="session")

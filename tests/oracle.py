@@ -273,6 +273,11 @@ def host_kra_masses(sys_):
     return stages
 
 
+def character(freq, coeff=1.0) -> TrigObservable:
+    """The trig polynomial coeff * e(freq . t)."""
+    return TrigObservable(((tuple(freq), complex(coeff)),))
+
+
 def torus_truncated_average(sys_, fs, box, samples):
     """The torus lattice sum with every shifted coordinate kept as a
     Fraction, one point and one observable at a time."""

@@ -8,10 +8,12 @@ import oracle
 from ergolab import __version__
 from ergolab.cli import COMMANDS, FORMATS, main, parse, report_format
 from ergolab.errors import ValidationError
+from ergolab.scenario import BOX, FINITE_SYSTEM, OPTIONS, REQUIRED, SCENARIO, TRIALS
 from ergolab.scenario import bundled_scenario_dir, load_scenario
 from ergolab.system import FolnerBox
+from ergolab.torus import EXACT_ROTATION, TORUS_SYSTEM, TRIG_TERM
 
-from conftest import bundled_scenarios, run_cli
+from conftest import bench_generator, bundled_scenarios, generated_scenarios, run_cli
 
 
 def scn_path(name):
@@ -29,6 +31,15 @@ def test_bundled_scenarios_all_load():
     assert len(paths) == 7
     names = {load_scenario(p).name for p in paths}
     assert "cyclic-5" in names and "torus-counterexample" in names
+
+
+def test_benchmark_scenarios_all_load():
+    """Every bench/generate.py family parses at seeds 1-30: a key that a
+    family writes and no key table holds would fail every benchmark job of
+    its workload."""
+    scenarios = generated_scenarios(range(1, 31))
+    assert len(scenarios) == 7 * 30
+    assert {scn.engine for scn in scenarios} == {"finite", "torus"}
 
 
 def test_scenario_bad_json_rejected(tmp_path):
@@ -900,16 +911,25 @@ def test_extend_max_m_zero_option_one_line_error(tmp_path):
 
 @pytest.mark.parametrize("scenario, corrupt, error", [
     ("cyclic-5", _put("options", "maxm", value=1),
-     "unknown option 'maxm', not one of ['budget', 'max_m']"),
+     "unknown options key 'maxm', not one of ['budget', 'max_m']"),
     ("cyclic-5", _put("observables", "f1", 0, value="-1E-4301"),
      "observable f1 has an exponent beyond 4300: '-1E-4301'"),
     ("cyclic-5", _empty_base, "box base has 0 entries, expected 1"),
     ("torus-counterexample", _put("system", "rotations", 0, "vector", value=["0", "0"]),
      "rotation vector has 2 entries, expected 1"),
-], ids=["unknown-option", "exponent-past-cap", "short-base", "long-rotation-vector"])
+    ("cyclic-5", _put("name", value=5), "name is not a string: 5"),
+    ("torus-counterexample", _put("engine", value=["torus"]),
+     "engine is not a string: ['torus']"),
+    ("cyclic-5", _put("base_point_trials", "count", value=1001),
+     "base_point_trials.count 1001 is not in [0, 1000]"),
+    ("torus-counterexample", _put("base_point_trials", "count", value=10 ** 9),
+     "base_point_trials.count 1000000000 is not in [0, 1000]"),
+], ids=["unknown-option", "exponent-past-cap", "short-base", "long-rotation-vector",
+        "number-name", "list-engine", "count-past-cap", "count-far-past-cap"])
 def test_validate_error_names_the_field(tmp_path, scenario, corrupt, error):
-    """An unknown option, an exponent past 4300 and a base or rotation vector
-    of the wrong length each fail validate on one line that names them."""
+    """An unknown option, an exponent past 4300, a base or rotation vector
+    of the wrong length, a name or engine that is not a string and a trial
+    count past its cap each fail validate on one line that names them."""
     raw = json.loads(Path(scn_path(scenario)).read_text())
     corrupt(raw)
     bad = tmp_path / "bad.json"
@@ -917,6 +937,86 @@ def test_validate_error_names_the_field(tmp_path, scenario, corrupt, error):
     result = run_cli(["validate", "--scenario", str(bad), "--out", str(tmp_path)])
     assert result.exit_code == 1
     assert result.stderr == f"error: {error}\n"
+
+
+def _entry_keys(key):
+    """The key table read_table builds for a generator or rotation entry."""
+    return dict.fromkeys(("action", "axis", key), REQUIRED)
+
+
+# every scenario object kind with a key table, as (bundled scenario, its
+# name in errors, the path to one such object, the table, (one of its keys,
+# a misspelling of it))
+KEYED_OBJECTS = [
+    ("cyclic-5", "scenario", (), SCENARIO, ("boxes", "boxs")),
+    ("cyclic-5", "system", ("system",), FINITE_SYSTEM, ("weights", "weight")),
+    ("cyclic-5", "generator", ("system", "generators", 0), _entry_keys("perm"),
+     ("perm", "prem")),
+    ("cyclic-5", "box", ("boxes", 1), BOX, ("lengths", "length")),
+    ("cyclic-5", "base_point_trials", ("base_point_trials",), TRIALS, ("count", "cout")),
+    ("cyclic-5", "options", ("options",), OPTIONS, ("max_m", "maxm")),
+    ("torus-counterexample", "scenario", (), SCENARIO, ("average_tuples", "average_tupels")),
+    ("torus-counterexample", "system", ("system",), TORUS_SYSTEM,
+     ("symbol_values", "symbol_value")),
+    ("torus-counterexample", "rotation", ("system", "rotations", 1), _entry_keys("vector"),
+     ("vector", "vectr")),
+    ("torus-counterexample", "rotation vector entry",
+     ("system", "rotations", 0, "vector", 0), EXACT_ROTATION, ("symbols", "symbol")),
+    ("torus-counterexample", "trig term", ("observables", "f2", 0), TRIG_TERM,
+     ("freq", "frq")),
+]
+
+
+def _key_cases():
+    """(scenario, path, change made to the object there, the error line):
+    each required key deleted, and each object given a misspelt key beside
+    the one it misspells."""
+    def delete(key):
+        return lambda obj: obj.pop(key)
+
+    def misspell(key, typo):
+        return lambda obj: obj.update({typo: obj[key]})
+
+    for scenario, what, path, table, (key, typo) in KEYED_OBJECTS:
+        for k, default in table.items():
+            if default is REQUIRED:
+                yield pytest.param(scenario, path, delete(k), f"{what} has no {k}",
+                                   id=f"{scenario}-{what}-no-{k}".replace(" ", "-"))
+        yield pytest.param(scenario, path, misspell(key, typo),
+                           f"unknown {what} key {typo!r}, not one of {[*table]}",
+                           id=f"{scenario}-{what}-{typo}".replace(" ", "-"))
+    # a rotation object is read by FLOAT_ROTATION once it has a "float" key
+    yield pytest.param(
+        "torus-counterexample", ("system", "rotations", 0, "vector", 0),
+        lambda obj: (obj.clear(), obj.update({"float": 0.25, "flaot": 0.25})),
+        "unknown rotation vector entry key 'flaot', not one of ['float']",
+        id="torus-counterexample-float-rotation-flaot")
+
+
+@pytest.mark.parametrize("scenario, path, change, error", _key_cases())
+def test_every_key_of_every_object(tmp_path, scenario, path, change, error):
+    """A missing required key fails validate naming the object and the key,
+    and a key outside the object's table fails naming it and the table's
+    keys, on one line and never as a malformed-scenario repr: no key of a
+    scenario object is ignored."""
+    raw = json.loads(Path(scn_path(scenario)).read_text())
+    obj = raw
+    for key in path:
+        obj = obj[key]
+    change(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    result = run_cli(["validate", "--scenario", str(bad), "--out", str(tmp_path)])
+    assert (result.exit_code, result.stderr) == (1, f"error: {error}\n")
+
+
+def test_trial_count_cap_is_inclusive(tmp_path):
+    """A trial count of exactly 1000 is read (1001 is an error above)."""
+    raw = json.loads(Path(scn_path("cyclic-5")).read_text())
+    raw["base_point_trials"]["count"] = 1000
+    path = tmp_path / "trials.json"
+    path.write_text(json.dumps(raw))
+    run_ok(["validate", "--scenario", str(path), "--out", str(tmp_path)])
 
 
 @pytest.mark.parametrize("value", ["1e4300", "-1e-4300", "1E+4300", 1e300])
@@ -1005,15 +1105,9 @@ def test_cli_version():
 def _report_payloads(tmp_path, monkeypatch):
     """The JSON payload of every command on the bundled scenarios and on the
     bench/generate.py families at seed 1, as _write_report receives them."""
-    import importlib.util
-
     from ergolab import cli
 
-    spec = importlib.util.spec_from_file_location(
-        "generate", Path(__file__).resolve().parents[1] / "bench" / "generate.py"
-    )
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
+    generate = bench_generator()
     paths = bundled_scenarios() + sorted(
         generate.write_scenarios(list(generate.FAMILIES), 1, tmp_path / "gen").values()
     )

@@ -406,7 +406,7 @@ def _near_integer_pair():
     half = RotationEntry.exact(Fraction(1, 2))
     third = RotationEntry.exact(Fraction(1, 3))
     sys_ = TorusSystem(m=1, r=1, d=2, rotations=(((half,),), ((third,),)))
-    return sys_, [TrigObservable.character((2,)), TrigObservable.character((3,))]
+    return sys_, [oracle.character((2,)), oracle.character((3,))]
 
 
 def _assert_close(sys_, fs, box, samples):

@@ -1,6 +1,7 @@
 """The README's library example runs on the package's public names and
-prints the values the README shows, and its CLI synopsis lists the
-commands and flags of the command table."""
+prints the values the README shows, its CLI synopsis lists the commands
+and flags of the command table, and its scenario section names every key
+of the scenario key tables."""
 
 import contextlib
 import io
@@ -8,6 +9,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+from ergolab import scenario, torus
 from ergolab.cli import COMMANDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -45,3 +47,16 @@ def test_readme_cli_synopsis_matches_command_table():
         assert flags <= row, (name, flags - row)
         assert row - {"--out"} <= flags, (name, row - {"--out"} - flags)
     assert names == list(COMMANDS)
+
+
+def test_readme_scenario_section_names_every_key():
+    """Every key of every key table in scenario and torus, and of the
+    generator and rotation entries read_table reads, is named in
+    "Scenario files", so the docs cannot drift from the parser."""
+    section = README.read_text().split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    tables = [table for module in (scenario, torus)
+              for name, table in vars(module).items()
+              if name.isupper() and isinstance(table, dict)]
+    assert len(tables) == 9
+    keys = {key for table in tables for key in table} | {"action", "axis", "perm", "vector"}
+    assert {key for key in keys if f"`{key}`" not in section} == set()

@@ -30,14 +30,14 @@ def golden_pair():
         rotations=(((alpha,),), ((two_alpha,),)),
         symbol_values=(("alpha", GOLDEN),),
     )
-    f2 = TrigObservable.character((1,))
-    f1 = TrigObservable.character((-2,))  # conj(f2)^2
+    f2 = oracle.character((1,))
+    f1 = oracle.character((-2,))  # conj(f2)^2
     return sys_, f1, f2
 
 
 def test_constant_observables_average_to_one():
     sys_, _, _ = golden_pair()
-    ones = [TrigObservable.character((0,)), TrigObservable.character((0,))]
+    ones = [oracle.character((0,)), oracle.character((0,))]
     for N in (1, 5, 16):
         for base in (0, -7, 123):
             out = torus_truncated_average(
@@ -48,8 +48,8 @@ def test_constant_observables_average_to_one():
 
 def test_character_limit_constants():
     sys_, _, _ = golden_pair()
-    c1 = TrigObservable.character((0,), 2.0 + 1.0j)
-    c2 = TrigObservable.character((0,), -0.5j)
+    c1 = oracle.character((0,), 2.0 + 1.0j)
+    c2 = oracle.character((0,), -0.5j)
     lim = character_limit(sys_, [c1, c2])
     assert lim.terms == (((0,), (2.0 + 1.0j) * (-0.5j)),)
 
@@ -59,7 +59,7 @@ def test_single_rotation_geometric_bound():
     sys_ = TorusSystem(
         m=1, r=1, d=1, rotations=(((alpha,),),), symbol_values=(("alpha", GOLDEN),)
     )
-    f = TrigObservable.character((1,))
+    f = oracle.character((1,))
     for N in (10, 100, 1000):
         (val,) = torus_truncated_average(sys_, [f], FolnerBox((N,)), [(0.0,)])
         bound = 2.0 / (N * abs(1 - cmath.exp(2j * math.pi * GOLDEN)))
@@ -91,7 +91,7 @@ def test_independent_irrationals_limit_zero():
         rotations=(((alpha,),), ((beta,),)),
         symbol_values=(("alpha", GOLDEN), ("beta", math.sqrt(2) - 1)),
     )
-    f = TrigObservable.character((1,))
+    f = oracle.character((1,))
     lim = character_limit(sys_, [f, f])
     assert lim.terms == ()
     # numeric cross-check at large boxes, against the certified bound
@@ -113,8 +113,8 @@ def test_rational_resonance_detected():
     third = RotationEntry.exact(Fraction(1, 3))
     sys_ = TorusSystem(m=1, r=1, d=2, rotations=(((half,),), ((third,),)))
     # 2*(1/2) + 3*(1/3) = 2 is an integer: the pair (2, 3) resonates
-    f1 = TrigObservable.character((2,))
-    f2 = TrigObservable.character((3,))
+    f1 = oracle.character((2,))
+    f2 = oracle.character((3,))
     lim = character_limit(sys_, [f1, f2])
     assert lim.terms == (((5,), (1 + 0j)),)
 
@@ -122,11 +122,11 @@ def test_rational_resonance_detected():
 def test_undecidable_resonance_raises():
     fuzzy = RotationEntry.from_float(0.1234567)
     sys_ = TorusSystem(m=1, r=1, d=1, rotations=(((fuzzy,),),))
-    f = TrigObservable.character((1,))
+    f = oracle.character((1,))
     with pytest.raises(UndecidableResonance):
         character_limit(sys_, [f])
     # frequency 0 never touches the inexact entry
-    lim = character_limit(sys_, [TrigObservable.character((0,), 3.0)])
+    lim = character_limit(sys_, [oracle.character((0,), 3.0)])
     assert lim.terms == (((0,), 3 + 0j),)
 
 
@@ -136,8 +136,8 @@ def test_rational_bridge_matches_finite_limit():
     sys_ = TorusSystem(m=1, r=1, d=2, rotations=(((half,),), ((third,),)))
     finite, points = oracle.rational_rotation_to_finite(sys_)
     assert finite.n == 6
-    f1 = TrigObservable.character((2,))
-    f2 = TrigObservable.character((3,))
+    f1 = oracle.character((2,))
+    f2 = oracle.character((3,))
     lim = character_limit(sys_, [f1, f2])
     # one full period box of the 6-point orbit realises the limit exactly
     box = FolnerBox((6,))
@@ -167,7 +167,7 @@ def test_sample_of_the_wrong_dimension_rejected():
             f2(t)
         with pytest.raises(ValidationError, match="sample point has wrong dimension"):
             torus_truncated_average(sys_, [f1, f2], FolnerBox((3,)), [t])
-    f = TrigObservable.character((1, 1))
+    f = oracle.character((1, 1))
     for t in [(0.25,), (0.25, 0.5, 0.75)]:
         with pytest.raises(ValidationError, match="sample point has wrong dimension"):
             f(t)
@@ -190,7 +190,7 @@ def test_box_lengths_past_float_range():
     sys_ = TorusSystem(
         m=1, r=1, d=1, rotations=(((alpha,),),), symbol_values=(("alpha", 1e-10),)
     )
-    f = TrigObservable.character((1,))
+    f = oracle.character((1,))
     theta = Fraction(1e-10)
     bounds = {}
     for N in (2 ** 1023, 2 ** 1024, 10 ** 309, 10 ** 400):
@@ -217,7 +217,7 @@ def _tiny_theta_pair():
         ((RotationEntry.exact(0, {"alpha": c}),),) for c in (Fraction(1, 3), Fraction(1))
     )
     sys_ = TorusSystem(m=1, r=1, d=2, rotations=rotations, symbol_values=(("alpha", 5e-324),))
-    return sys_, [TrigObservable.character((-2,)), TrigObservable.character((1,))], alpha / 3
+    return sys_, [oracle.character((-2,)), oracle.character((1,))], alpha / 3
 
 
 def test_rotations_below_float_range():

@@ -7,7 +7,7 @@ Runs ``ergolab <command>`` in process, every command in every ``--format``
 it has, on the bundled scenarios and on the ``bench/generate.py`` families
 at seeds 1 and 2, ``extend`` and ``pleasant`` on copies of cyclic-5 that
 set one of its options (``OPTION_COPIES``), and ``validate`` on copies that
-give one object field a list (``ERROR_COPIES``), so that error paths are
+set or delete one field (``ERROR_COPIES``), so that error paths are
 compared too; the generated scenarios and the copies are written to
 ``OUT/scenarios``.  Each run gets its own directory
 ``OUT/<corpus>/<scenario>/<command>[.<format>]`` holding the report, if
@@ -41,13 +41,22 @@ SEEDS = (1, 2)
 # that read them
 OPTION_COPIES = ({"max_m": 1}, {"budget": 24})
 OPTION_COMMANDS = ("extend", "pleasant")
-# (bundled scenario, path of an object field) given [] on a copy each, which
-# validate must reject
+# the value that deletes the field at its path
+DELETE = object()
+# (bundled scenario, path of a field, value) set on a copy each, which
+# validate must reject: an object field given [], a misspelt key, a missing
+# key, a name that is not a string and a trial count past its cap
 ERROR_COPIES = (
-    ("cyclic-5", ("base_point_trials",)),
-    ("cyclic-5", ("observables",)),
-    ("cyclic-5", ("options",)),
-    ("torus-counterexample", ("system", "symbol_values")),
+    ("cyclic-5", ("base_point_trials",), []),
+    ("cyclic-5", ("observables",), []),
+    ("cyclic-5", ("options",), []),
+    ("torus-counterexample", ("system", "symbol_values"), []),
+    ("cyclic-5", ("boxs",), []),
+    ("cyclic-5", ("boxes", 0, "lengths"), DELETE),
+    ("cyclic-5", ("system", "n"), DELETE),
+    ("torus-counterexample", ("observables", "f1", 0, "coeff"), DELETE),
+    ("cyclic-5", ("name",), 5),
+    ("cyclic-5", ("base_point_trials", "count"), 1001),
 )
 
 
@@ -75,15 +84,20 @@ def _option_copies(outdir: Path):
 
 def _error_copies(outdir: Path):
     """Write a copy of a bundled scenario per entry of ERROR_COPIES, with
-    that field set to [] and named after it, to outdir; their paths."""
+    that field set or deleted and named after it (<scenario>-<field>-list,
+    -deleted or -<value>), to outdir; their paths."""
     outdir.mkdir(parents=True, exist_ok=True)
-    for scenario, (*outer, last) in ERROR_COPIES:
+    for scenario, (*outer, last), value in ERROR_COPIES:
         raw = json.loads((HERE / f"src/ergolab/scenarios/{scenario}.json").read_text())
-        name = raw["name"] = f"{scenario}-{last}-list"
+        label = "deleted" if value is DELETE else "list" if value == [] else value
+        name = raw["name"] = f"{scenario}-{last}-{label}"
         field = raw
         for key in outer:
             field = field[key]
-        field[last] = []
+        if value is DELETE:
+            del field[last]
+        else:
+            field[last] = value
         (outdir / f"{name}.json").write_text(json.dumps(raw, indent=2) + "\n")
         yield outdir / f"{name}.json"
 
