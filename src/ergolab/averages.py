@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, ValidationError
-from .observables import ExactNorm, Observable, ONE, l2_square, linf_norm
+from .observables import Observable, ONE, l2_square, linf_norm
 from .system import FiniteSystem, FolnerBox, over_common_denominator, period_box
 
 # an averaging set: a box, or an explicit finite list of lattice points
@@ -146,15 +146,17 @@ def deviation_bound(
     sys: FiniteSystem,
     fs: Sequence[Observable],
     where: LatticeSet,
-) -> ExactNorm:
-    """Certified bound on ||truncated - limit||_2 over a box or a point list.
+) -> Fraction:
+    """The square of a certified bound on ||truncated - limit||_2 over a box
+    or a point list.
 
     If every residue of the period box P occurs at least m times (else m =
     0), the set holds m full period boxes, whose average is the limit; each
     of the other |I| - m|P| points gives a product of norm at most ||f_1||_2
     * prod_{i>=2} ||f_i||_inf.  So with rho = m|P|/|I|, which for a box is
     prod_j floor(N_j/P_j)*P_j/N_j,
-    B = 2 * ||f_1||_2 * prod_{i>=2} ||f_i||_inf * (1 - rho).
+    B = 2 * ||f_1||_2 * prod_{i>=2} ||f_i||_inf * (1 - rho), whose square
+    is returned.
     """
     _check_args(sys, fs)
     hist, size = _histogram(sys, where)
@@ -163,4 +165,4 @@ def deviation_bound(
     coeff = Fraction(2) * math.prod(
         (linf_norm(f) for f in fs[1:]), start=ONE
     ) * (ONE - Fraction(m * full, size))
-    return ExactNorm(l2_square(fs[0], sys.weights)).scale(coeff)
+    return coeff * coeff * l2_square(fs[0], sys.weights)

@@ -13,7 +13,6 @@ from typing import List, NamedTuple, Optional, Tuple
 from .averages import basis_counts
 from .errors import BudgetExceeded, ValidationError
 from .factors import Partition, action_isotropy, difference_isotropy, join
-from .observables import ExactNorm
 from .system import FiniteSystem, period_box
 
 
@@ -23,17 +22,17 @@ class ExtensionStage(NamedTuple):
 
 
 class PleasantnessReport(NamedTuple):
-    """The defect, the pleasant factor and the witness: the basis states
-    (x_1, ..., x_d) of a maximal defect, or None.  The system is pleasant
-    exactly when the defect is zero."""
+    """The defect's square, the pleasant factor and the witness: the basis
+    states (x_1, ..., x_d) of a maximal defect, or None.  The system is
+    pleasant exactly when the defect is zero."""
 
-    defect: ExactNorm
+    defect_square: Fraction
     factor: Partition
     witness: Optional[Tuple[int, ...]]
 
     @property
     def pleasant(self) -> bool:
-        return self.defect.is_zero
+        return self.defect_square == 0
 
 
 def pleasant_factor(sys: FiniteSystem) -> Partition:
@@ -97,11 +96,10 @@ def is_pleasant(sys: FiniteSystem, budget: int) -> PleasantnessReport:
         m = mass[cell_of[x1]]
         if best[x1] * top_mass * top_mass > top * m * m:
             top, top_mass, witness = best[x1], m, (x1,) + best_rest[x1]
-    defect_sq = Fraction(
-        top, denom * top_mass * top_mass * period_box(sys).size ** 2
-    )
     return PleasantnessReport(
-        defect=ExactNorm(defect_sq),
+        defect_square=Fraction(
+            top, denom * top_mass * top_mass * period_box(sys).size ** 2
+        ),
         factor=xi,
         witness=witness,
     )

@@ -7,7 +7,7 @@ are canonical (cells sorted by least element) so equality is structural.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Tuple
+from typing import Hashable, NamedTuple, Sequence, Tuple
 
 from .errors import ValidationError, ZeroWeightCell
 from .observables import Observable, ZERO
@@ -19,9 +19,9 @@ class Partition(NamedTuple):
     cells: Tuple[Tuple[int, ...], ...]
 
     @staticmethod
-    def from_cell_ids(ids: Sequence[int]) -> "Partition":
+    def from_cell_ids(ids: Sequence[Hashable]) -> "Partition":
         """Cells in order of least member, members sorted: both hold as the
-        ids are read in state order."""
+        ids, of any hashable kind, are read in state order."""
         groups: dict = {}
         for x, c in enumerate(ids):
             groups.setdefault(c, []).append(x)
@@ -92,9 +92,8 @@ def join(parts: Sequence[Partition]) -> Partition:
     n = parts[0].n
     if any(p.n != n for p in parts):
         raise ValidationError("partitions are over different state sets")
-    keys = [tuple(p.cell_of[x] for p in parts) for x in range(n)]
-    index = {k: t for t, k in enumerate(dict.fromkeys(keys))}
-    return Partition.from_cell_ids([index[k] for k in keys])
+    # state x's id is the tuple of its cells in parts
+    return Partition.from_cell_ids(list(zip(*(p.cell_of for p in parts))))
 
 
 def cond_expect(sys: FiniteSystem, f: Observable, part: Partition) -> Observable:

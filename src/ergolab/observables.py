@@ -1,14 +1,12 @@
-"""State-indexed exact observables and exact norm values.
+"""State-indexed exact observables and their exact norms.
 
-L^2 norms of rational vectors are square roots of rationals, so they are
-carried around as ExactNorm values (the exact square) and every comparison
-happens on the squares.  Nothing here ever rounds.
+L^2 norms of rational vectors are square roots of rationals, so a norm is
+carried around as its square, the Fraction l2_square returns, and every
+comparison happens on the squares.  Nothing here ever rounds.
 """
 
 from __future__ import annotations
 
-import math
-from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Tuple
 
@@ -20,36 +18,6 @@ ONE = Fraction(1)
 
 def _frac(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
-
-
-class ExactNorm(namedtuple("ExactNorm", "square")):
-    """The nonnegative real sqrt(square), with square an exact rational."""
-
-    __slots__ = ()
-
-    def __new__(cls, square: Fraction):
-        if square < 0:
-            raise ValueError("norm square must be nonnegative")
-        return super().__new__(cls, square)
-
-    def scale(self, c: Fraction) -> "ExactNorm":
-        """The norm value multiplied by a nonnegative rational c."""
-        if c < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return ExactNorm(self.square * c * c)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.square == 0
-
-    def __le__(self, other: "ExactNorm") -> bool:
-        return self.square <= other.square
-
-    def __lt__(self, other: "ExactNorm") -> bool:
-        return self.square < other.square
-
-    def __float__(self) -> float:
-        return math.sqrt(float(self.square))
 
 
 class Observable(NamedTuple):
@@ -103,9 +71,6 @@ class Observable(NamedTuple):
         """f o sigma, i.e. x -> f(sigma(x))."""
         return Observable(tuple(self.values[perm[x]] for x in range(len(perm))))
 
-    def l2(self, weights: Tuple[Fraction, ...]) -> ExactNorm:
-        return ExactNorm(l2_square(self, weights))
-
 
 def linf_norm(f: Observable) -> Fraction:
     return max((abs(v) for v in f.values), default=ZERO)
@@ -123,5 +88,5 @@ def frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def norm_json(norm: ExactNorm) -> dict:
-    return {"square": frac_str(norm.square)}
+def norm_json(square: Fraction) -> dict:
+    return {"square": frac_str(square)}

@@ -46,7 +46,7 @@ from .factors import (
 from .joinings import (
     JoinedMeasure, StateTuple, diagonal_action_name, furstenberg_joining, host_kra_tower,
 )
-from .observables import ExactNorm, Observable, ONE, ZERO, l2_square, linf_norm
+from .observables import Observable, ONE, ZERO, l2_square, linf_norm
 from .system import FiniteSystem, over_common_denominator, period_box
 
 __all__ = [
@@ -77,14 +77,13 @@ def contractive_check(
     sys: FiniteSystem,
     fs: Sequence[Observable],
     where: LatticeSet,
-) -> Tuple[ExactNorm, ExactNorm, bool]:
-    """||avg||_2 against ||f_1||_2 * prod_{i>=2} ||f_i||_inf; must hold."""
-    avg = truncated_average(sys, fs, where)
-    lhs = avg.l2(sys.weights)
-    rhs = ExactNorm(l2_square(fs[0], sys.weights)).scale(
-        math.prod((linf_norm(f) for f in fs[1:]), start=ONE)
-    )
-    return lhs, rhs, lhs <= rhs
+) -> Tuple[Fraction, Fraction, bool]:
+    """||avg||_2 against ||f_1||_2 * prod_{i>=2} ||f_i||_inf, as squares;
+    must hold."""
+    lhs_square = l2_square(truncated_average(sys, fs, where), sys.weights)
+    coeff = math.prod((linf_norm(f) for f in fs[1:]), start=ONE)
+    rhs_square = coeff * coeff * l2_square(fs[0], sys.weights)
+    return lhs_square, rhs_square, lhs_square <= rhs_square
 
 
 def vdc_correlation(

@@ -4,7 +4,7 @@ scenario's boxes, and exact limits."""
 from fractions import Fraction
 
 from ..averages import deviation_bound, exact_limit, truncated_average
-from ..observables import frac_str, norm_json
+from ..observables import frac_str, l2_square, norm_json
 from ..scenario import base_shift_free
 from ..system import period_box
 
@@ -42,7 +42,7 @@ def avg(scn):
         limit = exact_limit(sys_, fs)
         for box in scn.boxes:
             truncated = truncated_average(sys_, fs, box)
-            deviation = (truncated - limit).l2(sys_.weights)
+            deviation = l2_square(truncated - limit, sys_.weights)
             bound = deviation_bound(sys_, fs, box)
             entries.append({
                 "tuple": list(names),
@@ -51,7 +51,7 @@ def avg(scn):
                 "limit": obs_json(limit),
                 "deviation": norm_json(deviation),
                 "bound": norm_json(bound),
-                "within_bound": bool(deviation <= bound),
+                "within_bound": deviation <= bound,
             })
         entries.append({
             "tuple": list(names),

@@ -9,7 +9,7 @@ from ..observables import norm_json
 def _pleasant_json(sys_, rep) -> dict:
     return {
         "pleasant": rep.pleasant,
-        "defect": norm_json(rep.defect),
+        "defect": norm_json(rep.defect_square),
         "factor_cells": [
             [sys_.label(x) for x in cell] for cell in rep.factor.cells
         ],

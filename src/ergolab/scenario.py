@@ -95,6 +95,13 @@ def read_int(raw, what: str) -> int:
     return int(raw)
 
 
+def read_str(raw, what: str) -> str:
+    """raw, which must be a JSON string: a number is never read as its digits."""
+    if not isinstance(raw, str):
+        raise ValidationError(f"{what} is not a string: {raw!r}")
+    return raw
+
+
 def read_finite_float(raw, what: str) -> float:
     if isinstance(raw, (bool, str)):
         raise ValidationError(f"{what} is not a number: {raw!r}")
@@ -186,7 +193,7 @@ def _parse_finite_system(raw) -> FiniteSystem:
         lambda p: read_list(p, "generator perm", read_int), "generator",
     )
     labels = raw["labels"]
-    labels = None if labels is None else read_list(labels, "labels", lambda s, _: str(s))
+    labels = None if labels is None else read_list(labels, "labels", read_str)
     return FiniteSystem(
         n=read_int(raw["n"], "n"),
         r=r,
@@ -219,29 +226,30 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
     surfaces as a ValidationError."""
     try:
         raw = read_object(raw, "scenario", SCENARIO)
-        for key in ("name", "engine"):
-            if not isinstance(raw[key], str):
-                raise ValidationError(f"{key} is not a string: {raw[key]!r}")
-        name, engine = raw["name"], raw["engine"]
+        name, engine = read_str(raw["name"], "name"), read_str(raw["engine"], "engine")
         if "/" in name or "\\" in name:
             raise ValidationError(f"scenario name {name!r} contains a path separator")
         if "\0" in name:
             raise ValidationError(f"scenario name {name!r} contains a NUL byte")
+        # unread: the key this engine never reads, so it must be empty
         if engine == "finite":
             system = _parse_finite_system(raw["system"])
-            read_observable = _read_observable
+            read_observable, unread, reader = _read_observable, "samples", "torus"
         elif engine == "torus":
             from .torus import _parse_torus_system, _parse_trig as read_observable
             system = _parse_torus_system(raw["system"])
+            unread, reader = "options", "finite"
         else:
             raise ValidationError(f"unknown engine {engine!r}")
+        if raw[unread]:
+            raise ValidationError(f"{unread} is read only by a {reader} scenario")
         observables = {
             str(k): read_observable(v, f"observable {k}", system)
             for k, v in read_object(raw["observables"], "observables").items()
         }
 
-        def read_name(raw_name, _) -> str:
-            name = str(raw_name)
+        def read_name(raw_name, what) -> str:
+            name = read_str(raw_name, what)
             if name not in observables:
                 raise ValidationError(f"unknown observable {name!r} in tuple")
             return name
@@ -258,9 +266,8 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
         count = read_int(trials["count"], "trial count")
         if not 0 <= count <= 1000:
             raise ValidationError(f"base_point_trials.count {count} is not in [0, 1000]")
-        m = system.m if engine == "torus" else None
-        samples = read_list(raw["samples"], "samples",
-                            lambda t, _: read_list(t, "sample", read_finite_float, m))
+        samples = read_list(raw["samples"], "samples",  # [] unless torus
+                            lambda t, _: read_list(t, "sample", read_finite_float, system.m))
         options = read_object(raw["options"], "options", OPTIONS)
         return ScenarioConfig(
             name=name,

@@ -42,7 +42,7 @@ from ergolab.errors import UndecidableResonance, ValidationError
 from ergolab.extensions import pleasant_factor
 from ergolab.factors import Partition
 from ergolab.joinings import JoinedMeasure, _point_masses, _rel_indep_step
-from ergolab.observables import ExactNorm, Observable, l2_square, linf_norm
+from ergolab.observables import Observable, l2_square, linf_norm
 from ergolab.system import (
     FiniteSystem,
     FolnerBox,
@@ -111,13 +111,13 @@ def period_orbits(sys_, base_point=None):
 
 
 def box_deviation_bound(sys_, fs, box):
-    """The deviation bound of a box as the per-axis product: 2 * ||f_1||_2 *
-    prod_{i>=2} ||f_i||_inf * (1 - prod_j floor(N_j/P_j)*P_j/N_j)."""
+    """The square of a box's deviation bound, as the per-axis product: 2 *
+    ||f_1||_2 * prod_{i>=2} ||f_i||_inf * (1 - prod_j floor(N_j/P_j)*P_j/N_j)."""
     rho = ONE
     for N, P in zip(box.lengths, period_box(sys_).lengths):
         rho *= Fraction((N // P) * P, N)
     coeff = 2 * math.prod((linf_norm(f) for f in fs[1:]), start=ONE) * (1 - rho)
-    return ExactNorm(l2_square(fs[0], sys_.weights)).scale(coeff)
+    return coeff * coeff * l2_square(fs[0], sys_.weights)
 
 
 def cond_expect_on_support(sys_, f, part):

@@ -909,6 +909,12 @@ def test_extend_max_m_zero_option_one_line_error(tmp_path):
     assert result.stderr == "error: max_m must be at least 1\n"
 
 
+def _number_tuple_entry(raw):
+    # with an observable named "1", the number 1 read as its digits is a name
+    raw["observables"]["1"] = raw["observables"]["f1"]
+    raw["average_tuples"] = [[1, 1]]
+
+
 @pytest.mark.parametrize("scenario, corrupt, error", [
     ("cyclic-5", _put("options", "maxm", value=1),
      "unknown options key 'maxm', not one of ['budget', 'max_m']"),
@@ -924,12 +930,21 @@ def test_extend_max_m_zero_option_one_line_error(tmp_path):
      "base_point_trials.count 1001 is not in [0, 1000]"),
     ("torus-counterexample", _put("base_point_trials", "count", value=10 ** 9),
      "base_point_trials.count 1000000000 is not in [0, 1000]"),
+    ("cyclic-5", _put("system", "labels", value=[0, 1, 2, 3, 4]),
+     "labels is not a string: 0"),
+    ("cyclic-5", _number_tuple_entry, "average tuple is not a string: 1"),
+    ("cyclic-5", _put("samples", value=[[0.5, 0.25]]),
+     "samples is read only by a torus scenario"),
+    ("torus-counterexample", _put("options", value={"budget": 3}),
+     "options is read only by a finite scenario"),
 ], ids=["unknown-option", "exponent-past-cap", "short-base", "long-rotation-vector",
-        "number-name", "list-engine", "count-past-cap", "count-far-past-cap"])
+        "number-name", "list-engine", "count-past-cap", "count-far-past-cap",
+        "number-labels", "number-tuple-entry", "finite-samples", "torus-options"])
 def test_validate_error_names_the_field(tmp_path, scenario, corrupt, error):
     """An unknown option, an exponent past 4300, a base or rotation vector
-    of the wrong length, a name or engine that is not a string and a trial
-    count past its cap each fail validate on one line that names them."""
+    of the wrong length, a name, engine, label or tuple entry that is not a
+    string, a trial count past its cap and a key that the engine never
+    reads each fail validate on one line that names them."""
     raw = json.loads(Path(scn_path(scenario)).read_text())
     corrupt(raw)
     bad = tmp_path / "bad.json"
@@ -1017,6 +1032,21 @@ def test_trial_count_cap_is_inclusive(tmp_path):
     path = tmp_path / "trials.json"
     path.write_text(json.dumps(raw))
     run_ok(["validate", "--scenario", str(path), "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("scenario, command, key, empty", [
+    ("cyclic-5", "avg", "samples", []),
+    ("torus-counterexample", "torus-demo", "options", {}),
+])
+def test_empty_or_absent_unread_key_is_accepted(tmp_path, scenario, command, key, empty):
+    """The key that a scenario's engine never reads may be empty or left out."""
+    raw = json.loads(Path(scn_path(scenario)).read_text())
+    absent = {k: v for k, v in raw.items() if k != key}
+    for i, copy in enumerate((dict(raw, **{key: empty}), absent)):
+        path = tmp_path / f"copy{i}.json"
+        path.write_text(json.dumps(copy))
+        for cmd in ("validate", command):
+            run_ok([cmd, "--scenario", str(path), "--out", str(tmp_path)])
 
 
 @pytest.mark.parametrize("value", ["1e4300", "-1e-4300", "1E+4300", 1e300])

@@ -61,7 +61,7 @@ def test_d1_always_pleasant(rng):
         n = rng.randint(2, 7)
         sys_ = cyclic_system(n, [rng.randint(1, n)])
         rep = is_pleasant(sys_, budget=10 ** 6)
-        assert rep.pleasant and rep.defect.is_zero
+        assert rep.pleasant and rep.defect_square == 0
         # the d=1 limit is exactly the conditional expectation
         f = random_observable(rng, n)
         xi = action_isotropy(sys_, 1)
@@ -72,7 +72,7 @@ def test_cyclic5_not_pleasant():
     sys_ = cyclic_system(5, [1, 2])
     rep = is_pleasant(sys_, budget=10 ** 6)
     assert not rep.pleasant
-    assert rep.defect.square > 0
+    assert rep.defect_square > 0
     assert rep.witness is not None
     # the canonical witness pair produces the nonzero limit (1/5) 1_0 - 1/25
     f1 = Observable.indicator(5, 0) - Observable.constant(5, Fraction(1, 5))
@@ -99,7 +99,7 @@ def test_extension_shape(ext25, supp25):
 
 def test_extension_is_pleasant(ext25):
     rep = is_pleasant(ext25.system, budget=10 ** 6)
-    assert rep.pleasant and rep.defect.square == 0
+    assert rep.pleasant and rep.defect_square == 0
 
 
 def test_discrete_factor_sweeps_no_basis(ext25, monkeypatch):
@@ -112,7 +112,7 @@ def test_discrete_factor_sweeps_no_basis(ext25, monkeypatch):
 
     monkeypatch.setattr(extensions, "basis_counts", no_sweep)
     rep = is_pleasant(ext25.system, budget=10 ** 6)
-    assert rep.defect.square == 0 and rep.witness is None
+    assert rep.defect_square == 0 and rep.witness is None
 
 
 def test_extension_d1_is_same_dynamics():
@@ -218,7 +218,7 @@ def test_iterate_cyclic4_runs_to_verdict():
     assert run.status in ("pleasant", "max-m-reached", "budget-exceeded")
     again = iterate_extensions(cyclic_system(4, [1, 2]), max_m=2, budget=10 ** 6)
     assert again.status == run.status
-    assert again.final_report.defect.square == run.final_report.defect.square
+    assert again.final_report.defect_square == run.final_report.defect_square
 
 
 def test_pull_back(ext25, supp25):

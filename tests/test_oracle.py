@@ -179,7 +179,7 @@ def test_is_pleasant_matches_per_tuple_loop(systems):
     for sys_ in systems + unequal_cells + extension_stages():
         rep = is_pleasant(sys_, budget=10 ** 6)
         defect_sq, witness = oracle.is_pleasant(sys_)
-        assert rep.defect.square == defect_sq
+        assert rep.defect_square == defect_sq
         assert rep.witness == witness
         unpleasant += not rep.pleasant
     assert unpleasant > 0

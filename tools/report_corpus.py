@@ -7,7 +7,7 @@ Runs ``ergolab <command>`` in process, every command in every ``--format``
 it has, on the bundled scenarios and on the ``bench/generate.py`` families
 at seeds 1 and 2, ``extend`` and ``pleasant`` on copies of cyclic-5 that
 set one of its options (``OPTION_COPIES``), and ``validate`` on copies that
-set or delete one field (``ERROR_COPIES``), so that error paths are
+set or delete a field or two (``ERROR_COPIES``), so that error paths are
 compared too; the generated scenarios and the copies are written to
 ``OUT/scenarios``.  Each run gets its own directory
 ``OUT/<corpus>/<scenario>/<command>[.<format>]`` holding the report, if
@@ -31,6 +31,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -43,9 +44,10 @@ OPTION_COPIES = ({"max_m": 1}, {"budget": 24})
 OPTION_COMMANDS = ("extend", "pleasant")
 # the value that deletes the field at its path
 DELETE = object()
-# (bundled scenario, path of a field, value) set on a copy each, which
-# validate must reject: an object field given [], a misspelt key, a missing
-# key, a name that is not a string and a trial count past its cap
+# (bundled scenario, path of a field, value, (path, value) pairs also set)
+# set on a copy each, which validate must reject: an object field given [],
+# a misspelt key, a missing key, a name, label or tuple entry that is not a
+# string, a trial count past its cap and a key that the engine never reads
 ERROR_COPIES = (
     ("cyclic-5", ("base_point_trials",), []),
     ("cyclic-5", ("observables",), []),
@@ -57,6 +59,11 @@ ERROR_COPIES = (
     ("torus-counterexample", ("observables", "f1", 0, "coeff"), DELETE),
     ("cyclic-5", ("name",), 5),
     ("cyclic-5", ("base_point_trials", "count"), 1001),
+    ("cyclic-5", ("system", "labels"), [0, 1, 2, 3, 4]),
+    ("cyclic-5", ("average_tuples",), [[1, 1]],
+     (("observables", "1"), ["4/5", "-1/5", "-1/5", "-1/5", "-1/5"])),
+    ("cyclic-5", ("samples",), [[0.5, 0.25]]),
+    ("torus-counterexample", ("options",), {"budget": 3}),
 )
 
 
@@ -84,20 +91,23 @@ def _option_copies(outdir: Path):
 
 def _error_copies(outdir: Path):
     """Write a copy of a bundled scenario per entry of ERROR_COPIES, with
-    that field set or deleted and named after it (<scenario>-<field>-list,
-    -deleted or -<value>), to outdir; their paths."""
+    its fields set or deleted and named after the first (<scenario>-<field>-
+    list, -deleted or -<value>, its word characters joined by -), to outdir;
+    their paths."""
     outdir.mkdir(parents=True, exist_ok=True)
-    for scenario, (*outer, last), value in ERROR_COPIES:
+    for scenario, path, value, *also in ERROR_COPIES:
         raw = json.loads((HERE / f"src/ergolab/scenarios/{scenario}.json").read_text())
-        label = "deleted" if value is DELETE else "list" if value == [] else value
-        name = raw["name"] = f"{scenario}-{last}-{label}"
-        field = raw
-        for key in outer:
-            field = field[key]
-        if value is DELETE:
-            del field[last]
-        else:
-            field[last] = value
+        label = ("deleted" if value is DELETE else "list" if value == []
+                 else "-".join(re.findall(r"\w+", json.dumps(value))))
+        name = raw["name"] = f"{scenario}-{path[-1]}-{label}"
+        for (*outer, last), v in ((path, value), *also):
+            field = raw
+            for key in outer:
+                field = field[key]
+            if v is DELETE:
+                del field[last]
+            else:
+                field[last] = v
         (outdir / f"{name}.json").write_text(json.dumps(raw, indent=2) + "\n")
         yield outdir / f"{name}.json"
 
