@@ -121,9 +121,7 @@ def one_step_extension(sys: FiniteSystem, budget: int) -> ExtensionStage:
     weights = tuple(Fraction(w, jm.denom) for w in jm.support_weights)
     names = [diagonal_action_name(jm)] + [f"S{i}" for i in range(2, sys.d + 1)]
     generators = tuple(jm.lift(jm.actions[name]) for name in names)
-    labels = tuple(
-        "(" + ",".join(sys.label(x) for x in t) + ")" for t in supp
-    )
+    labels = tuple("(" + ",".join(sys.labels[x] for x in t) + ")" for t in supp)
     ext = FiniteSystem(
         n=len(supp),
         r=sys.r,

@@ -63,10 +63,6 @@ class Observable(NamedTuple):
                 f"{len(other.values)}"
             )
 
-    @property
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
     def compose_perm(self, perm) -> "Observable":
         """f o sigma, i.e. x -> f(sigma(x))."""
         return Observable(tuple(self.values[perm[x]] for x in range(len(perm))))

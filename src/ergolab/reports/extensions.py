@@ -7,17 +7,12 @@ from ..observables import norm_json
 
 
 def _pleasant_json(sys_, rep) -> dict:
+    names = sys_.labels
     return {
         "pleasant": rep.pleasant,
         "defect": norm_json(rep.defect_square),
-        "factor_cells": [
-            [sys_.label(x) for x in cell] for cell in rep.factor.cells
-        ],
-        "witness": (
-            None
-            if rep.witness is None
-            else [sys_.label(x) for x in rep.witness]
-        ),
+        "factor_cells": [[names[x] for x in cell] for cell in rep.factor.cells],
+        "witness": None if rep.witness is None else [names[x] for x in rep.witness],
     }
 
 

@@ -194,6 +194,11 @@ def _parse_finite_system(raw) -> FiniteSystem:
     )
     labels = raw["labels"]
     labels = None if labels is None else read_list(labels, "labels", read_str)
+    # extend names each stage's states "(l_1,...,l_d)", which read back to
+    # states only if no label holds a bracket or a comma
+    for label in labels or ():
+        if any(c in label for c in "(),"):
+            raise ValidationError(f'label {label!r} contains "(", ")" or ","')
     return FiniteSystem(
         n=read_int(raw["n"], "n"),
         r=r,

@@ -2,7 +2,10 @@
 
 A system is a weighted finite state space together with r*d commuting
 weight-preserving permutation generators, indexed by (action i, axis j)
-with i in 1..d and j in 1..r.  All arithmetic is exact rational.
+with i in 1..d and j in 1..r.  All arithmetic is exact rational.  The
+measure is checked once, in ints: FiniteSystem.int_weights, the weights
+over their least common denominator, which every kernel reads.  State x
+is named labels[x], str(x) by default, and no two states share a name.
 
 A system's derived tables are built in full on first use and kept with it:
 FiniteSystem.powers, each generator's powers up to its order (order * n
@@ -25,7 +28,6 @@ from .errors import (
     NonProbabilityWeights,
     ValidationError,
 )
-from .observables import ONE, ZERO
 from .scenario import FolnerBox
 
 Perm = Tuple[int, ...]
@@ -79,6 +81,8 @@ class FiniteSystem:
         generators: Tuple[Tuple[Perm, ...], ...],
         labels: Optional[Tuple[str, ...]] = None,
     ):
+        if labels is None:
+            labels = tuple(map(str, range(n)))
         self.__dict__.update(
             n=n, r=r, d=d, weights=weights, generators=generators, labels=labels
         )
@@ -90,11 +94,17 @@ class FiniteSystem:
             len(row) != self.r for row in self.generators
         ):
             raise ValidationError("expected a d-by-r table of generators")
-        if self.labels is not None and len(self.labels) != self.n:
+        if len(self.labels) != self.n:
             raise ValidationError("labels length must equal state count")
-        if any(w < 0 for w in self.weights):
+        first = {}
+        for x, name in enumerate(self.labels):
+            if first.setdefault(name, x) != x:
+                raise ValidationError(f"label {name!r} names two states")
+        w, denom = over_common_denominator(self.weights)
+        self.__dict__["int_weights"] = (w, denom)
+        if any(v < 0 for v in w):
             raise NonProbabilityWeights("weights must be nonnegative")
-        if sum(self.weights, ZERO) != ONE:
+        if sum(w) != denom:
             raise NonProbabilityWeights("weights must sum to exactly 1")
         flat = []
         for i, row in enumerate(self.generators, start=1):
@@ -105,7 +115,7 @@ class FiniteSystem:
                         f"permutation of 0..{self.n - 1}"
                     )
                 for x in range(self.n):
-                    if self.weights[p[x]] != self.weights[x]:
+                    if w[p[x]] != w[x]:
                         raise MeasureNotPreserved(i, j, x)
                 flat.append(((i, j), p))
         for (ka, pa), (kb, pb) in itertools.combinations(flat, 2):
@@ -141,12 +151,7 @@ class FiniteSystem:
 
     @cached_property
     def support(self) -> Tuple[int, ...]:
-        return tuple(x for x in range(self.n) if self.weights[x] > 0)
-
-    @cached_property
-    def int_weights(self) -> Tuple[Tuple[int, ...], int]:
-        """(w, D): the weights as w[x] / D over their least common denominator."""
-        return over_common_denominator(self.weights)
+        return tuple(x for x, v in enumerate(self.int_weights[0]) if v > 0)
 
     def action_perm(self, i: int, nvec: Sequence[int]) -> Perm:
         """Permutation realising T_i^nvec."""
@@ -156,9 +161,6 @@ class FiniteSystem:
             if e:
                 p = compose(pw[e], p)
         return p
-
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels is not None else str(x)
 
 
 def period_box(sys: FiniteSystem) -> FolnerBox:

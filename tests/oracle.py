@@ -17,6 +17,10 @@ on purpose; tests compare the library against them exactly.
 The command line is kept as the argparse parser it was read with before the
 table-driven ``cli.parse``, built from that table.
 
+A finite system's measure checks are kept in Fraction arithmetic, as they
+ran before the system checked its weights once, over their least common
+denominator in ints.
+
 A joined measure's report rows are kept as the list of one dict per
 support tuple that the report writer once walked, each mass reduced by its
 own gcd.
@@ -38,7 +42,12 @@ from typing import Dict, List, Sequence, Tuple
 
 from ergolab import __version__
 from ergolab.cli import COMMANDS, DESCRIPTION, FORMATS, report_format
-from ergolab.errors import UndecidableResonance, ValidationError
+from ergolab.errors import (
+    MeasureNotPreserved,
+    NonProbabilityWeights,
+    UndecidableResonance,
+    ValidationError,
+)
 from ergolab.extensions import pleasant_factor
 from ergolab.factors import Partition
 from ergolab.joinings import JoinedMeasure, _point_masses, _rel_indep_step
@@ -141,7 +150,7 @@ def is_pleasant(sys_):
     for x1 in sys_.support:
         e1 = Observable.indicator(sys_.n, x1)
         h = e1 - cond_expect_on_support(sys_, e1, xi)
-        if h.is_zero:
+        if not any(h.values):
             continue
         for rest in itertools.product(sys_.support, repeat=sys_.d - 1):
             fs = [h] + [Observable.indicator(sys_.n, x) for x in rest]
@@ -463,6 +472,28 @@ def closed_form_torus_bound(
                 term *= min(1.0, 1.0 / (n * abs(math.sin(math.pi * float(theta)))))
         total += term
     return total
+
+
+def check_measure(weights, generators):
+    """FiniteSystem's checks of a d-by-r generator table against weights,
+    in Fraction arithmetic and in the same order: the weights nonnegative,
+    their total exactly 1, then each generator a permutation that preserves
+    every state's weight."""
+    n = len(weights)
+    if any(w < 0 for w in weights):
+        raise NonProbabilityWeights("weights must be nonnegative")
+    if sum(weights, ZERO) != ONE:
+        raise NonProbabilityWeights("weights must sum to exactly 1")
+    for i, row in enumerate(generators, start=1):
+        for j, p in enumerate(row, start=1):
+            if len(p) != n or sorted(p) != list(range(n)):
+                raise ValidationError(
+                    f"generator (action={i}, axis={j}) is not a "
+                    f"permutation of 0..{n - 1}"
+                )
+            for x in range(n):
+                if weights[p[x]] != weights[x]:
+                    raise MeasureNotPreserved(i, j, x)
 
 
 def full_perm(sys_, g):

@@ -932,6 +932,10 @@ def _number_tuple_entry(raw):
      "base_point_trials.count 1000000000 is not in [0, 1000]"),
     ("cyclic-5", _put("system", "labels", value=[0, 1, 2, 3, 4]),
      "labels is not a string: 0"),
+    ("cyclic-5", _put("system", "labels", value=["a", "a", "a", "b", "b"]),
+     "label 'a' names two states"),
+    ("cyclic-5", _put("system", "labels", value=["a,b", "c", "d", "e", "f"]),
+     'label \'a,b\' contains "(", ")" or ","'),
     ("cyclic-5", _number_tuple_entry, "average tuple is not a string: 1"),
     ("cyclic-5", _put("samples", value=[[0.5, 0.25]]),
      "samples is read only by a torus scenario"),
@@ -939,12 +943,14 @@ def _number_tuple_entry(raw):
      "options is read only by a finite scenario"),
 ], ids=["unknown-option", "exponent-past-cap", "short-base", "long-rotation-vector",
         "number-name", "list-engine", "count-past-cap", "count-far-past-cap",
-        "number-labels", "number-tuple-entry", "finite-samples", "torus-options"])
+        "number-labels", "repeated-labels", "label-with-comma", "number-tuple-entry",
+        "finite-samples", "torus-options"])
 def test_validate_error_names_the_field(tmp_path, scenario, corrupt, error):
     """An unknown option, an exponent past 4300, a base or rotation vector
     of the wrong length, a name, engine, label or tuple entry that is not a
-    string, a trial count past its cap and a key that the engine never
-    reads each fail validate on one line that names them."""
+    string, a label given to two states or holding a bracket or comma, a
+    trial count past its cap and a key that the engine never reads each
+    fail validate on one line that names them."""
     raw = json.loads(Path(scn_path(scenario)).read_text())
     corrupt(raw)
     bad = tmp_path / "bad.json"

@@ -121,7 +121,7 @@ def test_vdc_condition_counterexample_witness():
     assert witness is not None and witness.integral != 0
     # consistent with the nonvanishing limit for this f_1
     lim = exact_limit(sys_, [f1, Observable.indicator(5, 0)])
-    assert not lim.is_zero
+    assert any(lim.values)
     # the witness's integral, summed in Fractions over its cell
     jm = furstenberg_joining(sys_)
     cell = next(

@@ -68,6 +68,8 @@ COPY_ERRORS = {
     "cyclic-5-name-5": "name is not a string: 5",
     "cyclic-5-count-1001": "base_point_trials.count 1001 is not in [0, 1000]",
     "cyclic-5-labels-0-1-2-3-4": "labels is not a string: 0",
+    "cyclic-5-labels-a-a-a-b-b": "label 'a' names two states",
+    "cyclic-5-labels-a-b-c-d-e-f": 'label \'a,b\' contains "(", ")" or ","',
     "cyclic-5-average_tuples-1-1": "average tuple is not a string: 1",
     "cyclic-5-samples-0-5-0-25": "samples is read only by a torus scenario",
     "torus-counterexample-options-budget-3": "options is read only by a finite scenario",

@@ -119,6 +119,94 @@ def test_weights_must_be_probability():
         )
 
 
+def test_default_labels_are_the_state_numbers():
+    sys_ = cyclic_system(12, [1, 5])
+    assert sys_.labels == ("0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11")
+
+
+def test_repeated_labels_rejected():
+    """The error names the first label that repeats an earlier one."""
+    for labels in [("a", "a", "a", "b", "b"), ("b", "a", "a", "b", "c")]:
+        with pytest.raises(ValidationError) as exc:
+            FiniteSystem(n=5, r=1, d=1, weights=(Fraction(1, 5),) * 5,
+                         generators=((identity_perm(5),),), labels=labels)
+        assert str(exc.value) == "label 'a' names two states"
+    # an extension stage's names hold brackets and commas: only repeats fail
+    stage = FiniteSystem(n=2, r=1, d=1, weights=(Fraction(1, 2),) * 2,
+                         generators=((identity_perm(2),),), labels=("(a,b)", "(b,a)"))
+    assert stage.labels == ("(a,b)", "(b,a)")
+
+
+def test_int_weights_are_set_on_construction():
+    """The ints every kernel reads are there before any kernel runs."""
+    weights = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 6), Fraction(1, 3))
+    sys_ = FiniteSystem(n=4, r=1, d=1, weights=weights, generators=(((2, 3, 0, 1),),))
+    assert vars(sys_)["int_weights"] == ((1, 2, 1, 2), 6)
+    assert sys_.support == (0, 1, 2, 3)
+
+
+def _measure_case(rng):
+    """(weights, generators): a d-by-r table of powers of one permutation,
+    so they commute, and weights constant on its cycles, then perturbed at
+    random into weights that are negative, zero, off total or moved off
+    their cycle's value, and now and then one generator that is no
+    permutation."""
+    n = rng.randint(1, 6)
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    powers = [identity_perm(n)]
+    for _ in range(5):
+        powers.append(compose(tuple(sigma), powers[-1]))
+    r, d = rng.randint(1, 2), rng.randint(1, 3)
+    generators = [[rng.choice(powers) for _ in range(r)] for _ in range(d)]
+    # each state's cycle of sigma, by its least member
+    cycle = [min(p[x] for p in powers) for x in range(n)]
+    mass = {c: rng.randint(0, 3) for c in cycle}
+    total = sum(mass[c] for c in cycle) or None
+    weights = [Fraction(mass[c], total) if total else Fraction(1, n) for c in cycle]
+    x, y = rng.randrange(n), rng.randrange(n)
+    move = rng.choice([0, 0, 1, 2])
+    if move == 1:
+        q = weights[y] * Fraction(rng.randint(1, 5), 4)
+        weights[x] += q
+        weights[y] -= q
+    elif move == 2:
+        weights[x] = rng.choice([-weights[x], Fraction(0), weights[x] * 2])
+    if rng.random() < 0.1:
+        generators[rng.randrange(d)][rng.randrange(r)] = (0,) * n
+    return tuple(weights), tuple(map(tuple, generators))
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_int_measure_checks_match_the_fraction_checks():
+    """Over random weights and generator tables, the system accepts exactly
+    when the Fraction checks do, and otherwise raises the same class with
+    the same message."""
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(2000):
+        weights, generators = _measure_case(rng)
+        want = _outcome(oracle.check_measure, weights, generators)
+        got = _outcome(FiniteSystem, len(weights), len(generators[0]),
+                       len(generators), weights, generators)
+        assert got == want, (weights, generators)
+        seen.add(want if want is None or want[0] is NonProbabilityWeights else want[0])
+    assert seen == {
+        None,
+        (NonProbabilityWeights, "weights must be nonnegative"),
+        (NonProbabilityWeights, "weights must sum to exactly 1"),
+        MeasureNotPreserved,
+        ValidationError,
+    }
+
+
 def test_period_box_cyclic5():
     # both +1 and +2 have order 5 by brute force
     sys_ = cyclic_system(5, [1, 2])

@@ -47,7 +47,8 @@ DELETE = object()
 # (bundled scenario, path of a field, value, (path, value) pairs also set)
 # set on a copy each, which validate must reject: an object field given [],
 # a misspelt key, a missing key, a name, label or tuple entry that is not a
-# string, a trial count past its cap and a key that the engine never reads
+# string, a label given to two states or holding a comma, a trial count past
+# its cap and a key that the engine never reads
 ERROR_COPIES = (
     ("cyclic-5", ("base_point_trials",), []),
     ("cyclic-5", ("observables",), []),
@@ -60,6 +61,8 @@ ERROR_COPIES = (
     ("cyclic-5", ("name",), 5),
     ("cyclic-5", ("base_point_trials", "count"), 1001),
     ("cyclic-5", ("system", "labels"), [0, 1, 2, 3, 4]),
+    ("cyclic-5", ("system", "labels"), ["a", "a", "a", "b", "b"]),
+    ("cyclic-5", ("system", "labels"), ["a,b", "c", "d", "e", "f"]),
     ("cyclic-5", ("average_tuples",), [[1, 1]],
      (("observables", "1"), ["4/5", "-1/5", "-1/5", "-1/5", "-1/5"])),
     ("cyclic-5", ("samples",), [[0.5, 0.25]]),
