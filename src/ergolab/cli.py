@@ -314,7 +314,7 @@ command("joining", "joinings:joining",
 command("hk", "joinings:hk",
         "The tower of relatively independent self-joinings.", engine="finite")
 command("extend", "extensions:extend",
-        "Iterate the one-step extension until pleasant or out of budget.",
+        "Extend the system in one step to a pleasant one, within the budget.",
         engine="finite")
 command("pleasant", "extensions:pleasant",
         "Pleasantness defect report for the scenario system itself.",

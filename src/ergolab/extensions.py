@@ -1,17 +1,19 @@
 """Pleasantness: the distinguished factor, defect computation, and the
 one-step extension built from the Furstenberg self-joining.
 
-The infinitary inverse limit is replaced by bounded iteration with a
-stabilization verdict.
+The paper reaches a pleasant extension through an inverse limit of one-step
+extensions.  On a finite system the first one-step extension is already
+pleasant (the proof is ROADMAP item 20), so ``extend_to_pleasant`` builds one
+stage and checks that theorem on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .averages import basis_counts
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, InternalInvariantViolation
 from .factors import Partition, action_isotropy, difference_isotropy, join
 from .system import FiniteSystem, period_box
 
@@ -133,33 +135,24 @@ def one_step_extension(sys: FiniteSystem, budget: int) -> ExtensionStage:
     return ExtensionStage(system=ext, factor_map=tuple(t[0] for t in supp))
 
 
-class ExtensionRun(NamedTuple):
-    stages: Tuple[ExtensionStage, ...]
-    final_report: PleasantnessReport
-    status: str  # "pleasant" | "budget-exceeded" | "max-m-reached"
-
-
-def iterate_extensions(sys: FiniteSystem, max_m: int, budget: int) -> ExtensionRun:
-    """Apply one_step_extension until pleasant, the stage budget is hit, or
-    max_m stages have been built.  Budget overrun is reported, not raised."""
-    if max_m < 1:
-        raise ValidationError("max_m must be at least 1")
-    stages: List[ExtensionStage] = []
-    current = sys
-    report = is_pleasant(current, budget=budget)
-    status = "pleasant" if report.pleasant else "max-m-reached"
-    while not report.pleasant and len(stages) < max_m:
-        try:
-            stage = one_step_extension(current, budget=budget)
-        except (BudgetExceeded, MemoryError):
-            status = "budget-exceeded"
-            break
-        stages.append(stage)
-        current = stage.system
-        report = is_pleasant(current, budget=budget)
-        status = "pleasant" if report.pleasant else "max-m-reached"
-    return ExtensionRun(
-        stages=tuple(stages),
-        final_report=report,
-        status=status,
-    )
+def extend_to_pleasant(
+    sys: FiniteSystem, budget: int
+) -> Tuple[Optional[ExtensionStage], PleasantnessReport]:
+    """(None, the system's report) when the system is pleasant or its first
+    extension stage overruns the budget, which is reported, not raised;
+    otherwise (that stage, its report).  A first stage is always pleasant,
+    so one that is not raises InternalInvariantViolation."""
+    report = is_pleasant(sys, budget=budget)
+    if report.pleasant:
+        return None, report
+    try:
+        stage = one_step_extension(sys, budget=budget)
+    except (BudgetExceeded, MemoryError):
+        return None, report
+    stage_report = is_pleasant(stage.system, budget=budget)
+    if not stage_report.pleasant:
+        raise InternalInvariantViolation(
+            f"the first extension stage ({stage.system.n} states) is not "
+            f"pleasant: defect square {stage_report.defect_square}"
+        )
+    return stage, stage_report

@@ -1,8 +1,8 @@
-"""The ``extend`` and ``pleasant`` reports, under the scenario's budget and
-max_m: the pleasantness defect, with its witness, of the system or of its
-last extension stage."""
+"""The ``extend`` and ``pleasant`` reports, under the scenario's budget: the
+pleasantness defect, with its witness, of the system or of its extension
+stage."""
 
-from ..extensions import is_pleasant, iterate_extensions
+from ..extensions import extend_to_pleasant, is_pleasant
 from ..observables import norm_json
 
 
@@ -17,18 +17,16 @@ def _pleasant_json(sys_, rep) -> dict:
 
 
 def extend(scn):
-    run = iterate_extensions(scn.system, max_m=scn.max_m, budget=scn.budget)
-    final_sys = run.stages[-1].system if run.stages else scn.system
+    stage, report = extend_to_pleasant(scn.system, budget=scn.budget)
+    final_sys = scn.system if stage is None else stage.system
     return {
         "max_m": scn.max_m,
         "budget": scn.budget,
-        "stages": [
-            {"stage": k, "states": st.system.n}
-            for k, st in enumerate(run.stages, start=1)
-        ],
-        "status": run.status,
-        "stabilized": run.final_report.pleasant,
-        "final": _pleasant_json(final_sys, run.final_report),
+        "stages": [] if stage is None else [{"stage": 1, "states": final_sys.n}],
+        # not pleasant only when the budget stopped the stage
+        "status": "pleasant" if report.pleasant else "budget-exceeded",
+        "stabilized": report.pleasant,
+        "final": _pleasant_json(final_sys, report),
     }
 
 

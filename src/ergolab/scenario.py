@@ -181,7 +181,8 @@ FINITE_SYSTEM = {"n": REQUIRED, "r": REQUIRED, "d": REQUIRED, "weights": REQUIRE
                  "generators": REQUIRED, "labels": None}
 BOX = {"lengths": REQUIRED, "base": None}
 TRIALS = {"count": 20, "seed": 7}  # count at most 1000: a trial draws one base
-OPTIONS = {"budget": 10 ** 6, "max_m": 2}  # cap on n^d basis tuples, extend's stages
+# budget caps the n^d basis tuples; max_m, at least 1, is only echoed by extend
+OPTIONS = {"budget": 10 ** 6, "max_m": 2}
 
 
 def _parse_finite_system(raw) -> FiniteSystem:
@@ -274,7 +275,7 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
         samples = read_list(raw["samples"], "samples",  # [] unless torus
                             lambda t, _: read_list(t, "sample", read_finite_float, system.m))
         options = read_object(raw["options"], "options", OPTIONS)
-        return ScenarioConfig(
+        scn = ScenarioConfig(
             name=name,
             engine=engine,
             system=system,
@@ -287,6 +288,10 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
             **{k: read_int(options[k], k) for k in OPTIONS},
             sha256=sha256,
         )
+        # checked once every field is read, so any other fault is named first
+        if scn.max_m < 1:
+            raise ValidationError("max_m must be at least 1")
+        return scn
     except (
         AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError
     ) as exc:

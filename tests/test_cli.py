@@ -941,16 +941,17 @@ def _number_tuple_entry(raw):
      "samples is read only by a torus scenario"),
     ("torus-counterexample", _put("options", value={"budget": 3}),
      "options is read only by a finite scenario"),
+    ("cyclic-5", _zero_max_m, "max_m must be at least 1"),
 ], ids=["unknown-option", "exponent-past-cap", "short-base", "long-rotation-vector",
         "number-name", "list-engine", "count-past-cap", "count-far-past-cap",
         "number-labels", "repeated-labels", "label-with-comma", "number-tuple-entry",
-        "finite-samples", "torus-options"])
+        "finite-samples", "torus-options", "zero-max-m"])
 def test_validate_error_names_the_field(tmp_path, scenario, corrupt, error):
     """An unknown option, an exponent past 4300, a base or rotation vector
     of the wrong length, a name, engine, label or tuple entry that is not a
     string, a label given to two states or holding a bracket or comma, a
-    trial count past its cap and a key that the engine never reads each
-    fail validate on one line that names them."""
+    trial count past its cap, a key that the engine never reads and a max_m
+    below 1 each fail validate on one line that names them."""
     raw = json.loads(Path(scn_path(scenario)).read_text())
     corrupt(raw)
     bad = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,14 @@ import oracle
 from ergolab.averages import exact_limit
 from ergolab.errors import (
     BudgetExceeded,
+    InternalInvariantViolation,
     InvarianceViolated,
     NotMeasurable,
 )
 from ergolab.extensions import (
+    ExtensionStage,
+    extend_to_pleasant,
     is_pleasant,
-    iterate_extensions,
     one_step_extension,
     pleasant_factor,
 )
@@ -25,8 +28,11 @@ from ergolab.proof import (
     reduce_pleasant_limit,
     restrict,
 )
+from ergolab.reports.extensions import extend
+from ergolab.scenario import bundled_scenario_dir, load_scenario
+from ergolab.system import FiniteSystem
 
-from conftest import cell_valued_observable, cyclic_system, random_observable
+from conftest import cell_valued_observable, cyclic_system, random_observable, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -137,17 +143,15 @@ def test_budget_counts_basis_tuples(n, steps):
         is_pleasant(sys_, budget=n ** len(steps) - 1)
 
 
-def test_iterate_budget_boundary_at_a_stage():
+def test_extend_budget_boundary_at_a_stage():
     """Stage 1 of cyclic-5 has 25 states, so 25^2 basis tuples: that budget
     builds and tests the stage, one less stops before it."""
     sys_ = cyclic_system(5, [1, 2])
-    run = iterate_extensions(sys_, max_m=1, budget=25 ** 2)
-    assert run.status == "pleasant"
-    assert [stage.system.n for stage in run.stages] == [25]
-    run = iterate_extensions(sys_, max_m=1, budget=25 ** 2 - 1)
-    assert run.status == "budget-exceeded"
-    assert run.stages == ()
-    assert run.final_report == is_pleasant(sys_, budget=10 ** 6)
+    stage, report = extend_to_pleasant(sys_, budget=25 ** 2)
+    assert stage.system.n == 25 and report.pleasant
+    stage, report = extend_to_pleasant(sys_, budget=25 ** 2 - 1)
+    assert stage is None
+    assert report == is_pleasant(sys_, budget=10 ** 6)
 
 
 def test_rejected_stage_is_never_lifted(monkeypatch):
@@ -161,17 +165,17 @@ def test_rejected_stage_is_never_lifted(monkeypatch):
 
     monkeypatch.setattr(JoinedMeasure, "lift", counting_lift)
     sys_ = cyclic_system(5, [1, 2])
-    run = iterate_extensions(sys_, max_m=1, budget=25 ** 2 - 1)
-    assert run.status == "budget-exceeded" and run.stages == ()
+    stage, _ = extend_to_pleasant(sys_, budget=25 ** 2 - 1)
+    assert stage is None
     assert calls == []
-    run = iterate_extensions(sys_, max_m=1, budget=25 ** 2)
-    assert run.status == "pleasant"
+    stage, report = extend_to_pleasant(sys_, budget=25 ** 2)
+    assert stage is not None and report.pleasant
     assert len(calls) == sys_.d
 
 
-def test_iterate_builds_each_stage_with_one_step_extension(monkeypatch):
-    """Every stage iterate_extensions builds, and every stage it rejects on
-    budget, goes through one_step_extension."""
+def test_extend_builds_its_stage_with_one_step_extension(monkeypatch):
+    """The stage extend_to_pleasant builds, and the stage it rejects on
+    budget, each go through one_step_extension."""
     import ergolab.extensions as extensions
 
     calls = []
@@ -182,43 +186,133 @@ def test_iterate_builds_each_stage_with_one_step_extension(monkeypatch):
         return step(sys_, budget=budget)
 
     monkeypatch.setattr(extensions, "one_step_extension", counting_step)
-    run = iterate_extensions(cyclic_system(5, [1, 2]), max_m=2, budget=10 ** 6)
-    assert run.status == "pleasant"
+    stage, _ = extend_to_pleasant(cyclic_system(5, [1, 2]), budget=10 ** 6)
+    assert stage is not None
     assert calls == [5]
-    run = iterate_extensions(cyclic_system(5, [1, 2]), max_m=2, budget=25 ** 2 - 1)
-    assert run.status == "budget-exceeded"
+    stage, _ = extend_to_pleasant(cyclic_system(5, [1, 2]), budget=25 ** 2 - 1)
+    assert stage is None
     assert calls == [5, 5]
 
 
-def test_iterate_stops_immediately_when_pleasant():
+def test_extend_builds_nothing_when_pleasant(monkeypatch):
+    import ergolab.extensions as extensions
+
+    def no_step(sys_, budget):
+        raise AssertionError("a pleasant system was extended")
+
+    monkeypatch.setattr(extensions, "one_step_extension", no_step)
     sys_ = cyclic_system(6, [2])  # d=1, always pleasant
-    run = iterate_extensions(sys_, max_m=1, budget=10 ** 6)
-    assert run.status == "pleasant"
-    assert run.stages == ()
-    assert run.final_report.pleasant
+    stage, report = extend_to_pleasant(sys_, budget=10 ** 6)
+    assert stage is None
+    assert report.pleasant
 
 
-def test_iterate_cyclic5_pleasant_at_m1():
-    run = iterate_extensions(cyclic_system(5, [1, 2]), max_m=2, budget=10 ** 6)
-    assert run.status == "pleasant"
-    assert len(run.stages) == 1
-    assert run.stages[0].system.n == 25
-    assert run.final_report.pleasant
+def test_extend_cyclic5_pleasant_in_one_step():
+    stage, report = extend_to_pleasant(cyclic_system(5, [1, 2]), budget=10 ** 6)
+    assert stage.system.n == 25
+    assert report.pleasant
+    assert report == is_pleasant(stage.system, budget=10 ** 6)
 
 
-def test_iterate_budget_reported_not_raised():
-    run = iterate_extensions(cyclic_system(5, [1, 2]), max_m=3, budget=30)
-    assert run.status == "budget-exceeded"
-    assert not run.final_report.pleasant
+def test_extend_budget_reported_not_raised():
+    stage, report = extend_to_pleasant(cyclic_system(5, [1, 2]), budget=30)
+    assert stage is None
+    assert not report.pleasant
 
 
-def test_iterate_cyclic4_runs_to_verdict():
-    # even modulus: no a-priori claim, just a well-formed deterministic verdict
-    run = iterate_extensions(cyclic_system(4, [1, 2]), max_m=2, budget=10 ** 6)
-    assert run.status in ("pleasant", "max-m-reached", "budget-exceeded")
-    again = iterate_extensions(cyclic_system(4, [1, 2]), max_m=2, budget=10 ** 6)
-    assert again.status == run.status
-    assert again.final_report.defect_square == run.final_report.defect_square
+def test_extend_cyclic4_pleasant_in_one_step():
+    # even modulus: Xi of the stage is not discrete, yet the stage is pleasant
+    stage, report = extend_to_pleasant(cyclic_system(4, [1, 2]), budget=10 ** 6)
+    assert stage.system.n == 16
+    assert report.pleasant and report.defect_square == 0
+
+
+def test_a_stage_that_is_not_pleasant_is_a_bug(monkeypatch, tmp_path):
+    """A first stage is always pleasant, so one that is not raises
+    InternalInvariantViolation, which extend reports as exit 3."""
+    import ergolab.extensions as extensions
+
+    def base_as_stage(sys_, budget):
+        return ExtensionStage(system=sys_, factor_map=tuple(range(sys_.n)))
+
+    monkeypatch.setattr(extensions, "one_step_extension", base_as_stage)
+    with pytest.raises(InternalInvariantViolation):
+        extend_to_pleasant(cyclic_system(5, [1, 2]), budget=10 ** 6)
+    scenario = bundled_scenario_dir() / "cyclic-5.json"
+    result = run_cli(["extend", "--scenario", str(scenario), "--out", str(tmp_path)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("internal invariant violation (bug): ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+
+# each bundled finite scenario's extend stage sizes; cyclic-6 is pleasant
+BUNDLED_STAGES = {
+    "cyclic-4": [16], "cyclic-5": [25], "cyclic-6": [], "cyclic-7": [49],
+    "cyclic-9": [81], "product-2x3": [18],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_STAGES))
+def test_bundled_scenarios_extend_to_pleasant(name):
+    report = extend(load_scenario(bundled_scenario_dir() / f"{name}.json"))
+    assert report["status"] == "pleasant" and report["final"]["pleasant"]
+    assert [s["states"] for s in report["stages"]] == BUNDLED_STAGES[name]
+
+
+def random_translation_system(rng):
+    """A disjoint union of one or two components Z/a x Z/b (a <= 6, b <= 3,
+    n <= 14), each generator a random translation on each component, with
+    the states relabelled at random; r in {1, 2}, d in {2, 3}, and weights
+    constant on each component, one of two components possibly null."""
+    while True:
+        shapes = [(rng.randint(1, 6), rng.randint(1, 3))
+                  for _ in range(rng.randint(1, 2))]
+        if sum(a * b for a, b in shapes) <= 14:
+            break
+    r, d = rng.randint(1, 2), rng.randint(2, 3)
+    states = [(k, u, v) for k, (a, b) in enumerate(shapes)
+              for u in range(a) for v in range(b)]
+    names = list(range(len(states)))
+    rng.shuffle(names)
+    name = dict(zip(states, names))
+
+    def translation():
+        shifts = [(rng.randrange(a), rng.randrange(b)) for a, b in shapes]
+        perm = [0] * len(states)
+        for k, u, v in states:
+            (a, b), (s, t) = shapes[k], shifts[k]
+            perm[name[k, u, v]] = name[k, (u + s) % a, (v + t) % b]
+        return tuple(perm)
+
+    mass = [rng.randint(1, 3) for _ in shapes]
+    if len(shapes) == 2 and rng.random() < 0.25:
+        mass[rng.randrange(2)] = 0
+    weights = [0] * len(states)
+    for k, u, v in states:
+        a, b = shapes[k]
+        weights[name[k, u, v]] = Fraction(mass[k], sum(mass) * a * b)
+    return FiniteSystem(
+        n=len(states), r=r, d=d, weights=tuple(weights),
+        generators=tuple(tuple(translation() for _ in range(r)) for _ in range(d)),
+    )
+
+
+def test_one_step_theorem_on_random_translation_systems():
+    """Item 20 of ROADMAP.md: on a finite system every first extension stage
+    is pleasant.  Checked on the first 200 non-pleasant draws whose stage
+    fits a 3*10^6 budget."""
+    rng, budget, stages = random.Random(20), 3 * 10 ** 6, 0
+    while stages < 200:
+        sys_ = random_translation_system(rng)
+        if is_pleasant(sys_, budget=budget).pleasant:
+            continue
+        try:
+            stage = one_step_extension(sys_, budget=budget)
+        except BudgetExceeded:
+            continue
+        assert is_pleasant(stage.system, budget=budget).pleasant
+        stages += 1
 
 
 def test_pull_back(ext25, supp25):

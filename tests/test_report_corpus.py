@@ -73,6 +73,7 @@ COPY_ERRORS = {
     "cyclic-5-average_tuples-1-1": "average tuple is not a string: 1",
     "cyclic-5-samples-0-5-0-25": "samples is read only by a torus scenario",
     "torus-counterexample-options-budget-3": "options is read only by a finite scenario",
+    "cyclic-5-max_m-0": "max_m must be at least 1",
 }
 
 

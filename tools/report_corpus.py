@@ -48,7 +48,7 @@ DELETE = object()
 # set on a copy each, which validate must reject: an object field given [],
 # a misspelt key, a missing key, a name, label or tuple entry that is not a
 # string, a label given to two states or holding a comma, a trial count past
-# its cap and a key that the engine never reads
+# its cap, a key that the engine never reads and a max_m below 1
 ERROR_COPIES = (
     ("cyclic-5", ("base_point_trials",), []),
     ("cyclic-5", ("observables",), []),
@@ -67,6 +67,7 @@ ERROR_COPIES = (
      (("observables", "1"), ["4/5", "-1/5", "-1/5", "-1/5", "-1/5"])),
     ("cyclic-5", ("samples",), [[0.5, 0.25]]),
     ("torus-counterexample", ("options",), {"budget": 3}),
+    ("cyclic-5", ("options", "max_m"), 0),
 )
 
 
