@@ -8,7 +8,8 @@ line.  Every command runs the pipeline ``command`` builds: load and check
 the scenario (the engine a command needs included), import the command's
 module and compute its report body, add the header and write
 ``<out>/<scenario>__<command>.<format>``.  So a job compiles only its own
-report module, and ``parse``, ``--help`` and ``--version`` compile none.
+report module, and ``parse``, ``--help`` and ``--version`` compile none;
+only ``--help`` and a usage error load the help text, ``ergolab.usage``.
 
 Reports are deterministic: a report's bytes follow from the scenario file
 its ``scenario_sha256`` hashes (trial bases come from its
@@ -109,7 +110,6 @@ COMMANDS = {}
 FORMATS = ("json", "csv")
 DESCRIPTION = ("Exact laboratory for nonconventional ergodic averages on "
                "finite systems, with a floating-point torus backend.")
-_HELP = "Show this message and exit."
 _DEFAULTS = {"out": ".", "fmt": "json"}
 # argparse's rule: these read as values, not flags, after a flag; compiled
 # only when a single-dash argument is read
@@ -131,44 +131,9 @@ def _is_flag(arg: str) -> bool:
             and (arg[1] == "-" or not re.match(_NEGATIVE_NUMBER, arg)))
 
 
-def _usage(name) -> str:
-    if name is None:
-        return "usage: ergolab [--help] [--version] COMMAND ..."
-    flags = COMMANDS[name][1]
-    words = [f"[{flag} {flags[flag][2]}]" for flag in flags]
-    words[0] = words[0][1:-1]  # --scenario is required
-    return f"usage: ergolab {name} [--help] " + " ".join(words)
-
-
 def _exit_usage(name, message: str):
-    prog = "ergolab" if name is None else f"ergolab {name}"
-    sys.stderr.write(f"{_usage(name)}\n{prog}: error: {message}\n")
-    sys.exit(2)
-
-
-def _exit_help(name):
-    """Print the help of the program (name None) or of one command."""
-    if name is None:
-        doc = DESCRIPTION
-        sections = [
-            ("commands", [(cmd, COMMANDS[cmd][2]) for cmd in COMMANDS]),
-            ("options", [("--help", _HELP),
-                         ("--version", "Show the version and exit.")]),
-        ]
-    else:
-        _, flags, doc = COMMANDS[name]
-        sections = [("options", [("--help", _HELP)] + [
-            (f"{flag} {metavar}", text)
-            for flag, (_, _, metavar, text) in flags.items()
-        ])]
-    width = max(len(term) for _, rows in sections for term, _ in rows) + 2
-    text = f"{_usage(name)}\n\n{doc}\n"
-    for title, rows in sections:
-        text += f"\n{title}:\n"
-        text += "".join(f"  {term:<{width}}{about}".rstrip() + "\n"
-                        for term, about in rows)
-    sys.stdout.write(text)
-    sys.exit(0)
+    from .usage import exit_usage
+    exit_usage(COMMANDS, name, message)
 
 
 def parse(argv):
@@ -192,7 +157,8 @@ def parse(argv):
             if eq:
                 _exit_usage(name, f"argument {flag}: ignored explicit argument {value!r}")
             if flag == "--help":
-                _exit_help(name)
+                from .usage import exit_help
+                exit_help(COMMANDS, name, DESCRIPTION)
             sys.stdout.write(f"ergolab, version {__version__}\n")
             sys.exit(0)
         if flag in flags:

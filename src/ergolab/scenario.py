@@ -1,6 +1,7 @@
 """Scenario files: declarative descriptions of a system, observables,
 boxes and trial settings, consumed by the CLI.  Each object's keys are read
-through read_object and one table of key -> default per object kind."""
+through read_object and one table of key -> default per object kind; each
+engine's module parses its own system section."""
 
 from __future__ import annotations
 
@@ -86,7 +87,7 @@ def base_shift_free(scn: ScenarioConfig) -> bool:
                for _ in range(scn.trial_count))
 
 
-# Field readers, shared with the torus scenario parsers in torus.py.
+# Field readers, shared with the system parsers in system.py and torus.py.
 def read_int(raw, what: str) -> int:
     """raw as an int; it must be a JSON number: a bool, a string or a
     fractional float is an error, never truncated or read digit by digit."""
@@ -185,31 +186,6 @@ TRIALS = {"count": 20, "seed": 7}  # count at most 1000: a trial draws one base
 OPTIONS = {"budget": 10 ** 6, "max_m": 2}
 
 
-def _parse_finite_system(raw) -> FiniteSystem:
-    from .system import FiniteSystem
-    raw = read_object(raw, "system", FINITE_SYSTEM)
-    r, d = read_int(raw["r"], "r"), read_int(raw["d"], "d")
-    generators = read_table(
-        raw["generators"], d, r, "perm",
-        lambda p: read_list(p, "generator perm", read_int), "generator",
-    )
-    labels = raw["labels"]
-    labels = None if labels is None else read_list(labels, "labels", read_str)
-    # extend names each stage's states "(l_1,...,l_d)", which read back to
-    # states only if no label holds a bracket or a comma
-    for label in labels or ():
-        if any(c in label for c in "(),"):
-            raise ValidationError(f'label {label!r} contains "(", ")" or ","')
-    return FiniteSystem(
-        n=read_int(raw["n"], "n"),
-        r=r,
-        d=d,
-        weights=read_list(raw["weights"], "weights", read_rational),
-        generators=generators,
-        labels=labels,
-    )
-
-
 def _read_observable(raw, what: str, system: FiniteSystem) -> Observable:
     return Observable(read_list(raw, what, read_rational, system.n))
 
@@ -239,6 +215,7 @@ def parse_scenario(raw: dict, sha256: str = "") -> ScenarioConfig:
             raise ValidationError(f"scenario name {name!r} contains a NUL byte")
         # unread: the key this engine never reads, so it must be empty
         if engine == "finite":
+            from .system import _parse_finite_system
             system = _parse_finite_system(raw["system"])
             read_observable, unread, reader = _read_observable, "samples", "torus"
         elif engine == "torus":

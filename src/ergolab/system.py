@@ -6,6 +6,7 @@ with i in 1..d and j in 1..r.  All arithmetic is exact rational.  The
 measure is checked once, in ints: FiniteSystem.int_weights, the weights
 over their least common denominator, which every kernel reads.  State x
 is named labels[x], str(x) by default, and no two states share a name.
+The finite system section of a scenario is parsed here too.
 
 A system's derived tables are built in full on first use and kept with it:
 FiniteSystem.powers, each generator's powers up to its order (order * n
@@ -28,7 +29,8 @@ from .errors import (
     NonProbabilityWeights,
     ValidationError,
 )
-from .scenario import FolnerBox
+from .scenario import FINITE_SYSTEM, FolnerBox, read_int, read_list, read_object
+from .scenario import read_rational, read_str, read_table
 
 Perm = Tuple[int, ...]
 
@@ -81,21 +83,20 @@ class FiniteSystem:
         generators: Tuple[Tuple[Perm, ...], ...],
         labels: Optional[Tuple[str, ...]] = None,
     ):
+        # the shape first: a huge n with a short list builds no n labels
+        if n < 1 or r < 1 or d < 1:
+            raise ValidationError("n, r and d must all be positive")
+        if len(weights) != n:
+            raise ValidationError("weights length must equal state count")
+        if len(generators) != d or any(len(row) != r for row in generators):
+            raise ValidationError("expected a d-by-r table of generators")
         if labels is None:
             labels = tuple(map(str, range(n)))
+        elif len(labels) != n:
+            raise ValidationError("labels length must equal state count")
         self.__dict__.update(
             n=n, r=r, d=d, weights=weights, generators=generators, labels=labels
         )
-        if self.n < 1 or self.r < 1 or self.d < 1:
-            raise ValidationError("n, r and d must all be positive")
-        if len(self.weights) != self.n:
-            raise ValidationError("weights length must equal state count")
-        if len(self.generators) != self.d or any(
-            len(row) != self.r for row in self.generators
-        ):
-            raise ValidationError("expected a d-by-r table of generators")
-        if len(self.labels) != self.n:
-            raise ValidationError("labels length must equal state count")
         first = {}
         for x, name in enumerate(self.labels):
             if first.setdefault(name, x) != x:
@@ -167,3 +168,29 @@ def period_box(sys: FiniteSystem) -> FolnerBox:
     """The box at base 0 whose edges are the axis-wise lcm of the generator
     orders over all d actions: the orbit map repeats after it."""
     return FolnerBox(tuple(math.lcm(*col) for col in zip(*sys.orders)))
+
+
+# -- the finite branch of scenario.parse_scenario ---------------------------
+
+def _parse_finite_system(raw) -> FiniteSystem:
+    raw = read_object(raw, "system", FINITE_SYSTEM)
+    r, d = read_int(raw["r"], "r"), read_int(raw["d"], "d")
+    generators = read_table(
+        raw["generators"], d, r, "perm",
+        lambda p: read_list(p, "generator perm", read_int), "generator",
+    )
+    labels = raw["labels"]
+    labels = None if labels is None else read_list(labels, "labels", read_str)
+    # extend names each stage's states "(l_1,...,l_d)", which read back to
+    # states only if no label holds a bracket or a comma
+    for label in labels or ():
+        if any(c in label for c in "(),"):
+            raise ValidationError(f'label {label!r} contains "(", ")" or ","')
+    return FiniteSystem(
+        n=read_int(raw["n"], "n"),
+        r=r,
+        d=d,
+        weights=read_list(raw["weights"], "weights", read_rational),
+        generators=generators,
+        labels=labels,
+    )

@@ -19,7 +19,6 @@ readers, so importing this module loads scenario.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from collections import namedtuple
@@ -158,8 +157,10 @@ def _centred(p: int, den: int) -> int:
 
 
 def _e(p: int, den: int) -> complex:
-    """exp(2 pi i p / den), with p / den reduced exactly mod 1 first."""
-    return cmath.exp(1j * TWO_PI * (_centred(p, den) / den))
+    """exp(2 pi i p / den), with p / den reduced exactly mod 1 first; bit for
+    bit cmath.exp(1j * x), which is exp(0) * (cos x, sin x), without cmath."""
+    x = TWO_PI * (_centred(p, den) / den)
+    return complex(math.cos(x), math.sin(x))
 
 
 def _sin_pi(p: int, den: int) -> float:
@@ -252,11 +253,27 @@ def _check_args(sys: TorusSystem, fs, lengths: Optional[Sequence[int]] = None):
         raise ValidationError("box dimension differs from rank")
 
 
+def phase_table(sys: TorusSystem, fs: Sequence[TrigObservable], samples) -> list:
+    """What torus_truncated_average reads of fs and the samples, whatever
+    the box: for each combination of one term per observable, its
+    coefficient product prod_i c_i, its centred thetas (as _thetas) and
+    e(K . t) at each sample t."""
+    _check_args(sys, fs)
+    starts, sden = _sample_phases(samples)
+    if any(len(t) != sys.m for t in starts):
+        raise ValidationError("sample point has wrong dimension")
+    return [
+        (coeff, thetas, [_e(sum(map(mul, freq, x)), sden) for x in starts])
+        for _, freq, coeff, thetas in _thetas(sys, fs)
+    ]
+
+
 def torus_truncated_average(
     sys: TorusSystem,
     fs: Sequence[TrigObservable],
     box: FolnerBox,
     samples: Sequence[Sequence[float]],
+    *, table: Optional[list] = None,
 ) -> List[complex]:
     """Average of prod_i f_i(t + sum_j n_j alpha_{i,j}) over n in the box,
     at each sample t, in closed form.
@@ -268,19 +285,19 @@ def torus_truncated_average(
     / (N_j sin(pi theta_j)).  Every phase and sine argument is an int over
     one denominator, reduced exactly before it is rounded, so the error
     stays flat in the base point and in N; the cost is
-    O(#combos * (r + #samples)), whatever the box size.
+    O(#combos * (r + #samples)), whatever the box size.  A caller averaging
+    over many boxes passes phase_table(sys, fs, samples) once as table.
     """
     _check_args(sys, fs, box.lengths)
-    starts, sden = _sample_phases(samples)
-    if any(len(t) != sys.m for t in starts):
-        raise ValidationError("sample point has wrong dimension")
+    if table is None:
+        table = phase_table(sys, fs, samples)
     den = sys.int_rotations[1]
-    out = [0j] * len(starts)
-    for _, freq, coeff, thetas in _thetas(sys, fs):
+    out = [0j] * len(samples)
+    for coeff, thetas, phases in table:
         for t, n, b in zip(thetas, box.lengths, box.base):
             coeff *= _dirichlet(t, den, n, b)
-        for s, x in enumerate(starts):
-            out[s] += coeff * _e(sum(map(mul, freq, x)), sden)
+        for s, phase in enumerate(phases):
+            out[s] += coeff * phase
     return out
 
 

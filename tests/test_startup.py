@@ -18,8 +18,8 @@ import ergolab
 from ergolab.scenario import bundled_scenario_dir
 
 ENGINES = {f"ergolab.{m}" for m in ("averages", "extensions", "factors", "joinings", "torus")}
-# a torus run builds no finite system
-TORUS_ABSENT = ENGINES - {"ergolab.torus"} | {"ergolab.system"}
+# a torus run builds no finite system, and its phases need no cmath
+TORUS_ABSENT = ENGINES - {"ergolab.torus"} | {"ergolab.system", "cmath"}
 FINITE_COMMANDS = ("validate", "avg", "limit", "joining", "hk", "extend", "pleasant")
 # command -> the report module that computes its body
 REPORT_OF = {
@@ -40,18 +40,21 @@ for argv in json.loads(sys.argv[2]):
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
-# argv: JSON list of command lines; parses each (a --help or --version
-# prints and exits 0) and prints the modules the import and parse added
+# argv: JSON list of [command line, exit code or null]; parses each, which
+# must exit with that code (null: return), and prints the modules the import
+# and parse added
 _PARSE_PROBE = """
 import contextlib, io, json, sys
 before = set(sys.modules)
 import ergolab.cli
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+for argv, code in json.loads(sys.argv[1]):
+    got = None
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             ergolab.cli.parse(argv)
         except SystemExit as exc:
-            assert exc.code == 0, argv
+            got = exc.code
+    assert got == code, (argv, got)
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
@@ -84,16 +87,32 @@ def test_cli_import_loads_no_engine_no_click_no_dataclasses(tmp_path):
     assert "ergolab.observables" in added
 
 
+def parsed(lines):
+    """The modules a fresh interpreter loads importing ergolab.cli and
+    parsing each [command line, exit code or None]."""
+    stdout, _ = _child(["-S", "-c", _PARSE_PROBE, json.dumps(lines)])
+    return set(json.loads(stdout.splitlines()[-1]))
+
+
 def test_parse_help_and_version_load_no_report_module():
     """The command table holds every flag and help line, so reading any
     command line, --help and --version included, imports no report module."""
-    lines = [["--help"], ["--version"]]
+    lines = [[["--help"], 0], [["--version"], 0]]
     for command in REPORT_OF:
-        lines += [[command, "--scenario", "S"], [command, "--help"]]
-    stdout, _ = _child(["-S", "-c", _PARSE_PROBE, json.dumps(lines)])
-    added = set(json.loads(stdout.splitlines()[-1]))
+        lines += [[[command, "--scenario", "S"], None], [[command, "--help"], 0]]
+    added = parsed(lines)
     assert "ergolab.cli" in added
     assert not {m for m in added if m.startswith("ergolab.reports")}, sorted(added)
+
+
+def test_help_text_loads_only_for_help_or_a_usage_error():
+    """A valid command line, --version included, loads no help text; --help
+    and a malformed command line load it."""
+    valid = [[[command, "--scenario", "S"], None] for command in REPORT_OF]
+    assert "ergolab.usage" not in parsed(valid + [[["--version"], 0]])
+    for line, code in [(["--help"], 0), (["avg", "--help"], 0), ([], 2),
+                       (["avg"], 2), (["nope"], 2), (["avg", "--scenario", "S", "-x"], 2)]:
+        assert "ergolab.usage" in parsed([[line, code]]), line
 
 
 @pytest.mark.parametrize(
@@ -113,11 +132,11 @@ def test_parse_help_and_version_load_no_report_module():
 )
 def test_command_loads_only_what_it_runs(tmp_path, command, scenario, absent):
     """A command loads the engines it runs and its own report module, and
-    no other command's."""
+    no other command's, nor the help text."""
     added = loaded_by(tmp_path, [[command, "--scenario", scn(scenario)]])
     own = f"ergolab.reports.{REPORT_OF[command]}"
     assert own in added
-    unwanted = absent | REPORTS - {own} | {"click", "dataclasses"}
+    unwanted = absent | REPORTS - {own} | {"click", "dataclasses", "ergolab.usage"}
     assert not added & unwanted, sorted(added & unwanted)
 
 

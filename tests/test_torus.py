@@ -8,11 +8,16 @@ import pytest
 import oracle
 from ergolab.averages import FolnerBox
 from ergolab.errors import UndecidableResonance, ValidationError
+from ergolab.reports import torus as torus_report
 from ergolab.torus import (
+    TWO_PI,
     RotationEntry,
     TorusSystem,
     TrigObservable,
+    _centred,
+    _e,
     character_limit,
+    phase_table,
     torus_deviation_bound,
     torus_truncated_average,
 )
@@ -172,6 +177,64 @@ def test_sample_of_the_wrong_dimension_rejected():
         with pytest.raises(ValidationError, match="sample point has wrong dimension"):
             f(t)
     assert f((0.25, 0.5)) == pytest.approx(-1j)
+
+
+def test_phase_is_cmath_exp_bit_for_bit():
+    """e(p / den) from math.cos and math.sin is the cmath.exp of 1j times
+    the same angle, to the last bit and the sign of zero, for numerators
+    and denominators past 10**40, of both signs, and p = 0."""
+    rng = random.Random(37)
+    cases = [(0, 1), (0, 3), (0, 10 ** 45), (1, 2), (-1, 2), (1, 4), (-1, 4), (3, 4)]
+    for _ in range(20000):
+        den = rng.choice((rng.randint(1, 1000), rng.randint(1, 10 ** 45),
+                          2 ** rng.randint(0, 200)))
+        p = rng.choice((0, rng.randint(-den, den), rng.randint(-10 ** 50, 10 ** 50)))
+        cases.append((p, den))
+    assert sum(abs(p) > 10 ** 40 for p, _ in cases) > 1000
+    for p, den in cases:
+        got = _e(p, den)
+        want = cmath.exp(1j * TWO_PI * (_centred(p, den) / den))
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (p, den)
+
+
+def test_a_phase_table_built_once_changes_no_bit(torus_scenario):
+    """One phase table reused over boxes and bases gives the averages that
+    build their own, bit for bit."""
+    rng = random.Random(38)
+    sys_, f1, f2 = golden_pair()
+    samples = [(rng.random(),) for _ in range(4)]
+    cases = [(sys_, [f1, f2], samples)]
+    fs = [torus_scenario.observables[n] for n in torus_scenario.average_tuples[0]]
+    cases.append((torus_scenario.system, fs, torus_scenario.samples))
+    for sys_, fs, samples in cases:
+        table = phase_table(sys_, fs, samples)
+        for N in (1, 7, 1000, 10 ** 12):
+            for base in (0, -5, 10 ** 9):
+                box = FolnerBox((N,), (base,))
+                got = torus_truncated_average(sys_, fs, box, samples, table=table)
+                assert repr(got) == repr(torus_truncated_average(sys_, fs, box, samples))
+
+
+def test_torus_demo_builds_one_phase_table_per_tuple(torus_scenario, monkeypatch):
+    """torus-demo builds each tuple's table once and still averages once
+    per box and base, each time with that tuple's table."""
+    tables, calls = [], []
+
+    def build(*args):
+        tables.append(phase_table(*args))
+        return tables[-1]
+
+    def average(*args, table):
+        calls.append(table)
+        return torus_truncated_average(*args, table=table)
+
+    monkeypatch.setattr(torus_report, "phase_table", build)
+    monkeypatch.setattr(torus_report, "torus_truncated_average", average)
+    torus_report.torus_demo(torus_scenario)
+    scn = torus_scenario
+    assert len(tables) == len(scn.average_tuples)
+    per_tuple = len(scn.boxes) * (1 + scn.trial_count)
+    assert [id(t) for t in calls] == [id(t) for t in tables for _ in range(per_tuple)]
 
 
 def test_trig_norms():

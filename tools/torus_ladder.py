@@ -12,14 +12,17 @@ and 81 term combinations (d = 2 with t = 1, 3, 9; d = 3 with t = 3), at
 rank r = 1, 2 and 3, on boxes of length 10**6 along every axis.
 
 Per rung it prints, as one JSON object, the least time over K repetitions
-of ``character_limit``, of ``torus_deviation_bound`` for the box, and of a
-sweep of ``torus_truncated_average`` over 1, 5 and 21 seeded base points at
-5 samples (one call per base, as ``torus-demo`` makes them).  Next to each
+of ``character_limit``, of ``torus_deviation_bound`` for the box, of
+``phase_table`` (the box-free part of an average: one sample phase per
+combination and sample) and of a sweep of ``torus_truncated_average`` over
+1, 5 and 21 seeded base points at 5 samples, one call per base with the
+rung's one table, as ``torus-demo`` makes them for a tuple.  Next to each
 time are its exact work counts: the term combinations, the Dirichlet
-factors (one per combination, axis and call) and the sample phases (one per
-combination, sample and call).  The system is built once per rung, so a
-checkout that derives data once per system pays for it in the first
-repetition only.
+factors (one per combination, axis and call) and the sample phases the
+sweep computes (none past the table's; in a checkout without
+``phase_table``, each call computes its own, one per combination, sample
+and call).  The system is built once per rung, so a checkout that derives
+data once per system pays for it in the first repetition only.
 
 The program is the ``ergolab`` package under ``src/`` of CHECKOUT, by
 default the checkout this file sits in.  Run each checkout in its own
@@ -86,12 +89,15 @@ def _best(fn, repeats: int) -> float:
 
 
 def rung(combos: int, d: int, terms: int, r: int, repeats: int) -> dict:
+    from ergolab import torus
     from ergolab.averages import FolnerBox
     from ergolab.torus import (
         character_limit,
         torus_deviation_bound,
         torus_truncated_average,
     )
+
+    phase_table = getattr(torus, "phase_table", None)
 
     rng = random.Random(f"{SEED}:{combos}:{r}")
     sys_, fs = rung_system(rng, r, d, terms)
@@ -106,18 +112,25 @@ def rung(combos: int, d: int, terms: int, r: int, repeats: int) -> dict:
         ),
         "torus_truncated_average": {},
     }
+    given = {}
+    if phase_table is not None:
+        out["phase_table"] = {
+            "min_s": _best(lambda: phase_table(sys_, fs, samples), repeats),
+            "sample_phases": combos * SAMPLES,
+        }
+        given = {"table": phase_table(sys_, fs, samples)}
     for count in BASES:
         boxes = [FolnerBox(lengths, base) for base in bases[:count]]
 
         def sweep():
             for box in boxes:
-                torus_truncated_average(sys_, fs, box, samples)
+                torus_truncated_average(sys_, fs, box, samples, **given)
 
         out["torus_truncated_average"][str(count)] = {
             "min_s": _best(sweep, repeats),
             "calls": count,
             "dirichlet_evaluations": combos * r * count,
-            "sample_phases": combos * SAMPLES * count,
+            "sample_phases": 0 if given else combos * SAMPLES * count,
         }
     return out
 
