@@ -12,10 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
-from .averages import basis_counts
 from .errors import BudgetExceeded, InternalInvariantViolation
 from .factors import Partition, action_isotropy, difference_isotropy, join
-from .system import FiniteSystem, period_box
+from .system import FiniteSystem, basis_counts, period_box
 
 
 class ExtensionStage(NamedTuple):

@@ -13,9 +13,10 @@ the A_C, and then divides out the gcd again.
 An action moves each coordinate by one base action or fixes it, so it is a
 tuple of base action indices, 0 for a fixed coordinate; JoinedMeasure.lift
 turns it into permutations of the support's indices, the one form every
-joined-action consumer uses.  A relatively independent product's support
-is the pairs (u, v) of one cell below, so its lifts are read off the
-lifts below on index pairs, without hashing a tuple.
+joined-action consumer uses.  A relatively independent product,
+RelIndepProduct, has for support the pairs (u, v) of one cell below, so
+its lifts are read off the lifts below on index pairs, without hashing a
+tuple.
 """
 
 from __future__ import annotations
@@ -106,10 +107,7 @@ class JoinedMeasure:
         self.support: List[StateTuple] = support
         self.support_weights: List[int] = support_weights
         self.denom: int = denom // g
-        # coords -> lifted perms; (measure below, cells, start, rank) for a
-        # relatively independent product (see _rel_indep_step)
         self._lifts: Dict[Tuple[int, ...], Tuple[Perm, ...]] = {}
-        self._pairing = None
 
     @cached_property
     def mass(self) -> Masses:
@@ -149,13 +147,11 @@ class JoinedMeasure:
         leaves the support."""
         coords = tuple(coords)
         if coords not in self._lifts:
-            self._lifts[coords] = (
-                self._lift_pairs(coords) if self._pairing
-                else self._lift_tuples(coords)
-            )
+            self._lifts[coords] = self._lift(coords)
         return self._lifts[coords]
 
-    def _lift_tuples(self, coords: Tuple[int, ...]) -> Tuple[Perm, ...]:
+    def _lift(self, coords: Tuple[int, ...]) -> Tuple[Perm, ...]:
+        """Lift tuple by tuple, through the tuple-to-index map."""
         base, index = self.base, self._index
         fixed = (identity_perm(base.n),) * base.r
         rows = [base.generators[a - 1] if a else fixed for a in coords]
@@ -163,34 +159,6 @@ class JoinedMeasure:
             tuple(index[tuple(p[x] for p, x in zip(perms, t))] for t in self.support)
             for perms in zip(*rows)
         )
-
-    def _lift_pairs(self, coords: Tuple[int, ...]) -> Tuple[Perm, ...]:
-        """Lift through the measure below: the pair (u, v), at index
-        start[i] + rank[j] for u, v at indices i, j below, moves to
-        (p u, q v), with p and q the lifts of the two halves of coords.
-        That pair is on the support iff p u and q v share a cell, so q
-        must carry each cell into one cell, the one p carries it to."""
-        below, cells, start, rank = self._pairing
-        cell_of, half = cells.cell_of, self.power // 2
-        out = []
-        for p, q in zip(below.lift(coords[:half]), below.lift(coords[half:])):
-            image_cell, image_ranks = [], []
-            for cell in cells.cells:
-                image = [q[j] for j in cell]
-                k = cell_of[image[0]]
-                if any(cell_of[y] != k for y in image):
-                    raise KeyError(coords)
-                image_cell.append(k)
-                image_ranks.append([rank[y] for y in image])
-            perm: List[int] = []
-            for i, k in enumerate(cell_of):
-                u = p[i]
-                if cell_of[u] != image_cell[k]:
-                    raise KeyError(coords)
-                s = start[u]
-                perm.extend([s + r for r in image_ranks[k]])
-            out.append(tuple(perm))
-        return tuple(out)
 
 
 def _point_masses(sys: FiniteSystem, actions, labels=None) -> JoinedMeasure:
@@ -227,37 +195,63 @@ def diagonal_action_name(jm: JoinedMeasure) -> str:
     return f"S{jm.base.d + 1}"
 
 
-def _rel_indep_step(
-    below: JoinedMeasure, cells: Partition, actions, labels
-) -> JoinedMeasure:
-    """The relatively independent self-product of a joined measure over a
-    partition of its support indices: the tuples u + v with u, v in one
-    cell C, of mass m(u) m(v) / m(C), in ints as in the module docstring.
-    The support is built in sorted order, u then v, and every action lifts
-    through the measure below."""
-    supp, ws = below.support, below.support_weights
-    cell_weight = [sum(ws[j] for j in cell) for cell in cells.cells]
-    lcm = math.lcm(*cell_weight)
-    members = [[supp[j] for j in cell] for cell in cells.cells]
-    member_ws = [[ws[j] for j in cell] for cell in cells.cells]
-    pairs: List[StateTuple] = []
-    pair_ws: List[int] = []
-    start = []
-    for u, a, k in zip(supp, ws, cells.cell_of):
-        start.append(len(pairs))
-        s = a * (lcm // cell_weight[k])
-        pairs.extend([u + v for v in members[k]])
-        pair_ws.extend([s * b for b in member_ws[k]])
-    rank = [0] * len(supp)
-    for cell in cells.cells:
-        for r, j in enumerate(cell):
-            rank[j] = r
-    jm = JoinedMeasure(
-        below.base, 2 * below.power, pairs, pair_ws, below.denom * lcm, actions,
-        labels,
-    )
-    jm._pairing = (below, cells, start, rank)
-    return jm
+class RelIndepProduct(JoinedMeasure):
+    """The relatively independent self-product of a joined measure below
+    over a partition cells of its support indices: the tuples u + v with
+    u, v in one cell C, of mass m(u) m(v) / m(C), in ints as in the module
+    docstring.  The support is built in sorted order, u then v, the pair of
+    u, v at indices i, j below at index start[i] + rank[j], and every
+    action lifts through the measure below."""
+
+    def __init__(self, below: JoinedMeasure, cells: Partition, actions, labels):
+        supp, ws = below.support, below.support_weights
+        cell_weight = [sum(ws[j] for j in cell) for cell in cells.cells]
+        lcm = math.lcm(*cell_weight)
+        members = [[supp[j] for j in cell] for cell in cells.cells]
+        member_ws = [[ws[j] for j in cell] for cell in cells.cells]
+        pairs: List[StateTuple] = []
+        pair_ws: List[int] = []
+        start = []
+        for u, a, k in zip(supp, ws, cells.cell_of):
+            start.append(len(pairs))
+            s = a * (lcm // cell_weight[k])
+            pairs.extend([u + v for v in members[k]])
+            pair_ws.extend([s * b for b in member_ws[k]])
+        rank = [0] * len(supp)
+        for cell in cells.cells:
+            for r, j in enumerate(cell):
+                rank[j] = r
+        super().__init__(below.base, 2 * below.power, pairs, pair_ws,
+                         below.denom * lcm, actions, labels)
+        self.below, self.cells, self.start, self.rank = below, cells, start, rank
+
+    def _lift(self, coords: Tuple[int, ...]) -> Tuple[Perm, ...]:
+        """Lift through the measure below: the pair (u, v), at index
+        start[i] + rank[j] for u, v at indices i, j below, moves to
+        (p u, q v), with p and q the lifts of the two halves of coords.
+        That pair is on the support iff p u and q v share a cell, so q
+        must carry each cell into one cell, the one p carries it to."""
+        below, cells, start, rank = self.below, self.cells, self.start, self.rank
+        cell_of, half = cells.cell_of, self.power // 2
+        out = []
+        for p, q in zip(below.lift(coords[:half]), below.lift(coords[half:])):
+            image_cell, image_ranks = [], []
+            for cell in cells.cells:
+                image = [q[j] for j in cell]
+                k = cell_of[image[0]]
+                if any(cell_of[y] != k for y in image):
+                    raise KeyError(coords)
+                image_cell.append(k)
+                image_ranks.append([rank[y] for y in image])
+            perm: List[int] = []
+            for i, k in enumerate(cell_of):
+                u = p[i]
+                if cell_of[u] != image_cell[k]:
+                    raise KeyError(coords)
+                s = start[u]
+                perm.extend([s + r for r in image_ranks[k]])
+            out.append(tuple(perm))
+        return tuple(out)
 
 
 def host_kra_tower(sys: FiniteSystem) -> List[JoinedMeasure]:
@@ -297,7 +291,7 @@ def host_kra_tower(sys: FiniteSystem) -> List[JoinedMeasure]:
             "T1": acts["T1"] + t1_lift,
             **{f"T{i}": acts[f"T{i}"] * 2 for i in range(2, d + 1)},
         }
-        jm = _rel_indep_step(jm, cells, acts, labels)
+        jm = RelIndepProduct(jm, cells, acts, labels)
         stages.append(jm)
     return stages
 

@@ -7,6 +7,7 @@ comparison happens on the squares.  Nothing here ever rounds.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Tuple
 
@@ -78,10 +79,12 @@ def l2_square(f: Observable, weights: Tuple[Fraction, ...]) -> Fraction:
     return sum((v * v * w for v, w in zip(f.values, weights)), ZERO)
 
 
-# how a report writes an exact value
+# how a report writes an exact value, every digit: Decimal's str, unlike
+# int's, writes past 4300 digits
 def frac_str(q: Fraction) -> str:
     q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num, den = Decimal(q.numerator), Decimal(q.denominator)
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def norm_json(square: Fraction) -> dict:

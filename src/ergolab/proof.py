@@ -32,9 +32,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .averages import (
-    LatticeSet, _check_args, basis_counts, exact_limit, residues, truncated_average,
-)
+from .averages import _check_args, exact_limit, truncated_average
 from .errors import (
     DimensionMismatch, InternalInvariantViolation, InvarianceViolated, NotMeasurable,
     ValidationError,
@@ -47,7 +45,9 @@ from .joinings import (
     JoinedMeasure, StateTuple, diagonal_action_name, furstenberg_joining, host_kra_tower,
 )
 from .observables import Observable, ONE, ZERO, l2_square, linf_norm
-from .system import FiniteSystem, over_common_denominator, period_box
+from .system import (
+    FiniteSystem, LatticeSet, basis_counts, over_common_denominator, period_box, residues,
+)
 
 __all__ = [
     "VdcWitness", "contractive_check", "hk_condition_check", "is_measurable",

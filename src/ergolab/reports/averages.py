@@ -1,12 +1,12 @@
 """The ``avg`` and ``limit`` reports: truncated averages over the
 scenario's boxes, and exact limits."""
 
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
 from ..averages import deviation_bound, exact_limit, truncated_average
 from ..observables import frac_str, l2_square, norm_json
-from ..scenario import base_shift_free
-from ..system import period_box
+from ..system import base_shift_free, period_box
 
 
 def obs_json(obs) -> list:
@@ -15,6 +15,17 @@ def obs_json(obs) -> list:
 
 def box_json(box) -> dict:
     return {"lengths": list(box.lengths), "base": list(box.base)}
+
+
+def norm_csv(norm: dict) -> str:
+    """The norm whose square norm_json wrote, as a CSV float; decimal reads
+    a square past int's 4300 digits or float's range, inf past that."""
+    try:
+        return f"{float(Fraction(norm['square'])) ** 0.5:.12e}"
+    except (ValueError, OverflowError):
+        p, _, q = norm["square"].partition("/")
+        ctx = Context(Emax=MAX_EMAX, Emin=MIN_EMIN)
+        return f"{float(ctx.divide(Decimal(p), Decimal(q or 1)).sqrt(ctx)):.12e}"
 
 
 def avg_csv(report):
@@ -26,8 +37,8 @@ def avg_csv(report):
             "|".join(e["tuple"]) + ","
             + " ".join(map(str, e["box"]["lengths"])) + ","
             + " ".join(map(str, e["box"]["base"])) + ","
-            + f"{float(Fraction(e['deviation']['square'])) ** 0.5:.12e},"
-            + f"{float(Fraction(e['bound']['square'])) ** 0.5:.12e},"
+            + norm_csv(e["deviation"]) + ","
+            + norm_csv(e["bound"]) + ","
             + str(e["within_bound"]).lower()
         )
     return lines

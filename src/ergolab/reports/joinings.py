@@ -1,7 +1,7 @@
 """The ``joining`` and ``hk`` reports: the Furstenberg joining and the
 Host-Kra tower, each measure written out exactly."""
 
-import math
+from fractions import Fraction
 
 from ..joinings import (
     diagonal_action_name,
@@ -9,7 +9,8 @@ from ..joinings import (
     host_kra_structural_check,
     host_kra_tower,
 )
-from ..scenario import base_shift_free
+from ..observables import frac_str
+from ..system import base_shift_free
 
 
 class MeasureRows:
@@ -34,10 +35,7 @@ class MeasureRows:
         mid = '",' + entry + '"state": [' + coord
         tail = entry + "]" + row + "}"
         d = jm.denom
-        prefix = {}
-        for w in set(jm.support_weights):
-            g = math.gcd(w, d)
-            prefix[w] = head + (f"{w // g}/{d // g}" if d > g else str(w // g)) + mid
+        prefix = {w: head + frac_str(Fraction(w, d)) + mid for w in set(jm.support_weights)}
         names = [str(x) for x in range(jm.base.n)]
         sep = "," + coord
         text = "".join([

@@ -71,22 +71,6 @@ def random_base(rng: random.Random, r: int, span: int) -> Tuple[int, ...]:
     return tuple(rng.randint(-span, span) for _ in range(r))
 
 
-def base_shift_free(scn: ScenarioConfig) -> bool:
-    """Whether the scenario's trial count of full period boxes, at bases
-    drawn from its trial seed, have the residues of the box at 0, of which
-    the orbit counts of every average, limit and joining are a function."""
-    import random
-
-    from .averages import residues
-    from .system import period_box
-
-    sys_, rng = scn.system, random.Random(scn.trial_seed)
-    P = period_box(sys_).lengths
-    at0 = residues(sys_, FolnerBox(P))
-    return all(residues(sys_, FolnerBox(P, random_base(rng, sys_.r, 50))) == at0
-               for _ in range(scn.trial_count))
-
-
 # Field readers, shared with the system parsers in system.py and torus.py.
 def read_int(raw, what: str) -> int:
     """raw as an int; it must be a JSON number: a bool, a string or a
@@ -121,7 +105,7 @@ def read_rational(raw, what: str) -> Fraction:
         if exponent and abs(int(exponent)) > 4300:
             raise ValidationError(f"{what} has an exponent beyond 4300: {raw!r}")
         return Fraction(str(raw))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ValidationError(f"{what} is not a rational: {raw!r}") from None
 
 

@@ -13,26 +13,35 @@ FiniteSystem.powers, each generator's powers up to its order (order * n
 ints per generator, as a pass over the full period box holds anyway), off
 which every T_i^n is read, and FiniteSystem.period_orbits, the full-period
 orbit counts that the exact limit, the joining and the basis sweep contract.
+The orbit layer that fills it lives here too: residues, the one reader of
+an averaging set, reduces its lattice points modulo the period box, whose
+axis periods are multiples of every generator order, and orbit_counts
+turns residues into orbit tuples.  So a full period box at any base has
+the counts of the box at 0, as base_shift_free checks on a scenario.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
+    DimensionMismatch,
     MeasureNotPreserved,
     NonCommuting,
     NonProbabilityWeights,
     ValidationError,
 )
-from .scenario import FINITE_SYSTEM, FolnerBox, read_int, read_list, read_object
-from .scenario import read_rational, read_str, read_table
+from .scenario import FINITE_SYSTEM, FolnerBox, ScenarioConfig, random_base, read_int
+from .scenario import read_list, read_object, read_rational, read_str, read_table
 
 Perm = Tuple[int, ...]
+# an averaging set: a box, or an explicit finite list of lattice points
+LatticeSet = Union[FolnerBox, Iterable[Sequence[int]]]
 
 
 def over_common_denominator(
@@ -146,8 +155,6 @@ class FiniteSystem:
         """How often each orbit tuple (x, T_1^n x, ..., T_d^n x) occurs as n
         runs over one full period box, for every state x, null ones too;
         read only."""
-        from .averages import orbit_counts, residues
-
         return orbit_counts(self, residues(self, period_box(self)))
 
     @cached_property
@@ -155,19 +162,87 @@ class FiniteSystem:
         return tuple(x for x, v in enumerate(self.int_weights[0]) if v > 0)
 
     def action_perm(self, i: int, nvec: Sequence[int]) -> Perm:
-        """Permutation realising T_i^nvec."""
-        p = identity_perm(self.n)
+        """Permutation realising T_i^nvec: the product of its nonzero
+        powers, the identity only when every exponent is 0."""
+        p = None
         for pw, e in zip(self.powers[i - 1], nvec):
             e %= len(pw)
             if e:
-                p = compose(pw[e], p)
-        return p
+                p = pw[e] if p is None else compose(pw[e], p)
+        return identity_perm(self.n) if p is None else p
 
 
 def period_box(sys: FiniteSystem) -> FolnerBox:
     """The box at base 0 whose edges are the axis-wise lcm of the generator
     orders over all d actions: the orbit map repeats after it."""
     return FolnerBox(tuple(math.lcm(*col) for col in zip(*sys.orders)))
+
+
+def residues(sys: FiniteSystem, where: LatticeSet) -> Dict[Tuple[int, ...], int]:
+    """The histogram of an averaging set: how often each residue modulo
+    period_box(sys) occurs among its lattice points, in the order a walk
+    over them first meets each.  The one reader of a box or a point list.
+    On an axis of period P, length N and base b, a box hits the residue of
+    offset o = 0..min(N, P)-1, which is (b + o) mod P, N // P + [o < N mod
+    P] times, and its counts are the product over axes: O(|P|) whatever N.
+    Only an explicit point list is walked."""
+    periods = period_box(sys).lengths
+    if isinstance(where, FolnerBox):
+        if len(where.lengths) != sys.r:
+            raise DimensionMismatch("box has wrong dimension")
+        hist = {(): 1}
+        for N, b, P in zip(where.lengths, where.base, periods):
+            q, rem = divmod(N, P)
+            hist = {
+                key + ((b + o) % P,): c * (q + (o < rem))
+                for key, c in hist.items()
+                for o in range(min(N, P))
+            }
+        return hist
+    reduced: Counter = Counter()
+    for nvec in where:
+        if len(nvec) != sys.r:
+            raise DimensionMismatch("lattice point has wrong dimension")
+        reduced[tuple(e % P for e, P in zip(nvec, periods))] += 1
+    return reduced
+
+
+def orbit_counts(
+    sys: FiniteSystem, hist: Dict[Tuple[int, ...], int]
+) -> Dict[Tuple[int, ...], int]:
+    """How often each orbit tuple (x, T_1^n x, ..., T_d^n x) occurs as n
+    runs over a set with residue histogram hist and x over all states: at
+    most |P|*n orbit work, whatever the set."""
+    counts: Dict[Tuple[int, ...], int] = {}
+    for nvec, mult in hist.items():
+        perms = [sys.action_perm(i, nvec) for i in range(1, sys.d + 1)]
+        for key in zip(range(sys.n), *perms):
+            counts[key] = counts.get(key, 0) + mult
+    return counts
+
+
+def basis_counts(sys: FiniteSystem) -> Dict[Tuple[int, ...], Dict[int, List]]:
+    """Full-period-box counts of all d actions as {(y_2..y_d): {x: [(y_1,
+    count)]}}, for x in the support.  Contracting a list with f_1 gives |P|
+    times the exact limit of (f_1, e_{y_2}, ..., e_{y_d}) at x."""
+    grouped: Dict[Tuple[int, ...], Dict[int, List]] = {}
+    for (x, y1, *rest), c in sys.period_orbits.items():
+        if sys.weights[x]:
+            grouped.setdefault(tuple(rest), {}).setdefault(x, []).append((y1, c))
+    return grouped
+
+
+def base_shift_free(scn: ScenarioConfig) -> bool:
+    """Whether the scenario's trial count of full period boxes, at bases
+    drawn from its trial seed, have the residues of the box at 0, of which
+    the orbit counts of every average, limit and joining are a function."""
+    import random
+
+    sys_, rng = scn.system, random.Random(scn.trial_seed)
+    P = period_box(sys_).lengths
+    at0 = residues(sys_, FolnerBox(P))
+    return all(residues(sys_, FolnerBox(P, random_base(rng, sys_.r, 50))) == at0
+               for _ in range(scn.trial_count))
 
 
 # -- the finite branch of scenario.parse_scenario ---------------------------

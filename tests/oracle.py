@@ -50,7 +50,7 @@ from ergolab.errors import (
 )
 from ergolab.extensions import pleasant_factor
 from ergolab.factors import Partition
-from ergolab.joinings import JoinedMeasure, _point_masses, _rel_indep_step
+from ergolab.joinings import JoinedMeasure, RelIndepProduct, _point_masses
 from ergolab.observables import Observable, l2_square, linf_norm
 from ergolab.system import (
     FiniteSystem,
@@ -554,7 +554,7 @@ def rel_indep_joining(sys_, part):
     if part.n != sys_.n:
         raise ValidationError("partition is over a different state set")
     cells = Partition.from_cell_ids([part.cell_of[x] for x in sys_.support])
-    return _rel_indep_step(_point_masses(sys_, {}), cells, {}, None)
+    return RelIndepProduct(_point_masses(sys_, {}), cells, {}, None)
 
 
 def joined_measure(base, power, mass, actions):

@@ -1,13 +1,18 @@
 import gc
 import json
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import oracle
 from ergolab import __version__
+from ergolab.averages import deviation_bound, exact_limit, truncated_average
 from ergolab.cli import COMMANDS, FORMATS, main, parse, report_format
 from ergolab.errors import ValidationError
+from ergolab.joinings import furstenberg_joining, host_kra_tower
+from ergolab.observables import l2_square
 from ergolab.scenario import BOX, FINITE_SYSTEM, OPTIONS, REQUIRED, SCENARIO, TRIALS
 from ergolab.scenario import bundled_scenario_dir, load_scenario
 from ergolab.system import FolnerBox
@@ -266,14 +271,19 @@ def test_base_shift_trials_pass_on_bundled(tmp_path, name):
 def test_base_shift_trials_catch_base_dependent_counts(tmp_path, monkeypatch, name):
     """Reducing lattice points modulo P + 1 instead of the period box P
     makes a full period box's orbit counts depend on its base, and both
-    base-shift verdicts must then read false."""
-    import ergolab.averages as averages
-    from ergolab.system import period_box
+    base-shift verdicts must then read false.  The trials build their boxes
+    from the same period_box, so only residues reads the longer one."""
+    from ergolab import system
 
-    def off_by_one(sys_):
-        return FolnerBox(tuple(P + 1 for P in period_box(sys_).lengths))
+    period_box, residues = system.period_box, system.residues
 
-    monkeypatch.setattr(averages, "period_box", off_by_one)
+    def off_by_one(sys_, where):
+        with monkeypatch.context() as m:
+            m.setattr(system, "period_box", lambda s: FolnerBox(
+                tuple(P + 1 for P in period_box(s).lengths)))
+            return residues(sys_, where)
+
+    monkeypatch.setattr(system, "residues", off_by_one)
     flags = _shift_flags(tmp_path, name)
     assert flags and not any(flags)
 
@@ -308,16 +318,18 @@ def test_base_shift_trials_run_no_orbit_pass(tmp_path, monkeypatch):
 def test_one_full_period_orbit_pass_per_system(tmp_path, monkeypatch, command):
     """limit's two averages, and extend's pleasantness test and Furstenberg
     joining of cyclic-5, all contract its one period_orbits table: one
-    orbit pass in all, as the extension stage has no basis tuple to test."""
-    from ergolab import averages
+    orbit pass in all, as the extension stage has no basis tuple to test.
+    The pass is counted wherever orbit_counts is looked up."""
+    from ergolab import averages, system
 
     calls = []
-    orbit_counts = averages.orbit_counts
+    orbit_counts = system.orbit_counts
 
     def counted(sys_, hist):
         calls.append(sys_)
         return orbit_counts(sys_, hist)
 
+    monkeypatch.setattr(system, "orbit_counts", counted)
     monkeypatch.setattr(averages, "orbit_counts", counted)
     run_ok([command, "--scenario", scn_path("cyclic-5"), "--out", str(tmp_path)])
     assert len(calls) == 1
@@ -942,16 +954,32 @@ def _number_tuple_entry(raw):
     ("torus-counterexample", _put("options", value={"budget": 3}),
      "options is read only by a finite scenario"),
     ("cyclic-5", _zero_max_m, "max_m must be at least 1"),
+    ("cyclic-5", _put("system", "weights", 0, value="1/0"),
+     "weights is not a rational: '1/0'"),
+    ("cyclic-5", _put("observables", "f1", 0, value="1/0"),
+     "observable f1 is not a rational: '1/0'"),
+    ("torus-counterexample", _put("system", "rotations", 0, "vector", 0, value="1/0"),
+     "rotation vector is not a rational: '1/0'"),
+    ("torus-counterexample",
+     _put("system", "rotations", 0, "vector", 0, "rational", value="1/0"),
+     "rotation vector is not a rational: '1/0'"),
+    ("torus-counterexample",
+     _put("system", "rotations", 0, "vector", 0, "symbols", "alpha", value="1/0"),
+     "coefficient of alpha is not a rational: '1/0'"),
 ], ids=["unknown-option", "exponent-past-cap", "short-base", "long-rotation-vector",
         "number-name", "list-engine", "count-past-cap", "count-far-past-cap",
         "number-labels", "repeated-labels", "label-with-comma", "number-tuple-entry",
-        "finite-samples", "torus-options", "zero-max-m"])
+        "finite-samples", "torus-options", "zero-max-m", "zero-denominator-weight",
+        "zero-denominator-value", "zero-denominator-rotation",
+        "zero-denominator-rational", "zero-denominator-coefficient"])
 def test_validate_error_names_the_field(tmp_path, scenario, corrupt, error):
     """An unknown option, an exponent past 4300, a base or rotation vector
     of the wrong length, a name, engine, label or tuple entry that is not a
     string, a label given to two states or holding a bracket or comma, a
-    trial count past its cap, a key that the engine never reads and a max_m
-    below 1 each fail validate on one line that names them."""
+    trial count past its cap, a key that the engine never reads, a max_m
+    below 1 and a zero denominator in a weight, an observable value, a
+    rotation, given as a string or as its rational, or a symbol coefficient
+    each fail validate on one line that names them."""
     raw = json.loads(Path(scn_path(scenario)).read_text())
     corrupt(raw)
     bad = tmp_path / "bad.json"
@@ -1249,3 +1277,101 @@ def test_report_writer_hands_a_self_writing_value_its_indent():
     for bad in (Fraction(1, 2), {1, 2}, 0.5, {1: "a"}, {"k": [Fraction(1, 3)]}):
         with pytest.raises(TypeError):
             _json_text(bad)
+
+
+def _read_exact(text: str) -> Fraction:
+    """A report's "p" or "p/q" string as a Fraction, however many digits."""
+    p, _, q = text.partition("/")
+    return Fraction(Decimal(p)) / Fraction(Decimal(q or 1))
+
+
+def _bundled_copy(tmp_path, corrupt, name="cyclic-5"):
+    raw = json.loads(Path(scn_path(name)).read_text())
+    corrupt(raw)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(raw))
+    return str(path), load_scenario(path)
+
+
+@pytest.mark.parametrize("command", ["limit", "avg"])
+def test_report_values_past_4300_digits_are_written_exactly(tmp_path, command):
+    """Values of 1e-3000 give limits past the 4300 digits int's str
+    conversion allows; the report writes every digit."""
+    def tiny(raw):
+        raw["observables"]["f1"][0] = raw["observables"]["f2"][0] = "1e-3000"
+
+    path, scn = _bundled_copy(tmp_path, tiny)
+    run_ok([command, "--scenario", path, "--out", str(tmp_path)])
+    report = json.loads((tmp_path / f"cyclic-5__{command}.json").read_text())
+    fs = [scn.observables[n] for n in ("f1", "f2")]
+    limit = [_read_exact(v) for v in report["results"][0]["limit"]]
+    assert limit == list(exact_limit(scn.system, fs).values)
+    assert max(len(v) for v in report["results"][0]["limit"]) > 4300
+
+
+@pytest.mark.parametrize("command", ["joining", "hk"])
+def test_masses_past_4300_digits_are_written_exactly(tmp_path, command):
+    """A fixed state of weight 1e-4300 beside a 3-cycle of weight
+    0.33...3 (4300 threes) each gives masses whose denominators pass the
+    4300 digits int's str conversion allows; the report writes every digit."""
+    def tiny(raw):
+        system = raw["system"]
+        system["weights"] = ["1e-4300"] + ["3" * 4300 + "e-4300"] * 3
+        system["generators"][0]["perm"] = [0, 2, 3, 1]
+        system["generators"][1]["perm"] = [0, 3, 1, 2]
+
+    path, scn = _bundled_copy(tmp_path, tiny, "cyclic-4")
+    run_ok([command, "--scenario", path, "--out", str(tmp_path)])
+    report = json.loads((tmp_path / f"cyclic-4__{command}.json").read_text())
+    if command == "joining":
+        stages, tower = [report], [furstenberg_joining(scn.system)]
+    else:
+        stages, tower = report["stages"], host_kra_tower(scn.system)
+    assert len(stages) == len(tower)
+    for stage, jm in zip(stages, tower):
+        rows = [(tuple(row["state"]), _read_exact(row["mass"])) for row in stage["measure"]]
+        assert rows == [(t, jm.mass[t]) for t in jm.support]
+    assert max(len(row["mass"]) for stage in stages for row in stage["measure"]) > 4300
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_box_past_2200_digits_writes_its_average(tmp_path, fmt):
+    """A box of length 10**2200 + 3 gives a deviation and a bound whose
+    squares have denominators past 4300 digits: avg writes them exactly,
+    and its CSV reads them back as floats."""
+    N = 10 ** 2200 + 3
+
+    def long_box(raw):
+        raw["boxes"] = [{"lengths": [N]}]
+
+    path, scn = _bundled_copy(tmp_path, long_box)
+    run_ok(["avg", "--scenario", path, "--out", str(tmp_path), "--format", fmt])
+    text = (tmp_path / f"cyclic-5__avg.{fmt}").read_text()
+    sys_, box = scn.system, FolnerBox((N,))
+    fs = [scn.observables[n] for n in ("g1", "g2")]
+    deviation = l2_square(truncated_average(sys_, fs, box) - exact_limit(sys_, fs),
+                          sys_.weights)
+    bound = deviation_bound(sys_, fs, box)
+    if fmt == "json":
+        entry = json.loads(text)["results"][2]
+        assert entry["tuple"] == ["g1", "g2"]
+        assert _read_exact(entry["deviation"]["square"]) == deviation
+        assert _read_exact(entry["bound"]["square"]) == bound
+        assert len(entry["bound"]["square"]) > 4300
+    else:
+        line = text.splitlines()[2].split(",")
+        assert line[:3] == ["g1|g2", str(N), "0"]
+        assert line[3:] == ["0.000000000000e+00", "0.000000000000e+00", "true"]
+
+
+def test_avg_csv_writes_a_norm_past_floats_range_as_inf(tmp_path):
+    """Values of 1e200 give a deviation whose square, 1e800-odd, is no
+    float: the CSV reads it through decimal, and a norm past float's range
+    is written as inf."""
+    def huge(raw):
+        raw["observables"]["f1"][0] = raw["observables"]["f2"][0] = "1e200"
+
+    path, _ = _bundled_copy(tmp_path, huge)
+    run_ok(["avg", "--scenario", path, "--out", str(tmp_path), "--format", "csv"])
+    rows = (tmp_path / "cyclic-5__avg.csv").read_text().splitlines()
+    assert rows[2] == "f1|f2,7,3,inf,inf,true"

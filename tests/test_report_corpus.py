@@ -74,6 +74,11 @@ COPY_ERRORS = {
     "cyclic-5-samples-0-5-0-25": "samples is read only by a torus scenario",
     "torus-counterexample-options-budget-3": "options is read only by a finite scenario",
     "cyclic-5-max_m-0": "max_m must be at least 1",
+    "cyclic-5-weights-1-0": "weights is not a rational: '1/0'",
+    "cyclic-5-f1-1-0": "observable f1 is not a rational: '1/0'",
+    "torus-counterexample-vector-1-0": "rotation vector is not a rational: '1/0'",
+    "torus-counterexample-rational-1-0": "rotation vector is not a rational: '1/0'",
+    "torus-counterexample-alpha-1-0": "coefficient of alpha is not a rational: '1/0'",
 }
 
 
@@ -88,3 +93,4 @@ def test_error_copies_fail_validate_naming_the_field(tmp_path):
         )
         assert (rundir / "exit_code").read_text() == "1\n"
         assert (rundir / "stderr").read_text() == f"error: {COPY_ERRORS[path.stem]}\n"
+

@@ -121,13 +121,16 @@ def test_help_text_loads_only_for_help_or_a_usage_error():
         ("torus-demo", "torus-counterexample", TORUS_ABSENT),
         ("validate", "torus-counterexample", TORUS_ABSENT),
         ("validate", "cyclic-5", ENGINES),
-        ("pleasant", "cyclic-5", {"ergolab.torus", "ergolab.joinings"}),
+        # the orbit table and the base-shift trials live in system, so
+        # only avg and limit load the averages
+        ("pleasant", "cyclic-5",
+         {"ergolab.averages", "ergolab.torus", "ergolab.joinings"}),
         ("avg", "cyclic-5", ENGINES - {"ergolab.averages"}),
         ("limit", "cyclic-5", ENGINES - {"ergolab.averages"}),
-        # the Furstenberg joining needs no factor, the Host-Kra tower no average
-        ("joining", "cyclic-5", {"ergolab.factors", "ergolab.torus"}),
+        # the Furstenberg joining needs no factor
+        ("joining", "cyclic-5", {"ergolab.averages", "ergolab.factors", "ergolab.torus"}),
         ("hk", "cyclic-5", {"ergolab.averages", "ergolab.torus"}),
-        ("extend", "cyclic-5", {"ergolab.torus"}),
+        ("extend", "cyclic-5", {"ergolab.averages", "ergolab.torus"}),
     ],
 )
 def test_command_loads_only_what_it_runs(tmp_path, command, scenario, absent):
@@ -187,10 +190,12 @@ def test_validate_loads_no_resources_and_no_random(tmp_path):
     assert not added & {"importlib.resources", "random"}, sorted(added)
 
 
-def _imports(path: Path, package: str):
-    """The absolute names of the modules path imports, each ``from X import
-    y`` counted both as X and as X.y, as y may be a submodule."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def _imports(path: Path, package: str, tree=None):
+    """The absolute names of the modules path imports (within tree, a node
+    of its syntax tree, if one is given), each ``from X import y`` counted
+    both as X and as X.y, as y may be a submodule."""
+    tree = ast.parse(path.read_text(encoding="utf-8")) if tree is None else tree
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -214,6 +219,31 @@ def test_no_module_imports_the_cli():
     assert "ergolab.averages" in set(
         _imports(root / "reports" / "averages.py", "ergolab.reports"))
     assert "ergolab.scenario.load_scenario" in set(_imports(root / "cli.py", "ergolab"))
+
+
+def _function_imports(path: Path):
+    """The ergolab modules imported inside the functions of path, a module
+    of the ergolab package itself."""
+    return {
+        name
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for name in _imports(path, "ergolab", fn)
+        if name.split(".")[0] == "ergolab"
+    }
+
+
+def test_the_orbit_layer_and_the_scenario_parser_import_at_module_level():
+    """The orbit layer in system.py imports every ergolab module it runs
+    at its top, and the scenario parser defers only the engines' parsers,
+    so that a finite scenario loads no torus engine and a torus one no
+    finite system."""
+    root = Path(ergolab.__file__).resolve().parent
+    assert _function_imports(root / "system.py") == set()
+    assert _function_imports(root / "scenario.py") == {
+        "ergolab.system", "ergolab.system._parse_finite_system",
+        "ergolab.torus", "ergolab.torus._parse_torus_system", "ergolab.torus._parse_trig",
+    }
 
 
 def test_a_job_never_imports_the_cli_as_a_module(tmp_path):

@@ -48,7 +48,8 @@ DELETE = object()
 # set on a copy each, which validate must reject: an object field given [],
 # a misspelt key, a missing key, a name, label or tuple entry that is not a
 # string, a label given to two states or holding a comma, a trial count past
-# its cap, a key that the engine never reads and a max_m below 1
+# its cap, a key that the engine never reads, a max_m below 1 and a zero
+# denominator in each kind of rational field
 ERROR_COPIES = (
     ("cyclic-5", ("base_point_trials",), []),
     ("cyclic-5", ("observables",), []),
@@ -68,6 +69,12 @@ ERROR_COPIES = (
     ("cyclic-5", ("samples",), [[0.5, 0.25]]),
     ("torus-counterexample", ("options",), {"budget": 3}),
     ("cyclic-5", ("options", "max_m"), 0),
+    ("cyclic-5", ("system", "weights", 0), "1/0"),
+    ("cyclic-5", ("observables", "f1", 0), "1/0"),
+    ("torus-counterexample", ("system", "rotations", 0, "vector", 0), "1/0"),
+    ("torus-counterexample", ("system", "rotations", 0, "vector", 0, "rational"), "1/0"),
+    ("torus-counterexample",
+     ("system", "rotations", 0, "vector", 0, "symbols", "alpha"), "1/0"),
 )
 
 
@@ -95,15 +102,16 @@ def _option_copies(outdir: Path):
 
 def _error_copies(outdir: Path):
     """Write a copy of a bundled scenario per entry of ERROR_COPIES, with
-    its fields set or deleted and named after the first (<scenario>-<field>-
-    list, -deleted or -<value>, its word characters joined by -), to outdir;
-    their paths."""
+    its fields set or deleted and named after the first (<scenario>-<last
+    key of its path>-list, -deleted or -<value>, its word characters joined
+    by -), to outdir; their paths."""
     outdir.mkdir(parents=True, exist_ok=True)
     for scenario, path, value, *also in ERROR_COPIES:
         raw = json.loads((HERE / f"src/ergolab/scenarios/{scenario}.json").read_text())
         label = ("deleted" if value is DELETE else "list" if value == []
                  else "-".join(re.findall(r"\w+", json.dumps(value))))
-        name = raw["name"] = f"{scenario}-{path[-1]}-{label}"
+        last_key = [k for k in path if isinstance(k, str)][-1]
+        name = raw["name"] = f"{scenario}-{last_key}-{label}"
         for (*outer, last), v in ((path, value), *also):
             field = raw
             for key in outer:
